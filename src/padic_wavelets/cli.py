@@ -362,7 +362,7 @@ def check_algebra(config: RunConfig, relations, alphas, corrupt):
         rng = random.Random(config.seed)
         fn = _random_function(p, rng)
         for alpha in alphas:
-            residual = translation_kernel_residual(alpha, fn, shift, exact=False)
+            residual = translation_kernel_residual(alpha, fn, shift)
             worst = max(
                 (abs(complex(v)) for v in residual.table.values()), default=0.0
             )

@@ -34,14 +34,6 @@ def _q_mul(x, y, p):
     return (a * c + p * b * d, a * d + b * c)
 
 
-def _q_inv(x, p):
-    a, b = x
-    den = a * a - p * b * b
-    if den == 0:
-        raise ZeroDivisionError("division by zero in Q(sqrt p)")
-    return (a / den, -b / den)
-
-
 def _q_complex(x, sqrtp: float) -> float:
     a, b = x
     return float(a) + float(b) * sqrtp
@@ -259,15 +251,6 @@ class Cyc:
 
     __rmul__ = __mul__
 
-    def scale_quad(self, coeff) -> "Cyc":
-        """Multiply by a + b*sqrt(p) given as a pair of Fractions."""
-        p = self.prime
-        return Cyc(
-            p,
-            self.level,
-            {e: _q_mul(c, coeff, p) for e, c in self.terms.items()},
-        )
-
     def conj(self) -> "Cyc":
         modulus = self.prime**self.level
         return Cyc(
@@ -408,10 +391,6 @@ def conj(value):
     if isinstance(value, Cyc):
         return value.conj()
     return complex(value).conjugate()
-
-
-def to_complex(value) -> complex:
-    return complex(value)
 
 
 def amp_is_zero(value, tol: float = 0.0) -> bool:

@@ -475,7 +475,14 @@ def fn_from_json(data: dict) -> LocallyConstantFn:
     table = {}
     for i, entry in enumerate(cells):
         try:
-            rep = rep_from_digits(entry["digits"], p, m)
+            digits = entry["digits"]
+            if not all(isinstance(d, int) and 0 <= d < p for d in digits):
+                raise InvalidInputError(f"digits {digits} are not all in [0, {p})")
+            if digits_to_int(digits, p) >= p ** (m + k):
+                raise InvalidInputError(f"digits {digits} lie outside the ball")
+            rep = rep_from_digits(digits, p, m)
+            if rep in table:
+                raise InvalidInputError(f"digits {digits} repeat an earlier cell")
             table[rep] = amp_from_json(p, entry)
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed cell record at index {i}: {exc}") from exc

@@ -91,12 +91,6 @@ def _merged(f: RealStepFn, g: RealStepFn):
     return bps
 
 
-def step_sub(f: RealStepFn, g: RealStepFn) -> RealStepFn:
-    bps = _merged(f, g)
-    vals = tuple(f.value_at(b) - g.value_at(b) for b in bps[:-1])
-    return RealStepFn(tuple(bps), vals)
-
-
 def step_equal(f: RealStepFn, g: RealStepFn, tol: float = 0.0) -> bool:
     bps = _merged(f, g)
     return all(amp_equal(f.value_at(b), g.value_at(b), tol) for b in bps[:-1])

@@ -22,7 +22,7 @@ from fractions import Fraction
 from numbers import Rational
 
 from .errors import InvalidInputError, UnsupportedCaseError, WindowClipError
-from .exact import Cyc, CycSum, _q_inv, _q_mul, p_power_amp
+from .exact import Cyc, CycSum, amp_is_zero, p_power_amp
 from .functions import (
     DEFAULT_CELL_CAP,
     LocallyConstantFn,
@@ -30,7 +30,7 @@ from .functions import (
     reduce_rep,
     translate,
 )
-from .padic import PAdicNumber, frac_valp
+from .padic import PAdicNumber, frac_valp, valp
 from .wavelets import (
     KozyrevIndex,
     WaveletExpansion,
@@ -89,10 +89,6 @@ class BasisOperator:
         return lo, hi
 
 
-def identity_op() -> BasisOperator:
-    return BasisOperator()
-
-
 def scalar_op(c) -> BasisOperator:
     return BasisOperator((Scalar(c),))
 
@@ -122,12 +118,6 @@ def ell_op(k: int) -> BasisOperator:
     return BasisOperator(word)
 
 
-def _diagonal_multiplier(p: int, alpha, n: int):
-    if isinstance(alpha, Rational):
-        return p_power_amp(p, Fraction(alpha) * (1 - n))
-    return p_power_amp(p, alpha * (1 - n))
-
-
 def apply_operator(op: BasisOperator, e: WaveletExpansion) -> WaveletExpansion:
     p = e.prime
     coeffs = dict(e.coefficients)
@@ -140,7 +130,7 @@ def apply_operator(op: BasisOperator, e: WaveletExpansion) -> WaveletExpansion:
                     raise WindowClipError(target)
                 new_idx, value = target, c
             elif isinstance(prim, Diagonal):
-                new_idx, value = idx, c * _diagonal_multiplier(p, prim.alpha, idx.n)
+                new_idx, value = idx, c * p_power_amp(p, prim.alpha * (1 - idx.n))
             elif isinstance(prim, LogDiagonal):
                 new_idx, value = idx, c * Fraction(1 - idx.n)
             elif isinstance(prim, Scalar):
@@ -246,12 +236,9 @@ def check_commutator(a: BasisOperator, b: BasisOperator, e: WaveletExpansion,
 def check_deformed(alpha, step: int, e: WaveletExpansion) -> WaveletExpansion:
     """Residual of p^(s a/2) D^a J_s - p^(-s a/2) J_s D^a on e."""
     p = e.prime
-    if isinstance(alpha, Rational):
-        plus = p_power_amp(p, Fraction(alpha) * Fraction(step, 2))
-        minus = p_power_amp(p, -Fraction(alpha) * Fraction(step, 2))
-    else:
-        plus = float(p) ** (step * alpha / 2)
-        minus = float(p) ** (-step * alpha / 2)
+    # dividing by Fraction(2) keeps an integer alpha exact
+    plus = p_power_amp(p, step * alpha / Fraction(2))
+    minus = p_power_amp(p, -step * alpha / Fraction(2))
     lhs = expansion_scale(apply_operator(vladimirov(alpha), j_shift(step, e)), plus)
     rhs = expansion_scale(j_shift(step, apply_operator(vladimirov(alpha), e)), minus)
     return expansion_sub(lhs, rhs)
@@ -336,10 +323,7 @@ def deformed_results(p: int, window: Window, alphas, m_depth: int = 1) -> list[R
                 e = basis_vector(p, window, idx)
                 out.append(_residual_result(
                     f"deformed:s={step:+d}", idx, alpha, check_deformed(alpha, step, e)))
-                if isinstance(alpha, Rational):
-                    factor = 1 - p_power_amp(p, Fraction(alpha) * step)
-                else:
-                    factor = 1 - float(p) ** (step * alpha)
+                factor = 1 - p_power_amp(p, step * alpha)
                 expected = scalar_op(factor) @ dal @ js
                 out.append(_residual_result(
                     f"commutator:[D^a,J{step:+d}]", idx, alpha,
@@ -397,21 +381,57 @@ def _check_kernel_alpha(alpha):
         )
 
 
-def _half_exponent(x: Fraction) -> int | None:
-    twice = x * 2
-    return int(twice) if twice.denominator == 1 else None
+def _inv_one_minus(s: Cyc) -> Cyc:
+    """1/(1 - s) for s = p^(k/2): (1 + s)/(1 - s^2), where s^2 is rational."""
+    return (1 + s) * (1 / (1 - s * s).rational_value())
 
 
-def _qpow(p: int, exponent: Fraction):
-    """p**exponent as an (a, b) pair in Q(sqrt p); exponent must be half-integral."""
-    half = _half_exponent(exponent)
-    q, r = divmod(half, 2)
-    if r == 0:
-        return (Fraction(p) ** q, Fraction(0))
-    return (Fraction(0), Fraction(p) ** q)
+def _kernel_rows(alpha, f: LocallyConstantFn, cap: int):
+    """The cells of f's ball and `row(i0)`, kernel-form D^alpha f on cell i0.
+
+    The sum is exact when alpha is a half-integral Rational and every cell
+    value is exact, and floating otherwise; only the constants and the cell
+    values differ between the two.
+    """
+    _check_kernel_alpha(alpha)
+    p = f.prime
+    m_exp, res = f.support_exponent, f.resolution
+    reps = ball_reps(p, m_exp, res, cap)
+    zero = Cyc.zero(p)
+    values = [f.table.get(r, zero) for r in reps]
+    if (isinstance(alpha, Rational) and (2 * Fraction(alpha)).denominator == 1
+            and f.is_exact()):
+        a = Fraction(alpha)
+        c_alpha = (1 - p_power_amp(p, a)) * _inv_one_minus(p_power_amp(p, -1 - a))
+        tail = (p_power_amp(p, -a * (m_exp + 1)) * _inv_one_minus(p_power_amp(p, -a))
+                * (1 - Fraction(1, p)))
+        measure = Fraction(p) ** (-res)
+    else:
+        a = float(alpha)
+        pa = float(p)
+        c_alpha = (1.0 - pa**a) / (1.0 - pa ** (-1.0 - a))
+        tail = (1.0 - 1.0 / pa) * pa ** (-(m_exp + 1) * a) / (1.0 - pa**-a)
+        measure = pa**-res
+        values = [complex(v) for v in values]
+    # cell i is i * p^(-M), so cells i != i0 differ at valuation v_p(i - i0) - M
+    weights = [p_power_amp(p, (1 + a) * (t - m_exp)) for t in range(m_exp + res)]
+
+    def row(i0):
+        v0 = values[i0]
+        acc = CycSum(p)
+        for i, v in enumerate(values):
+            if i == i0:
+                continue
+            diff = v - v0
+            if amp_is_zero(diff):
+                continue
+            acc.add(diff * weights[valp(i - i0, p)])
+        return c_alpha * (acc.result() * measure - v0 * tail)
+
+    return reps, row
 
 
-def vladimirov_kernel_apply(alpha, f: LocallyConstantFn, exact: bool | None = None,
+def vladimirov_kernel_apply(alpha, f: LocallyConstantFn,
                             cap: int = DEFAULT_CELL_CAP) -> LocallyConstantFn:
     """D^alpha f on f's cell grid via the difference-kernel integral.
 
@@ -419,91 +439,30 @@ def vladimirov_kernel_apply(alpha, f: LocallyConstantFn, exact: bool | None = No
     evaluation cell itself contributes nothing, and the tail beyond the
     support ball is the closed-form geometric sum
     -f(x) (1-1/p) p^(-(M+1) alpha) / (1 - p^(-alpha)).  With half-integral
-    alpha the whole computation stays exact.
+    alpha and an exact table the whole computation stays exact.
     """
-    _check_kernel_alpha(alpha)
-    p = f.prime
-    if exact is None:
-        exact = (
-            isinstance(alpha, Rational)
-            and _half_exponent(Fraction(alpha)) is not None
-            and f.is_exact()
-        )
-    m_exp, res = f.support_exponent, f.resolution
-    reps = ball_reps(p, m_exp, res, cap)
-    zero = Cyc.zero(p)
-    if exact:
-        a = Fraction(alpha)
-        c_alpha = _q_mul(
-            _q_sub((Fraction(1), Fraction(0)), _qpow(p, a)),
-            _q_inv(_q_sub((Fraction(1), Fraction(0)), _qpow(p, -1 - a)), p),
-            p,
-        )
-        tail = _q_mul(
-            _qpow(p, -a * (m_exp + 1)),
-            _q_inv(_q_sub((Fraction(1), Fraction(0)), _qpow(p, -a)), p),
-            p,
-        )
-        tail = _q_mul(tail, (Fraction(1) - Fraction(1, p), Fraction(0)), p)
-        measure = Fraction(p) ** (-res)
-        out = {}
-        for r0 in reps:
-            v0 = f.table.get(r0, zero)
-            acc = CycSum(p)
-            for r in reps:
-                if r == r0:
-                    continue
-                v = f.table.get(r, zero)
-                diff = v - v0
-                if diff.is_zero:
-                    continue
-                w = frac_valp(r - r0, p)
-                acc.add(diff.scale_quad(_qpow(p, (1 + a) * w)))
-            total = acc.result() * measure
-            total = total - v0.scale_quad(tail)
-            total = total.scale_quad(c_alpha)
-            if not total.is_zero:
-                out[r0] = total
-        return LocallyConstantFn(p, m_exp, res, out)
-
-    a = float(alpha)
-    pa = float(p)
-    c_alpha = (1.0 - pa**a) / (1.0 - pa ** (-1.0 - a))
-    tail = (1.0 - 1.0 / pa) * pa ** (-(m_exp + 1) * a) / (1.0 - pa**-a)
-    measure = pa**-res
-    values = {r: complex(f.table.get(r, zero)) for r in reps}
+    reps, row = _kernel_rows(alpha, f, cap)
     out = {}
-    for r0 in reps:
-        v0 = values[r0]
-        total = 0j
-        for r in reps:
-            if r == r0:
-                continue
-            diff = values[r] - v0
-            if diff == 0:
-                continue
-            w = frac_valp(r - r0, p)
-            total += diff * pa ** ((1.0 + a) * w)
-        out[r0] = c_alpha * (total * measure - v0 * tail)
-    return LocallyConstantFn(p, m_exp, res, out)
+    for i0, r0 in enumerate(reps):
+        value = row(i0)
+        if not amp_is_zero(value):
+            out[r0] = value
+    return LocallyConstantFn(f.prime, f.support_exponent, f.resolution, out)
 
 
-def _q_sub(x, y):
-    return (x[0] - y[0], x[1] - y[1])
-
-
-def vladimirov_kernel(alpha, f: LocallyConstantFn, cell, exact: bool | None = None):
-    """Kernel-form D^alpha f evaluated on one cell of f's grid."""
+def vladimirov_kernel(alpha, f: LocallyConstantFn, cell):
+    """Kernel-form D^alpha f evaluated on one cell of f's grid; zero off the ball."""
     if hasattr(cell, "rep"):
         rep = cell.rep
     else:
         rep = reduce_rep(Fraction(cell), f.prime, f.resolution)
-    result = vladimirov_kernel_apply(alpha, f, exact=exact)
-    return result.table.get(rep, Cyc.zero(f.prime))
+    reps, row = _kernel_rows(alpha, f, DEFAULT_CELL_CAP)
+    if rep not in reps:
+        return Cyc.zero(f.prime)
+    return row(reps.index(rep))
 
 
-def translation_kernel_residual(alpha, f: LocallyConstantFn, shift,
-                                exact: bool | None = None) -> LocallyConstantFn:
+def translation_kernel_residual(alpha, f: LocallyConstantFn, shift) -> LocallyConstantFn:
     """D^alpha(translate f) - translate(D^alpha f) on the common ball."""
     p = f.prime
     if isinstance(shift, PAdicNumber):
@@ -514,8 +473,8 @@ def translation_kernel_residual(alpha, f: LocallyConstantFn, shift,
     if b != 0:
         support = max(support, -frac_valp(b, p))
     base = f.with_support(support)
-    lhs = vladimirov_kernel_apply(alpha, translate(base, b), exact=exact)
-    rhs = translate(vladimirov_kernel_apply(alpha, base, exact=exact), b)
+    lhs = vladimirov_kernel_apply(alpha, translate(base, b))
+    rhs = translate(vladimirov_kernel_apply(alpha, base), b)
     return lhs - rhs
 
 

@@ -145,9 +145,6 @@ class WaveletExpansion:
             if not self.window.contains(idx):
                 raise WindowClipError(idx, f"index {idx} outside window {self.window}")
 
-    def norm_squared(self) -> float:
-        return sum(abs(complex(v)) ** 2 for v in self.coefficients.values())
-
 
 def basis_vector(p: int, window: Window, idx: KozyrevIndex, amp=None) -> WaveletExpansion:
     validate_index(p, idx)

@@ -80,7 +80,7 @@ def test_c02_kernel_matches_spectral_eigenvalue():
                 for m in [()] + [(d,) for d in range(1, p)]:
                     for j in range(1, p):
                         f = materialize(p, KozyrevIndex(n, m, j))
-                        out = vladimirov_kernel_apply(alpha, f, exact=False)
+                        out = vladimirov_kernel_apply(alpha, f)
                         eig = float(p) ** (alpha * (1 - n))
                         for rep in ball_reps(p, f.support_exponent, f.resolution):
                             got = complex(out.table.get(rep, 0))
@@ -161,12 +161,12 @@ def test_c07_translation_commutes():
         }
         f = LocallyConstantFn(p, 1, 2, table)
         for shift in (Fraction(1, p), Fraction(p - 1, p)):
-            res = translation_kernel_residual(1.0, f, shift, exact=False)
+            res = translation_kernel_residual(1.0, f, shift)
             worst = max(
                 (abs(complex(v)) for v in res.table.values()), default=worst
             )
         psi = materialize(p, KozyrevIndex(0, (), 1))
-        res = translation_kernel_residual(1.0, psi, Fraction(1, p), exact=False)
+        res = translation_kernel_residual(1.0, psi, Fraction(1, p))
         worst = max((abs(complex(v)) for v in res.table.values()), default=worst)
     assert worst <= 1e-12
     report(7, f"D^a commutes with translation: spectral exact, kernel "

@@ -146,6 +146,26 @@ def test_missing_field_is_exit_one(capsys, tmp_path):
     assert code == 1
 
 
+def _cell(digits, mag=1):
+    return {"digits": digits, "mag_num": mag, "mag_den": 1, "phase_num": 0, "phase_den": 1}
+
+
+@pytest.mark.parametrize("cells, reason", [
+    ([_cell([2])], "not all in [0, 2)"),
+    ([_cell([-1])], "not all in [0, 2)"),
+    ([_cell([1, 1, 1])], "outside the ball"),
+    ([_cell([1]), _cell([1], 5)], "repeat an earlier cell"),
+    ([_cell([7]), _cell([1]), _cell([1], 5)], "not all in [0, 2)"),
+])
+def test_cell_outside_ball_or_repeated_is_exit_one(capsys, tmp_path, cells, reason):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(
+        {"prime": 2, "support_exponent": 0, "resolution_exponent": 1, "cells": cells}))
+    code, _, err = run(capsys, ["fourier", str(bad)])
+    assert code == 1
+    assert reason in err
+
+
 def test_cap_exceeded_is_exit_three(capsys, psi_file):
     code, _, err = run(capsys, ["--cap", "2", "--window", "-3:3:1", "analyze", str(psi_file)])
     assert code == 3

@@ -38,6 +38,7 @@ from padic_wavelets.operators import (
     vladimirov_spectral,
     witt_results,
 )
+from padic_wavelets.padic import RationalPhase
 from padic_wavelets.wavelets import (
     KozyrevIndex,
     WaveletExpansion,
@@ -264,12 +265,46 @@ def test_kernel_rejects_bad_alpha():
         vladimirov_kernel_apply(1 + 1j, f)
 
 
+def _random_exact_table(p, support, resolution, rng):
+    table = {}
+    for rep in ball_reps(p, support, resolution):
+        mag = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        phase = RationalPhase(rng.randrange(p * p), p * p)
+        if mag:
+            table[rep] = Cyc.root_of_unity(p, phase) * mag
+    return LocallyConstantFn(p, support, resolution, table)
+
+
 def test_kernel_float_path_close_to_exact():
-    p = 2
-    f = materialize(p, KozyrevIndex(0))
-    exact = vladimirov_kernel_apply(Fraction(1, 2), f)
-    floats = vladimirov_kernel_apply(0.5, f, exact=False)
-    assert fn_equal(exact, floats, tol=1e-12)
+    # exactness follows from alpha and the table: a Fraction alpha runs the
+    # exact sum, the equal float alpha the floating one
+    fns = [
+        f
+        for p in (2, 3, 5)
+        for f in (
+            materialize(p, KozyrevIndex(0)),
+            materialize(p, KozyrevIndex(-1, (1,), p - 1)),
+            materialize(p, KozyrevIndex(0, (p - 1,), 1), extra_depth=1),
+            _random_exact_table(p, 1, 1, random.Random(p)),
+        )
+    ]
+    for f in fns:
+        for alpha in (Fraction(1, 2), Fraction(1), Fraction(3, 2)):
+            exact = vladimirov_kernel_apply(alpha, f)
+            floats = vladimirov_kernel_apply(float(alpha), f)
+            assert exact.table and exact.is_exact()
+            assert all(isinstance(v, complex) for v in floats.table.values())
+            assert fn_equal(exact, floats, tol=1e-12)
+
+
+@pytest.mark.parametrize("alpha", (Fraction(1, 2), 0.7))
+def test_kernel_single_cell_matches_table(alpha):
+    p = 3
+    f = materialize(p, KozyrevIndex(0, (1,), 2), extra_depth=1)
+    table = vladimirov_kernel_apply(alpha, f).table
+    outside = Fraction(1, p ** (f.support_exponent + 1))
+    for rep in ball_reps(p, f.support_exponent, f.resolution) + [outside]:
+        assert vladimirov_kernel(alpha, f, rep) == table.get(rep, 0)
 
 
 # -- translations ----------------------------------------------------------------------
@@ -315,6 +350,6 @@ def test_translation_kernel_residual_float_random_table():
     for rep in ball_reps(p, 1, 2):
         table[rep] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     f = LocallyConstantFn(p, 1, 2, table)
-    res = translation_kernel_residual(1.0, f, Fraction(1, 2), exact=False)
+    res = translation_kernel_residual(1.0, f, Fraction(1, 2))
     worst = max((abs(complex(v)) for v in res.table.values()), default=0.0)
     assert worst <= 1e-12
