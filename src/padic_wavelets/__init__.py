@@ -28,9 +28,7 @@ from .padic import (
     rational_character_phase,
 )
 from .functions import (
-    CosetCell,
     LocallyConstantFn,
-    enumerate_cells,
     fn_equal,
     fourier,
     indicator_fn,

@@ -33,13 +33,13 @@ from .functions import (
     fn_to_json,
     fourier as fourier_fn,
     inverse_fourier,
+    rep_digits,
 )
 from .haar import HaarIndex, haar_step, monomial_coefficient, scaling_constant
 from .operators import (
     RelationResult,
     deformed_results,
     semigroup_results,
-    scalar_op,
     sl2_results,
     translation_kernel_residual,
     translation_spectral_results,
@@ -199,11 +199,12 @@ def wavelet_table(config: RunConfig, indices, extra_depth, output):
         rows = []
         for idx in parsed:
             fn = materialize(config.prime, idx, extra_depth, cap=config.cap)
-            for cell, value in fn.cells():
-                digits = cell.digits(fn.support_exponent)
+            for rep in sorted(fn.table):
+                value = fn.table[rep]
+                digits = rep_digits(rep, fn.prime, fn.support_exponent, fn.resolution)
                 label = "".join(str(d) for d in digits) or "0"
                 norm_exp = (
-                    "-inf" if cell.rep == 0
+                    "-inf" if rep == 0
                     else fn.support_exponent - next(
                         i for i, d in enumerate(digits) if d != 0
                     )
@@ -266,7 +267,7 @@ def analyze_cmd(config: RunConfig, input_file, output):
     reported on stderr alongside the round-trip residual."""
     from .functions import inner_product, integrate
 
-    fn = _load_function(input_file)
+    fn = _load(input_file, fn_from_json)
     if fn.prime != config.prime:
         raise InvalidInputError(
             f"input is over p={fn.prime}, command over p={config.prime}"
@@ -288,12 +289,7 @@ def analyze_cmd(config: RunConfig, input_file, output):
 @click.pass_obj
 def synthesize_cmd(config: RunConfig, input_file, output):
     """Rebuild the table function of a JSON expansion."""
-    with open(input_file) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"{input_file}: {exc}") from exc
-    expansion = expansion_from_json(data)
+    expansion = _load(input_file, expansion_from_json)
     fn = synthesize_fn(expansion, cap=config.cap)
     write_output(json.dumps(fn_to_json(fn), indent=2) + "\n", output)
 
@@ -305,18 +301,19 @@ def synthesize_cmd(config: RunConfig, input_file, output):
 @click.pass_obj
 def fourier_cmd(config: RunConfig, input_file, inverse, output):
     """Fourier-transform a JSON table function."""
-    fn = _load_function(input_file)
+    fn = _load(input_file, fn_from_json)
     result = inverse_fourier(fn, config.cap) if inverse else fourier_fn(fn, config.cap)
     write_output(json.dumps(fn_to_json(result), indent=2) + "\n", output)
 
 
-def _load_function(path: str) -> LocallyConstantFn:
+def _load(path: str, parse):
+    """Read a JSON input file and decode it with `parse`."""
     with open(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidInputError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    return fn_from_json(data)
+    return parse(data)
 
 
 @cli.group()
@@ -332,10 +329,8 @@ _RELATIONS = ("sl2", "witt", "deformed", "semigroup", "translation")
               type=click.Choice(_RELATIONS + ("all",)), default=("all",))
 @click.option("--alpha", "alphas", multiple=True, type=float,
               help="Exponents for D^alpha checks; repeatable.")
-@click.option("--corrupt", is_flag=True, hidden=True,
-              help="Negative-control hook: perturb one expected operator.")
 @click.pass_obj
-def check_algebra(config: RunConfig, relations, alphas, corrupt):
+def check_algebra(config: RunConfig, relations, alphas):
     """Run the commutation-relation suites; exit 2 on any violation."""
     p = config.prime
     window = config.window
@@ -368,15 +363,6 @@ def check_algebra(config: RunConfig, relations, alphas, corrupt):
             )
             results.append(RelationResult(
                 "translation:kernel", KozyrevIndex(0), alpha, worst, False))
-    if corrupt and results:
-        # tamper with one relation so the failure path is exercised end to end
-        from .operators import basis_vector, check_commutator, j_op, log_vladimirov_op, expansion_max_abs
-
-        idx = KozyrevIndex(0)
-        e = basis_vector(p, window, idx)
-        bad = check_commutator(j_op(+1), j_op(-1), e, scalar_op(Fraction(3)) @ log_vladimirov_op())
-        results.append(RelationResult("sl2:corrupted", idx, None,
-                                      expansion_max_abs(bad), True))
 
     by_relation: dict[str, float] = {}
     for r in results:
@@ -499,7 +485,7 @@ def main(argv=None) -> int:
             return 0
         click.echo(f"usage error: {exc.format_message()}", err=True)
         return 1
-    except (InvalidInputError, json.JSONDecodeError) as exc:
+    except InvalidInputError as exc:
         click.echo(f"input error: {exc}", err=True)
         return 1
     except EnumerationCapError as exc:

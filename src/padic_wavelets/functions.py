@@ -18,15 +18,15 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import EnumerationCapError, InvalidInputError, PrimeMismatchError
-from .exact import Cyc, CycSum, amp_equal, conj
+from .exact import Cyc, CycSum, amp_equal, amp_is_zero, conj
 from .padic import (
-    PAdicNumber,
     RationalPhase,
     check_prime,
     frac_valp,
     int_to_digits,
     digits_to_int,
     rational_character_phase,
+    shift_rational,
     valp,
 )
 
@@ -63,25 +63,6 @@ def rep_from_digits(digits, p: int, support_exponent: int) -> Fraction:
     return Fraction(digits_to_int(digits, p)) * Fraction(p) ** (-support_exponent)
 
 
-@dataclass(frozen=True)
-class CosetCell:
-    """The ball rep + p^K Z_p, of Haar measure p^(-K)."""
-
-    prime: int
-    resolution: int
-    rep: Fraction
-
-    @property
-    def measure(self) -> Fraction:
-        return Fraction(self.prime) ** (-self.resolution)
-
-    def digits(self, support_exponent: int) -> list[int]:
-        return rep_digits(self.rep, self.prime, support_exponent, self.resolution)
-
-    def contains(self, q: Fraction) -> bool:
-        return reduce_rep(q, self.prime, self.resolution) == self.rep
-
-
 def ball_reps(p: int, support_exponent: int, resolution: int,
               cap: int = DEFAULT_CELL_CAP) -> list[Fraction]:
     """Canonical representatives of the p^(M+K) cells covering |x| <= p^M."""
@@ -93,15 +74,6 @@ def ball_reps(p: int, support_exponent: int, resolution: int,
         raise EnumerationCapError(count, cap)
     unit = Fraction(p) ** (-support_exponent)
     return [i * unit for i in range(count)]
-
-
-def enumerate_cells(p: int, support_exponent: int, resolution: int,
-                    cap: int = DEFAULT_CELL_CAP) -> list[CosetCell]:
-    check_prime(p)
-    return [
-        CosetCell(p, resolution, rep)
-        for rep in ball_reps(p, support_exponent, resolution, cap)
-    ]
 
 
 @dataclass
@@ -118,10 +90,6 @@ class LocallyConstantFn:
 
     def __post_init__(self):
         check_prime(self.prime)
-
-    def cells(self):
-        for rep in sorted(self.table):
-            yield CosetCell(self.prime, self.resolution, rep), self.table[rep]
 
     def value_at(self, q: Fraction):
         if q != 0 and frac_valp(q, self.prime) < -self.support_exponent:
@@ -140,7 +108,7 @@ class LocallyConstantFn:
             return self
         p = self.prime
         splits = p ** (resolution - self.resolution)
-        if splits * max(len(self.table), 1) > cap:
+        if splits * len(self.table) > cap:
             raise EnumerationCapError(splits * len(self.table), cap)
         step = Fraction(p) ** self.resolution
         out = {}
@@ -176,7 +144,7 @@ class LocallyConstantFn:
         for r, v in g.table.items():
             if r in table:
                 total = table[r] + v
-                if amp_equal(total, Cyc.zero(self.prime)) and isinstance(total, Cyc):
+                if amp_is_zero(total):
                     del table[r]
                 else:
                     table[r] = total
@@ -204,12 +172,7 @@ def translate(f: LocallyConstantFn, shift) -> LocallyConstantFn:
     """x -> f(x - b).  A `PAdicNumber` shift is read as the exact rational
     its digits denote."""
     p = f.prime
-    if isinstance(shift, PAdicNumber):
-        if shift.prime != p:
-            raise PrimeMismatchError("translation over a different prime")
-        b = shift.to_rational()
-    else:
-        b = Fraction(shift)
+    b = shift_rational(shift, p)
     if b == 0:
         return f
     support = max(f.support_exponent, -frac_valp(b, p))
@@ -373,7 +336,7 @@ def _fourier_impl(f: LocallyConstantFn, sign: int, cap: int) -> LocallyConstantF
                 for e in raw_a
             }
         total = Cyc(p, level, terms) * scale
-        if not total.is_zero:
+        if not amp_is_zero(total):
             out[iw * out_unit] = total
     return LocallyConstantFn(p, out_support, out_res, out)
 
@@ -392,7 +355,9 @@ def _fourier_float(f: LocallyConstantFn, sign: int, out_support: int,
         total = 0j
         for ir, v in items:
             total += roots[sign * iw * ir % count] * v
-        out[iw * out_unit] = total * measure
+        total *= measure
+        if not amp_is_zero(total):
+            out[iw * out_unit] = total
     return LocallyConstantFn(p, out_support, out_res, out)
 
 
@@ -412,7 +377,7 @@ def fn_equal(f: LocallyConstantFn, g: LocallyConstantFn, tol: float = 0.0) -> bo
 
 def support_measure(f: LocallyConstantFn, tol: float = 0.0) -> Fraction:
     """Total Haar measure of the cells carrying a nonzero value."""
-    count = sum(1 for v in f.table.values() if not amp_equal(v, Cyc.zero(f.prime), tol))
+    count = sum(1 for v in f.table.values() if not amp_is_zero(v, tol))
     return count * Fraction(f.prime) ** (-f.resolution)
 
 
@@ -441,20 +406,19 @@ def amp_to_json(v) -> dict:
 
 def amp_from_json(p: int, obj: dict):
     if "mag_num" in obj:
+        if obj["mag_den"] == 0:
+            raise InvalidInputError("magnitude denominator is zero")
         mag = Fraction(obj["mag_num"], obj["mag_den"])
         phase = RationalPhase(obj["phase_num"], obj["phase_den"])
-        try:
-            return Cyc.root_of_unity(p, phase) * mag
-        except InvalidInputError:
-            return mag * phase.value()
+        return Cyc.root_of_unity(p, phase) * mag
     return complex(obj["re"], obj["im"])
 
 
 def fn_to_json(f: LocallyConstantFn) -> dict:
     cells = []
-    for cell, v in f.cells():
-        entry = {"digits": cell.digits(f.support_exponent)}
-        entry.update(amp_to_json(v))
+    for rep in sorted(f.table):
+        entry = {"digits": rep_digits(rep, f.prime, f.support_exponent, f.resolution)}
+        entry.update(amp_to_json(f.table[rep]))
         cells.append(entry)
     return {
         "prime": f.prime,

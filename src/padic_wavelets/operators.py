@@ -30,7 +30,7 @@ from .functions import (
     reduce_rep,
     translate,
 )
-from .padic import PAdicNumber, frac_valp, valp
+from .padic import frac_valp, shift_rational, valp
 from .wavelets import (
     KozyrevIndex,
     WaveletExpansion,
@@ -139,7 +139,7 @@ def apply_operator(op: BasisOperator, e: WaveletExpansion) -> WaveletExpansion:
                 raise InvalidInputError(f"unknown primitive {prim!r}")
             if new_idx in new:
                 value = new[new_idx] + value
-            if isinstance(value, Cyc) and value.is_zero:
+            if amp_is_zero(value):
                 new.pop(new_idx, None)
             else:
                 new[new_idx] = value
@@ -179,7 +179,7 @@ def expansion_sub(e1: WaveletExpansion, e2: WaveletExpansion) -> WaveletExpansio
     coeffs = dict(e1.coefficients)
     for idx, c in e2.coefficients.items():
         total = coeffs.get(idx, Cyc.zero(e1.prime)) - c
-        if isinstance(total, Cyc) and total.is_zero:
+        if amp_is_zero(total):
             coeffs.pop(idx, None)
         else:
             coeffs[idx] = total
@@ -197,19 +197,13 @@ def expansion_max_abs(e: WaveletExpansion) -> float:
 
 
 def expansion_is_zero(e: WaveletExpansion, tol: float = 0.0) -> bool:
-    return all(
-        c.is_zero if isinstance(c, Cyc) else abs(complex(c)) <= tol
-        for c in e.coefficients.values()
-    )
+    return all(amp_is_zero(c, tol) for c in e.coefficients.values())
 
 
 def translate_expansion(e: WaveletExpansion, b) -> WaveletExpansion:
     """Translation on labels: m -> m + b mod Z_p with n, j fixed."""
     p = e.prime
-    if isinstance(b, PAdicNumber):
-        b = b.to_rational()
-    else:
-        b = Fraction(b)
+    b = shift_rational(b, p)
     coeffs = {}
     for idx, c in e.coefficients.items():
         target = label_translate(idx, b, p)
@@ -450,12 +444,10 @@ def vladimirov_kernel_apply(alpha, f: LocallyConstantFn,
     return LocallyConstantFn(f.prime, f.support_exponent, f.resolution, out)
 
 
-def vladimirov_kernel(alpha, f: LocallyConstantFn, cell):
-    """Kernel-form D^alpha f evaluated on one cell of f's grid; zero off the ball."""
-    if hasattr(cell, "rep"):
-        rep = cell.rep
-    else:
-        rep = reduce_rep(Fraction(cell), f.prime, f.resolution)
+def vladimirov_kernel(alpha, f: LocallyConstantFn, point):
+    """Kernel-form D^alpha f on the cell of f's grid holding the rational
+    `point`; zero off the ball."""
+    rep = reduce_rep(Fraction(point), f.prime, f.resolution)
     reps, row = _kernel_rows(alpha, f, DEFAULT_CELL_CAP)
     if rep not in reps:
         return Cyc.zero(f.prime)
@@ -465,10 +457,7 @@ def vladimirov_kernel(alpha, f: LocallyConstantFn, cell):
 def translation_kernel_residual(alpha, f: LocallyConstantFn, shift) -> LocallyConstantFn:
     """D^alpha(translate f) - translate(D^alpha f) on the common ball."""
     p = f.prime
-    if isinstance(shift, PAdicNumber):
-        b = shift.to_rational()
-    else:
-        b = Fraction(shift)
+    b = shift_rational(shift, p)
     support = f.support_exponent
     if b != 0:
         support = max(support, -frac_valp(b, p))

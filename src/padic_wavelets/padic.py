@@ -270,6 +270,20 @@ def from_rational(num: int, den: int, p: int, precision: int) -> PAdicNumber:
     return PAdicNumber(p, vn - vd, int_to_digits(unit, p, precision))
 
 
+def shift_rational(shift, p: int) -> Fraction:
+    """A translation argument as an exact rational.
+
+    A `PAdicNumber` over p is read as the rational its digits denote; one over
+    another prime raises `PrimeMismatchError`; anything else goes through
+    `Fraction`.
+    """
+    if isinstance(shift, PAdicNumber):
+        if shift.prime != p:
+            raise PrimeMismatchError("translation over a different prime")
+        return shift.to_rational()
+    return Fraction(shift)
+
+
 def norm(x: PAdicNumber) -> Fraction:
     return x.norm()
 

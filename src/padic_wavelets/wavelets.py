@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedCaseError,
     WindowClipError,
 )
-from .exact import Cyc
+from .exact import Cyc, amp_is_zero
 from .functions import (
     DEFAULT_CELL_CAP,
     LocallyConstantFn,
@@ -257,10 +257,7 @@ def analyze(f: LocallyConstantFn, window: Window,
     coeffs = {}
     for idx in enumerate_indices(p, window):
         c = inner_product(materialize(p, idx, cap=cap), f)
-        if isinstance(c, Cyc):
-            if not c.is_zero:
-                coeffs[idx] = c
-        elif c != 0:
+        if not amp_is_zero(c):
             coeffs[idx] = c
     return WaveletExpansion(p, window, coeffs)
 
@@ -312,6 +309,10 @@ def expansion_from_json(data: dict) -> WaveletExpansion:
         coeffs = {}
         for entry in data["coefficients"]:
             idx = KozyrevIndex(entry["n"], tuple(entry["m_digits"]), entry["j"])
+            if not window.contains(idx):
+                raise InvalidInputError(f"label {idx} lies outside the window {window}")
+            if idx in coeffs:
+                raise InvalidInputError(f"label {idx} repeats an earlier label")
             coeffs[idx] = amp_from_json(p, entry)
     except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"malformed expansion record: {exc}") from exc

@@ -1,6 +1,7 @@
 """Exit codes, determinism and file round trips of the command line."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -166,6 +167,49 @@ def test_cell_outside_ball_or_repeated_is_exit_one(capsys, tmp_path, cells, reas
     assert reason in err
 
 
+@pytest.mark.parametrize("fields, reason", [
+    ({"mag_den": 0}, "magnitude denominator is zero"),
+    ({"phase_num": 1, "phase_den": 5}, "not a p-power root of unity"),
+])
+def test_malformed_amplitude_is_exit_one(capsys, tmp_path, fields, reason):
+    # p = 3 allows phase denominators 3^t and 2*3^t, so 1/5 has no exact value
+    record = dict(_cell([0]), **fields)
+    fn_path = tmp_path / "f.json"
+    fn_path.write_text(json.dumps(
+        {"prime": 3, "support_exponent": 0, "resolution_exponent": 1,
+         "cells": [record]}))
+    expansion_path = tmp_path / "e.json"
+    expansion_path.write_text(json.dumps(
+        {"prime": 3, "window": {"n_min": -1, "n_max": 1, "m_depth": 1},
+         "coefficients": [dict(record, n=0, m_digits=[], j=1)]}))
+    for args in (["fourier", str(fn_path)], ["synthesize", str(expansion_path)]):
+        code, out, err = run(capsys, ["--prime", "3"] + args)
+        assert code == 1, args
+        assert out == ""
+        assert reason in err
+
+
+def _coefficient(n, m_digits, mag):
+    return {"n": n, "m_digits": m_digits, "j": 1,
+            "mag_num": mag, "mag_den": 1, "phase_num": 0, "phase_den": 1}
+
+
+@pytest.mark.parametrize("coefficients, reason", [
+    ([_coefficient(0, [], 1), _coefficient(0, [], 5)], "repeats an earlier label"),
+    ([_coefficient(2, [], 1)], "outside the window"),
+    ([_coefficient(0, [1, 1], 1)], "outside the window"),
+])
+def test_bad_expansion_label_is_exit_one(capsys, tmp_path, coefficients, reason):
+    bad = tmp_path / "e.json"
+    bad.write_text(json.dumps(
+        {"prime": 2, "window": {"n_min": -1, "n_max": 1, "m_depth": 1},
+         "coefficients": coefficients}))
+    code, out, err = run(capsys, ["synthesize", str(bad)])
+    assert code == 1
+    assert out == ""
+    assert reason in err
+
+
 def test_cap_exceeded_is_exit_three(capsys, psi_file):
     code, _, err = run(capsys, ["--cap", "2", "--window", "-3:3:1", "analyze", str(psi_file)])
     assert code == 3
@@ -203,11 +247,31 @@ def test_check_algebra_all_relations(capsys):
     assert "translation:kernel" in out
 
 
-def test_corrupted_word_is_exit_two(capsys):
-    code, _, err = run(
-        capsys,
-        ["--prime", "2", "check", "algebra", "--relation", "sl2", "--corrupt"],
+def test_corrupted_word_is_exit_two(capsys, monkeypatch):
+    # negative control: one sl2 instance checked against 3 log_p D instead of 2
+    from padic_wavelets import cli
+    from padic_wavelets.operators import (
+        RelationResult,
+        basis_vector,
+        check_commutator,
+        expansion_max_abs,
+        j_op,
+        log_vladimirov_op,
+        scalar_op,
     )
+
+    sl2_results = cli.sl2_results
+
+    def corrupted(p, window, m_depth=1):
+        idx = KozyrevIndex(0)
+        bad = check_commutator(j_op(+1), j_op(-1), basis_vector(p, window, idx),
+                               scalar_op(Fraction(3)) @ log_vladimirov_op())
+        return sl2_results(p, window, m_depth) + [
+            RelationResult("sl2:corrupted", idx, None, expansion_max_abs(bad), True)]
+
+    monkeypatch.setattr(cli, "sl2_results", corrupted)
+    code, _, err = run(
+        capsys, ["--prime", "2", "check", "algebra", "--relation", "sl2"])
     assert code == 2
     assert "sl2:corrupted" in err
     assert "KozyrevIndex" in err

@@ -14,7 +14,6 @@ from padic_wavelets.functions import (
     amp_from_json,
     amp_to_json,
     ball_reps,
-    enumerate_cells,
     fn_equal,
     fn_from_json,
     fn_to_json,
@@ -50,24 +49,27 @@ def random_exact_fn(p, support, resolution, rng, density=0.7) -> LocallyConstant
     "p,m,k,count", [(2, 0, 0, 1), (2, 0, 2, 4), (3, 1, 1, 9), (2, 3, -1, 4)]
 )
 def test_cell_counts(p, m, k, count):
-    cells = enumerate_cells(p, m, k)
-    assert len(cells) == count
-    assert len({c.rep for c in cells}) == count
-    assert all(c.measure == Fraction(p) ** (-k) for c in cells)
+    reps = ball_reps(p, m, k)
+    assert len(reps) == count
+    assert len(set(reps)) == count
+    assert all(reduce_rep(r, p, k) == r for r in reps)
+    # cells of measure p^(-K) fill the ball of measure p^M
+    ones = LocallyConstantFn(p, m, k, {r: Cyc.one(p) for r in reps})
+    assert integrate(ones) == Fraction(p) ** m
 
 
 def test_cells_partition_ball():
     # every point of the ball lies in exactly one cell
     p, m, k = 2, 1, 2
-    cells = enumerate_cells(p, m, k)
+    reps = ball_reps(p, m, k)
     for i in range(p ** (m + k + 2)):
         q = Fraction(i, p**m)
-        assert sum(1 for c in cells if c.contains(q)) == 1
+        assert sum(1 for r in reps if reduce_rep(q, p, k) == r) == 1
 
 
 def test_cap_enforced():
     with pytest.raises(EnumerationCapError) as err:
-        enumerate_cells(2, 10, 11, cap=1000)
+        ball_reps(2, 10, 11, cap=1000)
     assert "1000" in str(err.value)
 
 
@@ -134,6 +136,18 @@ def test_refinement_leaves_values_and_integrals_alone():
     assert inner_product(f, g) == inner_product(f, f)
     h = fourier(f)
     assert fn_equal(h, fourier(g))
+
+
+def test_refining_empty_table_is_empty():
+    f = LocallyConstantFn(2, 0, 0, {}).refine_to(25)
+    assert f.resolution == 25 and f.table == {}
+
+
+def test_float_sum_that_cancels_stores_no_cell():
+    f = LocallyConstantFn(2, 0, 1, {Fraction(0): 1.5 + 0j, Fraction(1): 2j})
+    g = LocallyConstantFn(2, 0, 1, {Fraction(0): -1.5 + 0j})
+    assert (f + g).table == {Fraction(1): 2j}
+    assert (f - f).table == {}
 
 
 def test_partition_of_unity():
@@ -206,6 +220,15 @@ def test_fourier_indicator_fixed_point():
 def test_fourier_zero():
     z = LocallyConstantFn(3, 1, 1, {})
     assert fourier(z).table == {}
+
+
+def test_float_fourier_stores_no_exact_zero():
+    # the cells cancel exactly at w = 0 (every root there is exactly 1)
+    f = LocallyConstantFn(2, 0, 1, {Fraction(0): 1 + 0j, Fraction(1): -1 + 0j})
+    g = fourier(f)
+    assert Fraction(0) not in g.table
+    assert set(g.table) == {Fraction(1, 2)}
+    assert abs(g.table[Fraction(1, 2)] - 1) < 1e-15
 
 
 def test_fourier_swaps_exponents():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from padic_wavelets.errors import UnsupportedCaseError, WindowClipError
+from padic_wavelets.errors import PrimeMismatchError, UnsupportedCaseError, WindowClipError
 from padic_wavelets.exact import Cyc, amp_equal, p_power_amp
 from padic_wavelets.functions import LocallyConstantFn, ball_reps, fn_equal
 from padic_wavelets.operators import (
@@ -38,7 +38,7 @@ from padic_wavelets.operators import (
     vladimirov_spectral,
     witt_results,
 )
-from padic_wavelets.padic import RationalPhase
+from padic_wavelets.padic import RationalPhase, from_rational
 from padic_wavelets.wavelets import (
     KozyrevIndex,
     WaveletExpansion,
@@ -247,7 +247,7 @@ def test_kernel_constant_dominated_by_tail():
     tail = (1 - Fraction(1, p)) * Fraction(p) ** (-alpha) / (1 - Fraction(p) ** -alpha)
     expect = -c_alpha * tail
     for rep in ball_reps(p, 0, 1):
-        assert amp_equal(out.table.get(rep, Cyc.zero(p)), Cyc.rational(p, expect))
+        assert amp_equal(out.value_at(rep), Cyc.rational(p, expect))
 
 
 def test_kernel_zero_function():
@@ -336,11 +336,20 @@ def test_translate_expansion_depth_clip():
         translate_expansion(e, Fraction(1, 4))
 
 
+def test_translations_reject_a_shift_over_another_prime():
+    shift = from_rational(1, 3, 3, 6)
+    e = basis_vector(2, Window(-2, 2, 2), KozyrevIndex(0))
+    with pytest.raises(PrimeMismatchError):
+        translate_expansion(e, shift)
+    with pytest.raises(PrimeMismatchError):
+        translation_kernel_residual(1, materialize(2, KozyrevIndex(0)), shift)
+
+
 def test_translation_kernel_residual_zero():
     p = 2
     f = materialize(p, KozyrevIndex(0))
     res = translation_kernel_residual(1, f, Fraction(1, 2))
-    assert all(isinstance(v, Cyc) and v.is_zero for v in res.table.values())
+    assert res.table == {}
 
 
 def test_translation_kernel_residual_float_random_table():
