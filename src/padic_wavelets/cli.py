@@ -209,7 +209,7 @@ def wavelet_table(config: RunConfig, indices, extra_depth, output):
                         i for i, d in enumerate(digits) if d != 0
                     )
                 )
-                polar = value.polar_exact() if hasattr(value, "polar_exact") else None
+                polar = value.polar_exact()
                 if polar is not None:
                     phase_num, phase_den = polar[2].numerator, polar[2].denominator
                 else:

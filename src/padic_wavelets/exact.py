@@ -393,10 +393,10 @@ def conj(value):
     return complex(value).conjugate()
 
 
-def amp_is_zero(value, tol: float = 0.0) -> bool:
+def amp_is_zero(value) -> bool:
     if isinstance(value, Cyc):
         return value.is_zero
-    return abs(complex(value)) <= tol
+    return complex(value) == 0
 
 
 def amp_equal(x, y, tol: float = 0.0) -> bool:
@@ -405,13 +405,15 @@ def amp_equal(x, y, tol: float = 0.0) -> bool:
     return abs(complex(x) - complex(y)) <= tol
 
 
+def is_half_integral(x) -> bool:
+    """Whether x is a `Rational` in (1/2)Z, so that p**x is an exact `Cyc`."""
+    return isinstance(x, Rational) and (2 * Fraction(x)).denominator == 1
+
+
 def p_power_amp(p: int, exponent):
     """p**exponent: exact `Cyc` for half-integer exponents, float otherwise."""
-    if isinstance(exponent, Rational):
-        twice = Fraction(exponent) * 2
-        if twice.denominator == 1:
-            return Cyc.half_power(p, int(twice))
-        return float(p) ** float(exponent)
+    if is_half_integral(exponent):
+        return Cyc.half_power(p, int(2 * Fraction(exponent)))
     if isinstance(exponent, complex):
         import cmath
         import math

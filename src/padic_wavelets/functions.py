@@ -12,10 +12,11 @@ deterministic sorted-cell order so results do not depend on table layout.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import lcm
 
 from .errors import EnumerationCapError, InvalidInputError, PrimeMismatchError
 from .exact import Cyc, CycSum, amp_equal, amp_is_zero, conj
@@ -256,109 +257,65 @@ def inverse_fourier(f: LocallyConstantFn, cap: int = DEFAULT_CELL_CAP) -> Locall
 
 
 def _fourier_impl(f: LocallyConstantFn, sign: int, cap: int) -> LocallyConstantFn:
+    # for w = iw*p^(-K) and r = ir*p^(-M) the phase of chi(w*r) is
+    # (iw*ir mod N) / N over the N = p^(M+K) cells.  Exact values are lifted
+    # once to integers over a common cyclotomic level and denominator,
+    # rational and sqrt(p) parts apart; a float value is one rational term at
+    # exponent 0.  Each output cell sums its terms by phase, then normalizes
+    # once (exact) or weights each phase by its root of unity (float).
     p = f.prime
-    out_support, out_res = f.resolution, f.support_exponent
-    measure = Fraction(p) ** (-f.resolution)
-    total_exp = f.support_exponent + f.resolution
-    if total_exp < 0:
-        raise InvalidInputError("support_exponent + resolution must be >= 0")
-    count = p**total_exp
-    if count > cap:
-        raise EnumerationCapError(count, cap)
-    out_unit = Fraction(p) ** (-out_support)
-    if not f.is_exact():
-        return _fourier_float(f, sign, out_support, out_res, out_unit, count)
-
-    # integerized exact path: for w = iw*p^(-K) and r = ir*p^(-M) the phase
-    # of chi(w*r) is (iw*ir mod p^(M+K)) / p^(M+K); work at a common
-    # cyclotomic level over integer coefficients (one common denominator)
-    # and normalize once per output cell
+    out_reps = ball_reps(p, f.resolution, f.support_exponent, cap)
+    count = len(out_reps)
     in_scale = Fraction(p) ** f.support_exponent
-    items = []
-    level = total_exp
-    den = 1
-    for r in sorted(f.table):
-        v = f.table[r]
-        items.append((int(r * in_scale), v))
-        level = max(level, v.level)
-        for a, b in v.terms.values():
-            den = den * a.denominator // gcd(den, a.denominator)
-            den = den * b.denominator // gcd(den, b.denominator)
+    cells = [(int(r * in_scale), f.table[r]) for r in sorted(f.table)]
+    exact = f.is_exact()
+    if exact:
+        level = max([f.support_exponent + f.resolution] + [v.level for _, v in cells])
+        den = lcm(*(c.denominator for _, v in cells for ab in v.terms.values() for c in ab))
+        lifted = []
+        for ir, v in cells:
+            lift = p ** (level - v.level)
+            lifted.append((
+                ir,
+                [(e * lift, int(a * den)) for e, (a, _) in v.terms.items() if a],
+                [(e * lift, int(b * den)) for e, (_, b) in v.terms.items() if b],
+            ))
+        scale = Fraction(p) ** (-f.resolution) / den
+    else:
+        level = f.support_exponent + f.resolution
+        lifted = [(ir, [(0, complex(v))], []) for ir, v in cells]
+        roots = [cmath.exp(2j * cmath.pi * k / count) for k in range(count)]
+        scale = float(p) ** (-f.resolution)
     modulus = p**level
-    lift_root = p ** (level - total_exp)
-    lifted = [
-        (
-            ir,
-            [
-                (
-                    e * (p ** (level - v.level)),
-                    int(a * den),
-                    int(b * den),
-                )
-                for e, (a, b) in v.terms.items()
-            ],
-        )
-        for ir, v in items
-    ]
-    scale = measure / den
+    lift_root = modulus // count
     out = {}
-    use_arrays = modulus <= 1 << 20
-    for iw in range(count):
-        if use_arrays:
-            acc_a = [0] * modulus
-            acc_b = [0] * modulus
-            touched = set()
-            for ir, terms in lifted:
-                shift = (sign * iw * ir % count) * lift_root
-                for e, a, b in terms:
-                    key = shift + e
-                    if key >= modulus:
-                        key -= modulus
-                    acc_a[key] += a
-                    acc_b[key] += b
-                    touched.add(key)
-            terms = {
-                e: (Fraction(acc_a[e]), Fraction(acc_b[e]))
-                for e in touched
-                if acc_a[e] or acc_b[e]
-            }
+    for iw, w in enumerate(out_reps):
+        acc_a, acc_b = {}, {}
+        get_a, get_b = acc_a.get, acc_b.get
+        for ir, terms_a, terms_b in lifted:
+            shift = (sign * iw * ir % count) * lift_root
+            for e, c in terms_a:
+                e += shift
+                if e >= modulus:
+                    e -= modulus
+                acc_a[e] = get_a(e, 0) + c
+            for e, c in terms_b:
+                e += shift
+                if e >= modulus:
+                    e -= modulus
+                acc_b[e] = get_b(e, 0) + c
+        if exact:
+            # the set's order sets the term order and so the float rounding
+            phases = set(acc_a.keys())
+            phases.update(acc_b.keys())
+            terms = {e: (Fraction(get_a(e, 0)), Fraction(get_b(e, 0)))
+                     for e in phases if get_a(e) or get_b(e)}
+            total = Cyc(p, level, terms) * scale
         else:
-            raw_a: dict = {}
-            raw_b: dict = {}
-            for ir, terms in lifted:
-                shift = (sign * iw * ir % count) * lift_root
-                for e, a, b in terms:
-                    key = (shift + e) % modulus
-                    raw_a[key] = raw_a.get(key, 0) + a
-                    raw_b[key] = raw_b.get(key, 0) + b
-            terms = {
-                e: (Fraction(raw_a[e]), Fraction(raw_b.get(e, 0)))
-                for e in raw_a
-            }
-        total = Cyc(p, level, terms) * scale
+            total = sum(roots[e] * c for e, c in acc_a.items()) * scale
         if not amp_is_zero(total):
-            out[iw * out_unit] = total
-    return LocallyConstantFn(p, out_support, out_res, out)
-
-
-def _fourier_float(f: LocallyConstantFn, sign: int, out_support: int,
-                   out_res: int, out_unit: Fraction, count: int) -> LocallyConstantFn:
-    import cmath
-
-    p = f.prime
-    in_scale = Fraction(p) ** f.support_exponent
-    items = [(int(r * in_scale), complex(v)) for r, v in sorted(f.table.items())]
-    roots = [cmath.exp(2j * cmath.pi * k / count) for k in range(count)]
-    measure = float(p) ** (-f.resolution)
-    out = {}
-    for iw in range(count):
-        total = 0j
-        for ir, v in items:
-            total += roots[sign * iw * ir % count] * v
-        total *= measure
-        if not amp_is_zero(total):
-            out[iw * out_unit] = total
-    return LocallyConstantFn(p, out_support, out_res, out)
+            out[w] = total
+    return LocallyConstantFn(p, f.resolution, f.support_exponent, out)
 
 
 def fn_equal(f: LocallyConstantFn, g: LocallyConstantFn, tol: float = 0.0) -> bool:
@@ -375,9 +332,9 @@ def fn_equal(f: LocallyConstantFn, g: LocallyConstantFn, tol: float = 0.0) -> bo
     return True
 
 
-def support_measure(f: LocallyConstantFn, tol: float = 0.0) -> Fraction:
+def support_measure(f: LocallyConstantFn) -> Fraction:
     """Total Haar measure of the cells carrying a nonzero value."""
-    count = sum(1 for v in f.table.values() if not amp_is_zero(v, tol))
+    count = sum(1 for v in f.table.values() if not amp_is_zero(v))
     return count * Fraction(f.prime) ** (-f.resolution)
 
 
@@ -414,6 +371,14 @@ def amp_from_json(p: int, obj: dict):
     return complex(obj["re"], obj["im"])
 
 
+def json_int(record: dict, key: str) -> int:
+    """record[key], which must be a JSON integer; a bool is not one."""
+    value = record[key]
+    if type(value) is not int:
+        raise InvalidInputError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def fn_to_json(f: LocallyConstantFn) -> dict:
     cells = []
     for rep in sorted(f.table):
@@ -429,25 +394,30 @@ def fn_to_json(f: LocallyConstantFn) -> dict:
 
 
 def fn_from_json(data: dict) -> LocallyConstantFn:
+    """Zero values are dropped; a cell repeated after a zero copy is rejected."""
     try:
-        p = data["prime"]
-        m = data["support_exponent"]
-        k = data["resolution_exponent"]
-        cells = data["cells"]
+        p = check_prime(json_int(data, "prime"))
+        m = json_int(data, "support_exponent")
+        k = json_int(data, "resolution_exponent")
+        cells = list(data["cells"])
     except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"malformed function record: missing {exc}") from exc
     table = {}
+    seen = set()
     for i, entry in enumerate(cells):
         try:
             digits = entry["digits"]
-            if not all(isinstance(d, int) and 0 <= d < p for d in digits):
+            if not all(type(d) is int and 0 <= d < p for d in digits):
                 raise InvalidInputError(f"digits {digits} are not all in [0, {p})")
             if digits_to_int(digits, p) >= p ** (m + k):
                 raise InvalidInputError(f"digits {digits} lie outside the ball")
             rep = rep_from_digits(digits, p, m)
-            if rep in table:
+            if rep in seen:
                 raise InvalidInputError(f"digits {digits} repeat an earlier cell")
-            table[rep] = amp_from_json(p, entry)
-        except (KeyError, TypeError, ValueError) as exc:
+            seen.add(rep)
+            value = amp_from_json(p, entry)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidInputError(f"malformed cell record at index {i}: {exc}") from exc
+        if not amp_is_zero(value):
+            table[rep] = value
     return LocallyConstantFn(p, m, k, table)

@@ -86,14 +86,9 @@ class RealStepFn:
         return RealStepFn(self.breakpoints, tuple(v * factor for v in self.values))
 
 
-def _merged(f: RealStepFn, g: RealStepFn):
+def step_equal(f: RealStepFn, g: RealStepFn) -> bool:
     bps = sorted(set(f.breakpoints) | set(g.breakpoints))
-    return bps
-
-
-def step_equal(f: RealStepFn, g: RealStepFn, tol: float = 0.0) -> bool:
-    bps = _merged(f, g)
-    return all(amp_equal(f.value_at(b), g.value_at(b), tol) for b in bps[:-1])
+    return all(amp_equal(f.value_at(b), g.value_at(b)) for b in bps[:-1])
 
 
 def step_monomial_integral(f: RealStepFn, degree: int):
@@ -108,7 +103,7 @@ def step_monomial_integral(f: RealStepFn, degree: int):
 
 def step_inner(f: RealStepFn, g: RealStepFn):
     """Hermitian <f, g> = integral of conj(f) * g, exact."""
-    bps = _merged(f, g)
+    bps = sorted(set(f.breakpoints) | set(g.breakpoints))
     total = Fraction(0)
     for i in range(len(bps) - 1):
         a, b = bps[i], bps[i + 1]

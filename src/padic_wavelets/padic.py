@@ -117,9 +117,6 @@ class RationalPhase:
     def __sub__(self, other: "RationalPhase") -> "RationalPhase":
         return self + (-other)
 
-    def times(self, k: int) -> "RationalPhase":
-        return RationalPhase(self.numerator * k, self.denominator)
-
 
 @dataclass(frozen=True)
 class PAdicNumber:

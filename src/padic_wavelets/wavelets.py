@@ -33,6 +33,7 @@ from .functions import (
     ball_reps,
     character_amp,
     inner_product,
+    json_int,
     reduce_rep,
 )
 from .padic import PAdicNumber, check_prime, int_to_digits, valp
@@ -302,19 +303,28 @@ def expansion_to_json(e: WaveletExpansion) -> dict:
 
 
 def expansion_from_json(data: dict) -> WaveletExpansion:
+    """Zero values are dropped; a label repeated after a zero copy is rejected."""
     try:
-        p = data["prime"]
+        p = check_prime(json_int(data, "prime"))
         w = data["window"]
-        window = Window(w["n_min"], w["n_max"], w["m_depth"])
+        window = Window(json_int(w, "n_min"), json_int(w, "n_max"), json_int(w, "m_depth"))
         coeffs = {}
+        seen = set()
         for entry in data["coefficients"]:
-            idx = KozyrevIndex(entry["n"], tuple(entry["m_digits"]), entry["j"])
+            digits = entry["m_digits"]
+            if not all(type(d) is int for d in digits):
+                raise InvalidInputError(f"m_digits {digits} are not all integers")
+            idx = KozyrevIndex(json_int(entry, "n"), tuple(digits), json_int(entry, "j"))
+            validate_index(p, idx)
             if not window.contains(idx):
                 raise InvalidInputError(f"label {idx} lies outside the window {window}")
-            if idx in coeffs:
+            if idx in seen:
                 raise InvalidInputError(f"label {idx} repeats an earlier label")
-            coeffs[idx] = amp_from_json(p, entry)
-    except (KeyError, TypeError) as exc:
+            seen.add(idx)
+            value = amp_from_json(p, entry)
+            if not amp_is_zero(value):
+                coeffs[idx] = value
+    except (KeyError, TypeError, OverflowError) as exc:
         raise InvalidInputError(f"malformed expansion record: {exc}") from exc
     return WaveletExpansion(p, window, coeffs)
 

@@ -157,6 +157,7 @@ def _cell(digits, mag=1):
     ([_cell([1, 1, 1])], "outside the ball"),
     ([_cell([1]), _cell([1], 5)], "repeat an earlier cell"),
     ([_cell([7]), _cell([1]), _cell([1], 5)], "not all in [0, 2)"),
+    ([_cell([1], 0), _cell([1], 5)], "repeat an earlier cell"),
 ])
 def test_cell_outside_ball_or_repeated_is_exit_one(capsys, tmp_path, cells, reason):
     bad = tmp_path / "bad.json"
@@ -198,6 +199,7 @@ def _coefficient(n, m_digits, mag):
     ([_coefficient(0, [], 1), _coefficient(0, [], 5)], "repeats an earlier label"),
     ([_coefficient(2, [], 1)], "outside the window"),
     ([_coefficient(0, [1, 1], 1)], "outside the window"),
+    ([_coefficient(0, [], 0), _coefficient(0, [], 5)], "repeats an earlier label"),
 ])
 def test_bad_expansion_label_is_exit_one(capsys, tmp_path, coefficients, reason):
     bad = tmp_path / "e.json"
@@ -210,9 +212,58 @@ def test_bad_expansion_label_is_exit_one(capsys, tmp_path, coefficients, reason)
     assert reason in err
 
 
-def test_cap_exceeded_is_exit_three(capsys, psi_file):
+def test_zero_float_cell_leaves_the_transform_exact(capsys, tmp_path):
+    # a stored float zero would send the whole transform to floats
+    path = tmp_path / "f.json"
+    zero = {"digits": [1], "re": 0.0, "im": 0.0}
+    path.write_text(json.dumps({"prime": 2, "support_exponent": 0, "resolution_exponent": 1,
+                                "cells": [_cell([0], 3), zero]}))
+    code, out, _ = run(capsys, ["fourier", str(path)])
+    assert code == 0
+    cells = json.loads(out)["cells"]
+    assert [(c["mag_num"], c["mag_den"]) for c in cells] == [(3, 2), (3, 2)]
+
+
+_FN = {"prime": 2, "support_exponent": 1, "resolution_exponent": 1, "cells": []}
+_EXPANSION = {"prime": 2, "window": {"n_min": -1, "n_max": 1, "m_depth": 1},
+              "coefficients": []}
+
+
+@pytest.mark.parametrize("command, record", [
+    ("fourier", dict(_FN, support_exponent=1.5)),
+    ("fourier", dict(_FN, support_exponent="a")),
+    ("fourier", dict(_FN, support_exponent=None)),
+    ("fourier", dict(_FN, resolution_exponent=True)),
+    ("fourier", dict(_FN, prime=2.0)),
+    ("fourier", dict(_FN, cells=[_cell([True, 0])])),
+    ("fourier", dict(_FN, cells=[_cell([1.0, 0])])),
+    ("fourier", dict(_FN, cells=5)),
+    ("synthesize", dict(_EXPANSION, coefficients=[dict(_coefficient(0, [1], 1), n=0.5)])),
+    ("synthesize", dict(_EXPANSION, coefficients=[dict(_coefficient(0, [1], 1), j=True)])),
+    ("synthesize", dict(_EXPANSION, coefficients=[_coefficient(0, [True], 1)])),
+    ("synthesize", dict(_EXPANSION, window={"n_min": 0.5, "n_max": 1, "m_depth": 1})),
+    ("synthesize", dict(_EXPANSION, window={"n_min": -1, "n_max": 1, "m_depth": False})),
+    ("synthesize", dict(_EXPANSION, prime=True)),
+])
+def test_non_integer_field_is_exit_one(capsys, tmp_path, command, record):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(record))
+    code, out, err = run(capsys, [command, str(path)])
+    assert code == 1
+    assert out == ""
+    assert "input error" in err
+
+
+def test_cap_exceeded_is_exit_three(capsys, tmp_path, psi_file):
     code, _, err = run(capsys, ["--cap", "2", "--window", "-3:3:1", "analyze", str(psi_file)])
     assert code == 3
+    assert "cap" in err
+    # four cells, so the transform's output grid is over the cap as well
+    path = tmp_path / "psi4.json"
+    path.write_text(json.dumps(fn_to_json(materialize(2, KozyrevIndex(0), extra_depth=1))))
+    code, out, err = run(capsys, ["--cap", "2", "fourier", str(path)])
+    assert code == 3
+    assert out == ""
     assert "cap" in err
 
 
@@ -275,6 +326,36 @@ def test_corrupted_word_is_exit_two(capsys, monkeypatch):
     assert code == 2
     assert "sl2:corrupted" in err
     assert "KozyrevIndex" in err
+
+
+def test_float_relation_large_coefficients_pass(capsys):
+    # the semigroup sides at n = -6 are about 2^(2.7 * 7) = 4.9e5; their
+    # rounding (5.8e-10) is judged against 1e-10 times that size
+    code, out, err = run(
+        capsys, ["--window", "-6:6:1", "check", "algebra", "--alpha", "1", "--alpha", "1.7"])
+    assert code == 0, err
+    assert "relation instances passed" in out
+
+
+def test_float_relation_off_by_a_millionth_is_exit_two(capsys, monkeypatch):
+    # negative control for the relative tolerance: D^(a1+a2) made 1e-6 too
+    # large (relative) must still fail
+    from padic_wavelets import operators
+
+    spectral = operators.vladimirov_spectral
+
+    def corrupted(alpha, e):
+        out = spectral(alpha, e)
+        if isinstance(alpha, float) and abs(alpha - 2.7) < 1e-9:
+            out = operators.expansion_scale(out, 1 + 1e-6)
+        return out
+
+    monkeypatch.setattr(operators, "vladimirov_spectral", corrupted)
+    code, _, err = run(
+        capsys, ["--window", "-6:6:1", "check", "algebra", "--relation", "semigroup",
+                 "--alpha", "1", "--alpha", "1.7"])
+    assert code == 2
+    assert "semigroup violated" in err
 
 
 # -- real side ---------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Coset-cell tables: integration, inner products, Fourier, translations."""
 
+import cmath
+import copy
 import random
 from fractions import Fraction
 
@@ -7,13 +9,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from padic_wavelets.errors import EnumerationCapError, PrimeMismatchError
-from padic_wavelets.exact import Cyc, amp_equal
+from padic_wavelets.errors import EnumerationCapError, InvalidInputError, PrimeMismatchError
+from padic_wavelets.exact import Cyc, CycSum, amp_equal, amp_is_zero
 from padic_wavelets.functions import (
     LocallyConstantFn,
     amp_from_json,
     amp_to_json,
     ball_reps,
+    character_amp,
     fn_equal,
     fn_from_json,
     fn_to_json,
@@ -28,7 +31,7 @@ from padic_wavelets.functions import (
     translate,
 )
 from padic_wavelets.padic import RationalPhase, from_rational
-from padic_wavelets.wavelets import KozyrevIndex, materialize
+from padic_wavelets.wavelets import KozyrevIndex, expansion_from_json, materialize
 
 
 def random_exact_fn(p, support, resolution, rng, density=0.7) -> LocallyConstantFn:
@@ -269,6 +272,134 @@ def test_plancherel_at_full_desk_scale(p, density):
     assert inner_product(f, g) == inner_product(fourier(f), fourier(g))
 
 
+# -- Fourier against the naive character sum -----------------------------------------
+
+
+def naive_fourier(f, sign):
+    """p^(-K) * sum over sorted cells r of f(r) chi(sign * w * r), exactly."""
+    p = f.prime
+    out = {}
+    for w in ball_reps(p, f.resolution, f.support_exponent):
+        acc = CycSum(p)
+        for r in sorted(f.table):
+            acc.add(f.table[r] * character_amp(p, sign * w * r))
+        total = acc.result() * Fraction(p) ** (-f.resolution)
+        if not amp_is_zero(total):
+            out[w] = total
+    return out
+
+
+def naive_fourier_cmath(f, sign):
+    """The same sum in floating point: chi(q) = exp(2 pi i (q mod 1))."""
+    p = f.prime
+    return {
+        w: sum(complex(v) * cmath.exp(2j * cmath.pi * float(sign * w * r % 1))
+               for r, v in sorted(f.table.items())) * float(p) ** (-f.resolution)
+        for w in ball_reps(p, f.resolution, f.support_exponent)
+    }
+
+
+def random_value(p, rng, max_level):
+    """One to three terms at random levels up to max_level, some times a
+    half-integral power of p."""
+    v = Cyc.zero(p)
+    for _ in range(rng.randint(1, 3)):
+        level = rng.randint(0, max_level)
+        term = Cyc.root_of_unity(p, RationalPhase(rng.randrange(p**level), p**level))
+        term = term * Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        if rng.random() < 0.3:
+            term = term * Cyc.half_power(p, rng.choice((-1, 1, 3)))
+        v = v + term
+    return v
+
+
+FOURIER_SHAPES = [(0, 0), (1, 1), (0, 2), (2, 0), (-1, 2), (2, -1)]
+
+
+@given(
+    p=st.sampled_from((2, 3, 5)),
+    shape=st.sampled_from(FOURIER_SHAPES),
+    seed=st.integers(0, 10**6),
+)
+def test_fourier_matches_naive_sum_exact(p, shape, seed):
+    # values reach phases 1/p^(M+K+3), finer than the grid of w * r
+    m, k = shape
+    rng = random.Random(seed)
+    table = {}
+    for rep in ball_reps(p, m, k):
+        if rng.random() < 0.7:
+            v = random_value(p, rng, m + k + 3)
+            if not v.is_zero:
+                table[rep] = v
+    f = LocallyConstantFn(p, m, k, table)
+    for sign, transform in ((-1, fourier), (+1, inverse_fourier)):
+        g = transform(f)
+        assert (g.support_exponent, g.resolution) == (k, m)
+        want = naive_fourier(f, sign)
+        assert set(g.table) == set(want)
+        assert all(g.table[w] == want[w] for w in want)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("idx", (KozyrevIndex(-1), KozyrevIndex(1, (1,), 1), KozyrevIndex(3)))
+def test_fourier_matches_naive_sum_on_sqrt_p_wavelets(p, idx):
+    # odd n makes every value a multiple of sqrt(p)
+    f = materialize(p, idx, extra_depth=1)
+    assert any(b for v in f.table.values() for _, b in v.terms.values())
+    for sign, transform in ((-1, fourier), (+1, inverse_fourier)):
+        g = transform(f)
+        want = naive_fourier(f, sign)
+        assert set(g.table) == set(want)
+        assert all(g.table[w] == want[w] for w in want)
+
+
+@pytest.mark.parametrize("t", (19, 20))
+def test_fourier_matches_naive_sum_at_a_fine_phase(t):
+    # N = 256 cells, one value at phase 1/2^t: far finer than the grid
+    f = LocallyConstantFn(2, 4, 4, {
+        Fraction(0): Cyc.one(2),
+        Fraction(3, 16): Cyc.root_of_unity(2, RationalPhase(1, 2**t)) * Fraction(-2, 3),
+    })
+    for sign, transform in ((-1, fourier), (+1, inverse_fourier)):
+        g = transform(f)
+        want = naive_fourier(f, sign)
+        assert set(g.table) == set(want)
+        assert all(g.table[w] == want[w] for w in want)
+
+
+@given(
+    p=st.sampled_from((2, 3, 5)),
+    shape=st.sampled_from(FOURIER_SHAPES),
+    seed=st.integers(0, 10**6),
+    mixed=st.booleans(),
+)
+def test_fourier_matches_naive_sum_float(p, shape, seed, mixed):
+    # a table with any float value is summed in floating point
+    m, k = shape
+    rng = random.Random(seed)
+    table = {}
+    for rep in ball_reps(p, m, k):
+        if rng.random() < 0.7:
+            # mixed tables hold an exact value in every other stored cell
+            if mixed and len(table) % 2:
+                table[rep] = random_value(p, rng, m + k + 3)
+            else:
+                table[rep] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    f = LocallyConstantFn(p, m, k, table)
+    for sign, transform in ((-1, fourier), (+1, inverse_fourier)):
+        g = transform(f)
+        assert all(isinstance(v, complex) for v in g.table.values())
+        for w, want in naive_fourier_cmath(f, sign).items():
+            assert abs(complex(g.value_at(w)) - want) <= 1e-12
+
+
+def test_fourier_rejects_a_negative_cell_count():
+    f = LocallyConstantFn(2, 1, -2, {})
+    for transform in (fourier, inverse_fourier):
+        with pytest.raises(InvalidInputError, match="must be >= 0"):
+            transform(f)
+
+
 # -- JSON ------------------------------------------------------------------------
 
 
@@ -306,3 +437,90 @@ def test_fn_json_round_trip():
     assert fn_equal(f, g)
     assert g.support_exponent == f.support_exponent
     assert g.resolution == f.resolution
+
+
+def test_fn_from_json_drops_zero_values():
+    data = {"prime": 3, "support_exponent": 0, "resolution_exponent": 1, "cells": [
+        {"digits": [0], "mag_num": 0, "mag_den": 5, "phase_num": 1, "phase_den": 3},
+        {"digits": [1], "re": 0.0, "im": -0.0},
+        {"digits": [2], "re": 0.5, "im": 0.0},
+    ]}
+    assert fn_from_json(data).table == {Fraction(2): 0.5}
+
+
+def test_expansion_from_json_drops_zero_values():
+    data = {"prime": 2, "window": {"n_min": -1, "n_max": 1, "m_depth": 1}, "coefficients": [
+        {"n": 0, "m_digits": [], "j": 1, "mag_num": 0, "mag_den": 1, "phase_num": 0, "phase_den": 1},
+        {"n": 1, "m_digits": [1], "j": 1, "re": 0.0, "im": 0.0},
+        {"n": -1, "m_digits": [], "j": 1, "re": 0.0, "im": 2.0},
+    ]}
+    assert expansion_from_json(data).coefficients == {KozyrevIndex(-1): 2j}
+
+
+# a valid record of each kind, and every place a fuzzed value can go
+FN_RECORD = {"prime": 3, "support_exponent": 1, "resolution_exponent": 1, "cells": [
+    {"digits": [1, 2], "mag_num": 1, "mag_den": 2, "phase_num": 1, "phase_den": 9},
+    {"digits": [0, 1], "re": 0.5, "im": -1.0},
+]}
+EXPANSION_RECORD = {"prime": 3, "window": {"n_min": -1, "n_max": 1, "m_depth": 1}, "coefficients": [
+    {"n": 0, "m_digits": [2], "j": 2, "mag_num": 1, "mag_den": 2, "phase_num": 1, "phase_den": 9},
+    {"n": -1, "m_digits": [], "j": 1, "re": 0.5, "im": -1.0},
+]}
+
+
+def _paths(obj, prefix=()):
+    yield prefix
+    children = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+_DELETE = object()
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-40, 40) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _fn_fields(f):
+    return [f.prime, f.support_exponent, f.resolution], list(f.table.values())
+
+
+def _expansion_fields(e):
+    w = e.window
+    ints = [e.prime, w.n_min, w.n_max, w.m_depth]
+    for idx in e.coefficients:
+        ints += [idx.n, idx.j, *idx.m_digits]
+    return ints, list(e.coefficients.values())
+
+
+@pytest.mark.parametrize("reader, record, fields", [
+    (fn_from_json, FN_RECORD, _fn_fields),
+    (expansion_from_json, EXPANSION_RECORD, _expansion_fields),
+])
+@given(data=st.data())
+def test_json_readers_load_or_reject(reader, record, fields, data):
+    # any JSON value in any field (or the field left out) either loads or is
+    # an InvalidInputError, which the CLI turns into exit 1; what loads has
+    # integer fields and no stored zero
+    path = data.draw(st.sampled_from(list(_paths(record))))
+    value = data.draw(json_values | st.just(_DELETE))
+    if not path:
+        fuzzed = {} if value is _DELETE else value
+    else:
+        fuzzed = copy.deepcopy(record)
+        holder = fuzzed
+        for key in path[:-1]:
+            holder = holder[key]
+        if value is _DELETE:
+            del holder[path[-1]]
+        else:
+            holder[path[-1]] = value
+    try:
+        loaded = reader(fuzzed)
+    except InvalidInputError:
+        return
+    ints, values = fields(loaded)
+    assert all(type(i) is int for i in ints)
+    assert not any(amp_is_zero(v) for v in values)

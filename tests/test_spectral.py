@@ -84,6 +84,31 @@ def test_spectral_semigroup_float():
     assert results and all(r.residual < 1e-12 for r in results)
 
 
+def test_float_relation_that_cancels_is_not_exact():
+    # with float alpha = 0.5 the sides 2^(0.5(1-n)) * 2^(0.5(1-n)) and 2^(1-n)
+    # agree to the last bit at several n, so the residual is empty there;
+    # the relation is still a float one
+    results = semigroup_results(2, W, [(0.5, 0.5)])
+    assert any(r.residual == 0.0 for r in results)
+    assert not any(r.exact for r in results)
+    deformed = deformed_results(2, W, [0.5, Fraction(1, 3)])
+    assert any(r.residual == 0.0 for r in deformed)
+    assert not any(r.exact for r in deformed)
+
+
+def test_float_relation_judged_relative_to_its_sides():
+    # at n = -6 the semigroup sides are about 2^(2.7 * 7) = 4.9e5, so an
+    # absolute 1e-10 is below their rounding; the scale is that size
+    window = Window(-6, 6, 1)
+    results = semigroup_results(2, window, [(Fraction(1), 1.7)])
+    worst = max(results, key=lambda r: r.residual)
+    assert not worst.exact
+    assert worst.residual > 1e-10
+    assert worst.scale == pytest.approx(2 ** (2.7 * 7))
+    assert all(r.passed(1e-10) for r in results)
+    assert all(r.scale >= 1.0 for r in results)
+
+
 def test_log_vladimirov_action():
     p = 2
     assert log_vladimirov(unit(p, KozyrevIndex(1))).coefficients == {}
