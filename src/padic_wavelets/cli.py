@@ -13,6 +13,7 @@ printed verbatim.
 from __future__ import annotations
 
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from .errors import (
     InvalidInputError,
     PadicError,
 )
+from .exact import is_half_integral
 from .functions import (
     DEFAULT_CELL_CAP,
     LocallyConstantFn,
@@ -45,7 +47,7 @@ from .operators import (
     translation_spectral_results,
     witt_results,
 )
-from .padic import from_rational, is_prime
+from .padic import frac_valp, from_rational, is_prime
 from .wavelets import (
     KozyrevIndex,
     Window,
@@ -203,12 +205,7 @@ def wavelet_table(config: RunConfig, indices, extra_depth, output):
                 value = fn.table[rep]
                 digits = rep_digits(rep, fn.prime, fn.support_exponent, fn.resolution)
                 label = "".join(str(d) for d in digits) or "0"
-                norm_exp = (
-                    "-inf" if rep == 0
-                    else fn.support_exponent - next(
-                        i for i, d in enumerate(digits) if d != 0
-                    )
-                )
+                norm_exp = "-inf" if rep == 0 else -frac_valp(rep, fn.prime)
                 polar = value.polar_exact()
                 if polar is not None:
                     phase_num, phase_den = polar[2].numerator, polar[2].denominator
@@ -380,11 +377,12 @@ def check_algebra(config: RunConfig, relations, alphas):
 
 
 def _exactify(a: float):
-    """Half-integer exponents are carried exactly; anything else stays float."""
-    fr = Fraction(a).limit_denominator(10**6)
-    if (2 * fr).denominator == 1 and abs(float(fr) - a) < 1e-12:
-        return fr
-    return a
+    """A float in (1/2)Z is carried as an exact `Fraction`; any other finite
+    float stays float, and a non-finite one is rejected."""
+    if not math.isfinite(a):
+        raise InvalidInputError(f"--alpha {a} is not a finite number")
+    exact = Fraction(a)
+    return exact if is_half_integral(exact) else a
 
 
 def _random_function(p: int, rng: random.Random) -> LocallyConstantFn:

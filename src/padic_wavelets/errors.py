@@ -16,7 +16,7 @@ class PrimeMismatchError(InvalidInputError):
 class EnumerationCapError(PadicError):
     """A cell enumeration would exceed the configured cap."""
 
-    def __init__(self, requested: int, cap: int):
+    def __init__(self, requested: int | str, cap: int):
         self.requested = requested
         self.cap = cap
         super().__init__(

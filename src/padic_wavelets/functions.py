@@ -37,9 +37,7 @@ DEFAULT_CELL_CAP = 10**6
 @lru_cache(maxsize=1 << 18)
 def reduce_rep(q: Fraction, p: int, resolution: int) -> Fraction:
     """Canonical representative of q + p^K Z_p: digits below exponent K."""
-    if q == 0:
-        return Fraction(0)
-    s = valp(q.denominator, p) if q.denominator % p == 0 else 0
+    s = valp(q.denominator, p)
     if q.denominator != p**s:
         raise InvalidInputError("cell representatives need p-power denominators")
     span = resolution + s
@@ -60,8 +58,17 @@ def rep_digits(q: Fraction, p: int, support_exponent: int, resolution: int) -> l
     return list(int_to_digits(n, p, count))
 
 
-def rep_from_digits(digits, p: int, support_exponent: int) -> Fraction:
-    return Fraction(digits_to_int(digits, p)) * Fraction(p) ** (-support_exponent)
+def _check_cap(p: int, exponent: int, cap: int, cells: int = 1) -> None:
+    """Raise `EnumerationCapError` when cells * p^exponent exceeds the cap.
+
+    As p >= 2, an exponent >= cap.bit_length() exceeds it; such a count is
+    computed only if it is below 2^64, and otherwise named as a power.
+    """
+    if exponent >= cap.bit_length() and exponent * p.bit_length() > 64:
+        power = f"{p}^{exponent}"
+        raise EnumerationCapError(f"{cells}*{power}" if cells > 1 else power, cap)
+    if cells * p**exponent > cap:
+        raise EnumerationCapError(cells * p**exponent, cap)
 
 
 def ball_reps(p: int, support_exponent: int, resolution: int,
@@ -70,11 +77,9 @@ def ball_reps(p: int, support_exponent: int, resolution: int,
     count_exp = support_exponent + resolution
     if count_exp < 0:
         raise InvalidInputError("support_exponent + resolution must be >= 0")
-    count = p**count_exp
-    if count > cap:
-        raise EnumerationCapError(count, cap)
+    _check_cap(p, count_exp, cap)
     unit = Fraction(p) ** (-support_exponent)
-    return [i * unit for i in range(count)]
+    return [i * unit for i in range(p**count_exp)]
 
 
 @dataclass
@@ -108,9 +113,10 @@ class LocallyConstantFn:
         if resolution == self.resolution:
             return self
         p = self.prime
+        if not self.table:
+            return LocallyConstantFn(p, self.support_exponent, resolution, {})
+        _check_cap(p, resolution - self.resolution, cap, len(self.table))
         splits = p ** (resolution - self.resolution)
-        if splits * len(self.table) > cap:
-            raise EnumerationCapError(splits * len(self.table), cap)
         step = Fraction(p) ** self.resolution
         out = {}
         for rep, v in self.table.items():
@@ -404,14 +410,18 @@ def fn_from_json(data: dict) -> LocallyConstantFn:
         raise InvalidInputError(f"malformed function record: missing {exc}") from exc
     table = {}
     seen = set()
+    # one power per file, none for a file without cells
+    unit = Fraction(p) ** -m if cells else None
     for i, entry in enumerate(cells):
         try:
             digits = entry["digits"]
+            if type(digits) is not list:
+                raise InvalidInputError(f"digits {digits!r} are not a list")
             if not all(type(d) is int and 0 <= d < p for d in digits):
                 raise InvalidInputError(f"digits {digits} are not all in [0, {p})")
-            if digits_to_int(digits, p) >= p ** (m + k):
+            if any(digits[max(m + k, 0):]):
                 raise InvalidInputError(f"digits {digits} lie outside the ball")
-            rep = rep_from_digits(digits, p, m)
+            rep = digits_to_int(digits, p) * unit
             if rep in seen:
                 raise InvalidInputError(f"digits {digits} repeat an earlier cell")
             seen.add(rep)

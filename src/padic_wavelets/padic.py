@@ -94,10 +94,6 @@ class RationalPhase:
         object.__setattr__(self, "numerator", num // g)
         object.__setattr__(self, "denominator", self.denominator // g)
 
-    @classmethod
-    def from_fraction(cls, q: Fraction) -> "RationalPhase":
-        return cls(q.numerator, q.denominator)
-
     @property
     def is_zero(self) -> bool:
         return self.numerator == 0
@@ -109,7 +105,10 @@ class RationalPhase:
         return cmath.exp(2j * cmath.pi * self.numerator / self.denominator)
 
     def __add__(self, other: "RationalPhase") -> "RationalPhase":
-        return RationalPhase.from_fraction(self.as_fraction() + other.as_fraction())
+        return RationalPhase(
+            self.numerator * other.denominator + other.numerator * self.denominator,
+            self.denominator * other.denominator,
+        )
 
     def __neg__(self) -> "RationalPhase":
         return RationalPhase(-self.numerator, self.denominator)
@@ -163,34 +162,19 @@ class PAdicNumber:
 
     def to_rational(self) -> Fraction:
         """The exact rational denoted by the stored digits."""
-        p = self.prime
-        return sum(
-            (Fraction(d) * Fraction(p) ** (self.valuation + i) for i, d in enumerate(self.digits)),
-            Fraction(0),
-        )
+        return self.unit_int() * Fraction(self.prime) ** self.valuation
 
     def fractional_part(self) -> Fraction:
         """Sum of the digits sitting at negative powers of p; lies in [0, 1)."""
-        p = self.prime
-        total = Fraction(0)
-        for i, d in enumerate(self.digits):
-            e = self.valuation + i
-            if e < 0:
-                total += Fraction(d) * Fraction(p) ** e
-        return total
+        return self.character_phase().as_fraction()
 
     def character_phase(self) -> RationalPhase:
         """Phase of the additive character: exp(2*pi*i*{x}_p)."""
-        return RationalPhase.from_fraction(self.fractional_part())
+        return rational_character_phase(self.to_rational(), self.prime)
 
     def monna(self) -> Fraction:
         """Digit-reversing Monna image: sum d_m p^m maps to sum d_m p^(-m-1)."""
-        p = self.prime
-        total = Fraction(0)
-        for i, d in enumerate(self.digits):
-            e = self.valuation + i
-            total += Fraction(d) * Fraction(p) ** (-e - 1)
-        return total
+        return monna_rational(self.to_rational(), self.prime)
 
     def to_dict(self) -> dict:
         return {
@@ -344,37 +328,29 @@ def rational_character_phase(q: Fraction, p: int) -> RationalPhase:
     Splits the denominator as p^t * u and reads off the p-adic fractional
     part (a * u^{-1} mod p^t) / p^t, which is exact for every rational.
     """
-    if q == 0:
-        return RationalPhase(0)
-    a, b = q.numerator, q.denominator
-    t = valp(b, p) if b % p == 0 else 0
+    t = valp(q.denominator, p)
     if t == 0:
         return RationalPhase(0)
     modulus = p**t
-    u = b // modulus
-    if u == 1:
-        return RationalPhase(a % modulus, modulus)
-    return RationalPhase((a * pow(u, -1, modulus)) % modulus, modulus)
+    return RationalPhase(q.numerator * pow(q.denominator // modulus, -1, modulus), modulus)
 
 
 def monna_rational(q: Fraction, p: int) -> Fraction:
     """Monna image of a nonnegative rational with finite base-p expansion."""
     if q < 0:
         raise InvalidInputError("Monna map implemented for nonnegative reps")
-    if q == 0:
-        return Fraction(0)
     s = valp(q.denominator, p)
     scaled = q * p**s
     if scaled.denominator != 1:
         raise InvalidInputError("denominator must be a power of p")
-    n = scaled.numerator
-    total = Fraction(0)
-    e = -s
+    # n's digit d_k sits at exponent k - s and maps to d_k p^(s-k-1): the
+    # image is n's digit string reversed, times p^(s - digit count)
+    n, reversed_n, count = scaled.numerator, 0, 0
     while n:
         n, d = divmod(n, p)
-        total += Fraction(d) * Fraction(p) ** (-e - 1)
-        e += 1
-    return total
+        reversed_n = reversed_n * p + d
+        count += 1
+    return reversed_n * Fraction(p) ** (s - count)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import inf
 
 from .errors import (
     InsufficientPrecisionError,
@@ -36,7 +37,15 @@ from .functions import (
     json_int,
     reduce_rep,
 )
-from .padic import PAdicNumber, check_prime, int_to_digits, valp
+from .padic import (
+    PAdicNumber,
+    check_prime,
+    digits_to_int,
+    frac_valp,
+    int_to_digits,
+    rational_character_phase,
+    valp,
+)
 
 
 @dataclass(frozen=True, order=True)
@@ -62,10 +71,7 @@ class KozyrevIndex:
 
 def m_value(idx: KozyrevIndex, p: int) -> Fraction:
     """The canonical coset representative sum m_i p^(-i)."""
-    total = Fraction(0)
-    for i, d in enumerate(idx.m_digits, start=1):
-        total += Fraction(d, p**i)
-    return total
+    return digits_to_int(idx.m_digits[::-1], p) * Fraction(1, p**idx.m_depth)
 
 
 def validate_index(p: int, idx: KozyrevIndex) -> KozyrevIndex:
@@ -79,16 +85,8 @@ def validate_index(p: int, idx: KozyrevIndex) -> KozyrevIndex:
 
 def fractional_digits(q: Fraction, p: int) -> tuple:
     """Digits (m_1, ..., m_t) of the p-adic fractional part of a rational."""
-    if q == 0:
-        return ()
-    b = q.denominator
-    t = valp(b, p) if b % p == 0 else 0
-    if t == 0:
-        return ()
-    u = b // p**t
-    mod = p**t
-    a = (q.numerator * pow(u, -1, mod)) % mod
-    return tuple(reversed(int_to_digits(a, p, t)))
+    phase = rational_character_phase(q, p)
+    return int_to_digits(phase.numerator, p, valp(phase.denominator, p))[::-1]
 
 
 def label_translate(idx: KozyrevIndex, b: Fraction, p: int) -> KozyrevIndex:
@@ -155,55 +153,32 @@ def basis_vector(p: int, window: Window, idx: KozyrevIndex, amp=None) -> Wavelet
 # -- evaluation --------------------------------------------------------------
 
 
-def _digit_at(xi: PAdicNumber, e: int):
-    """Digit of xi at exponent e; None when outside the stored window."""
-    if xi.is_zero:
-        if xi.exact:
-            return 0
-        return 0 if e < xi.valuation else None
-    if e < xi.valuation:
-        return 0
-    i = e - xi.valuation
-    if i < xi.precision:
-        return xi.digits[i]
-    return None
-
-
 def evaluate(idx: KozyrevIndex, xi: PAdicNumber) -> Cyc:
     """Exact wavelet value at a finite-precision point.
 
-    The indicator needs the digits of xi below exponent -n and the character
-    one more digit (exponent -n); if those are not all stored and the
-    indicator is not already decidably false, the point is underdetermined.
+    The value reads the digits of xi up to exponent -n.  If they are all
+    stored, it is the value at the rational the digits denote; if not, it is
+    zero when the stored digits already miss the support, else undetermined.
     """
     p = xi.prime
     validate_index(p, idx)
-    n, j, m = idx.n, idx.j, idx.m_digits
-    depth = len(m)
-
-    lo = -n - max(depth, 1)
-    if not xi.is_zero:
-        lo = min(lo, xi.valuation)
-    undecided = False
-    for e in range(lo, -n):
-        i = -(e + n)  # m digit index at this exponent
-        want = m[i - 1] if 1 <= i <= depth else 0
-        got = _digit_at(xi, e)
-        if got is None:
-            undecided = True
-        elif got != want:
-            return Cyc.zero(p)
-    if undecided:
+    n = idx.n
+    # the first exponent whose digit is not stored; an exact zero has none
+    known = inf if xi.is_zero and xi.exact else xi.valuation + xi.precision
+    if known > -n:
+        return evaluate_at_rational(p, idx, xi.to_rational())
+    # the support is v_p(x - p^(-n) m) >= -n; the stored digits settle it
+    # only when they already differ from those of p^(-n) m below `known`
+    offset = xi.to_rational() - Fraction(p) ** -n * m_value(idx, p)
+    if offset != 0 and frac_valp(offset, p) < known:
+        return Cyc.zero(p)
+    if known < -n:
         raise InsufficientPrecisionError(
             f"digits of xi below exponent {-n} are needed to place it against m"
         )
-    lead = _digit_at(xi, -n)
-    if lead is None:
-        raise InsufficientPrecisionError(
-            f"the digit of xi at exponent {-n} is needed for the character"
-        )
-    phase_arg = Fraction(j) * (m_value(idx, p) + lead) / p
-    return Cyc.half_power(p, -n) * character_amp(p, phase_arg)
+    raise InsufficientPrecisionError(
+        f"the digit of xi at exponent {-n} is needed for the character"
+    )
 
 
 def evaluate_at_rational(p: int, idx: KozyrevIndex, q: Fraction) -> Cyc:

@@ -78,6 +78,30 @@ def test_wavelet_eval(capsys):
     assert data["exact"]["phase"] == "1/2"
 
 
+def test_wavelet_eval_readme_example(capsys):
+    code, out, err = run(
+        capsys, ["--prime", "3", "wavelet", "eval", "--index", "0:1:1", "--xi", "1/3"])
+    assert (code, err) == (0, "")
+    assert out == """{
+  "re": 0.766044443118978,
+  "im": 0.6427876096865393,
+  "exact": {
+    "magnitude": "1/1",
+    "phase": "1/9"
+  }
+}
+"""
+
+
+def test_wavelet_eval_missing_character_digit_is_exit_two(capsys):
+    # xi = 3 with one digit: the indicator of -2:1:1 holds, but the character
+    # needs the digit at exponent 2, which is not stored
+    code, out, err = run(capsys, ["--prime", "3", "--precision", "1", "wavelet", "eval",
+                                  "--index", "-2:1:1", "--xi", "3"])
+    assert (code, out) == (2, "")
+    assert err == "numeric failure: the digit of xi at exponent 2 is needed for the character\n"
+
+
 def test_usage_error_is_exit_one(capsys):
     code, _, err = run(capsys, ["wavelet", "table", "--index", "zzz"])
     assert code == 1
@@ -158,6 +182,8 @@ def _cell(digits, mag=1):
     ([_cell([1]), _cell([1], 5)], "repeat an earlier cell"),
     ([_cell([7]), _cell([1]), _cell([1], 5)], "not all in [0, 2)"),
     ([_cell([1], 0), _cell([1], 5)], "repeat an earlier cell"),
+    ([_cell({})], "are not a list"),
+    ([_cell("")], "are not a list"),
 ])
 def test_cell_outside_ball_or_repeated_is_exit_one(capsys, tmp_path, cells, reason):
     bad = tmp_path / "bad.json"
@@ -267,6 +293,16 @@ def test_cap_exceeded_is_exit_three(capsys, tmp_path, psi_file):
     assert "cap" in err
 
 
+def test_huge_declared_size_is_exit_three(capsys, tmp_path):
+    # 3^100000 cells: decided from the exponent, never printed in decimal
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"prime": 3, "support_exponent": 100000,
+                                "resolution_exponent": 0, "cells": []}))
+    code, out, err = run(capsys, ["--prime", "3", "fourier", str(path)])
+    assert (code, out) == (3, "")
+    assert err == "resource cap: enumeration of 3^100000 cells exceeds the cap of 1000000\n"
+
+
 def test_deterministic_output(capsys, psi_file):
     args = ["--window", "-2:2:1", "analyze", str(psi_file)]
     first = run(capsys, args)
@@ -326,6 +362,33 @@ def test_corrupted_word_is_exit_two(capsys, monkeypatch):
     assert code == 2
     assert "sl2:corrupted" in err
     assert "KozyrevIndex" in err
+
+
+def test_alpha_is_exact_only_in_half_integers(capsys, monkeypatch):
+    # every finite float is a dyadic rational: only one in (1/2)Z is carried
+    # exactly, however close another comes to a half-integer
+    from padic_wavelets import cli
+
+    seen = []
+
+    def capture(p, window, alphas, m_depth=1):
+        seen.extend(alphas)
+        return []
+
+    monkeypatch.setattr(cli, "deformed_results", capture)
+    code, _, err = run(capsys, ["check", "algebra", "--relation", "deformed",
+                                "--alpha", "1e-13", "--alpha", "2.9999999999999",
+                                "--alpha", "0.5", "--alpha", "3", "--alpha", "-1.5"])
+    assert code == 0, err
+    assert seen == [1e-13, 2.9999999999999, Fraction(1, 2), Fraction(3), Fraction(-3, 2)]
+    assert [type(a) for a in seen] == [float, float, Fraction, Fraction, Fraction]
+
+
+@pytest.mark.parametrize("alpha", ["inf", "-inf", "nan"])
+def test_non_finite_alpha_is_exit_one(capsys, alpha):
+    code, out, err = run(capsys, ["check", "algebra", "--alpha", alpha])
+    assert (code, out) == (1, "")
+    assert err.startswith("input error: --alpha")
 
 
 def test_float_relation_large_coefficients_pass(capsys):
@@ -412,6 +475,12 @@ def test_monna_map(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["image"] == "1"
+
+
+def test_monna_map_readme_example(capsys):
+    code, out, err = run(capsys, ["--prime", "2", "monna-map", "--xi", "3/4"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"prime": 2, "input": "3/4", "image": "3", "image_float": 3.0}
 
 
 def test_bad_global_prime(capsys):

@@ -76,6 +76,33 @@ def test_cap_enforced():
     assert "1000" in str(err.value)
 
 
+def test_cap_decided_from_the_exponent():
+    # p^e > cap as soon as e >= cap.bit_length(); neither count is computed
+    with pytest.raises(EnumerationCapError) as err:
+        ball_reps(3, 100000, 0, cap=1000)
+    assert str(err.value) == "enumeration of 3^100000 cells exceeds the cap of 1000"
+    two_cells = LocallyConstantFn(2, 0, 1, {Fraction(0): Cyc.one(2), Fraction(1): Cyc.one(2)})
+    with pytest.raises(EnumerationCapError) as err:
+        two_cells.refine_to(10**9, cap=1000)
+    assert str(err.value) == "enumeration of 2*2^999999999 cells exceeds the cap of 1000"
+    assert LocallyConstantFn(2, 0, 1, {}).refine_to(10**9, cap=1000).table == {}
+    # below the exponent bound the count is still computed and printed
+    with pytest.raises(EnumerationCapError) as err:
+        ball_reps(3, 3, 4, cap=1000)
+    assert str(err.value) == "enumeration of 2187 cells exceeds the cap of 1000"
+
+
+def test_reader_loads_cells_at_a_huge_support_exponent():
+    # the ball check reads the digits and p^(-M) is taken once per file
+    m = 10**6
+    cells = [{"digits": [i % 3, i // 3 % 3, i // 9], "mag_num": 1, "mag_den": 1,
+              "phase_num": 0, "phase_den": 1} for i in range(1, 21)]
+    f = fn_from_json({"prime": 3, "support_exponent": m, "resolution_exponent": 0,
+                      "cells": cells})
+    unit = Fraction(3) ** -m
+    assert set(f.table) == {i * unit for i in range(1, 21)}
+
+
 def test_reduce_rep_canonicalizes():
     assert reduce_rep(Fraction(13, 4), 2, 1) == Fraction(5, 4)
     assert reduce_rep(Fraction(13, 4), 2, 0) == Fraction(1, 4)

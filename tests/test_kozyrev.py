@@ -35,7 +35,9 @@ from padic_wavelets.wavelets import (
     evaluate_at_rational,
     expansion_from_json,
     expansion_to_json,
+    fractional_digits,
     label_translate,
+    m_value,
     materialize,
     mother,
     synthesize,
@@ -100,6 +102,68 @@ def test_evaluate_rejects_bad_labels():
         evaluate(KozyrevIndex(0, (), 2), PAdicNumber.zero(2))
     with pytest.raises(InvalidInputError):
         evaluate(KozyrevIndex(0, (5,), 1), PAdicNumber.zero(3))
+
+
+def completions(xi: PAdicNumber, top: int) -> list:
+    """Every rational that agrees with the stored digits of xi and has any
+    digits at the unstored exponents known .. top (none above top)."""
+    p = xi.prime
+    known = xi.valuation + xi.precision
+    stored = xi.to_rational()
+    if known > top or (xi.is_zero and xi.exact):
+        return [stored]
+    width = top - known + 1
+    return [stored + Fraction(i) * Fraction(p) ** known for i in range(p**width)]
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_evaluate_agrees_with_every_completion(p):
+    # brute-force oracle: evaluate returns the value every completion of the
+    # unstored digits up to exponent -n agrees on, and raises when they differ
+    rng = random.Random(p)
+    points = [PAdicNumber.zero(p)] + [PAdicNumber(p, v, (), exact=False) for v in range(-4, 4)]
+    for v in range(-4, 3):
+        for precision in (1, 2, 3):
+            digits = (rng.randrange(1, p),) + tuple(rng.randrange(p) for _ in range(precision - 1))
+            points.append(PAdicNumber(p, v, digits))
+    checked = raised = 0
+    for n in range(-2, 3):
+        for m in enumerate_m_digits(p, 2):
+            idx = KozyrevIndex(n, m, rng.randrange(1, p))
+            for xi in points:
+                if xi.valuation + xi.precision < -n - 2:
+                    continue  # keeps the completions to at most p^3
+                values = {
+                    (v.level, tuple(sorted(v.terms.items())))
+                    for v in (evaluate_at_rational(p, idx, q) for q in completions(xi, -n))
+                }
+                if len(values) == 1:
+                    want = evaluate_at_rational(p, idx, completions(xi, -n)[0])
+                    assert evaluate(idx, xi) == want
+                else:
+                    with pytest.raises(InsufficientPrecisionError):
+                        evaluate(idx, xi)
+                    raised += 1
+                checked += 1
+    assert raised and checked - raised
+
+
+def test_label_digits_match_per_digit_sums():
+    for p in (2, 3, 5):
+        for m in enumerate_m_digits(p, 3):
+            assert m_value(KozyrevIndex(0, m), p) == sum(
+                (Fraction(d, p**i) for i, d in enumerate(m, start=1)), Fraction(0))
+        for num in range(-40, 41):
+            for den in (1, 2, 3, 4, 5, 6, 9, 10, 25, 27, 125):
+                q = Fraction(num, den)
+                digits = fractional_digits(q, p)
+                # the digits are those of the p-adic fractional part: q minus
+                # their sum has no p in its denominator, and the last is nonzero
+                rest = q - sum((Fraction(d, p**i) for i, d in enumerate(digits, start=1)),
+                               Fraction(0))
+                assert all(0 <= d < p for d in digits)
+                assert rest.denominator % p != 0
+                assert not digits or digits[-1] != 0
 
 
 def test_evaluate_matches_rational_path():

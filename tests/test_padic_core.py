@@ -201,6 +201,36 @@ def test_rational_character_homomorphism(a, b, c, d, p):
     )
 
 
+def sample_points(p: int) -> list:
+    """Zeros, every short digit string at valuations -4..3, and the
+    complement digits of negative and non-terminating rationals."""
+    points = [PAdicNumber.zero(p), PAdicNumber(p, -2, (), exact=False)]
+    for v in range(-4, 4):
+        for lead in range(1, p):
+            for tail in range(p**2):
+                points.append(PAdicNumber(p, v, (lead, tail % p, tail // p)))
+    for num in range(-30, 31):
+        for den in (1, 2, 3, 4, 5, 7, 9, 25, 27):
+            if num:
+                points.append(from_rational(num, den, p, 5))
+    return points
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_digit_readers_match_per_digit_sums(p):
+    # oracle: sum d * p^e over the stored digits d at exponents e
+    for x in sample_points(p):
+        terms = [(d, x.valuation + i) for i, d in enumerate(x.digits)]
+        value = sum((Fraction(d) * Fraction(p) ** e for d, e in terms), Fraction(0))
+        fraction = sum((Fraction(d) * Fraction(p) ** e for d, e in terms if e < 0), Fraction(0))
+        image = sum((Fraction(d) * Fraction(p) ** (-e - 1) for d, e in terms), Fraction(0))
+        assert x.to_rational() == value
+        assert x.fractional_part() == fraction
+        assert x.character_phase() == RationalPhase(fraction.numerator, fraction.denominator)
+        assert x.monna() == image
+        assert monna_rational(value, p) == image
+
+
 # -- Monna map -------------------------------------------------------------------
 
 
