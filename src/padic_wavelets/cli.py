@@ -30,6 +30,7 @@ from .exact import is_half_integral
 from .functions import (
     DEFAULT_CELL_CAP,
     LocallyConstantFn,
+    _check_cap,
     amp_to_json,
     fn_from_json,
     fn_to_json,
@@ -264,7 +265,7 @@ def analyze_cmd(config: RunConfig, input_file, output):
     reported on stderr alongside the round-trip residual."""
     from .functions import inner_product, integrate
 
-    fn = _load(input_file, fn_from_json)
+    fn = _load_table(config, input_file)
     if fn.prime != config.prime:
         raise InvalidInputError(
             f"input is over p={fn.prime}, command over p={config.prime}"
@@ -298,7 +299,7 @@ def synthesize_cmd(config: RunConfig, input_file, output):
 @click.pass_obj
 def fourier_cmd(config: RunConfig, input_file, inverse, output):
     """Fourier-transform a JSON table function."""
-    fn = _load(input_file, fn_from_json)
+    fn = _load_table(config, input_file)
     result = inverse_fourier(fn, config.cap) if inverse else fourier_fn(fn, config.cap)
     write_output(json.dumps(fn_to_json(result), indent=2) + "\n", output)
 
@@ -311,6 +312,14 @@ def _load(path: str, parse):
         except json.JSONDecodeError as exc:
             raise InvalidInputError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     return parse(data)
+
+
+def _load_table(config: RunConfig, path: str):
+    """Read a table function whose p^(M+K) cells fit the cap, so that no
+    later step builds p^(-K) or a cell grid for an unbounded declared size."""
+    fn = _load(path, fn_from_json)
+    _check_cap(fn.prime, fn.support_exponent + fn.resolution, config.cap)
+    return fn
 
 
 @cli.group()

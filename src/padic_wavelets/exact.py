@@ -2,68 +2,69 @@
 
 Every exact value arising here is a rational combination of p-power roots of
 unity, possibly scaled by half-integer powers of p.  The class `Cyc` stores
-such a number as a sparse map
+such a number as a sparse map of integer pairs over one shared denominator
 
-    exponent e  ->  (a, b)   meaning   (a + b*sqrt(p)) * zeta^e,
+    exponent e  ->  (a, b)   meaning   (a + b*sqrt(p)) * zeta^e / den,
 
-where zeta = exp(2*pi*i / p^level) and a, b are Fractions.  Exponents are
-kept in the canonical basis of the p^level-th cyclotomic field (the residues
-whose top base-p digit is not p-1), so `is_zero` and `==` are exact: sums
-like 1 + zeta_p + ... + zeta_p^(p-1) reduce to 0 structurally.
+where zeta = exp(2*pi*i / p^level), a and b are ints, and den > 0 has no
+factor common to all of them.  Exponents are kept in the canonical basis of
+the p^level-th cyclotomic field (the residues whose top base-p digit is not
+p-1), so sums like 1 + zeta_p + ... + zeta_p^(p-1) reduce to 0 structurally.
+Where sqrt(p) itself lies in that field (p = 2 at level >= 3, p = 1 mod 4 at
+level >= 1) the split into a and b is not unique; there the zero test also
+replaces sqrt(p) by its Gauss sum, so `is_zero` and `==` stay exact.
 
-Mixing a `Cyc` with a float/complex demotes the result to `complex`; code
-that wants to stay exact simply never introduces floats.
+`Fraction` appears only at the edge: the rational constructors, `*` and `+`
+with a `Rational`, and the accessors that hand coefficients out.  Mixing a
+`Cyc` with a float/complex demotes the result to `complex`; code that wants
+to stay exact simply never introduces floats.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 from numbers import Rational
 
 from .errors import InvalidInputError
 from .padic import RationalPhase, check_prime
 
-_ZERO = Fraction(0)
-
-# (a, b) pairs below denote a + b*sqrt(p).
-
-
-def _q_mul(x, y, p):
-    a, b = x
-    c, d = y
-    return (a * c + p * b * d, a * d + b * c)
-
-
-def _q_complex(x, sqrtp: float) -> float:
-    a, b = x
-    return float(a) + float(b) * sqrtp
-
 
 class Cyc:
     """Exact element of Q(sqrt(p), zeta_{p^level}); immutable by convention."""
 
-    __slots__ = ("prime", "level", "terms")
+    __slots__ = ("prime", "level", "terms", "den")
 
-    def __init__(self, prime, level, terms, _reduced=False):
+    def __init__(self, prime, level, terms, den=1, _reduced=False):
+        """`terms` maps exponents to int pairs (a, b) over `den`; unless
+        `_reduced`, they are brought to the canonical basis and lowest terms."""
         self.prime = prime
-        self.level = level
         if _reduced:
-            self.terms = terms
+            self.level, self.terms, self.den = level, terms, den
+            return
+        self.level, terms = _normalize(prime, level, terms)
+        if terms:
+            g = gcd(den, *chain.from_iterable(terms.values()))
+            if g != 1:
+                terms = {e: (a // g, b // g) for e, (a, b) in terms.items()}
+                den //= g
         else:
-            self.level, self.terms = _normalize(prime, level, terms)
+            den = 1
+        self.terms, self.den = terms, den
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, p: int) -> "Cyc":
-        return cls(check_prime(p), 0, {}, _reduced=True)
+        return cls(check_prime(p), 0, {}, 1, _reduced=True)
 
     @classmethod
     def rational(cls, p: int, a) -> "Cyc":
         a = Fraction(a)
         if a == 0:
             return cls.zero(p)
-        return cls(check_prime(p), 0, {0: (a, _ZERO)}, _reduced=True)
+        return cls(check_prime(p), 0, {0: (a.numerator, 0)}, a.denominator, _reduced=True)
 
     @classmethod
     def one(cls, p: int) -> "Cyc":
@@ -74,15 +75,18 @@ class Cyc:
         a, b = Fraction(a), Fraction(b)
         if a == 0 and b == 0:
             return cls.zero(p)
-        return cls(check_prime(p), 0, {0: (a, b)}, _reduced=True)
+        # a and b are in lowest terms, so this den shares no factor with both
+        den = lcm(a.denominator, b.denominator)
+        pair = (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
+        return cls(check_prime(p), 0, {0: pair}, den, _reduced=True)
 
     @classmethod
     def half_power(cls, p: int, half_exponent: int) -> "Cyc":
         """p raised to half_exponent/2, exactly."""
         q, r = divmod(half_exponent, 2)
-        if r == 0:
-            return cls.rational(p, Fraction(p) ** q)
-        return cls.quad(p, 0, Fraction(p) ** q)
+        num, den = (p**q, 1) if q >= 0 else (1, p**-q)
+        pair = (0, num) if r else (num, 0)
+        return cls(check_prime(p), 0, {0: pair}, den, _reduced=True)
 
     @classmethod
     def root_of_unity(cls, p: int, phase: RationalPhase) -> "Cyc":
@@ -97,12 +101,12 @@ class Cyc:
             rest //= p
             t += 1
         if rest == 1:
-            return cls(p, t, {k * _lift_unit(p, t, d): (Fraction(1), _ZERO)})
+            return cls(p, t, {k * (p**t // d): (1, 0)})
         if rest == 2 and p != 2:
             # e(k / 2p^t) = (-1)^k * zeta^(k * (p^t+1)/2)
             n = p**t
-            sign = Fraction(-1 if k % 2 else 1)
-            return cls(p, t, {(k * ((n + 1) // 2)) % n: (sign, _ZERO)})
+            sign = -1 if k % 2 else 1
+            return cls(p, t, {(k * ((n + 1) // 2)) % n: (sign, 0)})
         raise InvalidInputError(
             f"phase {k}/{d} is not a p-power root of unity for p={p}"
         )
@@ -127,7 +131,7 @@ class Cyc:
             return Fraction(0)
         if not self.is_rational:
             raise InvalidInputError("value is not rational")
-        return self.terms[0][0]
+        return Fraction(self.terms[0][0], self.den)
 
     def single_term(self):
         """Return (coeff_a, coeff_b, phase) if the value is one basis term."""
@@ -136,7 +140,8 @@ class Cyc:
         if len(self.terms) != 1:
             return None
         (e, (a, b)), = self.terms.items()
-        return (a, b, RationalPhase(e, self.prime**self.level))
+        return (Fraction(a, self.den), Fraction(b, self.den),
+                RationalPhase(e, self.prime**self.level))
 
     def as_phase_multiple(self):
         """(coeff_a, coeff_b, phase) with value = (a + b sqrt p) * e(phase),
@@ -159,7 +164,8 @@ class Cyc:
             ):
                 a, b = coeffs.pop()
                 e = (p - 1) * block + residues.pop()
-                return (-a, -b, RationalPhase(e, p**self.level))
+                return (Fraction(-a, self.den), Fraction(-b, self.den),
+                        RationalPhase(e, p**self.level))
         return None
 
     def polar_exact(self):
@@ -184,11 +190,19 @@ class Cyc:
             if other.prime != self.prime:
                 raise InvalidInputError("amplitude primes differ")
             level = max(self.level, other.level)
-            terms = dict(self._lifted(level))
+            den = lcm(self.den, other.den)
+            mine, theirs = den // self.den, den // other.den
+            terms = self._lifted(level)
+            if mine != 1:
+                terms = {e: (a * mine, b * mine) for e, (a, b) in terms.items()}
+            get = terms.get
             for e, (a, b) in other._lifted(level).items():
-                ca, cb = terms.get(e, (_ZERO, _ZERO))
-                terms[e] = (ca + a, cb + b)
-            return Cyc(self.prime, level, _strip(terms))
+                c = get(e)
+                if c is None:
+                    terms[e] = (a * theirs, b * theirs)
+                else:
+                    terms[e] = (c[0] + a * theirs, c[1] + b * theirs)
+            return Cyc(self.prime, level, _strip(terms), den)
         if isinstance(other, Rational):
             return self + Cyc.rational(self.prime, other)
         if isinstance(other, (float, complex)):
@@ -202,6 +216,7 @@ class Cyc:
             self.prime,
             self.level,
             {e: (-a, -b) for e, (a, b) in self.terms.items()},
+            self.den,
             _reduced=True,
         )
 
@@ -222,27 +237,43 @@ class Cyc:
             p = self.prime
             level = max(self.level, other.level)
             modulus = p**level
-            xs = self._lifted(level)
-            ys = other._lifted(level)
+            xs = self._lifted(level).items()
+            ys = other._lifted(level).items()
             terms: dict = {}
-            for e1, c1 in xs.items():
-                for e2, c2 in ys.items():
-                    e = (e1 + e2) % modulus
-                    prod = _q_mul(c1, c2, p)
-                    if e in terms:
-                        a, b = terms[e]
-                        terms[e] = (a + prod[0], b + prod[1])
-                    else:
-                        terms[e] = prod
-            return Cyc(p, level, terms)
+            get = terms.get
+            if any(b for _, (_, b) in chain(xs, ys)):
+                for e1, (a, b) in xs:
+                    for e2, (c, d) in ys:
+                        e = e1 + e2
+                        if e >= modulus:
+                            e -= modulus
+                        ra, rb = a * c + p * b * d, a * d + b * c
+                        old = get(e)
+                        terms[e] = (ra, rb) if old is None else (old[0] + ra, old[1] + rb)
+            else:
+                # no sqrt(p) parts: sum plain ints, in the same term order
+                for e1, (a, _) in xs:
+                    for e2, (c, _) in ys:
+                        e = e1 + e2
+                        if e >= modulus:
+                            e -= modulus
+                        terms[e] = get(e, 0) + a * c
+                terms = {e: (a, 0) for e, a in terms.items()}
+            return Cyc(p, level, terms, self.den * other.den)
         if isinstance(other, Rational):
-            q = Fraction(other)
-            if q == 0:
+            num, den = other.numerator, other.denominator
+            if num == 0:
                 return Cyc.zero(self.prime)
+            # self is in lowest terms, so only num with self.den, and den
+            # with the coefficients, can share a factor
+            g = gcd(num, self.den)
+            h = gcd(den, *chain.from_iterable(self.terms.values())) if den != 1 else 1
+            num //= g
             return Cyc(
                 self.prime,
                 self.level,
-                {e: (a * q, b * q) for e, (a, b) in self.terms.items()},
+                {e: (a // h * num, b // h * num) for e, (a, b) in self.terms.items()},
+                self.den // g * (den // h),
                 _reduced=True,
             )
         if isinstance(other, (float, complex)):
@@ -257,6 +288,7 @@ class Cyc:
             self.prime,
             self.level,
             {(-e) % modulus: c for e, c in self.terms.items()},
+            self.den,
         )
 
     def __eq__(self, other):
@@ -276,9 +308,11 @@ class Cyc:
         p = self.prime
         sqrtp = p**0.5
         modulus = p**self.level
+        den = self.den
         total = 0j
-        for e, c in self.terms.items():
-            total += _q_complex(c, sqrtp) * cmath.exp(2j * cmath.pi * e / modulus)
+        for e, (a, b) in self.terms.items():
+            # int / int is correctly rounded, as float(Fraction(a, den)) is
+            total += (a / den + b / den * sqrtp) * cmath.exp(2j * cmath.pi * e / modulus)
         return total
 
     def __abs__(self) -> float:
@@ -290,69 +324,95 @@ class Cyc:
         parts = []
         n = self.prime**self.level
         for e in sorted(self.terms):
-            a, b = self.terms[e]
+            a, b = (Fraction(c, self.den) for c in self.terms[e])
             coeff = f"{a}" if b == 0 else (f"{b}*sqrt{self.prime}" if a == 0 else f"({a}+{b}*sqrt{self.prime})")
             parts.append(coeff if e == 0 else f"{coeff}*z({e}/{n})")
         return f"Cyc(p={self.prime}, " + " + ".join(parts) + ")"
 
 
-def _lift_unit(p: int, t: int, d: int) -> int:
-    # multiplier turning k/d into an exponent mod p^t (d divides p^t here)
-    return p**t // d
-
-
 def _strip(terms: dict) -> dict:
-    return {e: c for e, c in terms.items() if c[0] != 0 or c[1] != 0}
+    return {e: c for e, c in terms.items() if c[0] or c[1]}
 
 
 def _normalize(p: int, level: int, terms: dict):
-    """Reduce exponents into the canonical cyclotomic basis, drop zeros and
-    lower the level as far as possible."""
-    while True:
-        if level == 0:
-            acc = (_ZERO, _ZERO)
-            for _, (a, b) in terms.items():
-                acc = (acc[0] + a, acc[1] + b)
-            terms = {} if acc == (_ZERO, _ZERO) else {0: acc}
-            return 0, terms
+    """Reduce integer terms into the canonical cyclotomic basis, drop zeros
+    and lower the level as far as possible; (level, terms) of the result."""
+    level, terms = _canonical(p, level, terms)
+    if terms and _gauss_zero(p, level, terms):
+        return 0, {}
+    return level, terms
+
+
+def _canonical(p: int, level: int, terms: dict):
+    while level:
         modulus = p**level
-        block = p ** (level - 1)
+        block = modulus // p
+        top = modulus - block
         out: dict = {}
-
-        def _acc(e, a, b):
-            if e in out:
-                ca, cb = out[e]
-                out[e] = (ca + a, cb + b)
-            else:
-                out[e] = (a, b)
-
+        get = out.get
         for e, (a, b) in terms.items():
             e %= modulus
-            q, r = divmod(e, block)
-            if q == p - 1:
+            if e >= top:
                 # zeta^((p-1)*block + r) = -sum_{i<p-1} zeta^(i*block + r)
-                for i in range(p - 1):
-                    _acc(i * block + r, -a, -b)
+                for k in range(e - top, top, block):
+                    c = get(k)
+                    out[k] = (-a, -b) if c is None else (c[0] - a, c[1] - b)
             else:
-                _acc(e, a, b)
+                c = get(e)
+                out[e] = (a, b) if c is None else (c[0] + a, c[1] + b)
         out = _strip(out)
-        if out and all(e % p == 0 for e in out):
-            terms = {e // p: c for e, c in out.items()}
-            level -= 1
-            continue
         if not out:
             return 0, {}
-        return level, out
+        if any(e % p for e in out):
+            return level, out
+        terms = {e // p: c for e, c in out.items()}
+        level -= 1
+    a = b = 0
+    for ca, cb in terms.values():
+        a += ca
+        b += cb
+    return 0, ({0: (a, b)} if a or b else {})
+
+
+def _gauss_zero(p: int, level: int, terms: dict) -> bool:
+    """Whether canonical A + sqrt(p)*B is a zero that the pair split hides.
+
+    That needs sqrt(p) in the field (p = 2 at level >= 3, p = 1 mod 4 at
+    level >= 1) and both parts nonzero.  The value is then tested as A + G*B
+    with G the Gauss sum that equals sqrt(p): zeta_8 + zeta_8^7 for p = 2,
+    sum (k/p) zeta_p^k otherwise.  A + G*B has no sqrt(p) part, and there
+    the canonical form is unique."""
+    if not (level >= 3 if p == 2 else level >= 1 and p % 4 == 1):
+        return False
+    if not (any(a for a, _ in terms.values()) and any(b for _, b in terms.values())):
+        return False
+    modulus = p**level
+    if p == 2:
+        gauss = {modulus // 8: 1, 7 * modulus // 8: 1}
+    else:
+        block = modulus // p
+        gauss = {k * block: 1 if pow(k, (p - 1) // 2, p) == 1 else -1 for k in range(1, p)}
+    out = {e: (a, 0) for e, (a, _) in terms.items() if a}
+    get = out.get
+    for e, (_, b) in terms.items():
+        if b:
+            for g, s in gauss.items():
+                k = (e + g) % modulus
+                c = get(k)
+                out[k] = (s * b, 0) if c is None else (c[0] + s * b, 0)
+    return not _canonical(p, level, out)[1]
 
 
 class CycSum:
-    """Mutable accumulator for long exact sums (integration, Fourier)."""
+    """Mutable accumulator for long exact sums (integration, Fourier):
+    integer pairs by exponent over a running common denominator."""
 
-    __slots__ = ("prime", "level", "terms", "fallback")
+    __slots__ = ("prime", "level", "den", "terms", "fallback")
 
     def __init__(self, p: int):
         self.prime = p
         self.level = 0
+        self.den = 1
         self.terms: dict = {}
         self.fallback: complex | None = None
 
@@ -361,29 +421,40 @@ class CycSum:
             self.fallback += complex(value)
             return
         if isinstance(value, Cyc):
+            terms = self.terms
             if value.level > self.level:
                 shift = self.prime ** (value.level - self.level)
-                self.terms = {e * shift: c for e, c in self.terms.items()}
+                terms = self.terms = {e * shift: c for e, c in terms.items()}
                 self.level = value.level
+            den = lcm(self.den, value.den)
+            if den != self.den:
+                up = den // self.den
+                terms = self.terms = {e: (a * up, b * up) for e, (a, b) in terms.items()}
+                self.den = den
+            scale = den // value.den
             shift = self.prime ** (self.level - value.level)
+            get = terms.get
             for e, (a, b) in value.terms.items():
                 key = e * shift
-                if key in self.terms:
-                    ca, cb = self.terms[key]
-                    self.terms[key] = (ca + a, cb + b)
+                c = get(key)
+                if c is None:
+                    terms[key] = (a * scale, b * scale)
                 else:
-                    self.terms[key] = (a, b)
+                    terms[key] = (c[0] + a * scale, c[1] + b * scale)
         elif isinstance(value, Rational):
             self.add(Cyc.rational(self.prime, value))
         else:
             # switch to floating mode
-            current = complex(Cyc(self.prime, self.level, dict(self.terms)))
+            current = complex(self._exact())
             self.fallback = current + complex(value)
+
+    def _exact(self) -> Cyc:
+        return Cyc(self.prime, self.level, dict(self.terms), self.den)
 
     def result(self):
         if self.fallback is not None:
             return self.fallback
-        return Cyc(self.prime, self.level, dict(self.terms))
+        return self._exact()
 
 
 def conj(value):

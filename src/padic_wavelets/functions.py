@@ -277,14 +277,15 @@ def _fourier_impl(f: LocallyConstantFn, sign: int, cap: int) -> LocallyConstantF
     exact = f.is_exact()
     if exact:
         level = max([f.support_exponent + f.resolution] + [v.level for _, v in cells])
-        den = lcm(*(c.denominator for _, v in cells for ab in v.terms.values() for c in ab))
+        den = lcm(*(v.den for _, v in cells))
         lifted = []
         for ir, v in cells:
             lift = p ** (level - v.level)
+            up = den // v.den
             lifted.append((
                 ir,
-                [(e * lift, int(a * den)) for e, (a, _) in v.terms.items() if a],
-                [(e * lift, int(b * den)) for e, (_, b) in v.terms.items() if b],
+                [(e * lift, a * up) for e, (a, _) in v.terms.items() if a],
+                [(e * lift, b * up) for e, (_, b) in v.terms.items() if b],
             ))
         scale = Fraction(p) ** (-f.resolution) / den
     else:
@@ -314,9 +315,10 @@ def _fourier_impl(f: LocallyConstantFn, sign: int, cap: int) -> LocallyConstantF
             # the set's order sets the term order and so the float rounding
             phases = set(acc_a.keys())
             phases.update(acc_b.keys())
-            terms = {e: (Fraction(get_a(e, 0)), Fraction(get_b(e, 0)))
+            num = scale.numerator
+            terms = {e: (get_a(e, 0) * num, get_b(e, 0) * num)
                      for e in phases if get_a(e) or get_b(e)}
-            total = Cyc(p, level, terms) * scale
+            total = Cyc(p, level, terms, scale.denominator)
         else:
             total = sum(roots[e] * c for e, c in acc_a.items()) * scale
         if not amp_is_zero(total):

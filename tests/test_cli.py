@@ -1,6 +1,7 @@
 """Exit codes, determinism and file round trips of the command line."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -301,6 +302,20 @@ def test_huge_declared_size_is_exit_three(capsys, tmp_path):
     code, out, err = run(capsys, ["--prime", "3", "fourier", str(path)])
     assert (code, out) == (3, "")
     assert err == "resource cap: enumeration of 3^100000 cells exceeds the cap of 1000000\n"
+
+
+def test_huge_resolution_analyze_is_exit_three(capsys, tmp_path):
+    # the cap is checked on load, before the cell measure p^(-K) is built
+    path = tmp_path / "fine.json"
+    path.write_text(json.dumps({
+        "prime": 3, "support_exponent": 0, "resolution_exponent": 10**9,
+        "cells": [{"digits": [1], "mag_num": 1, "mag_den": 1, "phase_num": 0, "phase_den": 1}],
+    }))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["--prime", "3", "analyze", str(path)])
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (3, "")
+    assert err == "resource cap: enumeration of 3^1000000000 cells exceeds the cap of 1000000\n"
 
 
 def test_deterministic_output(capsys, psi_file):

@@ -2,6 +2,8 @@
 
 import cmath
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -117,3 +119,97 @@ def test_p_power_amp_half_integer_vs_float():
 def test_conj_helper_on_floats():
     assert conj(1 + 2j) == 1 - 2j
     assert amp_equal(conj(Cyc.one(3)), Cyc.one(3))
+
+
+# -- sqrt(p) inside the cyclotomic field ----------------------------------------
+
+
+def root(p, k, d):
+    return Cyc.root_of_unity(p, RationalPhase(k, d))
+
+
+def test_sqrt_two_as_a_sum_of_eighth_roots_is_equal():
+    sqrt2 = Cyc.half_power(2, 1)
+    assert root(2, 1, 8) + root(2, 7, 8) == sqrt2
+    # the same identity one level up, and scaled by a phase
+    assert root(2, 2, 16) + root(2, 14, 16) == sqrt2
+    z = root(2, 3, 32)
+    assert (root(2, 1, 8) + root(2, 7, 8)) * z - sqrt2 * z == 0
+    assert root(2, 1, 8) + root(2, 7, 8) != sqrt2 + 1
+
+
+def test_sqrt_five_as_a_sum_of_fifth_roots_is_equal():
+    assert Cyc.one(5) + 2 * (root(5, 1, 5) + root(5, 4, 5)) == Cyc.half_power(5, 1)
+    assert Cyc.one(5) + 2 * (root(5, 1, 5) + root(5, 4, 5)) != Cyc.half_power(5, 1) * 2
+
+
+def test_sqrt_thirteen_is_its_gauss_sum():
+    p = 13
+    gauss = Cyc.zero(p)
+    for k in range(1, p):
+        gauss = gauss + root(p, k, p) * (1 if pow(k, (p - 1) // 2, p) == 1 else -1)
+    assert gauss == Cyc.half_power(p, 1)
+    assert (gauss - Cyc.half_power(p, 1)).is_zero
+    assert gauss * Cyc.half_power(p, 1) == p
+
+
+# -- the integer normal form ------------------------------------------------------
+
+
+def values(p):
+    """(Cyc, complex) pairs: rationals, roots of unity and half powers,
+    combined by sums, differences and products."""
+    top = 4 if p == 2 else 2  # p = 2 reaches level 4, where sqrt(2) is a root sum
+    atoms = st.one_of(
+        st.fractions(min_value=-4, max_value=4, max_denominator=6).map(
+            lambda q: (Cyc.rational(p, q), complex(q))),
+        st.tuples(st.integers(0, p**top - 1), st.integers(1, top)).map(
+            lambda kt: (root(p, kt[0], p ** kt[1]),
+                        cmath.exp(2j * cmath.pi * kt[0] / p ** kt[1]))),
+        st.integers(-3, 3).map(lambda h: (Cyc.half_power(p, h), p ** (h / 2))),
+    )
+
+    def combine(op, x, y):
+        if op == "+":
+            return (x[0] + y[0], x[1] + y[1])
+        if op == "-":
+            return (x[0] - y[0], x[1] - y[1])
+        return (x[0] * y[0], x[1] * y[1])
+
+    return st.recursive(
+        atoms,
+        lambda inner: st.builds(combine, st.sampled_from("+-*"), inner, inner),
+        max_leaves=5,
+    )
+
+
+def assert_normal_form(v):
+    p = v.prime
+    assert type(v.den) is int and v.den > 0
+    if v.is_zero:
+        assert v.terms == {} and v.den == 1
+        return
+    assert gcd(v.den, *chain.from_iterable(v.terms.values())) == 1
+    for e, (a, b) in v.terms.items():
+        assert type(a) is int and type(b) is int and (a, b) != (0, 0)
+        if v.level == 0:
+            assert e == 0
+        else:  # canonical basis: the top base-p digit is not p-1
+            assert 0 <= e < p**v.level and e // p ** (v.level - 1) != p - 1
+
+
+@given(st.sampled_from(PRIMES).flatmap(lambda p: st.tuples(values(p), values(p), values(p))))
+def test_integer_normal_form(triple):
+    (x, cx), (y, cy), (z, cz) = triple
+    for v, c in ((x, cx), (y, cy), (z, cz), (x * (y + z), cx * (cy + cz))):
+        assert_normal_form(v)
+        assert abs(complex(v) - c) <= 1e-9 * max(1.0, abs(c))
+    assert x * (y + z) == x * y + x * z
+    assert (x - y) + y == x
+    assert_normal_form(x - x)
+    assert (x - x).terms == {}
+    q = x * 0 + Fraction(3, 7)
+    assert type(q.rational_value()) is Fraction and q.rational_value() == Fraction(3, 7)
+    term = x.single_term()
+    if term is not None:
+        assert type(term[0]) is Fraction and type(term[1]) is Fraction

@@ -299,6 +299,16 @@ def test_plancherel_at_full_desk_scale(p, density):
     assert inner_product(f, g) == inner_product(fourier(f), fourier(g))
 
 
+def test_dense_round_trip_and_plancherel_at_p3():
+    # N = 243 (M = 2, K = 3), every cell drawn; the transform holds about
+    # 25k terms, which the integer coefficients keep affordable
+    f = random_exact_fn(3, 2, 3, random.Random(17), density=1.0)
+    assert len(f.table) > 200
+    g = fourier(f)
+    assert fn_equal(inverse_fourier(g), f)
+    assert inner_product(g, g) == inner_product(f, f)
+
+
 # -- Fourier against the naive character sum -----------------------------------------
 
 
