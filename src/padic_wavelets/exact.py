@@ -84,9 +84,9 @@ class Cyc:
     def half_power(cls, p: int, half_exponent: int) -> "Cyc":
         """p raised to half_exponent/2, exactly."""
         q, r = divmod(half_exponent, 2)
-        num, den = (p**q, 1) if q >= 0 else (1, p**-q)
-        pair = (0, num) if r else (num, 0)
-        return cls(check_prime(p), 0, {0: pair}, den, _reduced=True)
+        if r == 0:
+            return cls.rational(p, Fraction(p) ** q)
+        return cls.quad(p, 0, Fraction(p) ** q)
 
     @classmethod
     def root_of_unity(cls, p: int, phase: RationalPhase) -> "Cyc":
@@ -241,24 +241,14 @@ class Cyc:
             ys = other._lifted(level).items()
             terms: dict = {}
             get = terms.get
-            if any(b for _, (_, b) in chain(xs, ys)):
-                for e1, (a, b) in xs:
-                    for e2, (c, d) in ys:
-                        e = e1 + e2
-                        if e >= modulus:
-                            e -= modulus
-                        ra, rb = a * c + p * b * d, a * d + b * c
-                        old = get(e)
-                        terms[e] = (ra, rb) if old is None else (old[0] + ra, old[1] + rb)
-            else:
-                # no sqrt(p) parts: sum plain ints, in the same term order
-                for e1, (a, _) in xs:
-                    for e2, (c, _) in ys:
-                        e = e1 + e2
-                        if e >= modulus:
-                            e -= modulus
-                        terms[e] = get(e, 0) + a * c
-                terms = {e: (a, 0) for e, a in terms.items()}
+            for e1, (a, b) in xs:
+                for e2, (c, d) in ys:
+                    e = e1 + e2
+                    if e >= modulus:
+                        e -= modulus
+                    ra, rb = a * c + p * b * d, a * d + b * c
+                    old = get(e)
+                    terms[e] = (ra, rb) if old is None else (old[0] + ra, old[1] + rb)
             return Cyc(p, level, terms, self.den * other.den)
         if isinstance(other, Rational):
             num, den = other.numerator, other.denominator

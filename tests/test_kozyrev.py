@@ -134,7 +134,7 @@ def test_evaluate_agrees_with_every_completion(p):
                 if xi.valuation + xi.precision < -n - 2:
                     continue  # keeps the completions to at most p^3
                 values = {
-                    (v.level, tuple(sorted(v.terms.items())))
+                    (v.level, v.den, tuple(sorted(v.terms.items())))
                     for v in (evaluate_at_rational(p, idx, q) for q in completions(xi, -n))
                 }
                 if len(values) == 1:
