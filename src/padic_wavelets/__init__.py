@@ -8,6 +8,7 @@ Monna-map correspondence with generalized Haar wavelets on [0, 1].
 
 from .errors import (
     EnumerationCapError,
+    FloatRangeError,
     InsufficientPrecisionError,
     InvalidInputError,
     PadicError,

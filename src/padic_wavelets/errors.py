@@ -24,6 +24,10 @@ class EnumerationCapError(PadicError):
         )
 
 
+class FloatRangeError(PadicError, OverflowError):
+    """An exact value lies beyond the range of a float."""
+
+
 class InsufficientPrecisionError(PadicError):
     """A p-adic value does not carry enough digits to decide the result."""
 

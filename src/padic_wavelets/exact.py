@@ -27,7 +27,7 @@ from itertools import chain
 from math import gcd, lcm
 from numbers import Rational
 
-from .errors import InvalidInputError
+from .errors import FloatRangeError, InvalidInputError
 from .padic import RationalPhase, check_prime
 
 
@@ -175,7 +175,13 @@ class Cyc:
         if term is None:
             return None
         a, b, phase = term
-        if float(a) + float(b) * self.prime**0.5 < 0:
+        # the sign of a + b*sqrt(p), decided without floats: when a and b
+        # have opposite signs, the larger of a^2 and p*b^2 sets it
+        if (a < 0) == (b < 0):
+            negative = a < 0
+        else:
+            negative = (a * a < self.prime * b * b) == (b < 0)
+        if negative:
             a, b, phase = -a, -b, phase + RationalPhase(1, 2)
         return (a, b, phase)
 
@@ -300,10 +306,15 @@ class Cyc:
         modulus = p**self.level
         den = self.den
         total = 0j
-        for e, (a, b) in self.terms.items():
-            # int / int is correctly rounded, as float(Fraction(a, den)) is
-            total += (a / den + b / den * sqrtp) * cmath.exp(2j * cmath.pi * e / modulus)
-        return total
+        try:
+            for e, (a, b) in self.terms.items():
+                # int / int is correctly rounded, as float(Fraction(a, den)) is
+                total += (a / den + b / den * sqrtp) * cmath.exp(2j * cmath.pi * e / modulus)
+            if cmath.isfinite(total):
+                return total
+        except OverflowError:
+            pass
+        raise FloatRangeError("exact value lies beyond the float range")
 
     def __abs__(self) -> float:
         return abs(complex(self))

@@ -148,15 +148,7 @@ class LocallyConstantFn:
         f = self.refine_to(res)
         g = other.refine_to(res)
         table = dict(f.table)
-        for r, v in g.table.items():
-            if r in table:
-                total = table[r] + v
-                if amp_is_zero(total):
-                    del table[r]
-                else:
-                    table[r] = total
-            else:
-                table[r] = v
+        add_cells(table, g.table)
         return LocallyConstantFn(
             self.prime,
             max(self.support_exponent, other.support_exponent),
@@ -166,6 +158,17 @@ class LocallyConstantFn:
 
     def __sub__(self, other: "LocallyConstantFn") -> "LocallyConstantFn":
         return self + other.scaled(Fraction(-1))
+
+
+def add_cells(table: dict, cells: dict) -> None:
+    """Add `cells` into `table` in place; a cell whose sum is zero is deleted."""
+    for r, v in cells.items():
+        if r in table:
+            v = table[r] + v
+            if amp_is_zero(v):
+                del table[r]
+                continue
+        table[r] = v
 
 
 def indicator_fn(p: int, ball_exponent: int = 0) -> LocallyConstantFn:
@@ -219,7 +222,7 @@ def inner_product(f: LocallyConstantFn, g: LocallyConstantFn):
     coarse_res = coarse.resolution
     lookup = coarse.table.get
     products = []
-    for rep in sorted(fine.table):
+    for rep in _paired_cells(fine, coarse):
         v_coarse = lookup(reduce_rep(rep, p, coarse_res))
         if v_coarse is None:
             continue
@@ -234,6 +237,32 @@ def inner_product(f: LocallyConstantFn, g: LocallyConstantFn):
     for term in products:
         acc.add(term)
     return acc.result() * (Fraction(p) ** (-fine.resolution))
+
+
+def _paired_cells(fine: LocallyConstantFn, coarse: LocallyConstantFn) -> list:
+    """The fine cells to pair with the coarse table, in sorted order.
+
+    Every fine cell whose coarse parent holds a value is included.  When the
+    coarse table is the smaller one, its cells outside the fine ball are
+    dropped, and if the fine cells under the rest are fewer than the fine
+    table, only those are looked up; otherwise the whole fine table is walked.
+    """
+    fine_table = fine.table
+    if len(coarse.table) < len(fine_table):
+        p = fine.prime
+        # r lies in |x| <= p^M when r*p^M has no p in its denominator
+        scale = Fraction(p) ** fine.support_exponent
+        parents = [r for r in coarse.table if (r * scale).denominator == 1]
+        if not parents:
+            return []
+        depth = fine.resolution - coarse.resolution
+        # p^depth is formed only when it can be below len(fine_table)
+        if (depth < len(fine_table).bit_length()
+                and len(parents) * p**depth < len(fine_table)):
+            step = Fraction(p) ** coarse.resolution
+            under = (r + i * step for r in parents for i in range(p**depth))
+            return sorted(rep for rep in under if rep in fine_table)
+    return sorted(fine_table)
 
 
 @lru_cache(maxsize=65536)

@@ -29,9 +29,10 @@ from .exact import Cyc, amp_is_zero
 from .functions import (
     DEFAULT_CELL_CAP,
     LocallyConstantFn,
+    _check_cap,
+    add_cells,
     amp_from_json,
     amp_to_json,
-    ball_reps,
     character_amp,
     inner_product,
     json_int,
@@ -211,11 +212,16 @@ def materialize(p: int, idx: KozyrevIndex, extra_depth: int = 0,
         raise InvalidInputError("extra_depth must be >= 0")
     support = natural_support_exponent(idx)
     resolution = natural_resolution(idx) + extra_depth
+    # the cap bounds the declared ball, although only the support coset is
+    # enumerated: its cells (m + t) p^(-n), t < p^(1+extra_depth), are
+    # canonical and increasing, so the table has the ball's cell order
+    _check_cap(p, support + resolution, cap)
+    m = m_value(idx, p)
+    unit = Fraction(p) ** -idx.n
     table = {}
-    for rep in ball_reps(p, support, resolution, cap):
-        v = evaluate_at_rational(p, idx, rep)
-        if not v.is_zero:
-            table[rep] = v
+    for t in range(p ** (1 + extra_depth)):
+        rep = (m + t) * unit
+        table[rep] = evaluate_at_rational(p, idx, rep)
     return LocallyConstantFn(p, support, resolution, table)
 
 
@@ -254,13 +260,14 @@ def synthesize(expansion: WaveletExpansion, resolution: int | None = None,
         default=max(0, -resolution),
     )
     support = max(support, -resolution)
-    total = LocallyConstantFn(p, support, resolution, {})
+    # one running table, added to as `+` would add, so no total is copied
+    table = {}
     for idx in sorted(expansion.coefficients):
         term = materialize(p, idx, cap=cap).refine_to(resolution, cap).scaled(
             expansion.coefficients[idx]
         )
-        total = total + term
-    return total
+        add_cells(table, term.table)
+    return LocallyConstantFn(p, support, resolution, table)
 
 
 def expansion_to_json(e: WaveletExpansion) -> dict:

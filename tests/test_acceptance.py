@@ -46,6 +46,7 @@ from padic_wavelets.wavelets import (
     closed_form_scaled,
     closed_form_scaled_translated,
     enumerate_indices,
+    enumerate_m_digits,
     materialize,
     mother,
 )
@@ -184,6 +185,13 @@ def test_c08_closed_form_oracles():
                 assert fn_equal(display, route)
                 assert fn_equal(display, materialize(p, KozyrevIndex(n, (), j)))
                 checked += 1
+            # label translation display, m-depth 2 and 3, against evaluation
+            for m in enumerate_m_digits(p, 3):
+                if len(m) >= 2:
+                    for n in range(-2, 3):
+                        display = closed_form_label_translated(p, n, m, j)
+                        assert fn_equal(display, materialize(p, KozyrevIndex(n, m, j)))
+                        checked += 1
             for m0 in range(1, p):
                 # label translation display (depth-1 m), any scale
                 for n in (-1, 0, 1, 2):

@@ -315,6 +315,23 @@ def test_huge_resolution_analyze_is_exit_three(capsys, tmp_path):
     assert err == "resource cap: enumeration of 3^1000000000 cells exceeds the cap of 1000000\n"
 
 
+def test_mean_beyond_the_float_range_is_exit_two(capsys, tmp_path):
+    # one cell of measure 3^2999999: its exact mean has no float value
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "prime": 3, "support_exponent": 3000000, "resolution_exponent": -2999999,
+        "cells": [{"digits": [1], "mag_num": 1, "mag_den": 1, "phase_num": 0, "phase_den": 1}],
+    }))
+    code, out, err = run(capsys, ["--prime", "3", "--window", "0:1:0", "analyze", str(path)])
+    assert code == 2
+    assert json.loads(out)["coefficients"] == []
+    assert err == "numeric failure: exact value lies beyond the float range\n"
+    # the csv table prints magnitudes as floats: 2^1500 has none
+    code, out, err = run(capsys, ["--format", "csv", "wavelet", "table", "--index", "-3000::1"])
+    assert (code, out) == (2, "")
+    assert err == "numeric failure: exact value lies beyond the float range\n"
+
+
 def test_sparse_analyze_over_a_large_ball_needs_the_cap(capsys, tmp_path):
     # analyze bounds the declared p^(M+K) cells, as fourier does, however
     # few cells the table lists; a raised --cap admits the table

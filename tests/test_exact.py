@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from padic_wavelets.errors import InvalidInputError
+from padic_wavelets.errors import FloatRangeError, InvalidInputError
 from padic_wavelets.exact import Cyc, CycSum, amp_equal, conj, p_power_amp
 from padic_wavelets.padic import RationalPhase
 
@@ -99,6 +99,32 @@ def test_complex_value_agrees():
     z = Cyc.root_of_unity(p, RationalPhase(3, 25)) * Fraction(2, 7) + Cyc.half_power(p, 1)
     expected = Fraction(2, 7) * cmath.exp(2j * cmath.pi * 3 / 25) + 5**0.5
     assert abs(complex(z) - complex(expected)) < 1e-12
+
+
+@pytest.mark.parametrize("value", [
+    Cyc.rational(2, 2**2000),            # the rational part alone overflows
+    Cyc.quad(2, 0, 3 * 2**1022),         # finite, until it is scaled by sqrt 2
+    Cyc.rational(3, -(3**700)) * Cyc.root_of_unity(3, RationalPhase(1, 3)),
+])
+def test_complex_beyond_the_float_range_raises(value):
+    with pytest.raises(FloatRangeError, match="beyond the float range"):
+        complex(value)
+    assert complex(Cyc.rational(2, 2**1023)) == 2.0**1023
+
+
+@pytest.mark.parametrize("p,a,b,negative", [
+    (2, 3, -2, False),                     # 3 - 2 sqrt 2 = 0.17
+    (2, 1, -1, True),
+    (3, -2, 1, True),                      # -2 + sqrt 3 = -0.27
+    (3, -1, 1, False),
+    (5, 0, -1, True),
+    (5, -1, 0, True),
+    (2, 2**1100, -(2**1100), True),        # beyond the float range
+])
+def test_polar_exact_sign_is_exact(p, a, b, negative):
+    ra, rb, phase = Cyc.quad(p, a, b).polar_exact()
+    assert (ra, rb) == ((-a, -b) if negative else (a, b))
+    assert phase == (RationalPhase(1, 2) if negative else RationalPhase(0))
 
 
 def test_single_term_export():

@@ -1,0 +1,273 @@
+"""The support-local wavelet layer against the loops it replaced.
+
+`materialize` enumerates only the support coset, `inner_product` walks only
+the fine cells under the coarse table when they are fewer, and `synthesize`
+adds its terms into one table.  Each is compared here with the plain loop
+(the whole declared ball, every sorted fine cell, the fold of `+`), which
+stays as the oracle, and the work saved is pinned by call counts.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from padic_wavelets import wavelets
+from padic_wavelets.errors import EnumerationCapError
+from padic_wavelets.exact import Cyc, CycSum, conj
+from padic_wavelets.functions import (
+    DEFAULT_CELL_CAP,
+    LocallyConstantFn,
+    ball_reps,
+    inner_product,
+    reduce_rep,
+)
+from padic_wavelets.padic import RationalPhase
+from padic_wavelets.wavelets import (
+    KozyrevIndex,
+    Window,
+    analyze,
+    enumerate_indices,
+    enumerate_m_digits,
+    evaluate_at_rational,
+    materialize,
+    natural_resolution,
+    natural_support_exponent,
+    synthesize,
+)
+
+
+# -- the oracles ---------------------------------------------------------------
+
+
+def ball_materialize(p, idx, extra_depth=0, cap=DEFAULT_CELL_CAP):
+    """Evaluate every cell of the declared ball and drop the zeros."""
+    support = natural_support_exponent(idx)
+    resolution = natural_resolution(idx) + extra_depth
+    table = {}
+    for rep in ball_reps(p, support, resolution, cap):
+        v = evaluate_at_rational(p, idx, rep)
+        if not v.is_zero:
+            table[rep] = v
+    return LocallyConstantFn(p, support, resolution, table)
+
+
+def sorted_fine_inner_product(f, g):
+    """Pair every sorted fine cell with its coarse parent."""
+    p = f.prime
+    if f.resolution >= g.resolution:
+        fine, coarse, conj_fine = f, g, True
+    else:
+        fine, coarse, conj_fine = g, f, False
+    products = []
+    for rep in sorted(fine.table):
+        v_coarse = coarse.table.get(reduce_rep(rep, p, coarse.resolution))
+        if v_coarse is None:
+            continue
+        v_fine = fine.table[rep]
+        if conj_fine:
+            products.append(conj(v_fine) * v_coarse)
+        else:
+            products.append(conj(v_coarse) * v_fine)
+    if not products:
+        return Cyc.zero(p)
+    acc = CycSum(p)
+    for term in products:
+        acc.add(term)
+    return acc.result() * (Fraction(p) ** (-fine.resolution))
+
+
+def folded_synthesize(expansion, resolution=None):
+    """Sum the scaled wavelets with `LocallyConstantFn.__add__`."""
+    p = expansion.prime
+    finest = 1 - expansion.window.n_min
+    if resolution is None:
+        resolution = finest
+    support = max(
+        [natural_support_exponent(i) for i in expansion.coefficients],
+        default=max(0, -resolution),
+    )
+    total = LocallyConstantFn(p, max(support, -resolution), resolution, {})
+    for idx in sorted(expansion.coefficients):
+        total = total + materialize(p, idx).refine_to(resolution).scaled(
+            expansion.coefficients[idx]
+        )
+    return total
+
+
+def same_table(f, g):
+    """Same shape, same keys in the same order, bit-identical values."""
+    assert (f.prime, f.support_exponent, f.resolution) == (
+        g.prime, g.support_exponent, g.resolution)
+    assert list(f.table) == list(g.table)
+    assert repr(list(f.table.values())) == repr(list(g.table.values()))
+
+
+def same_amplitude(x, y):
+    assert type(x) is type(y)
+    if isinstance(x, Cyc):
+        assert x == y
+    assert repr(x) == repr(y)
+
+
+# -- materialize ---------------------------------------------------------------
+
+
+def oracle_cases(p):
+    """(label, extra_depth): every n in [-2, 2], j, m-depth <= 3 and
+    extra_depth <= 2, the m of each depth taken in turn.  A ball of more
+    than 125 cells is enumerated for one label only, at n = 0 and j = 1."""
+    cases = []
+    for depth in range(4):
+        ms = [m for m in enumerate_m_digits(p, depth) if len(m) == depth]
+        turn = 0
+        for extra_depth in range(3):
+            large = p ** (depth + 1 + extra_depth) > 125
+            for n in range(-2, 3):
+                for j in range(1, p):
+                    if not large or (n, j) == (0, 1):
+                        cases.append((KozyrevIndex(n, ms[turn % len(ms)], j), extra_depth))
+                        turn += 1
+    return cases
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_materialize_matches_the_ball_enumeration(p):
+    for idx, extra_depth in oracle_cases(p):
+        count = p ** (idx.m_depth + 1 + extra_depth)
+        want = ball_materialize(p, idx, extra_depth, cap=count)
+        got = materialize(p, idx, extra_depth, cap=count)
+        same_table(got, want)
+        assert len(got.table) == p ** (1 + extra_depth)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_materialize_cap_is_checked_on_the_declared_ball(p):
+    for idx in enumerate_indices(p, Window(-2, 2, 3)):
+        for extra_depth in range(3):
+            count = p ** (idx.m_depth + 1 + extra_depth)
+            with pytest.raises(EnumerationCapError) as want:
+                ball_materialize(p, idx, extra_depth, cap=count - 1)
+            with pytest.raises(EnumerationCapError) as got:
+                materialize(p, idx, extra_depth, cap=count - 1)
+            assert str(got.value) == str(want.value)
+            assert (got.value.requested, got.value.cap) == (count, count - 1)
+
+
+# -- inner_product --------------------------------------------------------------
+
+
+@st.composite
+def sparse_tables(draw, p):
+    """A table on a random ball and resolution: empty, sparse or dense, with
+    exact values, float values or a wavelet's own table."""
+    if draw(st.booleans()):
+        idx = KozyrevIndex(
+            draw(st.integers(-2, 2)),
+            tuple(draw(st.lists(st.integers(0, p - 1), max_size=3))),
+            draw(st.integers(1, p - 1)),
+        )
+        return materialize(p, idx, draw(st.integers(0, 2)))
+    m = draw(st.integers(-2, 3))
+    k = draw(st.integers(-m, 4 - m))
+    reps = ball_reps(p, m, k)
+    picked = draw(st.lists(st.sampled_from(reps), max_size=len(reps), unique=True))
+    exact = draw(st.booleans())
+    table = {}
+    for rep in sorted(picked):
+        if exact:
+            v = Cyc.rational(p, Fraction(draw(st.integers(1, 4)), draw(st.integers(1, 3))))
+            v = v * Cyc.root_of_unity(p, RationalPhase(draw(st.integers(0, p * p - 1)), p * p))
+        else:
+            v = complex(draw(st.floats(-1, 1)), draw(st.floats(-1, 1)))
+        table[rep] = v
+    return LocallyConstantFn(p, m, k, table)
+
+
+@given(data=st.data())
+def test_inner_product_matches_the_sorted_fine_walk(data):
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    f = data.draw(sparse_tables(p))
+    g = data.draw(sparse_tables(p))
+    same_amplitude(inner_product(f, g), sorted_fine_inner_product(f, g))
+    same_amplitude(inner_product(g, f), sorted_fine_inner_product(g, f))
+
+
+def test_inner_product_drops_coarse_cells_outside_the_fine_ball():
+    # a wide wavelet against a dense table on a smaller ball: none of the
+    # wavelet's cells meets the table, whatever their sizes
+    p = 2
+    f = LocallyConstantFn(p, 1, 3, {rep: Cyc.one(p) for rep in ball_reps(p, 1, 3)})
+    far = materialize(p, KozyrevIndex(-1, (1, 0, 1), 1))
+    assert inner_product(far, f) == sorted_fine_inner_product(far, f) == 0
+    # and a table whose one cell lies far out, at a huge cell size
+    wide = LocallyConstantFn(p, 10**6, 1 - 10**6, {Fraction(1, p**10**6): Cyc.one(p)})
+    assert inner_product(wide, f) == sorted_fine_inner_product(wide, f) == 0
+
+
+# -- synthesize -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p,m,k,exact", [(2, 2, 3, True), (2, 3, 1, False),
+                                         (3, 1, 2, True), (3, 2, 1, False),
+                                         (5, 1, 1, True)])
+def test_synthesize_matches_the_fold_of_add(p, m, k, exact):
+    rng = random.Random(p * 100 + m * 10 + k)
+    table = {}
+    for rep in ball_reps(p, m, k):
+        if rng.random() < 0.6:
+            table[rep] = (Cyc.root_of_unity(p, RationalPhase(rng.randrange(p * p), p * p))
+                          * Fraction(rng.randint(1, 4), rng.randint(1, 3))
+                          if exact else complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+    f = LocallyConstantFn(p, m, k, table)
+    window = Window(1 - k, m, m + k - 1)
+    e = analyze(f, window)
+    assert e.coefficients
+    for resolution in (None, max(k, 1 - window.n_min) + 1):
+        same_table(synthesize(e, resolution), folded_synthesize(e, resolution))
+
+
+def test_synthesize_deletes_cells_that_cancel():
+    # f = +1, -1 on the cells 0, 1 of Z_2 at resolution 2 and 0 on 2, 3: the
+    # wavelets at n = -1 and n = 0 cancel on the last two cells
+    p = 2
+    f = LocallyConstantFn(p, 0, 2, {Fraction(0): Cyc.one(p), Fraction(1): -Cyc.one(p)})
+    e = analyze(f, Window(-1, 0, 1))
+    got = synthesize(e)
+    same_table(got, folded_synthesize(e))
+    assert list(got.table) == [0, 1]
+    assert got.table[Fraction(0)] == 1 and got.table[Fraction(1)] == -1
+
+
+# -- work counts ------------------------------------------------------------------
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    calls = []
+    real = wavelets.evaluate_at_rational
+
+    def counting(p, idx, q):
+        calls.append(q)
+        return real(p, idx, q)
+
+    monkeypatch.setattr(wavelets, "evaluate_at_rational", counting)
+    return calls
+
+
+@pytest.mark.parametrize("extra_depth", (0, 1, 2))
+def test_materialize_evaluates_only_the_support(evaluations, extra_depth):
+    # the ball of a p = 2, m-depth 5 label holds 2^(6 + extra_depth) cells
+    materialize(2, KozyrevIndex(1, (1, 0, 1, 1, 1), 1), extra_depth)
+    assert len(evaluations) == 2 ** (1 + extra_depth)
+
+
+def test_analyze_evaluates_two_cells_per_label(evaluations):
+    rng = random.Random(5)
+    table = {rep: Cyc.rational(2, rng.randint(1, 5)) for rep in ball_reps(2, 3, 3)}
+    window = Window(-2, 3, 5)
+    analyze(LocallyConstantFn(2, 3, 3, table), window)
+    assert len(enumerate_indices(2, window)) == 192
+    assert len(evaluations) == 2 * 192
