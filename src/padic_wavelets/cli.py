@@ -16,6 +16,7 @@ import json
 import math
 import random
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ import click
 from .errors import (
     EnumerationCapError,
     InvalidInputError,
+    OutputRangeError,
     PadicError,
 )
 from .exact import is_half_integral
@@ -141,6 +143,22 @@ def write_output(text: str, output: str | None) -> None:
             fh.write(text)
 
 
+@contextmanager
+def _digit_limit():
+    """Report an integer beyond the interpreter's int-to-str digit limit as
+    a numeric failure rather than a traceback."""
+    try:
+        yield
+    except ValueError as exc:
+        raise OutputRangeError(f"cannot write the result: {exc}") from exc
+
+
+def to_json(payload) -> str:
+    """`payload` as indented JSON text, the form every command writes."""
+    with _digit_limit():
+        return json.dumps(payload, indent=2)
+
+
 def csv_lines(header, rows) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(str(c) for c in row) for row in rows)
@@ -229,7 +247,7 @@ def wavelet_table(config: RunConfig, indices, extra_depth, output):
             record = {"n": idx.n, "m_digits": list(idx.m_digits), "j": idx.j}
             record["cells"] = fn_to_json(fn)["cells"]
             payload.append(record)
-        text = json.dumps(payload, indent=2) + "\n"
+        text = to_json(payload) + "\n"
     write_output(text, output)
 
 
@@ -247,11 +265,12 @@ def wavelet_eval(config: RunConfig, index, xi):
     out = {"re": z.real, "im": z.imag}
     encoded = amp_to_json(value)
     if "mag_num" in encoded:
-        out["exact"] = {
-            "magnitude": f"{encoded['mag_num']}/{encoded['mag_den']}",
-            "phase": f"{encoded['phase_num']}/{encoded['phase_den']}",
-        }
-    click.echo(json.dumps(out, indent=2))
+        with _digit_limit():
+            out["exact"] = {
+                "magnitude": f"{encoded['mag_num']}/{encoded['mag_den']}",
+                "phase": f"{encoded['phase_num']}/{encoded['phase_den']}",
+            }
+    click.echo(to_json(out))
 
 
 @cli.command("analyze")
@@ -271,7 +290,7 @@ def analyze_cmd(config: RunConfig, input_file, output):
             f"input is over p={fn.prime}, command over p={config.prime}"
         )
     expansion = analyze_fn(fn, config.window, cap=config.cap)
-    write_output(json.dumps(expansion_to_json(expansion), indent=2) + "\n", output)
+    write_output(to_json(expansion_to_json(expansion)) + "\n", output)
     mean = complex(integrate(fn))
     resolution = max(fn.resolution, 1 - config.window.n_min)
     rebuilt = synthesize_fn(expansion, resolution=resolution, cap=config.cap)
@@ -289,7 +308,7 @@ def synthesize_cmd(config: RunConfig, input_file, output):
     """Rebuild the table function of a JSON expansion."""
     expansion = _load(input_file, expansion_from_json)
     fn = synthesize_fn(expansion, cap=config.cap)
-    write_output(json.dumps(fn_to_json(fn), indent=2) + "\n", output)
+    write_output(to_json(fn_to_json(fn)) + "\n", output)
 
 
 @cli.command("fourier")
@@ -301,7 +320,7 @@ def fourier_cmd(config: RunConfig, input_file, inverse, output):
     """Fourier-transform a JSON table function."""
     fn = _load_table(config, input_file)
     result = inverse_fourier(fn, config.cap) if inverse else fourier_fn(fn, config.cap)
-    write_output(json.dumps(fn_to_json(result), indent=2) + "\n", output)
+    write_output(to_json(fn_to_json(result)) + "\n", output)
 
 
 def _load(path: str, parse):
@@ -311,6 +330,9 @@ def _load(path: str, parse):
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidInputError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+        except ValueError as exc:
+            # an integer beyond the int-to-str digit limit, or bytes that are not text
+            raise InvalidInputError(f"{path}: {exc}") from exc
     return parse(data)
 
 
@@ -432,7 +454,7 @@ def expand_monomial(config: RunConfig, degree, max_level, output):
     if config.output_format == "csv":
         text = csv_lines(("level", "translate", "re", "im"), rows)
     else:
-        text = json.dumps(records, indent=2) + "\n"
+        text = to_json(records) + "\n"
     write_output(text, output)
 
 
@@ -462,7 +484,7 @@ def haar_sample(config: RunConfig, points, level, translate, output):
     if config.output_format == "csv":
         text = csv_lines(("x", "re", "im"), rows)
     else:
-        text = json.dumps(records, indent=2) + "\n"
+        text = to_json(records) + "\n"
     write_output(text, output)
 
 
@@ -474,12 +496,14 @@ def monna_map(config: RunConfig, xi):
     q = parse_rational(xi)
     point = from_rational(q.numerator, q.denominator, config.prime, config.precision)
     image = point.monna()
-    click.echo(json.dumps({
-        "prime": config.prime,
-        "input": str(q),
-        "image": str(image),
-        "image_float": float(image),
-    }, indent=2))
+    with _digit_limit():
+        payload = {
+            "prime": config.prime,
+            "input": str(q),
+            "image": str(image),
+            "image_float": float(image),
+        }
+    click.echo(to_json(payload))
 
 
 def main(argv=None) -> int:

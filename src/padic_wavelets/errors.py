@@ -28,6 +28,10 @@ class FloatRangeError(PadicError, OverflowError):
     """An exact value lies beyond the range of a float."""
 
 
+class OutputRangeError(PadicError):
+    """A result holds an integer too long to be written as text."""
+
+
 class InsufficientPrecisionError(PadicError):
     """A p-adic value does not carry enough digits to decide the result."""
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .errors import InvalidInputError, UnsupportedCaseError, WindowClipError
-from .exact import Cyc, CycSum, amp_is_zero, is_half_integral, p_power_amp
+from .exact import Cyc, amp_is_zero, is_half_integral, p_power_amp
 from .functions import (
     DEFAULT_CELL_CAP,
     LocallyConstantFn,
@@ -30,7 +30,7 @@ from .functions import (
     reduce_rep,
     translate,
 )
-from .padic import frac_valp, shift_rational, valp
+from .padic import frac_valp, shift_rational
 from .wavelets import (
     KozyrevIndex,
     WaveletExpansion,
@@ -402,6 +402,9 @@ def _inv_one_minus(s: Cyc) -> Cyc:
 def _kernel_rows(alpha, f: LocallyConstantFn, cap: int):
     """The cells of f's ball and `row(i0)`, kernel-form D^alpha f on cell i0.
 
+    The class sums S_t are built bottom up and the weighted path sums P top
+    down (see `vladimirov_kernel_apply`), each in O(N) operations, with
+    c_alpha p^(-K) folded into the weights; a row then costs one product.
     The sum is exact when alpha is a half-integral Rational and every cell
     value is exact, and floating otherwise; only the constants and the cell
     values differ between the two.
@@ -410,37 +413,61 @@ def _kernel_rows(alpha, f: LocallyConstantFn, cap: int):
     p = f.prime
     m_exp, res = f.support_exponent, f.resolution
     reps = ball_reps(p, m_exp, res, cap)
-    zero = Cyc.zero(p)
-    values = [f.table.get(r, zero) for r in reps]
     if is_half_integral(alpha) and f.is_exact():
         a = Fraction(alpha)
         c_alpha = (1 - p_power_amp(p, a)) * _inv_one_minus(p_power_amp(p, -1 - a))
         tail = (p_power_amp(p, -a * (m_exp + 1)) * _inv_one_minus(p_power_amp(p, -a))
                 * (1 - Fraction(1, p)))
         measure = Fraction(p) ** (-res)
+        zero = Cyc.zero(p)
+        values = [f.table.get(r, zero) for r in reps]
     else:
         a = float(alpha)
         pa = float(p)
         c_alpha = (1.0 - pa**a) / (1.0 - pa ** (-1.0 - a))
         tail = (1.0 - 1.0 / pa) * pa ** (-(m_exp + 1) * a) / (1.0 - pa**-a)
         measure = pa**-res
-        values = [complex(v) for v in values]
-    # cell i is i * p^(-M), so cells i != i0 differ at valuation v_p(i - i0) - M
-    weights = [p_power_amp(p, (1 + a) * (t - m_exp)) for t in range(m_exp + res)]
+        zero = 0j
+        values = [complex(f.table.get(r, zero)) for r in reps]
+    depth, cells = m_exp + res, len(reps)
+    # cells i != i0 with t = v_p(i - i0) lie p^(M-t) apart (cell i is i * p^(-M)):
+    # weight c_alpha * measure * p^((1+alpha)(t-M))
+    scale = c_alpha * measure
+    weights = [scale * p_power_amp(p, (1 + a) * (t - m_exp)) for t in range(depth)]
+    # v0's coefficient: every pair's weight, then the tail beyond the ball
+    own = c_alpha * tail
+    for t, w in enumerate(weights):
+        own = own + w * (cells // p**t - cells // p ** (t + 1))
+
+    sums = [values]
+    for t in range(depth - 1, -1, -1):
+        finer, size = sums[-1], p**t
+        sums.append([_total(finer[r::size], zero) for r in range(size)])
+    sums.reverse()
+    paths = [zero]
+    for t, w in enumerate(weights):
+        coarse, size = sums[t], p**t
+        step = []
+        for r, s in enumerate(sums[t + 1]):
+            q = r % size
+            d = coarse[q] - s
+            step.append(paths[q] if amp_is_zero(d) else paths[q] + w * d)
+        paths = step
 
     def row(i0):
         v0 = values[i0]
-        acc = CycSum(p)
-        for i, v in enumerate(values):
-            if i == i0:
-                continue
-            diff = v - v0
-            if amp_is_zero(diff):
-                continue
-            acc.add(diff * weights[valp(i - i0, p)])
-        return c_alpha * (acc.result() * measure - v0 * tail)
+        return paths[i0] if amp_is_zero(v0) else paths[i0] - v0 * own
 
     return reps, row
+
+
+def _total(values, zero):
+    """Sum of `values`, adding only the nonzero ones."""
+    out = zero
+    for v in values:
+        if not amp_is_zero(v):
+            out = v if amp_is_zero(out) else out + v
+    return out
 
 
 def vladimirov_kernel_apply(alpha, f: LocallyConstantFn,
@@ -450,8 +477,18 @@ def vladimirov_kernel_apply(alpha, f: LocallyConstantFn,
     The integrand is cellwise constant away from the evaluation cell, the
     evaluation cell itself contributes nothing, and the tail beyond the
     support ball is the closed-form geometric sum
-    -f(x) (1-1/p) p^(-(M+1) alpha) / (1 - p^(-alpha)).  With half-integral
-    alpha and an exact table the whole computation stays exact.
+    -f(x) (1-1/p) p^(-(M+1) alpha) / (1 - p^(-alpha)).  The kernel depends
+    on x - y only through |x - y|_p, so the cell sum needs only the class
+    sums S_t[r] of f over the cells i = r mod p^t (cell i is i * p^(-M),
+    N = p^(M+K) cells, T = M + K).  With w_t = p^((1+alpha)(t-M)),
+    C = sum_(t<T) w_t (N/p^t - N/p^(t+1)) and
+    P[i0] = sum_(t<T) w_t (S_t[i0 mod p^t] - S_(t+1)[i0 mod p^(t+1)]),
+
+        D^alpha f(i0) = c_alpha ((P[i0] - f(i0) C) p^(-K) - f(i0) tail),
+
+    which costs O(N) for the whole table instead of O(N^2) cell pairs.
+    With half-integral alpha and an exact table the whole computation stays
+    exact.
     """
     reps, row = _kernel_rows(alpha, f, cap)
     out = {}

@@ -1,6 +1,7 @@
 """Exit codes, determinism and file round trips of the command line."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -162,6 +163,10 @@ def test_malformed_json_is_exit_one(capsys, tmp_path):
     code, _, err = run(capsys, ["analyze", str(bad)])
     assert code == 1
     assert "line" in err
+    bad.write_bytes(b'\xff{"prime": 2}')
+    code, _, err = run(capsys, ["analyze", str(bad)])
+    assert code == 1
+    assert err.startswith("input error: ") and "utf-8" in err
 
 
 def test_missing_field_is_exit_one(capsys, tmp_path):
@@ -330,6 +335,41 @@ def test_mean_beyond_the_float_range_is_exit_two(capsys, tmp_path):
     code, out, err = run(capsys, ["--format", "csv", "wavelet", "table", "--index", "-3000::1"])
     assert (code, out) == (2, "")
     assert err == "numeric failure: exact value lies beyond the float range\n"
+
+
+def _over_digit_limit(digits: int) -> bool:
+    """Whether this Python refuses to convert an int of `digits` digits to or
+    from text (3.10 before 3.10.7 has no such limit; 0 turns it off)."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    return 0 < limit < digits
+
+
+def test_integer_beyond_the_digit_limit_is_exit_two_on_output(capsys):
+    # psi at n = -30000, p = 2 has the exact magnitude 2^15000 (4516 digits)
+    code, out, err = run(capsys, ["wavelet", "table", "--index", "-30000::1"])
+    if _over_digit_limit(4516):
+        assert (code, out) == (2, "")
+        assert err.startswith("numeric failure: cannot write the result: ")
+    else:
+        assert code == 0
+        assert json.loads(out)[0]["cells"][0]["mag_num"] == 2**15000
+    # at n = 30000 the magnitude 2^-15000 has a float (0.0), but not its text
+    code, out, err = run(capsys, ["wavelet", "eval", "--index", "30000::1", "--xi", "0"])
+    assert code == (2 if _over_digit_limit(4516) else 0)
+
+
+def test_integer_beyond_the_digit_limit_is_exit_one_on_input(capsys, tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text(
+        '{"prime": 2, "support_exponent": 0, "resolution_exponent": 0, "cells": ['
+        '{"digits": [], "mag_num": 1' + "0" * 4999 + ', "mag_den": 1,'
+        ' "phase_num": 0, "phase_den": 1}]}')
+    code, out, err = run(capsys, ["fourier", str(path)])
+    if _over_digit_limit(5000):
+        assert (code, out) == (1, "")
+        assert err.startswith(f"input error: {path}: ")
+    else:
+        assert code == 0
 
 
 def test_sparse_analyze_over_a_large_ball_needs_the_cap(capsys, tmp_path):

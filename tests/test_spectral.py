@@ -4,11 +4,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from padic_wavelets.errors import PrimeMismatchError, UnsupportedCaseError, WindowClipError
-from padic_wavelets.exact import Cyc, amp_equal, p_power_amp
-from padic_wavelets.functions import LocallyConstantFn, ball_reps, fn_equal
+from padic_wavelets.exact import (
+    Cyc,
+    CycSum,
+    amp_equal,
+    amp_is_zero,
+    is_half_integral,
+    p_power_amp,
+)
+from padic_wavelets.functions import DEFAULT_CELL_CAP, LocallyConstantFn, ball_reps, fn_equal
 from padic_wavelets.operators import (
+    _inv_one_minus,
     BasisOperator,
     apply_operator,
     basis_vector,
@@ -38,7 +48,7 @@ from padic_wavelets.operators import (
     vladimirov_spectral,
     witt_results,
 )
-from padic_wavelets.padic import RationalPhase, from_rational
+from padic_wavelets.padic import RationalPhase, from_rational, valp
 from padic_wavelets.wavelets import (
     KozyrevIndex,
     WaveletExpansion,
@@ -320,6 +330,138 @@ def test_kernel_float_path_close_to_exact():
             assert exact.table and exact.is_exact()
             assert all(isinstance(v, complex) for v in floats.table.values())
             assert fn_equal(exact, floats, tol=1e-12)
+
+
+# -- the tree sum against the pair loop it replaced -------------------------------
+
+
+def _naive_kernel_apply(alpha, f, cap=DEFAULT_CELL_CAP):
+    """Kernel-form D^alpha f by the Theta(N^2) sum over every pair of cells."""
+    p = f.prime
+    m_exp, res = f.support_exponent, f.resolution
+    reps = ball_reps(p, m_exp, res, cap)
+    zero = Cyc.zero(p)
+    values = [f.table.get(r, zero) for r in reps]
+    if is_half_integral(alpha) and f.is_exact():
+        a = Fraction(alpha)
+        c_alpha = (1 - p_power_amp(p, a)) * _inv_one_minus(p_power_amp(p, -1 - a))
+        tail = (p_power_amp(p, -a * (m_exp + 1)) * _inv_one_minus(p_power_amp(p, -a))
+                * (1 - Fraction(1, p)))
+        measure = Fraction(p) ** (-res)
+    else:
+        a = float(alpha)
+        pa = float(p)
+        c_alpha = (1.0 - pa**a) / (1.0 - pa ** (-1.0 - a))
+        tail = (1.0 - 1.0 / pa) * pa ** (-(m_exp + 1) * a) / (1.0 - pa**-a)
+        measure = pa**-res
+        values = [complex(v) for v in values]
+    # cell i is i * p^(-M), so cells i != i0 differ at valuation v_p(i - i0) - M
+    weights = [p_power_amp(p, (1 + a) * (t - m_exp)) for t in range(m_exp + res)]
+
+    def row(i0):
+        v0 = values[i0]
+        acc = CycSum(p)
+        for i, v in enumerate(values):
+            if i == i0:
+                continue
+            diff = v - v0
+            if amp_is_zero(diff):
+                continue
+            acc.add(diff * weights[valp(i - i0, p)])
+        return c_alpha * (acc.result() * measure - v0 * tail)
+
+    out = {}
+    for i0, r0 in enumerate(reps):
+        value = row(i0)
+        if not amp_is_zero(value):
+            out[r0] = value
+    return LocallyConstantFn(p, m_exp, res, out)
+
+
+# p^(M+K) <= 243 cells for every prime
+_MAX_DEPTH = {2: 7, 3: 5, 5: 3}
+
+
+@st.composite
+def kernel_cases(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    support = draw(st.integers(-1, 2))
+    depth = draw(st.sampled_from(range(_MAX_DEPTH[p] + 1)))
+    density = draw(st.sampled_from((0.0, 0.1, 1.0)))
+    exact = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    table = {}
+    for rep in ball_reps(p, support, depth - support):
+        if rng.random() >= density:
+            continue
+        if exact:
+            mag = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            if mag:
+                table[rep] = Cyc.root_of_unity(p, RationalPhase(rng.randrange(p * p), p * p)) * mag
+        else:
+            table[rep] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    f = LocallyConstantFn(p, support, depth - support, table)
+    alpha = draw(st.sampled_from(
+        (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), 0.3, 0.7, 1.0)))
+    cell = draw(st.integers(0, p**depth - 1)) * Fraction(p) ** -support
+    return f, alpha, cell
+
+
+@given(kernel_cases())
+def test_kernel_tree_sum_matches_pair_loop(case):
+    f, alpha, cell = case
+    got = vladimirov_kernel_apply(alpha, f)
+    want = _naive_kernel_apply(alpha, f)
+    if got.is_exact() and want.is_exact():
+        assert list(got.table) == list(want.table)
+        assert all(got.table[r] == want.table[r] for r in want.table)
+    else:
+        # both sums round; compare at the size of the values, as the float
+        # relations of `check algebra` do
+        size = max((abs(complex(v)) for v in want.table.values()), default=0.0)
+        assert fn_equal(got, want, tol=1e-12 * max(1.0, size))
+    assert vladimirov_kernel(alpha, f, cell) == got.table.get(cell, 0)
+
+
+def _count_products(monkeypatch):
+    calls = [0]
+    product = Cyc.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return product(self, other)
+
+    monkeypatch.setattr(Cyc, "__mul__", counted)
+    return calls
+
+
+def test_kernel_products_grow_linearly(monkeypatch):
+    # the pair loop made 381 products per cell at N = 729, 8.9x more at
+    # three times the cells; the tree sum makes O(1) per cell
+    p, counts = 3, {}
+    calls = _count_products(monkeypatch)
+    for extra_depth in (3, 4):
+        w = materialize(p, KozyrevIndex(0, (1,), 1), extra_depth=extra_depth)
+        cells = p ** (w.support_exponent + w.resolution)
+        calls[0] = 0
+        vladimirov_kernel_apply(Fraction(1, 2), w)
+        counts[cells] = calls[0]
+    assert set(counts) == {243, 729}
+    assert counts[729] <= (p + 1) * counts[243]
+    assert counts[729] <= 8 * 729
+
+
+@pytest.mark.parametrize("p, extra_depth", ((3, 4), (2, 8)))
+@pytest.mark.parametrize("alpha", (Fraction(1, 2), Fraction(3, 2)))
+def test_kernel_equals_spectral_on_large_grids(p, extra_depth, alpha):
+    # N = 729 and N = 1024 cells, beyond what the pair loop could afford
+    idx = KozyrevIndex(-1, (1,), 1)
+    w = materialize(p, idx, extra_depth=extra_depth)
+    assert p ** (w.support_exponent + w.resolution) == {3: 729, 2: 1024}[p]
+    result = vladimirov_kernel_apply(alpha, w)
+    assert result.is_exact() and list(result.table) == list(w.table)
+    eigenvalue = p_power_amp(p, alpha * (1 - idx.n))
+    assert all(result.table[r] == v * eigenvalue for r, v in w.table.items())
 
 
 @pytest.mark.parametrize("alpha", (Fraction(1, 2), 0.7))
