@@ -222,7 +222,7 @@ def inner_product(f: LocallyConstantFn, g: LocallyConstantFn):
     coarse_res = coarse.resolution
     lookup = coarse.table.get
     products = []
-    for rep in _paired_cells(fine, coarse):
+    for rep in sorted(fine.table):
         v_coarse = lookup(reduce_rep(rep, p, coarse_res))
         if v_coarse is None:
             continue
@@ -239,30 +239,27 @@ def inner_product(f: LocallyConstantFn, g: LocallyConstantFn):
     return acc.result() * (Fraction(p) ** (-fine.resolution))
 
 
-def _paired_cells(fine: LocallyConstantFn, coarse: LocallyConstantFn) -> list:
-    """The fine cells to pair with the coarse table, in sorted order.
+def cell_index(r: Fraction, p: int, support_exponent: int) -> int | None:
+    """The index i of the cell r = i p^(-M) of the ball |x| <= p^M; None off it."""
+    m = support_exponent
+    i, rest = divmod(r.numerator * p ** max(m, 0), r.denominator * p ** max(-m, 0))
+    return None if rest else i
 
-    Every fine cell whose coarse parent holds a value is included.  When the
-    coarse table is the smaller one, its cells outside the fine ball are
-    dropped, and if the fine cells under the rest are fewer than the fine
-    table, only those are looked up; otherwise the whole fine table is walked.
-    """
-    fine_table = fine.table
-    if len(coarse.table) < len(fine_table):
-        p = fine.prime
-        # r lies in |x| <= p^M when r*p^M has no p in its denominator
-        scale = Fraction(p) ** fine.support_exponent
-        parents = [r for r in coarse.table if (r * scale).denominator == 1]
-        if not parents:
-            return []
-        depth = fine.resolution - coarse.resolution
-        # p^depth is formed only when it can be below len(fine_table)
-        if (depth < len(fine_table).bit_length()
-                and len(parents) * p**depth < len(fine_table)):
-            step = Fraction(p) ** coarse.resolution
-            under = (r + i * step for r in parents for i in range(p**depth))
-            return sorted(rep for rep in under if rep in fine_table)
-    return sorted(fine_table)
+
+def class_sums(p: int, cells: dict, depth: int) -> list[dict]:
+    """Entry t maps r to the sum, in index order, of `cells` (index in
+    [0, p^depth) -> value) over i = r mod p^t; zeros are absent.  O(N) additions."""
+    sums = [{i: cells[i] for i in sorted(cells) if not amp_is_zero(cells[i])}]
+    for t in range(depth - 1, -1, -1):
+        size, coarse = p**t, {}
+        for i, v in sorted(sums[-1].items()):
+            r = i % size
+            if r in coarse:
+                v = coarse.pop(r) + v
+            if not amp_is_zero(v):
+                coarse[r] = v
+        sums.append(coarse)
+    return sums[::-1]
 
 
 @lru_cache(maxsize=65536)
@@ -301,8 +298,7 @@ def _fourier_impl(f: LocallyConstantFn, sign: int, cap: int) -> LocallyConstantF
     p = f.prime
     out_reps = ball_reps(p, f.resolution, f.support_exponent, cap)
     count = len(out_reps)
-    in_scale = Fraction(p) ** f.support_exponent
-    cells = [(int(r * in_scale), f.table[r]) for r in sorted(f.table)]
+    cells = [(cell_index(r, p, f.support_exponent), f.table[r]) for r in sorted(f.table)]
     exact = f.is_exact()
     if exact:
         level = max([f.support_exponent + f.resolution] + [v.level for _, v in cells])

@@ -197,12 +197,8 @@ def monomial_coefficient(p: int, degree: int, idx: HaarIndex):
 def monomial_coefficient_quadrature(p: int, degree: int, idx: HaarIndex):
     """The same coefficient by direct exact quadrature of x^degree conj(Psi)."""
     psi = haar_step(p, idx)
-    total = Cyc.zero(p)
-    d1 = degree + 1
-    for i, v in enumerate(psi.values):
-        a, b = psi.breakpoints[i], psi.breakpoints[i + 1]
-        total = total + conj(v) * (Fraction(b**d1 - a**d1) / d1)
-    return total
+    return step_monomial_integral(RealStepFn(psi.breakpoints, tuple(map(conj, psi.values))),
+                                  degree)
 
 
 def scaling_constant(degree: int) -> Fraction:
@@ -212,6 +208,11 @@ def scaling_constant(degree: int) -> Fraction:
 
 
 # -- derivative identities on monomials ---------------------------------------
+
+
+def _jump_moment(psi: RealStepFn, k: int):
+    """int Psi (x^k)' dx through the jumps of Psi, boundary terms set to zero."""
+    return -sum(jump * Fraction(x**k) for x, jump in psi.jumps())
 
 
 def verify_lowering(p: int, degree: int, idx: HaarIndex):
@@ -224,14 +225,7 @@ def verify_lowering(p: int, degree: int, idx: HaarIndex):
     if degree < 1:
         raise InvalidInputError("degree must be >= 1")
     psi = haar_step(p, idx)
-    lhs = Cyc.zero(p)
-    for x, jump in psi.jumps():
-        lhs = lhs - jump * Fraction(x**degree)
-    rhs = Cyc.zero(p)
-    for i, v in enumerate(psi.values):
-        a, b = psi.breakpoints[i], psi.breakpoints[i + 1]
-        rhs = rhs + v * Fraction(b**degree - a**degree)
-    return lhs - rhs
+    return _jump_moment(psi, degree) - degree * step_monomial_integral(psi, degree - 1)
 
 
 def verify_scaling_generator(p: int, degree: int, idx: HaarIndex):
@@ -243,14 +237,7 @@ def verify_scaling_generator(p: int, degree: int, idx: HaarIndex):
     if degree < 1:
         raise InvalidInputError("degree must be >= 1")
     psi = haar_step(p, idx)
-    lhs = Cyc.zero(p)
-    for x, jump in psi.jumps():
-        lhs = lhs - jump * Fraction(x ** (degree + 1))
-    moment = Cyc.zero(p)
-    for i, v in enumerate(psi.values):
-        a, b = psi.breakpoints[i], psi.breakpoints[i + 1]
-        moment = moment + v * (Fraction(b ** (degree + 1) - a ** (degree + 1)) / (degree + 1))
-    return lhs - moment - degree * moment
+    return _jump_moment(psi, degree + 1) - (degree + 1) * step_monomial_integral(psi, degree)
 
 
 @dataclass

@@ -27,6 +27,8 @@ from .functions import (
     DEFAULT_CELL_CAP,
     LocallyConstantFn,
     ball_reps,
+    cell_index,
+    class_sums,
     reduce_rep,
     translate,
 )
@@ -402,8 +404,8 @@ def _inv_one_minus(s: Cyc) -> Cyc:
 def _kernel_rows(alpha, f: LocallyConstantFn, cap: int):
     """The cells of f's ball and `row(i0)`, kernel-form D^alpha f on cell i0.
 
-    The class sums S_t are built bottom up and the weighted path sums P top
-    down (see `vladimirov_kernel_apply`), each in O(N) operations, with
+    The class sums S_t (`class_sums`) are built bottom up and the weighted
+    path sums P top down (see `vladimirov_kernel_apply`), each in O(N), with
     c_alpha p^(-K) folded into the weights; a row then costs one product.
     The sum is exact when alpha is a half-integral Rational and every cell
     value is exact, and floating otherwise; only the constants and the cell
@@ -420,7 +422,7 @@ def _kernel_rows(alpha, f: LocallyConstantFn, cap: int):
                 * (1 - Fraction(1, p)))
         measure = Fraction(p) ** (-res)
         zero = Cyc.zero(p)
-        values = [f.table.get(r, zero) for r in reps]
+        table = f.table
     else:
         a = float(alpha)
         pa = float(p)
@@ -428,8 +430,9 @@ def _kernel_rows(alpha, f: LocallyConstantFn, cap: int):
         tail = (1.0 - 1.0 / pa) * pa ** (-(m_exp + 1) * a) / (1.0 - pa**-a)
         measure = pa**-res
         zero = 0j
-        values = [complex(f.table.get(r, zero)) for r in reps]
+        table = {r: complex(v) for r, v in f.table.items()}
     depth, cells = m_exp + res, len(reps)
+    sums = class_sums(p, {cell_index(r, p, m_exp): v for r, v in table.items()}, depth)
     # cells i != i0 with t = v_p(i - i0) lie p^(M-t) apart (cell i is i * p^(-M)):
     # weight c_alpha * measure * p^((1+alpha)(t-M))
     scale = c_alpha * measure
@@ -439,35 +442,21 @@ def _kernel_rows(alpha, f: LocallyConstantFn, cap: int):
     for t, w in enumerate(weights):
         own = own + w * (cells // p**t - cells // p ** (t + 1))
 
-    sums = [values]
-    for t in range(depth - 1, -1, -1):
-        finer, size = sums[-1], p**t
-        sums.append([_total(finer[r::size], zero) for r in range(size)])
-    sums.reverse()
     paths = [zero]
     for t, w in enumerate(weights):
-        coarse, size = sums[t], p**t
+        coarse, fine, size = sums[t], sums[t + 1], p**t
         step = []
-        for r, s in enumerate(sums[t + 1]):
+        for r in range(size * p):
             q = r % size
-            d = coarse[q] - s
+            d = coarse.get(q, zero) - fine.get(r, zero)
             step.append(paths[q] if amp_is_zero(d) else paths[q] + w * d)
         paths = step
 
     def row(i0):
-        v0 = values[i0]
-        return paths[i0] if amp_is_zero(v0) else paths[i0] - v0 * own
+        v0 = sums[depth].get(i0)
+        return paths[i0] if v0 is None else paths[i0] - v0 * own
 
     return reps, row
-
-
-def _total(values, zero):
-    """Sum of `values`, adding only the nonzero ones."""
-    out = zero
-    for v in values:
-        if not amp_is_zero(v):
-            out = v if amp_is_zero(out) else out + v
-    return out
 
 
 def vladimirov_kernel_apply(alpha, f: LocallyConstantFn,
@@ -503,10 +492,9 @@ def vladimirov_kernel(alpha, f: LocallyConstantFn, point):
     """Kernel-form D^alpha f on the cell of f's grid holding the rational
     `point`; zero off the ball."""
     rep = reduce_rep(Fraction(point), f.prime, f.resolution)
-    reps, row = _kernel_rows(alpha, f, DEFAULT_CELL_CAP)
-    if rep not in reps:
-        return Cyc.zero(f.prime)
-    return row(reps.index(rep))
+    _, row = _kernel_rows(alpha, f, DEFAULT_CELL_CAP)
+    i0 = cell_index(rep, f.prime, f.support_exponent)
+    return Cyc.zero(f.prime) if i0 is None else row(i0)
 
 
 def translation_kernel_residual(alpha, f: LocallyConstantFn, shift) -> LocallyConstantFn:

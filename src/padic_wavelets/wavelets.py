@@ -33,8 +33,9 @@ from .functions import (
     add_cells,
     amp_from_json,
     amp_to_json,
+    cell_index,
     character_amp,
-    inner_product,
+    class_sums,
     json_int,
     reduce_rep,
 )
@@ -234,11 +235,37 @@ def mother(p: int, j: int = 1, extra_depth: int = 0) -> LocallyConstantFn:
 
 def analyze(f: LocallyConstantFn, window: Window,
              cap: int = DEFAULT_CELL_CAP) -> WaveletExpansion:
-    """Project onto every wavelet in the window; clipping is silent."""
+    """Project onto every wavelet in the window; clipping is silent.
+
+    On its child p^(-n)(m + d + pZ_p) the wavelet is p^(-n/2) chi(j(m + d)/p),
+    so with m = mu p^(-k), k = depth(m), a coefficient needs only the class
+    sums of f's cells i p^(-M) at i = u p^(M-n-k) mod p^(M-n+1), u = mu + d p^k.
+    Labels finer than the cells (n < 1 - K) or off the ball get 0.
+    """
     p = f.prime
+    m_exp, res = f.support_exponent, f.resolution
+    labels = enumerate_indices(p, window)
+    # the cap bounds each label's p^(1+depth(m)) cells, as `materialize` does
+    for depth in range(window.m_depth + 1):
+        _check_cap(p, depth + 1, cap)
     coeffs = {}
-    for idx in enumerate_indices(p, window):
-        c = inner_product(materialize(p, idx, cap=cap), f)
+    if window.n_max < 1 - res:
+        return WaveletExpansion(p, window, coeffs)
+    sums = class_sums(p, {cell_index(r, p, m_exp): v for r, v in f.table.items()}, m_exp + res)
+    measure = Fraction(p) ** (-res)
+    for idx in labels:
+        n, k = idx.n, idx.m_depth
+        if n < 1 - res or (k and n + k > m_exp):
+            continue
+        if n > m_exp:  # m = 0 above the ball: all of f lies in child 0
+            children = {0: sums[0].get(0)}
+        else:
+            mu = digits_to_int(idx.m_digits[::-1], p)
+            level, shift = sums[m_exp - n + 1], p ** (m_exp - n - k)
+            children = {u: level.get(u * shift) for u in range(mu, mu + p ** (k + 1), p**k)}
+        terms = [character_amp(p, Fraction(-idx.j * u, p ** (k + 1))) * s
+                 for u, s in children.items() if s is not None]
+        c = sum(terms, Cyc.zero(p)) * (Cyc.half_power(p, -n) * measure)
         if not amp_is_zero(c):
             coeffs[idx] = c
     return WaveletExpansion(p, window, coeffs)

@@ -1,22 +1,22 @@
 """The support-local wavelet layer against the loops it replaced.
 
-`materialize` enumerates only the support coset, `inner_product` walks only
-the fine cells under the coarse table when they are fewer, and `synthesize`
-adds its terms into one table.  Each is compared here with the plain loop
-(the whole declared ball, every sorted fine cell, the fold of `+`), which
-stays as the oracle, and the work saved is pinned by call counts.
+`materialize` enumerates only the support coset, `analyze` reads every
+coefficient from class sums of the table, and `synthesize` adds its terms
+into one table.  Each is compared here with the plain loop (the whole
+declared ball, one `inner_product` per label, the fold of `+`), which stays
+as the oracle, and the work saved is pinned by call counts.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from padic_wavelets import wavelets
+from padic_wavelets import functions, wavelets
 from padic_wavelets.errors import EnumerationCapError
-from padic_wavelets.exact import Cyc, CycSum, conj
+from padic_wavelets.exact import Cyc, CycSum, amp_is_zero, conj
 from padic_wavelets.functions import (
     DEFAULT_CELL_CAP,
     LocallyConstantFn,
@@ -77,6 +77,17 @@ def sorted_fine_inner_product(f, g):
     for term in products:
         acc.add(term)
     return acc.result() * (Fraction(p) ** (-fine.resolution))
+
+
+def label_by_label_analyze(f, window, cap=DEFAULT_CELL_CAP):
+    """Pair every label's materialized table with f; keep the nonzero values."""
+    p = f.prime
+    coeffs = {}
+    for idx in enumerate_indices(p, window):
+        c = inner_product(materialize(p, idx, cap=cap), f)
+        if not amp_is_zero(c):
+            coeffs[idx] = c
+    return coeffs
 
 
 def folded_synthesize(expansion, resolution=None):
@@ -264,10 +275,105 @@ def test_materialize_evaluates_only_the_support(evaluations, extra_depth):
     assert len(evaluations) == 2 ** (1 + extra_depth)
 
 
-def test_analyze_evaluates_two_cells_per_label(evaluations):
+def test_analyze_evaluates_no_cell(evaluations, monkeypatch):
+    # every coefficient is read from class sums: no wavelet value is
+    # evaluated, and a label meeting the ball takes at most p characters
+    characters = []
+    real = functions.character_amp
+
+    def counting(p, q):
+        characters.append(q)
+        return real(p, q)
+
+    monkeypatch.setattr(wavelets, "character_amp", counting)
     rng = random.Random(5)
     table = {rep: Cyc.rational(2, rng.randint(1, 5)) for rep in ball_reps(2, 3, 3)}
     window = Window(-2, 3, 5)
     analyze(LocallyConstantFn(2, 3, 3, table), window)
-    assert len(enumerate_indices(2, window)) == 192
-    assert len(evaluations) == 2 * 192
+    labels = enumerate_indices(2, window)
+    assert len(labels) == 192
+    # the cells have resolution 3 and the ball radius 2^3, so a label meets
+    # them when n >= 1 - 3 and its support p^(-n)(m + Z_p) lies in the ball
+    meeting = [i for i in labels if i.n >= -2 and (i.n + i.m_depth <= 3 or not i.m_digits)]
+    assert len(meeting) == 63
+    assert evaluations == []
+    assert len(characters) <= 2 * len(meeting)
+
+
+# -- analyze ----------------------------------------------------------------------
+
+
+# p^(M+K) <= 243 cells and a window of at most a few hundred labels
+_MAX_DEPTH = {2: 7, 3: 5, 5: 3}
+_MAX_M_DEPTH = {2: 4, 3: 3, 5: 2}
+
+
+def _amplitude(draw, p, exact):
+    if not exact:
+        return complex(draw(st.floats(-1, 1)), draw(st.floats(-1, 1)))
+    a = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+    b = Fraction(draw(st.integers(-2, 2)), draw(st.integers(1, 3))) if draw(st.booleans()) else 0
+    phase = RationalPhase(draw(st.integers(0, p * p - 1)), p * p)
+    return Cyc.quad(p, a, b) * Cyc.root_of_unity(p, phase)
+
+
+@st.composite
+def analysis_cases(draw):
+    """A table and a window reaching below its resolution, above its ball
+    and to m-depths whose supports leave the ball."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    exact = draw(st.booleans())
+    if draw(st.integers(0, 9)) == 0:
+        # one cell on a p^40 ball
+        m, k = 40, draw(st.sampled_from((-40, -39, -38)))
+        reps = [draw(st.sampled_from(ball_reps(p, m, k)))]
+    else:
+        m = draw(st.integers(-2, 3))
+        k = draw(st.integers(-m, _MAX_DEPTH[p] - m))
+        density = draw(st.sampled_from((0.0, 0.1, 0.5, 1.0)))
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        reps = [r for r in ball_reps(p, m, k) if rng.random() < density]
+    table = {}
+    for rep in reps:
+        v = _amplitude(draw, p, exact)
+        if not amp_is_zero(v):
+            table[rep] = v
+    n_min = draw(st.integers(-k - 1, m + 1))
+    n_max = draw(st.integers(n_min, n_min + 3))
+    window = Window(n_min, n_max, draw(st.integers(0, _MAX_M_DEPTH[p])))
+    return LocallyConstantFn(p, m, k, table), window
+
+
+@given(analysis_cases())
+@example((LocallyConstantFn(3, 40, -40, {Fraction(0): 1j}), Window(39, 39, 1)))
+def test_analyze_matches_label_by_label_inner_products(case):
+    f, window = case
+    got = analyze(f, window).coefficients
+    want = label_by_label_analyze(f, window)
+    if f.is_exact():
+        assert list(got) == list(want)
+        for idx in want:
+            same_amplitude(got[idx], want[idx])
+    else:
+        # a label finer than the cells sees f constant on its support: the
+        # class sums give no coefficient, where the oracle keeps the rounding
+        # residue of its p-term sum.  That residue scales with the terms, so
+        # values are compared at ||f||, which bounds every |c| (Bessel)
+        assert all(idx.n >= 1 - f.resolution for idx in got)
+        size = abs(complex(inner_product(f, f))) ** 0.5
+        tol = 1e-12 * max(1.0, size)
+        for idx in set(got) | set(want):
+            assert abs(complex(got.get(idx, 0j)) - complex(want.get(idx, 0j))) <= tol
+
+
+@given(analysis_cases(), st.integers(1, 30))
+def test_analyze_cap_error_matches_label_by_label(case, cap):
+    f, window = case
+    try:
+        label_by_label_analyze(f, window, cap)
+    except EnumerationCapError as exc:
+        with pytest.raises(EnumerationCapError) as got:
+            analyze(f, window, cap)
+        assert str(got.value) == str(exc)
+    else:
+        analyze(f, window, cap)
