@@ -307,7 +307,9 @@ class Cyc:
         den = self.den
         total = 0j
         try:
-            for e, (a, b) in self.terms.items():
+            # in exponent order, as `repr` lists them: one value, one float
+            for e in sorted(self.terms):
+                a, b = self.terms[e]
                 # int / int is correctly rounded, as float(Fraction(a, den)) is
                 total += (a / den + b / den * sqrtp) * cmath.exp(2j * cmath.pi * e / modulus)
             if cmath.isfinite(total):

@@ -273,7 +273,16 @@ def analyze(f: LocallyConstantFn, window: Window,
 
 def synthesize(expansion: WaveletExpansion, resolution: int | None = None,
                cap: int = DEFAULT_CELL_CAP) -> LocallyConstantFn:
-    """Sum coeff * wavelet over the expansion at a common resolution."""
+    """Sum coeff * wavelet over the expansion at a common resolution.
+
+    With m = mu p^(-k), k = depth(m), a label's child t < p takes the value
+    p^(-n/2) chi(j(mu + t p^k)/p^(k+1)) on the cells i p^(-M) with
+    i = mu p^(M-n-k) + t p^(M-n) + s p^(M-n+1), s < p^(K-1+n).  Each value
+    is (p^(-n/2) chi) * coeff, the product `materialize` and `scaled` form,
+    and the cells are visited and added in the order of each label's refined
+    `materialize` table, so the sums, their order and the cancelled cells
+    are the same, floats included.
+    """
     p = expansion.prime
     finest = 1 - expansion.window.n_min
     if resolution is None:
@@ -287,14 +296,27 @@ def synthesize(expansion: WaveletExpansion, resolution: int | None = None,
         default=max(0, -resolution),
     )
     support = max(support, -resolution)
-    # one running table, added to as `+` would add, so no total is copied
+    # one running table keyed by cell index, added to as `+` would add
     table = {}
     for idx in sorted(expansion.coefficients):
-        term = materialize(p, idx, cap=cap).refine_to(resolution, cap).scaled(
-            expansion.coefficients[idx]
-        )
-        add_cells(table, term.table)
-    return LocallyConstantFn(p, support, resolution, table)
+        validate_index(p, idx)
+        n, k = idx.n, idx.m_depth
+        extra = resolution - natural_resolution(idx)
+        # the checks of `materialize` and then `refine_to`
+        _check_cap(p, k + 1, cap)
+        if extra:
+            _check_cap(p, extra, cap, p)
+        c = expansion.coefficients[idx]
+        mag = Cyc.half_power(p, -n)
+        mu = digits_to_int(idx.m_digits[::-1], p)
+        child = p ** (support - n)
+        span = child * p ** (extra + 1)
+        for t in range(p):
+            v = mag * character_amp(p, Fraction(idx.j * (mu + t * p**k), p ** (k + 1))) * c
+            start = mu * p ** (support - n - k) + t * child
+            add_cells(table, dict.fromkeys(range(start, start + span, child * p), v))
+    unit = Fraction(p) ** -support
+    return LocallyConstantFn(p, support, resolution, {i * unit: v for i, v in table.items()})
 
 
 def expansion_to_json(e: WaveletExpansion) -> dict:

@@ -135,6 +135,31 @@ def test_analyze_synthesize_round_trip(capsys, tmp_path, psi_file):
     assert fn_equal(rebuilt, materialize(2, KozyrevIndex(0)))
 
 
+# the four-cell p = 2 table of the README round trip
+_README_TABLE = {"prime": 2, "support_exponent": 1, "resolution_exponent": 1, "cells": [
+    {"digits": [0, 0], "mag_num": 1, "mag_den": 2, "phase_num": 0, "phase_den": 1},
+    {"digits": [1, 0], "mag_num": 1, "mag_den": 2, "phase_num": 1, "phase_den": 2},
+    {"digits": [0, 1], "mag_num": 3, "mag_den": 4, "phase_num": 1, "phase_den": 4},
+    {"digits": [1, 1], "mag_num": 3, "mag_den": 4, "phase_num": 3, "phase_den": 4}]}
+
+
+def test_readme_round_trip_bytes(capsys, tmp_path):
+    # back.json repeats each value of f on the four cells below its cell, as
+    # the floats of the exact sums (with their rounding residue)
+    f, e, back = (tmp_path / name for name in ("f.json", "e.json", "back.json"))
+    f.write_text(json.dumps(_README_TABLE))
+    assert run(capsys, ["--window", "-2:2:1", "analyze", str(f), "--output", str(e)])[0] == 0
+    assert run(capsys, ["synthesize", str(e), "--output", str(back)])[0] == 0
+    values = {(0, 0): (0.5, 5.551115123125783e-17),
+              (1, 0): (-0.5, -5.551115123125783e-17),
+              (0, 1): (8.326672684688674e-17, 0.75),
+              (1, 1): (-8.326672684688674e-17, -0.75)}
+    cells = [{"digits": [d0, d1, d2, d3], "re": values[d0, d1][0], "im": values[d0, d1][1]}
+             for d3 in (0, 1) for d2 in (0, 1) for d1 in (0, 1) for d0 in (0, 1)]
+    want = {"prime": 2, "support_exponent": 1, "resolution_exponent": 3, "cells": cells}
+    assert back.read_bytes() == (json.dumps(want, indent=2) + "\n").encode()
+
+
 def test_analyze_reports_mean_component(capsys, tmp_path):
     from padic_wavelets.exact import Cyc
     from padic_wavelets.functions import indicator_fn

@@ -53,7 +53,9 @@ from padic_wavelets.wavelets import (
     KozyrevIndex,
     WaveletExpansion,
     Window,
+    analyze,
     materialize,
+    synthesize,
 )
 
 W = Window(-4, 4, 1)
@@ -462,6 +464,25 @@ def test_kernel_equals_spectral_on_large_grids(p, extra_depth, alpha):
     assert result.is_exact() and list(result.table) == list(w.table)
     eigenvalue = p_power_amp(p, alpha * (1 - idx.n))
     assert all(result.table[r] == v * eigenvalue for r, v in w.table.items())
+
+
+@pytest.mark.parametrize("p, m, k", ((2, 3, 3), (3, 2, 2), (3, 2, 3), (5, 1, 2)))
+def test_synthesized_spectral_derivative_equals_the_kernel(p, m, k):
+    # the basis route to D^(1/2) f: analyze a dense mean-zero exact f over
+    # the complete window, scale each coefficient, synthesize at f's cells
+    rng = random.Random(p * 100 + m * 10 + k)
+    reps = ball_reps(p, m, k)
+    values = [Cyc.rational(p, Fraction(rng.randint(1, 4), rng.randint(1, 3)))
+              * Cyc.root_of_unity(p, RationalPhase(rng.randrange(p * p), p * p))
+              for _ in reps[1:]]
+    values.insert(0, -sum(values, Cyc.zero(p)))
+    assert not any(amp_is_zero(v) for v in values)
+    f = LocallyConstantFn(p, m, k, dict(zip(reps, values)))
+    alpha = Fraction(1, 2)
+    e = analyze(f, Window(1 - k, m, m + k - 1))
+    got = synthesize(vladimirov_spectral(alpha, e), resolution=k)
+    assert got.is_exact() and len(got.table) == len(reps)
+    assert fn_equal(got, vladimirov_kernel_apply(alpha, f), tol=0.0)
 
 
 @pytest.mark.parametrize("alpha", (Fraction(1, 2), 0.7))

@@ -1,10 +1,11 @@
 """The support-local wavelet layer against the loops it replaced.
 
 `materialize` enumerates only the support coset, `analyze` reads every
-coefficient from class sums of the table, and `synthesize` adds its terms
-into one table.  Each is compared here with the plain loop (the whole
-declared ball, one `inner_product` per label, the fold of `+`), which stays
-as the oracle, and the work saved is pinned by call counts.
+coefficient from class sums of the table, and `synthesize` adds each label's
+p child values straight into the cells.  Each is compared here with the
+plain loop (the whole declared ball, one `inner_product` per label, the fold
+of `+` over the materialized wavelets), which stays as the oracle, and the
+work saved is pinned by call counts.
 """
 
 import random
@@ -15,18 +16,20 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from padic_wavelets import functions, wavelets
-from padic_wavelets.errors import EnumerationCapError
+from padic_wavelets.errors import EnumerationCapError, InvalidInputError
 from padic_wavelets.exact import Cyc, CycSum, amp_is_zero, conj
 from padic_wavelets.functions import (
     DEFAULT_CELL_CAP,
     LocallyConstantFn,
     ball_reps,
+    fn_equal,
     inner_product,
     reduce_rep,
 )
 from padic_wavelets.padic import RationalPhase
 from padic_wavelets.wavelets import (
     KozyrevIndex,
+    WaveletExpansion,
     Window,
     analyze,
     enumerate_indices,
@@ -90,7 +93,7 @@ def label_by_label_analyze(f, window, cap=DEFAULT_CELL_CAP):
     return coeffs
 
 
-def folded_synthesize(expansion, resolution=None):
+def folded_synthesize(expansion, resolution=None, cap=DEFAULT_CELL_CAP):
     """Sum the scaled wavelets with `LocallyConstantFn.__add__`."""
     p = expansion.prime
     finest = 1 - expansion.window.n_min
@@ -102,7 +105,7 @@ def folded_synthesize(expansion, resolution=None):
     )
     total = LocallyConstantFn(p, max(support, -resolution), resolution, {})
     for idx in sorted(expansion.coefficients):
-        total = total + materialize(p, idx).refine_to(resolution).scaled(
+        total = total + materialize(p, idx, cap=cap).refine_to(resolution, cap).scaled(
             expansion.coefficients[idx]
         )
     return total
@@ -275,17 +278,22 @@ def test_materialize_evaluates_only_the_support(evaluations, extra_depth):
     assert len(evaluations) == 2 ** (1 + extra_depth)
 
 
-def test_analyze_evaluates_no_cell(evaluations, monkeypatch):
-    # every coefficient is read from class sums: no wavelet value is
-    # evaluated, and a label meeting the ball takes at most p characters
-    characters = []
+@pytest.fixture
+def characters(monkeypatch):
+    calls = []
     real = functions.character_amp
 
     def counting(p, q):
-        characters.append(q)
+        calls.append(q)
         return real(p, q)
 
     monkeypatch.setattr(wavelets, "character_amp", counting)
+    return calls
+
+
+def test_analyze_evaluates_no_cell(evaluations, characters):
+    # every coefficient is read from class sums: no wavelet value is
+    # evaluated, and a label meeting the ball takes at most p characters
     rng = random.Random(5)
     table = {rep: Cyc.rational(2, rng.randint(1, 5)) for rep in ball_reps(2, 3, 3)}
     window = Window(-2, 3, 5)
@@ -298,6 +306,26 @@ def test_analyze_evaluates_no_cell(evaluations, monkeypatch):
     assert len(meeting) == 63
     assert evaluations == []
     assert len(characters) <= 2 * len(meeting)
+
+
+def test_synthesize_builds_no_wavelet_table(evaluations, characters, monkeypatch):
+    # each label adds its p child values straight into the cells: no wavelet
+    # table is built, refined or scaled, and no cell value is evaluated
+    p = 3
+    rng = random.Random(11)
+    table = {rep: Cyc.rational(p, rng.randint(1, 5)) for rep in ball_reps(p, 2, 2)}
+    e = analyze(LocallyConstantFn(p, 2, 2, table), Window(-1, 2, 3))
+    assert len(e.coefficients) == 80
+    built = []
+    for owner, name in ((wavelets, "materialize"), (LocallyConstantFn, "refine_to"),
+                        (LocallyConstantFn, "scaled")):
+        monkeypatch.setattr(owner, name, lambda *args, name=name, **kwargs: built.append(name))
+    characters.clear()
+    # two digits finer than the window's finest resolution 2, on |x| <= p^2
+    f = synthesize(e, resolution=4)
+    assert len(f.table) == p**6
+    assert built == [] and evaluations == []
+    assert len(characters) <= p * len(e.coefficients)
 
 
 # -- analyze ----------------------------------------------------------------------
@@ -377,3 +405,80 @@ def test_analyze_cap_error_matches_label_by_label(case, cap):
         assert str(got.value) == str(exc)
     else:
         analyze(f, window, cap)
+
+
+# -- synthesize over random label sets ---------------------------------------------
+
+
+@st.composite
+def synthesis_cases(draw):
+    """(expansion, resolution, f): labels drawn depth first, so every m-depth
+    of the window turns up, with exact (sqrt(p) parts included), float or
+    mixed coefficients, at the window's finest resolution or finer; or the
+    analysis of f = +v, -v on two cells, whose synthesis cancels on every
+    other cell.  A table has at most p^_MAX_DEPTH cells."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    room = _MAX_DEPTH[p] - 1
+    if draw(st.integers(0, 4)) == 0:
+        m = draw(st.integers(-1, 2))
+        k = draw(st.integers(1 - m, room + 1 - m))
+        r, s = draw(st.lists(st.sampled_from(ball_reps(p, m, k)), min_size=2, max_size=2,
+                             unique=True))
+        v = _amplitude(draw, p, True)
+        if amp_is_zero(v):
+            v = Cyc.one(p)
+        f = LocallyConstantFn(p, m, k, {r: v, s: -v})
+        return analyze(f, Window(1 - k, m, m + k - 1)), None, f
+    n_min = draw(st.integers(-3, 2))
+    span = draw(st.integers(0, 2))
+    depth = draw(st.integers(0, min(_MAX_M_DEPTH[p], room - span)))
+    extra = draw(st.integers(min(1, room - span - depth), room - span - depth))
+    resolution = draw(st.sampled_from((None, 1 - n_min + extra)))
+    kind = draw(st.sampled_from(("exact", "float", "mixed")))
+    coeffs = {}
+    for _ in range(draw(st.integers(0, 12))):
+        k = draw(st.integers(0, depth))
+        digits = [draw(st.integers(0, p - 1)) for _ in range(k - 1)]
+        if k:
+            digits.append(draw(st.integers(1, p - 1)))
+        idx = KozyrevIndex(draw(st.integers(n_min, n_min + span)), tuple(digits),
+                           draw(st.integers(1, p - 1)))
+        v = _amplitude(draw, p, kind == "exact" or (kind == "mixed" and draw(st.booleans())))
+        if not amp_is_zero(v):
+            coeffs[idx] = v
+    return WaveletExpansion(p, Window(n_min, n_min + span, depth), coeffs), resolution, None
+
+
+@given(synthesis_cases())
+@example((WaveletExpansion(3, Window(-1, 1, 1)), None, None))
+@example((WaveletExpansion(2, Window(-1, 1, 1)), 4, None))
+def test_synthesize_matches_the_fold_over_random_labels(case):
+    e, resolution, f = case
+    got = synthesize(e, resolution)
+    same_table(got, folded_synthesize(e, resolution))
+    if f is not None:
+        # the complete window carries all of the mean-zero f
+        assert set(got.table) == set(f.table)
+        assert fn_equal(got, f)
+
+
+@given(synthesis_cases(), st.data())
+def test_synthesize_cap_error_matches_label_by_label(case, data):
+    e, resolution, _ = case
+    p = e.prime
+    cap = data.draw(st.integers(1, p**3))
+    coeffs = dict(e.coefficients)
+    if data.draw(st.booleans()):
+        # j = p passes the window, not `validate_index`
+        n = data.draw(st.integers(e.window.n_min, e.window.n_max))
+        coeffs[KozyrevIndex(n, (), p)] = Cyc.one(p)
+    e = WaveletExpansion(p, e.window, coeffs)
+    try:
+        want = folded_synthesize(e, resolution, cap)
+    except (EnumerationCapError, InvalidInputError) as exc:
+        with pytest.raises(type(exc)) as got:
+            synthesize(e, resolution, cap)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+    else:
+        same_table(synthesize(e, resolution, cap), want)
