@@ -369,22 +369,21 @@ def check_algebra(config: RunConfig, relations, alphas):
         wanted = set(_RELATIONS)
     results: list[RelationResult] = []
     if "sl2" in wanted:
-        results += sl2_results(p, window, m_depth=config.m_depth)
+        results += sl2_results(p, window)
     if "witt" in wanted:
-        results += witt_results(p, window, k_range=3, m_depth=config.m_depth)
+        results += witt_results(p, window, k_range=3)
     if "deformed" in wanted:
-        results += deformed_results(p, window, exact_alphas, m_depth=config.m_depth)
+        results += deformed_results(p, window, exact_alphas)
     if "semigroup" in wanted:
         pairs = [(a1, a2) for a1 in exact_alphas for a2 in exact_alphas]
-        results += semigroup_results(p, window, pairs, m_depth=config.m_depth)
+        results += semigroup_results(p, window, pairs)
     if "translation" in wanted:
         shift = Fraction(1, p)
-        results += translation_spectral_results(
-            p, window, shift, exact_alphas, m_depth=config.m_depth
-        )
+        results += translation_spectral_results(p, window, shift, exact_alphas)
         rng = random.Random(config.seed)
         fn = _random_function(p, rng)
-        for alpha in alphas:
+        # the kernel form of D^alpha is defined for alpha > 0 only
+        for alpha in (a for a in alphas if a > 0):
             residual = translation_kernel_residual(alpha, fn, shift)
             worst = max(
                 (abs(complex(v)) for v in residual.table.values()), default=0.0

@@ -278,49 +278,55 @@ def _residual_result(relation, idx, alpha, sides, exact: bool) -> RelationResult
     return RelationResult(relation, idx, alpha, residual, exact, scale)
 
 
-def _interior_basis(p: int, window: Window, m_depth: int, *ops: BasisOperator):
-    for n in interior_scales(window, *ops):
-        for m in enumerate_m_digits(p, m_depth):
-            for j in range(1, p):
-                yield KozyrevIndex(n, m, j)
+def _scale_labels(p: int, window: Window, n: int) -> list[KozyrevIndex]:
+    return [KozyrevIndex(n, m, j)
+            for m in enumerate_m_digits(p, window.m_depth) for j in range(1, p)]
 
 
-def sl2_results(p: int, window: Window, m_depth: int = 1) -> list[RelationResult]:
-    """[J+, J-] = 2 log_p D and [log_p D, J_s] = -s J_s on interior vectors."""
+def _for_labels(results, labels) -> list[RelationResult]:
+    """`results` reported again for each label, label by label."""
+    return [RelationResult(r.relation, idx, r.alpha, r.residual, r.exact, r.scale)
+            for idx in labels for r in results]
+
+
+def _per_scale(p: int, window: Window, ops, evaluate) -> list[RelationResult]:
+    """`evaluate(e)`'s results on one basis vector of each interior scale n,
+    repeated for every label (n, m, j) in order.  Every word maps
+    psi_(n,m,j) to c(n) psi_(n+s,m,j), so a residual never depends on m or j."""
     out = []
-    jp, jm, logd = j_op(+1), j_op(-1), log_vladimirov_op()
-    plus_minus = scalar_op(Fraction(2)) @ logd
-    for idx in _interior_basis(p, window, m_depth, jp, jm):
-        e = basis_vector(p, window, idx)
-        out.append(_residual_result(
-            "sl2:[J+,J-]-2logD", idx, None, _commutator_sides(jp, jm, e, plus_minus), True))
-    for step, name in ((+1, "sl2:[logD,J+]+J+"), (-1, "sl2:[logD,J-]-J-")):
-        js = j_op(step)
-        expected = scalar_op(Fraction(-step)) @ js
-        for idx in _interior_basis(p, window, m_depth, js):
-            e = basis_vector(p, window, idx)
-            out.append(_residual_result(
-                name, idx, None, _commutator_sides(logd, js, e, expected), True))
+    for n in interior_scales(window, *ops):
+        labels = _scale_labels(p, window, n)
+        out += _for_labels(evaluate(basis_vector(p, window, labels[0])), labels)
     return out
 
 
-def witt_results(p: int, window: Window, k_range: int = 3,
-                 m_depth: int = 1) -> list[RelationResult]:
+def sl2_results(p: int, window: Window) -> list[RelationResult]:
+    """[J+, J-] = 2 log_p D and [log_p D, J_s] = -s J_s on interior vectors."""
+    jp, jm, logd = j_op(+1), j_op(-1), log_vladimirov_op()
+    plus_minus = scalar_op(Fraction(2)) @ logd
+    out = _per_scale(p, window, (jp, jm), lambda e: [_residual_result(
+        "sl2:[J+,J-]-2logD", None, None, _commutator_sides(jp, jm, e, plus_minus), True)])
+    for step, name in ((+1, "sl2:[logD,J+]+J+"), (-1, "sl2:[logD,J-]-J-")):
+        js = j_op(step)
+        expected = scalar_op(Fraction(-step)) @ js
+        out += _per_scale(p, window, (js,), lambda e: [_residual_result(
+            name, None, None, _commutator_sides(logd, js, e, expected), True)])
+    return out
+
+
+def witt_results(p: int, window: Window, k_range: int = 3) -> list[RelationResult]:
     """[ell_a, ell_b] = (a-b) ell_(a+b) for |a|, |b| <= k_range."""
     out = []
     for a in range(-k_range, k_range + 1):
         for b in range(-k_range, k_range + 1):
             la, lb = ell_op(a), ell_op(b)
             expected = scalar_op(Fraction(a - b)) @ ell_op(a + b)
-            for idx in _interior_basis(p, window, m_depth, la, lb, ell_op(a + b)):
-                e = basis_vector(p, window, idx)
-                out.append(_residual_result(
-                    f"witt:[l{a},l{b}]", idx, None,
-                    _commutator_sides(la, lb, e, expected), True))
+            out += _per_scale(p, window, (la, lb, ell_op(a + b)), lambda e: [_residual_result(
+                f"witt:[l{a},l{b}]", None, None, _commutator_sides(la, lb, e, expected), True)])
     return out
 
 
-def deformed_results(p: int, window: Window, alphas, m_depth: int = 1) -> list[RelationResult]:
+def deformed_results(p: int, window: Window, alphas) -> list[RelationResult]:
     """The deformed identity plus [D^a, J_s] = (1-p^(s a)) D^a J_s and
     [D^a, log_p D] = 0."""
     out = []
@@ -332,53 +338,47 @@ def deformed_results(p: int, window: Window, alphas, m_depth: int = 1) -> list[R
         exact_deformed = is_half_integral(alpha / Fraction(2))
         for step in (+1, -1):
             js = j_op(step)
-            for idx in _interior_basis(p, window, m_depth, js):
-                e = basis_vector(p, window, idx)
-                out.append(_residual_result(
-                    f"deformed:s={step:+d}", idx, alpha,
-                    _deformed_sides(alpha, step, e), exact_deformed))
-                factor = 1 - p_power_amp(p, step * alpha)
-                expected = scalar_op(factor) @ dal @ js
-                out.append(_residual_result(
-                    f"commutator:[D^a,J{step:+d}]", idx, alpha,
-                    _commutator_sides(dal, js, e, expected), exact))
-        for idx in _interior_basis(p, window, m_depth):
-            e = basis_vector(p, window, idx)
-            out.append(_residual_result(
-                "commutator:[D^a,logD]", idx, alpha,
-                _commutator_sides(dal, logd, e, None), exact))
+            expected = scalar_op(1 - p_power_amp(p, step * alpha)) @ dal @ js
+            out += _per_scale(p, window, (js,), lambda e: [
+                _residual_result(f"deformed:s={step:+d}", None, alpha,
+                                 _deformed_sides(alpha, step, e), exact_deformed),
+                _residual_result(f"commutator:[D^a,J{step:+d}]", None, alpha,
+                                 _commutator_sides(dal, js, e, expected), exact)])
+        out += _per_scale(p, window, (), lambda e: [_residual_result(
+            "commutator:[D^a,logD]", None, alpha, _commutator_sides(dal, logd, e, None), exact)])
     return out
 
 
-def semigroup_results(p: int, window: Window, alpha_pairs,
-                      m_depth: int = 1) -> list[RelationResult]:
+def semigroup_results(p: int, window: Window, alpha_pairs) -> list[RelationResult]:
     """D^a1 D^a2 = D^(a1+a2), checked coefficientwise."""
     out = []
     for a1, a2 in alpha_pairs:
         exact = is_half_integral(a1) and is_half_integral(a2)
-        for idx in _interior_basis(p, window, m_depth):
-            e = basis_vector(p, window, idx)
-            lhs = vladimirov_spectral(a1, vladimirov_spectral(a2, e))
-            rhs = vladimirov_spectral(a1 + a2, e)
-            out.append(_residual_result("semigroup", idx, (a1, a2), [lhs, rhs], exact))
+        out += _per_scale(p, window, (), lambda e: [_residual_result(
+            "semigroup", None, (a1, a2),
+            [vladimirov_spectral(a1, vladimirov_spectral(a2, e)),
+             vladimirov_spectral(a1 + a2, e)], exact)])
     return out
 
 
 def translation_spectral_results(p: int, window: Window, shift: Fraction,
-                                 alphas, m_depth: int = 1) -> list[RelationResult]:
-    """D^a (label-translate) - (label-translate) D^a on basis vectors."""
+                                 alphas) -> list[RelationResult]:
+    """D^a (label-translate) - (label-translate) D^a on the basis vectors
+    whose translated label stays inside the window; both sides keep n, so
+    one label per scale gives the residual of all of them."""
+    b = shift_rational(shift, p)
+    inside = [[idx for idx in _scale_labels(p, window, n)
+               if window.contains(label_translate(idx, b, p))]
+              for n in interior_scales(window)]
     out = []
     for alpha in alphas:
         exact = is_half_integral(alpha)
-        for idx in _interior_basis(p, window, m_depth):
-            e = basis_vector(p, window, idx)
-            try:
-                lhs = vladimirov_spectral(alpha, translate_expansion(e, shift))
-                rhs = translate_expansion(vladimirov_spectral(alpha, e), shift)
-            except WindowClipError:
-                continue
-            out.append(_residual_result(
-                "translation:spectral", idx, alpha, [lhs, rhs], exact))
+        for labels in filter(None, inside):
+            e = basis_vector(p, window, labels[0])
+            lhs = vladimirov_spectral(alpha, translate_expansion(e, b))
+            rhs = translate_expansion(vladimirov_spectral(alpha, e), b)
+            out += _for_labels([_residual_result(
+                "translation:spectral", None, alpha, [lhs, rhs], exact)], labels)
     return out
 
 

@@ -3,6 +3,7 @@
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -460,11 +461,11 @@ def test_corrupted_word_is_exit_two(capsys, monkeypatch):
 
     sl2_results = cli.sl2_results
 
-    def corrupted(p, window, m_depth=1):
+    def corrupted(p, window):
         idx = KozyrevIndex(0)
         bad = check_commutator(j_op(+1), j_op(-1), basis_vector(p, window, idx),
                                scalar_op(Fraction(3)) @ log_vladimirov_op())
-        return sl2_results(p, window, m_depth) + [
+        return sl2_results(p, window) + [
             RelationResult("sl2:corrupted", idx, None, expansion_max_abs(bad), True)]
 
     monkeypatch.setattr(cli, "sl2_results", corrupted)
@@ -482,7 +483,7 @@ def test_alpha_is_exact_only_in_half_integers(capsys, monkeypatch):
 
     seen = []
 
-    def capture(p, window, alphas, m_depth=1):
+    def capture(p, window, alphas):
         seen.extend(alphas)
         return []
 
@@ -530,6 +531,58 @@ def test_float_relation_off_by_a_millionth_is_exit_two(capsys, monkeypatch):
                  "--alpha", "1", "--alpha", "1.7"])
     assert code == 2
     assert "semigroup violated" in err
+
+
+def test_relation_off_at_one_scale_names_that_scales_first_label(capsys, monkeypatch):
+    # negative control for the per-scale walk: D^(a1+a2) made 1e-6 too large
+    # at scale n = 2 only must fail, at the first label (2, (), 1) of that scale
+    from padic_wavelets import operators
+
+    spectral = operators.vladimirov_spectral
+
+    def corrupted(alpha, e):
+        out = spectral(alpha, e)
+        if isinstance(alpha, float) and abs(alpha - 2.7) < 1e-9 and \
+                {idx.n for idx in e.coefficients} == {2}:
+            out = operators.expansion_scale(out, 1 + 1e-6)
+        return out
+
+    monkeypatch.setattr(operators, "vladimirov_spectral", corrupted)
+    code, out, err = run(
+        capsys, ["--window", "-6:6:1", "check", "algebra", "--relation", "semigroup",
+                 "--alpha", "1", "--alpha", "1.7"])
+    assert code == 2
+    # at n = 2 the sides are at most 1, so the residual is about 2^(-2.7) * 1e-6
+    assert out == "semigroup: max residual 1.538930516353787e-07\n"
+    assert err.startswith(
+        "check failed: semigroup violated at index KozyrevIndex(n=2, m_digits=(), j=1), "
+        "alpha=(Fraction(1, 1), 1.7): residual ")
+
+
+def test_negative_alpha_skips_only_the_kernel_relation(capsys):
+    # the kernel form of D^alpha needs alpha > 0; the spectral relations run
+    # for every alpha
+    code, out, err = run(
+        capsys, ["--prime", "3", "--window", "-1:1:1", "check", "algebra", "--alpha", "-1.5"])
+    assert (code, err) == (0, "")
+    assert "translation:kernel" not in out
+    assert "translation:spectral: max residual 0\n" in out
+    assert out.endswith("relation instances passed\n")
+    code, out, err = run(
+        capsys, ["--prime", "3", "--window", "-1:1:1", "check", "algebra", "--relation",
+                 "translation", "--alpha", "-1.5", "--alpha", "1"])
+    assert (code, err) == (0, "")
+    assert "translation:kernel" in out
+
+
+GOLDEN = json.loads((Path(__file__).parent / "check_algebra_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_check_algebra_stdout_is_golden(capsys, case):
+    # stdout recorded from the per-basis-vector relation walk
+    code, out, _ = run(capsys, case["argv"])
+    assert (code, out) == (case["exit"], case["stdout"])
 
 
 # -- real side ---------------------------------------------------------------------

@@ -58,6 +58,8 @@ from padic_wavelets.wavelets import (
     synthesize,
 )
 
+import oracles
+
 W = Window(-4, 4, 1)
 
 
@@ -248,6 +250,49 @@ def test_check_deformed_direct():
     e = unit(p, KozyrevIndex(-1, (1,), 1))
     assert expansion_is_zero(check_deformed(Fraction(1, 2), +1, e))
     assert expansion_max_abs(check_deformed(0.3, -1, e)) <= 1e-12
+
+
+# -- the per-scale relation walk against the per-label oracle -------------------------
+
+ORACLE_ALPHAS = [Fraction(1, 2), Fraction(1), Fraction(-3, 2), 0.3, 1.7]
+
+
+def _fingerprint(results):
+    return [(r.relation, r.index, r.alpha, repr(r.residual), r.exact, repr(r.scale))
+            for r in results]
+
+
+@pytest.mark.parametrize("m_depth", [0, 1, 2])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_relations_per_scale_match_the_label_by_label_oracle(p, m_depth):
+    window = Window(-1, 2, m_depth)
+    # exact with exact, exact with float, float with float, float with exact
+    pairs = list(zip(ORACLE_ALPHAS, ORACLE_ALPHAS[1:] + ORACLE_ALPHAS[:1]))
+    families = [
+        (sl2_results(p, window), oracles.sl2_by_label(p, window)),
+        (witt_results(p, window, k_range=1), oracles.witt_by_label(p, window, k_range=1)),
+        (deformed_results(p, window, ORACLE_ALPHAS),
+         oracles.deformed_by_label(p, window, ORACLE_ALPHAS)),
+        (semigroup_results(p, window, pairs), oracles.semigroup_by_label(p, window, pairs)),
+    ]
+    # m + 3/p^3 has m-depth 3 (2 at p = 3), so that shift takes every label
+    # out of the shallower windows and the family is empty there
+    for shift in (Fraction(1, p), Fraction(3, p**3)):
+        families.append((translation_spectral_results(p, window, shift, ORACLE_ALPHAS),
+                         oracles.translation_spectral_by_label(p, window, shift, ORACLE_ALPHAS)))
+    for fast, slow in families:
+        assert _fingerprint(fast) == _fingerprint(slow)
+    assert all(slow for _, slow in families[:4])
+
+
+def test_relations_read_the_m_depth_of_their_window():
+    # m + 1/3 has m-depth 1, so no label of an m-depth-0 window stays inside
+    window = Window(-3, 3, 0)
+    results = translation_spectral_results(3, window, Fraction(1, 3), [Fraction(1, 2)])
+    assert results == []
+    results = sl2_results(3, window)
+    assert {r.index.m_digits for r in results} == {()}
+    assert len(sl2_results(3, Window(-3, 3, 2))) == 9 * len(results)
 
 
 # -- kernel form ---------------------------------------------------------------------
