@@ -44,6 +44,7 @@ from .haar import HaarIndex, haar_step, monomial_coefficient, scaling_constant
 from .operators import (
     RelationResult,
     deformed_results,
+    relation_names,
     semigroup_results,
     sl2_results,
     translation_kernel_residual,
@@ -394,8 +395,13 @@ def check_algebra(config: RunConfig, relations, alphas):
     by_relation: dict[str, float] = {}
     for r in results:
         by_relation[r.relation] = max(by_relation.get(r.relation, 0.0), r.residual)
-    for name in sorted(by_relation):
-        click.echo(f"{name}: max residual {fmt(by_relation[name])}")
+    # a relation with no instance inside the window is named, not dropped
+    names = {name for family in wanted for name in relation_names(family, k_range=3)}
+    for name in sorted(names | set(by_relation)):
+        if name in by_relation:
+            click.echo(f"{name}: max residual {fmt(by_relation[name])}")
+        else:
+            click.echo(f"{name}: 0 instances")
     failing = [r for r in results if not r.passed(config.tolerance)]
     if failing:
         first = failing[0]

@@ -71,15 +71,22 @@ def _check_cap(p: int, exponent: int, cap: int, cells: int = 1) -> None:
         raise EnumerationCapError(cells * p**exponent, cap)
 
 
-def ball_reps(p: int, support_exponent: int, resolution: int,
-              cap: int = DEFAULT_CELL_CAP) -> list[Fraction]:
-    """Canonical representatives of the p^(M+K) cells covering |x| <= p^M."""
+def ball_size(p: int, support_exponent: int, resolution: int,
+              cap: int = DEFAULT_CELL_CAP) -> int:
+    """The number p^(M+K) of cells covering |x| <= p^M, checked against the cap."""
     count_exp = support_exponent + resolution
     if count_exp < 0:
         raise InvalidInputError("support_exponent + resolution must be >= 0")
     _check_cap(p, count_exp, cap)
+    return p**count_exp
+
+
+def ball_reps(p: int, support_exponent: int, resolution: int,
+              cap: int = DEFAULT_CELL_CAP) -> list[Fraction]:
+    """Canonical representatives of the p^(M+K) cells covering |x| <= p^M."""
+    count = ball_size(p, support_exponent, resolution, cap)
     unit = Fraction(p) ** (-support_exponent)
-    return [i * unit for i in range(p**count_exp)]
+    return [i * unit for i in range(count)]
 
 
 @dataclass
@@ -290,65 +297,114 @@ def inverse_fourier(f: LocallyConstantFn, cap: int = DEFAULT_CELL_CAP) -> Locall
 
 def _fourier_impl(f: LocallyConstantFn, sign: int, cap: int) -> LocallyConstantFn:
     # for w = iw*p^(-K) and r = ir*p^(-M) the phase of chi(w*r) is
-    # (iw*ir mod N) / N over the N = p^(M+K) cells.  Exact values are lifted
-    # once to integers over a common cyclotomic level and denominator,
-    # rational and sqrt(p) parts apart; a float value is one rational term at
-    # exponent 0.  Each output cell sums its terms by phase, then normalizes
-    # once (exact) or weights each phase by its root of unity (float).
+    # (iw*ir mod N) / N over the N = p^(M+K) cells, so this is a length-N
+    # DFT, taken by `class_tree_dft`.  Exact values are lifted once to
+    # integers over a common cyclotomic level and denominator, rational and
+    # sqrt(p) parts apart, and a twiddle only shifts their exponents; each
+    # output cell is normalized once.  A table with a float value is summed
+    # in floating point through the same pass.
     p = f.prime
-    out_reps = ball_reps(p, f.resolution, f.support_exponent, cap)
-    count = len(out_reps)
-    cells = [(cell_index(r, p, f.support_exponent), f.table[r]) for r in sorted(f.table)]
-    exact = f.is_exact()
-    if exact:
-        level = max([f.support_exponent + f.resolution] + [v.level for _, v in cells])
-        den = lcm(*(v.den for _, v in cells))
-        lifted = []
-        for ir, v in cells:
+    count = ball_size(p, f.resolution, f.support_exponent, cap)
+    cells = {cell_index(r, p, f.support_exponent): v for r, v in f.table.items()}
+    if f.is_exact():
+        level = max([f.support_exponent + f.resolution] + [v.level for v in cells.values()])
+        den = lcm(*(v.den for v in cells.values()))
+        modulus = p**level
+        lift_root = modulus // count
+        leaves = {}
+        for ir, v in cells.items():
             lift = p ** (level - v.level)
             up = den // v.den
-            lifted.append((
-                ir,
-                [(e * lift, a * up) for e, (a, _) in v.terms.items() if a],
-                [(e * lift, b * up) for e, (_, b) in v.terms.items() if b],
-            ))
+            leaves[ir] = (
+                {e * lift: a * up for e, (a, _) in v.terms.items() if a},
+                {e * lift: b * up for e, (_, b) in v.terms.items() if b},
+                0,
+            )
+
+        def mix(pairs):
+            # entries are (a terms, b terms, pending exponent shift); one
+            # child is passed on unchanged, with its shift moved
+            if len(pairs) == 1:
+                (terms_a, terms_b, shift), j = pairs[0]
+                return terms_a, terms_b, (shift + j * lift_root) % modulus
+            acc_a, acc_b = {}, {}
+            get_a, get_b = acc_a.get, acc_b.get
+            for (terms_a, terms_b, shift), j in pairs:
+                shift = (shift + j * lift_root) % modulus
+                for e, c in terms_a.items():
+                    e += shift
+                    if e >= modulus:
+                        e -= modulus
+                    acc_a[e] = get_a(e, 0) + c
+                for e, c in terms_b.items():
+                    e += shift
+                    if e >= modulus:
+                        e -= modulus
+                    acc_b[e] = get_b(e, 0) + c
+            return acc_a, acc_b, 0
+
         scale = Fraction(p) ** (-f.resolution) / den
+        num = scale.numerator
+
+        def finish(entry):
+            terms_a, terms_b, shift = entry
+            terms = {}
+            for e, c in terms_a.items():
+                if c:
+                    terms[(e + shift) % modulus] = (c * num, 0)
+            for e, c in terms_b.items():
+                if c:
+                    e = (e + shift) % modulus
+                    old = terms.get(e)
+                    terms[e] = (0, c * num) if old is None else (old[0], c * num)
+            return Cyc(p, level, terms, scale.denominator)
     else:
-        level = f.support_exponent + f.resolution
-        lifted = [(ir, [(0, complex(v))], []) for ir, v in cells]
+        leaves = {ir: complex(v) for ir, v in cells.items()}
         roots = [cmath.exp(2j * cmath.pi * k / count) for k in range(count)]
+
+        def mix(pairs):
+            return sum(v if j == 0 else roots[j] * v for v, j in pairs)
+
         scale = float(p) ** (-f.resolution)
-    modulus = p**level
-    lift_root = modulus // count
+
+        def finish(entry):
+            return entry * scale
+    unit = Fraction(p) ** (-f.resolution)
     out = {}
-    for iw, w in enumerate(out_reps):
-        acc_a, acc_b = {}, {}
-        get_a, get_b = acc_a.get, acc_b.get
-        for ir, terms_a, terms_b in lifted:
-            shift = (sign * iw * ir % count) * lift_root
-            for e, c in terms_a:
-                e += shift
-                if e >= modulus:
-                    e -= modulus
-                acc_a[e] = get_a(e, 0) + c
-            for e, c in terms_b:
-                e += shift
-                if e >= modulus:
-                    e -= modulus
-                acc_b[e] = get_b(e, 0) + c
-        if exact:
-            # the set's order sets the term order and so the float rounding
-            phases = set(acc_a.keys())
-            phases.update(acc_b.keys())
-            num = scale.numerator
-            terms = {e: (get_a(e, 0) * num, get_b(e, 0) * num)
-                     for e in phases if get_a(e) or get_b(e)}
-            total = Cyc(p, level, terms, scale.denominator)
-        else:
-            total = sum(roots[e] * c for e, c in acc_a.items()) * scale
+    depth = f.support_exponent + f.resolution
+    for iw, entry in enumerate(class_tree_dft(p, depth, sign, leaves, mix)):
+        total = finish(entry)
         if not amp_is_zero(total):
-            out[w] = total
+            out[iw * unit] = total
     return LocallyConstantFn(p, f.resolution, f.support_exponent, out)
+
+
+def class_tree_dft(p: int, depth: int, sign: int, leaves: dict, mix) -> list:
+    """The N = p^depth outputs sum over i of zeta_N^(sign*k*i) * leaves[i],
+    for k in [0, N), by radix-p decimation in time up the residue-class tree.
+
+    The node of class c mod p^t holds the length-N/p^t transform of the
+    cells i = c mod p^t: entry k sums its p children c + p^t d, child entry
+    k mod N/p^(t+1), each weighted by zeta_N^(sign*d*k*p^t).  `mix` takes
+    [(value, j)] and returns the sum of zeta_N^j * value.  A class with no
+    cell in `leaves` is never built; without leaves the list is empty.
+    """
+    n = p**depth
+    stage = {i: [v] for i, v in leaves.items()}
+    for t in range(depth - 1, -1, -1):
+        size = p**t
+        length = n // size
+        child = length // p
+        kids: dict = {}
+        for c in sorted(stage):
+            kids.setdefault(c % size, []).append((c // size, stage[c]))
+        stage = {
+            c: [mix([(values[k % child], sign * d * k * size % n) for d, values in group])
+                for k in range(length)]
+            for c, group in kids.items()
+        }
+        del kids
+    return stage.get(0, [])
 
 
 def fn_equal(f: LocallyConstantFn, g: LocallyConstantFn, tol: float = 0.0) -> bool:

@@ -300,6 +300,20 @@ def _per_scale(p: int, window: Window, ops, evaluate) -> list[RelationResult]:
     return out
 
 
+def relation_names(family: str, k_range: int = 3) -> list[str]:
+    """The relations that `family`'s `*_results` report, whether or not the
+    window holds an instance of them."""
+    ks = range(-k_range, k_range + 1)
+    return {
+        "sl2": ["sl2:[J+,J-]-2logD", "sl2:[logD,J+]+J+", "sl2:[logD,J-]-J-"],
+        "witt": [f"witt:[l{a},l{b}]" for a in ks for b in ks],
+        "deformed": ["deformed:s=+1", "deformed:s=-1", "commutator:[D^a,J+1]",
+                     "commutator:[D^a,J-1]", "commutator:[D^a,logD]"],
+        "semigroup": ["semigroup"],
+        "translation": ["translation:spectral"],
+    }[family]
+
+
 def sl2_results(p: int, window: Window) -> list[RelationResult]:
     """[J+, J-] = 2 log_p D and [log_p D, J_s] = -s J_s on interior vectors."""
     jp, jm, logd = j_op(+1), j_op(-1), log_vladimirov_op()

@@ -6,14 +6,27 @@ each interior basis vector psi_(n, m, j), with no use of the fact that the
 operators never read m or j.  They share the side and residual helpers with
 `operators`, so the two routes must agree to the last bit; what they check
 is the walk.
+
+`fourier_by_cell` is the transform as one character sum per output cell,
+Theta(N^2): the route `functions.fourier` took before the radix-p pass up
+the class tree.  On exact tables the two must agree in keys, key order and
+the repr of every value.
 """
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
+from math import lcm
 
 from padic_wavelets.errors import WindowClipError
-from padic_wavelets.exact import is_half_integral, p_power_amp
+from padic_wavelets.exact import Cyc, amp_is_zero, is_half_integral, p_power_amp
+from padic_wavelets.functions import (
+    DEFAULT_CELL_CAP,
+    LocallyConstantFn,
+    ball_reps,
+    cell_index,
+)
 from padic_wavelets.operators import (
     _commutator_sides,
     _deformed_sides,
@@ -122,3 +135,69 @@ def translation_spectral_by_label(p, window, shift, alphas):
             out.append(_residual_result(
                 "translation:spectral", idx, alpha, [lhs, rhs], exact))
     return out
+
+
+def fourier_by_cell(f: LocallyConstantFn, sign: int, cap: int = DEFAULT_CELL_CAP):
+    """`fourier` (sign -1) or `inverse_fourier` (sign +1), one output cell at
+    a time.
+
+    For w = iw*p^(-K) and r = ir*p^(-M) the phase of chi(w*r) is
+    (iw*ir mod N) / N over the N = p^(M+K) cells.  Exact values are lifted
+    once to integers over a common cyclotomic level and denominator,
+    rational and sqrt(p) parts apart; a float value is one rational term at
+    exponent 0.  Each output cell sums its terms by phase, then normalizes
+    once (exact) or weights each phase by its root of unity (float).
+    """
+    p = f.prime
+    out_reps = ball_reps(p, f.resolution, f.support_exponent, cap)
+    count = len(out_reps)
+    cells = [(cell_index(r, p, f.support_exponent), f.table[r]) for r in sorted(f.table)]
+    exact = f.is_exact()
+    if exact:
+        level = max([f.support_exponent + f.resolution] + [v.level for _, v in cells])
+        den = lcm(*(v.den for _, v in cells))
+        lifted = []
+        for ir, v in cells:
+            lift = p ** (level - v.level)
+            up = den // v.den
+            lifted.append((
+                ir,
+                [(e * lift, a * up) for e, (a, _) in v.terms.items() if a],
+                [(e * lift, b * up) for e, (_, b) in v.terms.items() if b],
+            ))
+        scale = Fraction(p) ** (-f.resolution) / den
+    else:
+        level = f.support_exponent + f.resolution
+        lifted = [(ir, [(0, complex(v))], []) for ir, v in cells]
+        roots = [cmath.exp(2j * cmath.pi * k / count) for k in range(count)]
+        scale = float(p) ** (-f.resolution)
+    modulus = p**level
+    lift_root = modulus // count
+    out = {}
+    for iw, w in enumerate(out_reps):
+        acc_a, acc_b = {}, {}
+        get_a, get_b = acc_a.get, acc_b.get
+        for ir, terms_a, terms_b in lifted:
+            shift = (sign * iw * ir % count) * lift_root
+            for e, c in terms_a:
+                e += shift
+                if e >= modulus:
+                    e -= modulus
+                acc_a[e] = get_a(e, 0) + c
+            for e, c in terms_b:
+                e += shift
+                if e >= modulus:
+                    e -= modulus
+                acc_b[e] = get_b(e, 0) + c
+        if exact:
+            phases = set(acc_a.keys())
+            phases.update(acc_b.keys())
+            num = scale.numerator
+            terms = {e: (get_a(e, 0) * num, get_b(e, 0) * num)
+                     for e in phases if get_a(e) or get_b(e)}
+            total = Cyc(p, level, terms, scale.denominator)
+        else:
+            total = sum(roots[e] * c for e, c in acc_a.items()) * scale
+        if not amp_is_zero(total):
+            out[w] = total
+    return LocallyConstantFn(p, f.resolution, f.support_exponent, out)

@@ -183,6 +183,29 @@ def test_fourier_round_trip(capsys, tmp_path, psi_file):
     assert fn_equal(fn_from_json(json.loads(out)), materialize(2, KozyrevIndex(0)))
 
 
+FOURIER_GOLDEN = json.loads((Path(__file__).parent / "fourier_cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", FOURIER_GOLDEN,
+                         ids=lambda case: f"{case['name']} {' '.join(case['argv'])}")
+def test_fourier_stdout_is_golden(capsys, tmp_path, case):
+    # stdout recorded from the per-output-cell character sum.  An exact
+    # table is written byte for byte as then (the chirp's transform is
+    # sqrt(5) times a phase in every cell).  A sqrt(p) wavelet can only be
+    # read as floats, and a float table may differ in its last bits
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(case["input"]))
+    code, out, _ = run(capsys, case["argv"] + [str(path)])
+    assert code == case["exit"]
+    if case["exact"]:
+        assert out == case["stdout"]
+    else:
+        got, want = json.loads(out), json.loads(case["stdout"])
+        assert {k: v for k, v in got.items() if k != "cells"} == \
+            {k: v for k, v in want.items() if k != "cells"}
+        assert fn_equal(fn_from_json(got), fn_from_json(want), 1e-12)
+
+
 def test_malformed_json_is_exit_one(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{this is not json")
@@ -573,6 +596,21 @@ def test_negative_alpha_skips_only_the_kernel_relation(capsys):
                  "translation", "--alpha", "-1.5", "--alpha", "1"])
     assert (code, err) == (0, "")
     assert "translation:kernel" in out
+
+
+def test_check_algebra_names_relations_without_instances(capsys):
+    # at m-depth 0 the shift 1/p takes every label out of the window, and 12
+    # of the 49 Witt pairs shift further than 5 scales allow
+    code, out, err = run(capsys, ["--prime", "3", "--window", "-2:2:0", "check", "algebra",
+                                  "--alpha", "1", "--alpha", "2.5"])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[-1] == "all 310 relation instances passed"
+    assert len(lines) == 61
+    assert sum(line.endswith(": 0 instances") for line in lines) == 13
+    assert "translation:spectral: 0 instances" in lines
+    assert "witt:[l2,l3]: 0 instances" in lines
+    assert sum(line.startswith("witt:") for line in lines) == 49
 
 
 GOLDEN = json.loads((Path(__file__).parent / "check_algebra_golden.json").read_text())
