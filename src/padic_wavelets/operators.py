@@ -8,16 +8,22 @@ four primitive actions:
     LogDiagonal     coefficient *= (1 - n)          (log_p D)
     Scalar(c)       coefficient *= c
 
-A word is applied left to right; composition is concatenation.  Shifts that
-would leave the window raise `WindowClipError` rather than truncating, so
-relation checks restrict themselves to interior basis vectors where every
-intermediate index stays inside.
+A word is applied left to right; composition is concatenation.  None of the
+primitives reads m or j, and the wavelets are eigenvectors of D^a, so every
+word maps psi_(n,m,j) to c(n) psi_(n+s,m,j).  A word is compiled once
+(`BasisOperator.compile`) into that weighted shift: the total shift s and
+its factors in word order, each at its offset from n.  `apply_operator`
+evaluates c(n) per coefficient, and the relation checks evaluate each side
+as one scalar per scale, with no expansion built.  Shifts that would leave
+the window raise `WindowClipError` rather than truncating, so relation
+checks restrict themselves to interior scales where every intermediate
+index stays inside.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 
@@ -37,7 +43,6 @@ from .wavelets import (
     KozyrevIndex,
     WaveletExpansion,
     Window,
-    basis_vector,
     enumerate_m_digits,
     label_translate,
 )
@@ -80,15 +85,59 @@ class BasisOperator:
         """Operator product: (A @ B)(e) = A(B(e))."""
         return BasisOperator(other.word + self.word)
 
-    def shift_extent(self) -> tuple[int, int]:
-        """Extremes of the running scale shift over all prefixes."""
-        lo = hi = total = 0
+    def compile(self) -> "WeightedShift":
+        """The word as psi_(n,m,j) -> c(n) psi_(n+s,m,j)."""
+        total = lo = hi = 0
+        steps = []
         for prim in self.word:
             if isinstance(prim, ScaleShift):
                 total += prim.step
-                lo = min(lo, total)
-                hi = max(hi, total)
-        return lo, hi
+                lo, hi = min(lo, total), max(hi, total)
+            elif isinstance(prim, (Diagonal, LogDiagonal, Scalar)):
+                steps.append((total, prim))
+            else:
+                raise InvalidInputError(f"unknown primitive {prim!r}")
+        return WeightedShift(total, lo, hi, tuple(steps))
+
+    def shift_extent(self) -> tuple[int, int]:
+        """Extremes of the running scale shift over all prefixes."""
+        compiled = self.compile()
+        return compiled.lo, compiled.hi
+
+
+@dataclass(frozen=True)
+class WeightedShift:
+    """A compiled word: total scale shift, prefix extremes (lo, hi) of the
+    running shift, and the factors in word order.  Each step is (offset,
+    primitive): a Diagonal, LogDiagonal or Scalar applied at scale
+    n + offset, where offset is the running shift before it."""
+
+    shift: int
+    lo: int
+    hi: int
+    steps: tuple
+
+    def weight(self, p: int, n: int, c, powers: dict):
+        """c times each factor at scale n, in word order, so that float bits
+        are those of applying the primitives one by one; None once a product
+        is exactly zero.  `powers` holds p^(a(1-n)) by (a, n) for the caller."""
+        for offset, prim in self.steps:
+            at = n + offset
+            if isinstance(prim, Diagonal):
+                alpha = prim.alpha
+                # typed: Fraction(1, 2) == 0.5, but only the Fraction is exact
+                key = (type(alpha), alpha, at)
+                factor = powers.get(key)
+                if factor is None:
+                    factor = powers[key] = p_power_amp(p, alpha * (1 - at))
+            elif isinstance(prim, LogDiagonal):
+                factor = Fraction(1 - at)
+            else:
+                factor = prim.factor
+            c = c * factor
+            if amp_is_zero(c):
+                return None
+        return c
 
 
 def scalar_op(c) -> BasisOperator:
@@ -121,32 +170,60 @@ def ell_op(k: int) -> BasisOperator:
 
 
 def apply_operator(op: BasisOperator, e: WaveletExpansion) -> WaveletExpansion:
+    """op on e: the coefficient c of (n, m, j) becomes c c(n) at (n + s, m, j),
+    in e's order, and is dropped once a product is exactly zero, as when the
+    primitives are applied one by one to the whole expansion."""
+    if not op.word:
+        return WaveletExpansion(e.prime, e.window, dict(e.coefficients))
     p = e.prime
-    coeffs = dict(e.coefficients)
-    for prim in op.word:
-        new: dict = {}
-        for idx, c in coeffs.items():
-            if isinstance(prim, ScaleShift):
-                target = KozyrevIndex(idx.n + prim.step, idx.m_digits, idx.j)
-                if not e.window.contains(target):
-                    raise WindowClipError(target)
-                new_idx, value = target, c
-            elif isinstance(prim, Diagonal):
-                new_idx, value = idx, c * p_power_amp(p, prim.alpha * (1 - idx.n))
-            elif isinstance(prim, LogDiagonal):
-                new_idx, value = idx, c * Fraction(1 - idx.n)
-            elif isinstance(prim, Scalar):
-                new_idx, value = idx, c * prim.factor
-            else:
-                raise InvalidInputError(f"unknown primitive {prim!r}")
-            if new_idx in new:
-                value = new[new_idx] + value
-            if amp_is_zero(value):
-                new.pop(new_idx, None)
-            else:
-                new[new_idx] = value
-        coeffs = new
+    compiled = op.compile()
+    target = _clip_target(op, compiled, e)
+    if target is not None:
+        raise WindowClipError(target)
+    # a leading shift meets the zero test before any factor does
+    lead_shift = isinstance(op.word[0], ScaleShift)
+    shift, powers = compiled.shift, {}
+    coeffs = {}
+    for idx, c in e.coefficients.items():
+        if lead_shift and amp_is_zero(c):
+            continue
+        value = compiled.weight(p, idx.n, c, powers)
+        if value is not None:
+            if shift:
+                idx = KozyrevIndex(idx.n + shift, idx.m_digits, idx.j)
+            coeffs[idx] = value
     return WaveletExpansion(p, e.window, coeffs)
+
+
+def _clip_target(op: BasisOperator, compiled: WeightedShift, e: WaveletExpansion):
+    """The label at which op's primitives, applied one by one to all of e,
+    first leave the window, or None: the earliest primitive that takes a
+    coefficient still held outside, and the first such coefficient in e's
+    order.  A coefficient dropped at zero before that primitive is not held."""
+    window = e.window
+    first = None
+    for idx, c in e.coefficients.items():
+        n = idx.n
+        if window.n_min <= n + compiled.lo and n + compiled.hi <= window.n_max:
+            continue
+        at, factors = n, 0
+        for t, prim in enumerate(op.word):
+            if not isinstance(prim, ScaleShift):
+                factors += 1
+            else:
+                at += prim.step
+                if not window.n_min <= at <= window.n_max:
+                    break
+        if first is not None and t >= first[0]:
+            continue
+        if t > 0:
+            if isinstance(op.word[0], ScaleShift) and amp_is_zero(c):
+                continue
+            prefix = replace(compiled, steps=compiled.steps[:factors])
+            if prefix.weight(e.prime, n, c, {}) is None:
+                continue
+        first = (t, KozyrevIndex(at, idx.m_digits, idx.j))
+    return None if first is None else first[1]
 
 
 # -- spectral-form operator actions ------------------------------------------
@@ -218,39 +295,41 @@ def translate_expansion(e: WaveletExpansion, b) -> WaveletExpansion:
 # -- commutators ----------------------------------------------------------------
 
 
-def _commutator_sides(a: BasisOperator, b: BasisOperator, e: WaveletExpansion,
+def _commutator_sides(a: BasisOperator, b: BasisOperator,
                       expected: BasisOperator | None) -> list:
-    sides = [apply_operator(a, apply_operator(b, e)), apply_operator(b, apply_operator(a, e))]
+    """The sides of [a, b] = expected as (word, prefactor) pairs."""
+    sides = [(a @ b, None), (b @ a, None)]
     if expected is not None:
-        sides.append(apply_operator(expected, e))
+        sides.append((expected, None))
     return sides
 
 
 def check_commutator(a: BasisOperator, b: BasisOperator, e: WaveletExpansion,
                      expected: BasisOperator | None = None) -> WaveletExpansion:
     """Residual of [a, b] - expected applied to e; all-zero on success."""
-    return reduce(expansion_sub, _commutator_sides(a, b, e, expected))
+    return reduce(expansion_sub, [apply_operator(op, e)
+                                  for op, _ in _commutator_sides(a, b, expected)])
 
 
-def _deformed_sides(alpha, step: int, e: WaveletExpansion) -> list:
-    p = e.prime
+def _deformed_sides(p: int, alpha, step: int) -> list:
+    """p^(s a/2) D^a J_s and p^(-s a/2) J_s D^a as (word, prefactor) pairs."""
+    dal, js = vladimirov(alpha), j_op(step)
     # dividing by Fraction(2) keeps an integer alpha exact
-    plus = p_power_amp(p, step * alpha / Fraction(2))
-    minus = p_power_amp(p, -step * alpha / Fraction(2))
-    lhs = expansion_scale(apply_operator(vladimirov(alpha), j_shift(step, e)), plus)
-    rhs = expansion_scale(j_shift(step, apply_operator(vladimirov(alpha), e)), minus)
-    return [lhs, rhs]
+    return [(dal @ js, p_power_amp(p, step * alpha / Fraction(2))),
+            (js @ dal, p_power_amp(p, -step * alpha / Fraction(2)))]
 
 
 def check_deformed(alpha, step: int, e: WaveletExpansion) -> WaveletExpansion:
     """Residual of p^(s a/2) D^a J_s - p^(-s a/2) J_s D^a on e."""
-    return reduce(expansion_sub, _deformed_sides(alpha, step, e))
+    return reduce(expansion_sub, [expansion_scale(apply_operator(op, e), factor)
+                                  for op, factor in _deformed_sides(e.prime, alpha, step)])
 
 
 def interior_scales(window: Window, *ops: BasisOperator) -> range:
     """Scales from which every prefix of every word stays inside the window."""
-    lo = min((op.shift_extent()[0] for op in ops), default=0)
-    hi = max((op.shift_extent()[1] for op in ops), default=0)
+    extents = [op.shift_extent() for op in ops]
+    lo = min((lo for lo, _ in extents), default=0)
+    hi = max((hi for _, hi in extents), default=0)
     return range(window.n_min - lo, window.n_max - hi + 1)
 
 
@@ -270,14 +349,6 @@ class RelationResult:
         return self.residual == 0.0 if self.exact else self.residual <= tol * self.scale
 
 
-def _residual_result(relation, idx, alpha, sides, exact: bool) -> RelationResult:
-    """The relation sides[0] = sum of sides[1:]; `exact` follows from the
-    inputs, not from the residual's values."""
-    residual = expansion_max_abs(reduce(expansion_sub, sides))
-    scale = 1.0 if exact else max(1.0, *map(expansion_max_abs, sides))
-    return RelationResult(relation, idx, alpha, residual, exact, scale)
-
-
 def _scale_labels(p: int, window: Window, n: int) -> list[KozyrevIndex]:
     return [KozyrevIndex(n, m, j)
             for m in enumerate_m_digits(p, window.m_depth) for j in range(1, p)]
@@ -289,15 +360,60 @@ def _for_labels(results, labels) -> list[RelationResult]:
             for idx in labels for r in results]
 
 
-def _per_scale(p: int, window: Window, ops, evaluate) -> list[RelationResult]:
-    """`evaluate(e)`'s results on one basis vector of each interior scale n,
-    repeated for every label (n, m, j) in order.  Every word maps
-    psi_(n,m,j) to c(n) psi_(n+s,m,j), so a residual never depends on m or j."""
-    out = []
-    for n in interior_scales(window, *ops):
-        labels = _scale_labels(p, window, n)
-        out += _for_labels(evaluate(basis_vector(p, window, labels[0])), labels)
-    return out
+def _compiled(sides) -> list:
+    return [(op.compile(), factor) for op, factor in sides]
+
+
+class _ScaleWalk:
+    """One `*_results` call over the interior scales.  Every side maps
+    psi_(n,m,j) to c(n) psi_(n+s,m,j), so it is one scalar per scale, and a
+    residual never depends on m or j.  The labels of each scale and each
+    p^(a(1-n)) are computed once and kept for this call only."""
+
+    def __init__(self, p: int, window: Window):
+        self.p, self.window = p, window
+        self.one = Cyc.one(p)
+        self.powers: dict = {}
+        self.labels: dict = {}
+
+    def results(self, ops, evaluate) -> list[RelationResult]:
+        """`evaluate(n)`'s results at each interior scale n of `ops`,
+        repeated for every label (n, m, j) in order."""
+        out = []
+        for n in interior_scales(self.window, *ops):
+            labels = self.labels.get(n)
+            if labels is None:
+                labels = self.labels[n] = _scale_labels(self.p, self.window, n)
+            out += _for_labels(evaluate(n), labels)
+        return out
+
+    def check(self, relation, alpha, sides, n: int, exact: bool) -> RelationResult:
+        """The relation sides[0] = sum of sides[1:] on psi_n, for compiled
+        (word, prefactor) sides; `exact` follows from the inputs, not from
+        the residual's values."""
+        values = []
+        for compiled, factor in sides:
+            c = compiled.weight(self.p, n, self.one, self.powers)
+            # a prefactor scales as `expansion_scale` does: a zero product stays
+            values.append(None if c is None else
+                          (n + compiled.shift, c if factor is None else c * factor))
+        # subtracted in order, from zero where the first side has no
+        # coefficient, as reduce(expansion_sub, ...) does
+        first, *rest = values
+        residual = dict([first]) if first else {}
+        for value in rest:
+            if value is None:
+                continue
+            at, c = value
+            total = (residual[at] if at in residual else Cyc.zero(self.p)) - c
+            if amp_is_zero(total):
+                residual.pop(at, None)
+            else:
+                residual[at] = total
+        worst = max((abs(complex(c)) for c in residual.values()), default=0.0)
+        scale = 1.0 if exact else max(
+            1.0, *(0.0 if v is None else abs(complex(v[1])) for v in values))
+        return RelationResult(relation, None, alpha, worst, exact, scale)
 
 
 def relation_names(family: str, k_range: int = 3) -> list[str]:
@@ -316,33 +432,35 @@ def relation_names(family: str, k_range: int = 3) -> list[str]:
 
 def sl2_results(p: int, window: Window) -> list[RelationResult]:
     """[J+, J-] = 2 log_p D and [log_p D, J_s] = -s J_s on interior vectors."""
+    walk = _ScaleWalk(p, window)
     jp, jm, logd = j_op(+1), j_op(-1), log_vladimirov_op()
-    plus_minus = scalar_op(Fraction(2)) @ logd
-    out = _per_scale(p, window, (jp, jm), lambda e: [_residual_result(
-        "sl2:[J+,J-]-2logD", None, None, _commutator_sides(jp, jm, e, plus_minus), True)])
+    sides = _compiled(_commutator_sides(jp, jm, scalar_op(Fraction(2)) @ logd))
+    out = walk.results((jp, jm), lambda n: [
+        walk.check("sl2:[J+,J-]-2logD", None, sides, n, True)])
     for step, name in ((+1, "sl2:[logD,J+]+J+"), (-1, "sl2:[logD,J-]-J-")):
         js = j_op(step)
-        expected = scalar_op(Fraction(-step)) @ js
-        out += _per_scale(p, window, (js,), lambda e: [_residual_result(
-            name, None, None, _commutator_sides(logd, js, e, expected), True)])
+        sides = _compiled(_commutator_sides(logd, js, scalar_op(Fraction(-step)) @ js))
+        out += walk.results((js,), lambda n: [walk.check(name, None, sides, n, True)])
     return out
 
 
 def witt_results(p: int, window: Window, k_range: int = 3) -> list[RelationResult]:
     """[ell_a, ell_b] = (a-b) ell_(a+b) for |a|, |b| <= k_range."""
+    walk = _ScaleWalk(p, window)
     out = []
     for a in range(-k_range, k_range + 1):
         for b in range(-k_range, k_range + 1):
-            la, lb = ell_op(a), ell_op(b)
-            expected = scalar_op(Fraction(a - b)) @ ell_op(a + b)
-            out += _per_scale(p, window, (la, lb, ell_op(a + b)), lambda e: [_residual_result(
-                f"witt:[l{a},l{b}]", None, None, _commutator_sides(la, lb, e, expected), True)])
+            la, lb, lab = ell_op(a), ell_op(b), ell_op(a + b)
+            sides = _compiled(_commutator_sides(la, lb, scalar_op(Fraction(a - b)) @ lab))
+            out += walk.results((la, lb, lab), lambda n: [
+                walk.check(f"witt:[l{a},l{b}]", None, sides, n, True)])
     return out
 
 
 def deformed_results(p: int, window: Window, alphas) -> list[RelationResult]:
     """The deformed identity plus [D^a, J_s] = (1-p^(s a)) D^a J_s and
     [D^a, log_p D] = 0."""
+    walk = _ScaleWalk(p, window)
     out = []
     logd = log_vladimirov_op()
     for alpha in alphas:
@@ -352,47 +470,49 @@ def deformed_results(p: int, window: Window, alphas) -> list[RelationResult]:
         exact_deformed = is_half_integral(alpha / Fraction(2))
         for step in (+1, -1):
             js = j_op(step)
+            deformed = _compiled(_deformed_sides(p, alpha, step))
             expected = scalar_op(1 - p_power_amp(p, step * alpha)) @ dal @ js
-            out += _per_scale(p, window, (js,), lambda e: [
-                _residual_result(f"deformed:s={step:+d}", None, alpha,
-                                 _deformed_sides(alpha, step, e), exact_deformed),
-                _residual_result(f"commutator:[D^a,J{step:+d}]", None, alpha,
-                                 _commutator_sides(dal, js, e, expected), exact)])
-        out += _per_scale(p, window, (), lambda e: [_residual_result(
-            "commutator:[D^a,logD]", None, alpha, _commutator_sides(dal, logd, e, None), exact)])
+            commutator = _compiled(_commutator_sides(dal, js, expected))
+            out += walk.results((js,), lambda n: [
+                walk.check(f"deformed:s={step:+d}", alpha, deformed, n, exact_deformed),
+                walk.check(f"commutator:[D^a,J{step:+d}]", alpha, commutator, n, exact)])
+        commutator = _compiled(_commutator_sides(dal, logd, None))
+        out += walk.results((), lambda n: [
+            walk.check("commutator:[D^a,logD]", alpha, commutator, n, exact)])
     return out
 
 
 def semigroup_results(p: int, window: Window, alpha_pairs) -> list[RelationResult]:
     """D^a1 D^a2 = D^(a1+a2), checked coefficientwise."""
+    walk = _ScaleWalk(p, window)
     out = []
     for a1, a2 in alpha_pairs:
         exact = is_half_integral(a1) and is_half_integral(a2)
-        out += _per_scale(p, window, (), lambda e: [_residual_result(
-            "semigroup", None, (a1, a2),
-            [vladimirov_spectral(a1, vladimirov_spectral(a2, e)),
-             vladimirov_spectral(a1 + a2, e)], exact)])
+        sides = _compiled([(vladimirov(a1) @ vladimirov(a2), None),
+                           (vladimirov(a1 + a2), None)])
+        out += walk.results((), lambda n: [
+            walk.check("semigroup", (a1, a2), sides, n, exact)])
     return out
 
 
 def translation_spectral_results(p: int, window: Window, shift: Fraction,
                                  alphas) -> list[RelationResult]:
     """D^a (label-translate) - (label-translate) D^a on the basis vectors
-    whose translated label stays inside the window; both sides keep n, so
-    one label per scale gives the residual of all of them."""
+    whose translated label stays inside the window.  A label translation
+    keeps n and the coefficient, so both sides are D^a on psi_n, and one
+    evaluation per scale gives the residual of all its labels."""
     b = shift_rational(shift, p)
     inside = [[idx for idx in _scale_labels(p, window, n)
                if window.contains(label_translate(idx, b, p))]
               for n in interior_scales(window)]
+    walk = _ScaleWalk(p, window)
     out = []
     for alpha in alphas:
         exact = is_half_integral(alpha)
+        side = (vladimirov(alpha).compile(), None)
         for labels in filter(None, inside):
-            e = basis_vector(p, window, labels[0])
-            lhs = vladimirov_spectral(alpha, translate_expansion(e, b))
-            rhs = translate_expansion(vladimirov_spectral(alpha, e), b)
-            out += _for_labels([_residual_result(
-                "translation:spectral", None, alpha, [lhs, rhs], exact)], labels)
+            out += _for_labels([walk.check(
+                "translation:spectral", alpha, [side, side], labels[0].n, exact)], labels)
     return out
 
 

@@ -1,11 +1,19 @@
 """Test-only oracles: the slow, direct routes that fast paths are checked against.
 
+`apply_by_primitive` applies an operator word one primitive at a time to the
+whole expansion, building a window-checked coefficient map per primitive:
+the route `operators.apply_operator` took before words were compiled into
+weighted shifts.  The two must agree in keys, key order, values to the last
+bit, and the `WindowClipError` they raise.
+
 The `*_by_label` functions are the per-basis-vector relation walk of the
 five `operators.*_results` families: every relation is evaluated afresh on
 each interior basis vector psi_(n, m, j), with no use of the fact that the
-operators never read m or j.  They share the side and residual helpers with
-`operators`, so the two routes must agree to the last bit; what they check
-is the walk.
+operators never read m or j.  Their sides are expansions built by
+`apply_by_primitive`, subtracted coefficient by coefficient; they take the
+words from `operators` but share only `RelationResult` with the code that
+checks them, so the two routes must agree down to the repr of every float
+residual.
 
 `fourier_by_cell` is the transform as one character sum per output cell,
 Theta(N^2): the route `functions.fourier` took before the radix-p pass up
@@ -19,7 +27,7 @@ import cmath
 from fractions import Fraction
 from math import lcm
 
-from padic_wavelets.errors import WindowClipError
+from padic_wavelets.errors import InvalidInputError, WindowClipError
 from padic_wavelets.exact import Cyc, amp_is_zero, is_half_integral, p_power_amp
 from padic_wavelets.functions import (
     DEFAULT_CELL_CAP,
@@ -28,23 +36,120 @@ from padic_wavelets.functions import (
     cell_index,
 )
 from padic_wavelets.operators import (
-    _commutator_sides,
-    _deformed_sides,
-    _residual_result,
+    Diagonal,
+    LogDiagonal,
+    RelationResult,
+    Scalar,
+    ScaleShift,
     ell_op,
-    interior_scales,
     j_op,
     log_vladimirov_op,
     scalar_op,
-    translate_expansion,
     vladimirov,
-    vladimirov_spectral,
 )
-from padic_wavelets.wavelets import KozyrevIndex, basis_vector, enumerate_m_digits
+from padic_wavelets.padic import shift_rational
+from padic_wavelets.wavelets import (
+    KozyrevIndex,
+    WaveletExpansion,
+    basis_vector,
+    enumerate_m_digits,
+    label_translate,
+)
+
+
+def apply_by_primitive(op, e: WaveletExpansion) -> WaveletExpansion:
+    p = e.prime
+    coeffs = dict(e.coefficients)
+    for prim in op.word:
+        new: dict = {}
+        for idx, c in coeffs.items():
+            if isinstance(prim, ScaleShift):
+                target = KozyrevIndex(idx.n + prim.step, idx.m_digits, idx.j)
+                if not e.window.contains(target):
+                    raise WindowClipError(target)
+                new_idx, value = target, c
+            elif isinstance(prim, Diagonal):
+                new_idx, value = idx, c * p_power_amp(p, prim.alpha * (1 - idx.n))
+            elif isinstance(prim, LogDiagonal):
+                new_idx, value = idx, c * Fraction(1 - idx.n)
+            elif isinstance(prim, Scalar):
+                new_idx, value = idx, c * prim.factor
+            else:
+                raise InvalidInputError(f"unknown primitive {prim!r}")
+            if new_idx in new:
+                value = new[new_idx] + value
+            if amp_is_zero(value):
+                new.pop(new_idx, None)
+            else:
+                new[new_idx] = value
+        coeffs = new
+    return WaveletExpansion(p, e.window, coeffs)
+
+
+def _sub(e1: WaveletExpansion, e2: WaveletExpansion) -> WaveletExpansion:
+    coeffs = dict(e1.coefficients)
+    for idx, c in e2.coefficients.items():
+        total = coeffs.get(idx, Cyc.zero(e1.prime)) - c
+        if amp_is_zero(total):
+            coeffs.pop(idx, None)
+        else:
+            coeffs[idx] = total
+    return WaveletExpansion(e1.prime, e1.window, coeffs)
+
+
+def _max_abs(e: WaveletExpansion) -> float:
+    return max((abs(complex(c)) for c in e.coefficients.values()), default=0.0)
+
+
+def _residual(relation, idx, alpha, sides, exact) -> RelationResult:
+    """The relation sides[0] = sum of sides[1:] on one basis vector."""
+    residual = sides[0]
+    for side in sides[1:]:
+        residual = _sub(residual, side)
+    scale = 1.0 if exact else max(1.0, *map(_max_abs, sides))
+    return RelationResult(relation, idx, alpha, _max_abs(residual), exact, scale)
+
+
+def _commutator(a, b, e, expected=None) -> list:
+    sides = [apply_by_primitive(a, apply_by_primitive(b, e)),
+             apply_by_primitive(b, apply_by_primitive(a, e))]
+    if expected is not None:
+        sides.append(apply_by_primitive(expected, e))
+    return sides
+
+
+def _deformed(alpha, step, e) -> list:
+    p = e.prime
+    plus = p_power_amp(p, step * alpha / Fraction(2))
+    minus = p_power_amp(p, -step * alpha / Fraction(2))
+    dal, js = vladimirov(alpha), j_op(step)
+    lhs = apply_by_primitive(dal, apply_by_primitive(js, e))
+    rhs = apply_by_primitive(js, apply_by_primitive(dal, e))
+    return [WaveletExpansion(p, e.window, {i: c * plus for i, c in lhs.coefficients.items()}),
+            WaveletExpansion(p, e.window, {i: c * minus for i, c in rhs.coefficients.items()})]
+
+
+def _translate(e: WaveletExpansion, b) -> WaveletExpansion:
+    p = e.prime
+    coeffs = {}
+    for idx, c in e.coefficients.items():
+        target = label_translate(idx, b, p)
+        if not e.window.contains(target):
+            raise WindowClipError(target)
+        coeffs[target] = coeffs.get(target, Cyc.zero(p)) + c
+    return WaveletExpansion(p, e.window, coeffs)
 
 
 def _interior_basis(p, window, *ops):
-    for n in interior_scales(window, *ops):
+    """Labels from which no prefix of any word leaves the window's scales."""
+    lo = hi = 0
+    for op in ops:
+        total = 0
+        for prim in op.word:
+            if isinstance(prim, ScaleShift):
+                total += prim.step
+                lo, hi = min(lo, total), max(hi, total)
+    for n in range(window.n_min - lo, window.n_max - hi + 1):
         for m in enumerate_m_digits(p, window.m_depth):
             for j in range(1, p):
                 yield KozyrevIndex(n, m, j)
@@ -56,15 +161,14 @@ def sl2_by_label(p, window):
     plus_minus = scalar_op(Fraction(2)) @ logd
     for idx in _interior_basis(p, window, jp, jm):
         e = basis_vector(p, window, idx)
-        out.append(_residual_result(
-            "sl2:[J+,J-]-2logD", idx, None, _commutator_sides(jp, jm, e, plus_minus), True))
+        out.append(_residual(
+            "sl2:[J+,J-]-2logD", idx, None, _commutator(jp, jm, e, plus_minus), True))
     for step, name in ((+1, "sl2:[logD,J+]+J+"), (-1, "sl2:[logD,J-]-J-")):
         js = j_op(step)
         expected = scalar_op(Fraction(-step)) @ js
         for idx in _interior_basis(p, window, js):
             e = basis_vector(p, window, idx)
-            out.append(_residual_result(
-                name, idx, None, _commutator_sides(logd, js, e, expected), True))
+            out.append(_residual(name, idx, None, _commutator(logd, js, e, expected), True))
     return out
 
 
@@ -76,9 +180,8 @@ def witt_by_label(p, window, k_range=3):
             expected = scalar_op(Fraction(a - b)) @ ell_op(a + b)
             for idx in _interior_basis(p, window, la, lb, ell_op(a + b)):
                 e = basis_vector(p, window, idx)
-                out.append(_residual_result(
-                    f"witt:[l{a},l{b}]", idx, None,
-                    _commutator_sides(la, lb, e, expected), True))
+                out.append(_residual(
+                    f"witt:[l{a},l{b}]", idx, None, _commutator(la, lb, e, expected), True))
     return out
 
 
@@ -93,19 +196,18 @@ def deformed_by_label(p, window, alphas):
             js = j_op(step)
             for idx in _interior_basis(p, window, js):
                 e = basis_vector(p, window, idx)
-                out.append(_residual_result(
-                    f"deformed:s={step:+d}", idx, alpha,
-                    _deformed_sides(alpha, step, e), exact_deformed))
+                out.append(_residual(
+                    f"deformed:s={step:+d}", idx, alpha, _deformed(alpha, step, e),
+                    exact_deformed))
                 factor = 1 - p_power_amp(p, step * alpha)
                 expected = scalar_op(factor) @ dal @ js
-                out.append(_residual_result(
+                out.append(_residual(
                     f"commutator:[D^a,J{step:+d}]", idx, alpha,
-                    _commutator_sides(dal, js, e, expected), exact))
+                    _commutator(dal, js, e, expected), exact))
         for idx in _interior_basis(p, window):
             e = basis_vector(p, window, idx)
-            out.append(_residual_result(
-                "commutator:[D^a,logD]", idx, alpha,
-                _commutator_sides(dal, logd, e, None), exact))
+            out.append(_residual(
+                "commutator:[D^a,logD]", idx, alpha, _commutator(dal, logd, e), exact))
     return out
 
 
@@ -115,25 +217,26 @@ def semigroup_by_label(p, window, alpha_pairs):
         exact = is_half_integral(a1) and is_half_integral(a2)
         for idx in _interior_basis(p, window):
             e = basis_vector(p, window, idx)
-            lhs = vladimirov_spectral(a1, vladimirov_spectral(a2, e))
-            rhs = vladimirov_spectral(a1 + a2, e)
-            out.append(_residual_result("semigroup", idx, (a1, a2), [lhs, rhs], exact))
+            lhs = apply_by_primitive(vladimirov(a1), apply_by_primitive(vladimirov(a2), e))
+            rhs = apply_by_primitive(vladimirov(a1 + a2), e)
+            out.append(_residual("semigroup", idx, (a1, a2), [lhs, rhs], exact))
     return out
 
 
 def translation_spectral_by_label(p, window, shift, alphas):
     out = []
+    b = shift_rational(shift, p)
     for alpha in alphas:
         exact = is_half_integral(alpha)
+        dal = vladimirov(alpha)
         for idx in _interior_basis(p, window):
             e = basis_vector(p, window, idx)
             try:
-                lhs = vladimirov_spectral(alpha, translate_expansion(e, shift))
-                rhs = translate_expansion(vladimirov_spectral(alpha, e), shift)
+                lhs = apply_by_primitive(dal, _translate(e, b))
+                rhs = _translate(apply_by_primitive(dal, e), b)
             except WindowClipError:
                 continue
-            out.append(_residual_result(
-                "translation:spectral", idx, alpha, [lhs, rhs], exact))
+            out.append(_residual("translation:spectral", idx, alpha, [lhs, rhs], exact))
     return out
 
 

@@ -469,18 +469,56 @@ def test_check_algebra_all_relations(capsys):
     assert "translation:kernel" in out
 
 
+def test_check_algebra_evaluates_each_side_as_a_scalar(capsys, monkeypatch):
+    # every side maps psi_(n,m,j) to c(n) psi_(n+s,m,j): the families build no
+    # expansion, and each call takes p^(a(1-n)) once per (a, n) it meets
+    from padic_wavelets import cli, operators
+    from padic_wavelets.wavelets import WaveletExpansion
+
+    built, powers, seen = [], [], {}
+    monkeypatch.setattr(WaveletExpansion, "__post_init__", lambda self: built.append(self))
+    power = operators.p_power_amp
+    monkeypatch.setattr(operators, "p_power_amp",
+                        lambda p, x: powers.append(x) or power(p, x))
+    for family in ("sl2", "witt", "deformed", "semigroup", "translation_spectral"):
+        checker = getattr(cli, f"{family}_results")
+
+        def counted(*args, checker=checker, family=family, **kwargs):
+            built.clear()
+            powers.clear()
+            out = checker(*args, **kwargs)
+            seen[family] = (len(built), len(powers))
+            return out
+
+        monkeypatch.setattr(cli, f"{family}_results", counted)
+    code, out, err = run(capsys, ["--prime", "3", "--window", "-3:3:1", "check", "algebra",
+                                  "--relation", "all", "--alpha", "0.5", "--alpha", "1",
+                                  "--alpha", "0.3"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "all 2217 relation instances passed"
+    assert [count for count, _ in seen.values()] == [0] * 5
+    alphas = [Fraction(1, 2), Fraction(1), 0.3]
+    sums = {(type(a1 + a2), a1 + a2) for a1 in alphas for a2 in alphas}
+    scales = 7
+    assert seen["sl2"][1] == seen["witt"][1] == 0
+    # plus p^(s a/2), p^(-s a/2) and p^(s a) once per (a, s)
+    assert seen["deformed"][1] <= scales * len(alphas) + 3 * 2 * len(alphas)
+    assert seen["semigroup"][1] <= scales * len(sums | {(type(a), a) for a in alphas})
+    assert seen["translation_spectral"][1] <= scales * len(alphas)
+
+
 def test_corrupted_word_is_exit_two(capsys, monkeypatch):
     # negative control: one sl2 instance checked against 3 log_p D instead of 2
     from padic_wavelets import cli
     from padic_wavelets.operators import (
         RelationResult,
-        basis_vector,
         check_commutator,
         expansion_max_abs,
         j_op,
         log_vladimirov_op,
         scalar_op,
     )
+    from padic_wavelets.wavelets import basis_vector
 
     sl2_results = cli.sl2_results
 
@@ -535,20 +573,28 @@ def test_float_relation_large_coefficients_pass(capsys):
     assert "relation instances passed" in out
 
 
+def corrupt_spectral_sum(monkeypatch, at_scale):
+    """Make the compiled word D^2.7 = D^(1 + 1.7) yield c(n) (1 + 1e-6) at
+    the scales n where `at_scale(n)` holds."""
+    from padic_wavelets.operators import Diagonal, WeightedShift
+
+    weight = WeightedShift.weight
+
+    def corrupted(self, p, n, c, powers):
+        out = weight(self, p, n, c, powers)
+        alphas = [prim.alpha for _, prim in self.steps if isinstance(prim, Diagonal)]
+        if len(self.steps) == 1 and alphas and isinstance(alphas[0], float) and \
+                abs(alphas[0] - 2.7) < 1e-9 and at_scale(n) and out is not None:
+            out = out * (1 + 1e-6)
+        return out
+
+    monkeypatch.setattr(WeightedShift, "weight", corrupted)
+
+
 def test_float_relation_off_by_a_millionth_is_exit_two(capsys, monkeypatch):
     # negative control for the relative tolerance: D^(a1+a2) made 1e-6 too
     # large (relative) must still fail
-    from padic_wavelets import operators
-
-    spectral = operators.vladimirov_spectral
-
-    def corrupted(alpha, e):
-        out = spectral(alpha, e)
-        if isinstance(alpha, float) and abs(alpha - 2.7) < 1e-9:
-            out = operators.expansion_scale(out, 1 + 1e-6)
-        return out
-
-    monkeypatch.setattr(operators, "vladimirov_spectral", corrupted)
+    corrupt_spectral_sum(monkeypatch, lambda n: True)
     code, _, err = run(
         capsys, ["--window", "-6:6:1", "check", "algebra", "--relation", "semigroup",
                  "--alpha", "1", "--alpha", "1.7"])
@@ -559,18 +605,7 @@ def test_float_relation_off_by_a_millionth_is_exit_two(capsys, monkeypatch):
 def test_relation_off_at_one_scale_names_that_scales_first_label(capsys, monkeypatch):
     # negative control for the per-scale walk: D^(a1+a2) made 1e-6 too large
     # at scale n = 2 only must fail, at the first label (2, (), 1) of that scale
-    from padic_wavelets import operators
-
-    spectral = operators.vladimirov_spectral
-
-    def corrupted(alpha, e):
-        out = spectral(alpha, e)
-        if isinstance(alpha, float) and abs(alpha - 2.7) < 1e-9 and \
-                {idx.n for idx in e.coefficients} == {2}:
-            out = operators.expansion_scale(out, 1 + 1e-6)
-        return out
-
-    monkeypatch.setattr(operators, "vladimirov_spectral", corrupted)
+    corrupt_spectral_sum(monkeypatch, lambda n: n == 2)
     code, out, err = run(
         capsys, ["--window", "-6:6:1", "check", "algebra", "--relation", "semigroup",
                  "--alpha", "1", "--alpha", "1.7"])
