@@ -10,20 +10,20 @@ four primitive actions:
 
 A word is applied left to right; composition is concatenation.  None of the
 primitives reads m or j, and the wavelets are eigenvectors of D^a, so every
-word maps psi_(n,m,j) to c(n) psi_(n+s,m,j).  A word is compiled once
-(`BasisOperator.compile`) into that weighted shift: the total shift s and
-its factors in word order, each at its offset from n.  `apply_operator`
-evaluates c(n) per coefficient, and the relation checks evaluate each side
-as one scalar per scale, with no expansion built.  Shifts that would leave
-the window raise `WindowClipError` rather than truncating, so relation
-checks restrict themselves to interior scales where every intermediate
-index stays inside.
+word maps psi_(n,m,j) to c(n) psi_(n+s,m,j).  `apply_operator` applies the
+primitives one at a time to a whole expansion.  Shifts that would leave the
+window raise `WindowClipError` rather than truncating, so relation checks
+restrict themselves to interior scales where every intermediate index stays
+inside.  There the `*_results` families compile each word once
+(`BasisOperator.compile`) into that weighted shift, the total shift s and
+its factors in word order, each at its offset from n, and evaluate each
+side as one scalar per scale, with no expansion built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
@@ -85,36 +85,39 @@ class BasisOperator:
         """Operator product: (A @ B)(e) = A(B(e))."""
         return BasisOperator(other.word + self.word)
 
+    def shift_extent(self) -> tuple[int, int]:
+        """Extremes of the running scale shift over all prefixes."""
+        lo = hi = total = 0
+        for prim in self.word:
+            if isinstance(prim, ScaleShift):
+                total += prim.step
+                lo = min(lo, total)
+                hi = max(hi, total)
+        return lo, hi
+
     def compile(self) -> "WeightedShift":
         """The word as psi_(n,m,j) -> c(n) psi_(n+s,m,j)."""
-        total = lo = hi = 0
+        total = 0
         steps = []
         for prim in self.word:
             if isinstance(prim, ScaleShift):
                 total += prim.step
-                lo, hi = min(lo, total), max(hi, total)
             elif isinstance(prim, (Diagonal, LogDiagonal, Scalar)):
                 steps.append((total, prim))
             else:
                 raise InvalidInputError(f"unknown primitive {prim!r}")
-        return WeightedShift(total, lo, hi, tuple(steps))
-
-    def shift_extent(self) -> tuple[int, int]:
-        """Extremes of the running scale shift over all prefixes."""
-        compiled = self.compile()
-        return compiled.lo, compiled.hi
+        return WeightedShift(total, tuple(steps))
 
 
 @dataclass(frozen=True)
 class WeightedShift:
-    """A compiled word: total scale shift, prefix extremes (lo, hi) of the
-    running shift, and the factors in word order.  Each step is (offset,
-    primitive): a Diagonal, LogDiagonal or Scalar applied at scale
-    n + offset, where offset is the running shift before it."""
+    """A compiled word: the total scale shift and the factors in word order.
+    Each step is (offset, primitive): a Diagonal, LogDiagonal or Scalar
+    applied at scale n + offset, where offset is the running shift before
+    it.  It carries no window check: the relation checks evaluate it only
+    at interior scales."""
 
     shift: int
-    lo: int
-    hi: int
     steps: tuple
 
     def weight(self, p: int, n: int, c, powers: dict):
@@ -170,60 +173,32 @@ def ell_op(k: int) -> BasisOperator:
 
 
 def apply_operator(op: BasisOperator, e: WaveletExpansion) -> WaveletExpansion:
-    """op on e: the coefficient c of (n, m, j) becomes c c(n) at (n + s, m, j),
-    in e's order, and is dropped once a product is exactly zero, as when the
-    primitives are applied one by one to the whole expansion."""
-    if not op.word:
-        return WaveletExpansion(e.prime, e.window, dict(e.coefficients))
     p = e.prime
-    compiled = op.compile()
-    target = _clip_target(op, compiled, e)
-    if target is not None:
-        raise WindowClipError(target)
-    # a leading shift meets the zero test before any factor does
-    lead_shift = isinstance(op.word[0], ScaleShift)
-    shift, powers = compiled.shift, {}
-    coeffs = {}
-    for idx, c in e.coefficients.items():
-        if lead_shift and amp_is_zero(c):
-            continue
-        value = compiled.weight(p, idx.n, c, powers)
-        if value is not None:
-            if shift:
-                idx = KozyrevIndex(idx.n + shift, idx.m_digits, idx.j)
-            coeffs[idx] = value
-    return WaveletExpansion(p, e.window, coeffs)
-
-
-def _clip_target(op: BasisOperator, compiled: WeightedShift, e: WaveletExpansion):
-    """The label at which op's primitives, applied one by one to all of e,
-    first leave the window, or None: the earliest primitive that takes a
-    coefficient still held outside, and the first such coefficient in e's
-    order.  A coefficient dropped at zero before that primitive is not held."""
-    window = e.window
-    first = None
-    for idx, c in e.coefficients.items():
-        n = idx.n
-        if window.n_min <= n + compiled.lo and n + compiled.hi <= window.n_max:
-            continue
-        at, factors = n, 0
-        for t, prim in enumerate(op.word):
-            if not isinstance(prim, ScaleShift):
-                factors += 1
+    coeffs = dict(e.coefficients)
+    for prim in op.word:
+        new: dict = {}
+        for idx, c in coeffs.items():
+            if isinstance(prim, ScaleShift):
+                target = KozyrevIndex(idx.n + prim.step, idx.m_digits, idx.j)
+                if not e.window.contains(target):
+                    raise WindowClipError(target)
+                new_idx, value = target, c
+            elif isinstance(prim, Diagonal):
+                new_idx, value = idx, c * p_power_amp(p, prim.alpha * (1 - idx.n))
+            elif isinstance(prim, LogDiagonal):
+                new_idx, value = idx, c * Fraction(1 - idx.n)
+            elif isinstance(prim, Scalar):
+                new_idx, value = idx, c * prim.factor
             else:
-                at += prim.step
-                if not window.n_min <= at <= window.n_max:
-                    break
-        if first is not None and t >= first[0]:
-            continue
-        if t > 0:
-            if isinstance(op.word[0], ScaleShift) and amp_is_zero(c):
-                continue
-            prefix = replace(compiled, steps=compiled.steps[:factors])
-            if prefix.weight(e.prime, n, c, {}) is None:
-                continue
-        first = (t, KozyrevIndex(at, idx.m_digits, idx.j))
-    return None if first is None else first[1]
+                raise InvalidInputError(f"unknown primitive {prim!r}")
+            if new_idx in new:
+                value = new[new_idx] + value
+            if amp_is_zero(value):
+                new.pop(new_idx, None)
+            else:
+                new[new_idx] = value
+        coeffs = new
+    return WaveletExpansion(p, e.window, coeffs)
 
 
 # -- spectral-form operator actions ------------------------------------------

@@ -1,18 +1,14 @@
 """Test-only oracles: the slow, direct routes that fast paths are checked against.
 
-`apply_by_primitive` applies an operator word one primitive at a time to the
-whole expansion, building a window-checked coefficient map per primitive:
-the route `operators.apply_operator` took before words were compiled into
-weighted shifts.  The two must agree in keys, key order, values to the last
-bit, and the `WindowClipError` they raise.
-
 The `*_by_label` functions are the per-basis-vector relation walk of the
 five `operators.*_results` families: every relation is evaluated afresh on
 each interior basis vector psi_(n, m, j), with no use of the fact that the
 operators never read m or j.  Their sides are expansions built by
-`apply_by_primitive`, subtracted coefficient by coefficient; they take the
-words from `operators` but share only `RelationResult` with the code that
-checks them, so the two routes must agree down to the repr of every float
+`operators.apply_operator`, which applies a word one primitive at a time,
+and are subtracted coefficient by coefficient here; the relation checks
+compile each word into a scalar per scale instead, so the oracles share
+only `RelationResult`, the words and `apply_operator` with the code they
+check, and the two routes must agree down to the repr of every float
 residual.
 
 `fourier_by_cell` is the transform as one character sum per output cell,
@@ -27,7 +23,7 @@ import cmath
 from fractions import Fraction
 from math import lcm
 
-from padic_wavelets.errors import InvalidInputError, WindowClipError
+from padic_wavelets.errors import WindowClipError
 from padic_wavelets.exact import Cyc, amp_is_zero, is_half_integral, p_power_amp
 from padic_wavelets.functions import (
     DEFAULT_CELL_CAP,
@@ -36,11 +32,9 @@ from padic_wavelets.functions import (
     cell_index,
 )
 from padic_wavelets.operators import (
-    Diagonal,
-    LogDiagonal,
     RelationResult,
-    Scalar,
     ScaleShift,
+    apply_operator,
     ell_op,
     j_op,
     log_vladimirov_op,
@@ -55,35 +49,6 @@ from padic_wavelets.wavelets import (
     enumerate_m_digits,
     label_translate,
 )
-
-
-def apply_by_primitive(op, e: WaveletExpansion) -> WaveletExpansion:
-    p = e.prime
-    coeffs = dict(e.coefficients)
-    for prim in op.word:
-        new: dict = {}
-        for idx, c in coeffs.items():
-            if isinstance(prim, ScaleShift):
-                target = KozyrevIndex(idx.n + prim.step, idx.m_digits, idx.j)
-                if not e.window.contains(target):
-                    raise WindowClipError(target)
-                new_idx, value = target, c
-            elif isinstance(prim, Diagonal):
-                new_idx, value = idx, c * p_power_amp(p, prim.alpha * (1 - idx.n))
-            elif isinstance(prim, LogDiagonal):
-                new_idx, value = idx, c * Fraction(1 - idx.n)
-            elif isinstance(prim, Scalar):
-                new_idx, value = idx, c * prim.factor
-            else:
-                raise InvalidInputError(f"unknown primitive {prim!r}")
-            if new_idx in new:
-                value = new[new_idx] + value
-            if amp_is_zero(value):
-                new.pop(new_idx, None)
-            else:
-                new[new_idx] = value
-        coeffs = new
-    return WaveletExpansion(p, e.window, coeffs)
 
 
 def _sub(e1: WaveletExpansion, e2: WaveletExpansion) -> WaveletExpansion:
@@ -111,10 +76,10 @@ def _residual(relation, idx, alpha, sides, exact) -> RelationResult:
 
 
 def _commutator(a, b, e, expected=None) -> list:
-    sides = [apply_by_primitive(a, apply_by_primitive(b, e)),
-             apply_by_primitive(b, apply_by_primitive(a, e))]
+    sides = [apply_operator(a, apply_operator(b, e)),
+             apply_operator(b, apply_operator(a, e))]
     if expected is not None:
-        sides.append(apply_by_primitive(expected, e))
+        sides.append(apply_operator(expected, e))
     return sides
 
 
@@ -123,8 +88,8 @@ def _deformed(alpha, step, e) -> list:
     plus = p_power_amp(p, step * alpha / Fraction(2))
     minus = p_power_amp(p, -step * alpha / Fraction(2))
     dal, js = vladimirov(alpha), j_op(step)
-    lhs = apply_by_primitive(dal, apply_by_primitive(js, e))
-    rhs = apply_by_primitive(js, apply_by_primitive(dal, e))
+    lhs = apply_operator(dal, apply_operator(js, e))
+    rhs = apply_operator(js, apply_operator(dal, e))
     return [WaveletExpansion(p, e.window, {i: c * plus for i, c in lhs.coefficients.items()}),
             WaveletExpansion(p, e.window, {i: c * minus for i, c in rhs.coefficients.items()})]
 
@@ -217,8 +182,8 @@ def semigroup_by_label(p, window, alpha_pairs):
         exact = is_half_integral(a1) and is_half_integral(a2)
         for idx in _interior_basis(p, window):
             e = basis_vector(p, window, idx)
-            lhs = apply_by_primitive(vladimirov(a1), apply_by_primitive(vladimirov(a2), e))
-            rhs = apply_by_primitive(vladimirov(a1 + a2), e)
+            lhs = apply_operator(vladimirov(a1), apply_operator(vladimirov(a2), e))
+            rhs = apply_operator(vladimirov(a1 + a2), e)
             out.append(_residual("semigroup", idx, (a1, a2), [lhs, rhs], exact))
     return out
 
@@ -232,8 +197,8 @@ def translation_spectral_by_label(p, window, shift, alphas):
         for idx in _interior_basis(p, window):
             e = basis_vector(p, window, idx)
             try:
-                lhs = apply_by_primitive(dal, _translate(e, b))
-                rhs = _translate(apply_by_primitive(dal, e), b)
+                lhs = apply_operator(dal, _translate(e, b))
+                rhs = _translate(apply_operator(dal, e), b)
             except WindowClipError:
                 continue
             out.append(_residual("translation:spectral", idx, alpha, [lhs, rhs], exact))

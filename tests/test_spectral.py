@@ -1,7 +1,6 @@
 """Vladimirov derivative (spectral and kernel), ladder algebra, commutators."""
 
 import random
-import struct
 from fractions import Fraction
 
 import pytest
@@ -21,10 +20,6 @@ from padic_wavelets.functions import DEFAULT_CELL_CAP, LocallyConstantFn, ball_r
 from padic_wavelets.operators import (
     _inv_one_minus,
     BasisOperator,
-    Diagonal,
-    LogDiagonal,
-    Scalar,
-    ScaleShift,
     apply_operator,
     check_commutator,
     check_deformed,
@@ -37,7 +32,6 @@ from padic_wavelets.operators import (
     j_op,
     j_shift,
     ladder,
-    ladder_op,
     log_limit_residual_norm,
     log_vladimirov,
     log_vladimirov_op,
@@ -203,101 +197,6 @@ def test_operators_leave_m_and_j_alone():
     for op in (vladimirov(Fraction(1, 2)), log_vladimirov_op(), j_op(1), ell_op(-1)):
         out = apply_operator(op, unit(p, idx))
         assert all(i.m_digits == (2,) and i.j == 2 for i in out.coefficients)
-
-
-# -- compiled words against the primitive-by-primitive walk -----------------------
-
-
-def _amplitude(draw, p):
-    kind = draw(st.sampled_from(["cyc", "fraction", "float", "complex"]))
-    if kind == "cyc":
-        a = Fraction(draw(st.integers(-2, 2)), draw(st.integers(1, 3)))
-        b = Fraction(draw(st.integers(-2, 2)), draw(st.integers(1, 3)))
-        phase = RationalPhase(draw(st.integers(0, p * p - 1)), p * p)
-        return Cyc.quad(p, a, b) * Cyc.root_of_unity(p, phase)
-    if kind == "fraction":
-        return Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
-    # subnormal floats let a product underflow to zero mid-word
-    real = draw(st.floats(-2, 2))
-    return real if kind == "float" else complex(real, draw(st.floats(-2, 2)))
-
-
-@st.composite
-def operator_cases(draw):
-    """A word over all four primitives and an expansion it may clip or zero."""
-    p = draw(st.sampled_from([2, 3, 5]))
-    n_min = draw(st.integers(-3, 1))
-    window = Window(n_min, n_min + draw(st.integers(0, 4)), draw(st.integers(0, 2)))
-    coefficients = {}
-    for _ in range(draw(st.integers(0, 5))):
-        n = draw(st.integers(window.n_min, window.n_max))
-        m = draw(st.lists(st.integers(0, p - 1), max_size=window.m_depth))
-        idx = KozyrevIndex(n, tuple(m), draw(st.integers(1, p - 1)))
-        coefficients[idx] = _amplitude(draw, p)
-    alphas = st.one_of(st.integers(-4, 4).map(lambda k: Fraction(k, 2)),
-                       st.integers(-2, 2), st.floats(-2, 2))
-    word = []
-    for _ in range(draw(st.integers(0, 6))):
-        kind = draw(st.sampled_from(["up", "down", "log", "diagonal", "scalar"]))
-        word.append({"up": lambda: ScaleShift(1), "down": lambda: ScaleShift(-1),
-                     "log": LogDiagonal, "diagonal": lambda: Diagonal(draw(alphas)),
-                     "scalar": lambda: Scalar(_amplitude(draw, p))}[kind]())
-    return BasisOperator(tuple(word)), WaveletExpansion(p, window, coefficients)
-
-
-def _same_value(a, b):
-    assert type(a) is type(b)
-    assert a == b and repr(a) == repr(b)
-    if isinstance(a, (float, complex)):
-        bits = [struct.pack("<dd", complex(v).real, complex(v).imag) for v in (a, b)]
-        assert bits[0] == bits[1]
-
-
-def _assert_same_action(op, e):
-    try:
-        expected = oracles.apply_by_primitive(op, e)
-    except WindowClipError as err:
-        with pytest.raises(WindowClipError) as got:
-            apply_operator(op, e)
-        assert got.value.index == err.index
-        return None
-    got = apply_operator(op, e)
-    assert list(got.coefficients) == list(expected.coefficients)
-    for a, b in zip(got.coefficients.values(), expected.coefficients.values()):
-        _same_value(a, b)
-    return got
-
-
-@given(operator_cases())
-def test_apply_operator_matches_the_primitive_walk(case):
-    _assert_same_action(*case)
-
-
-def test_apply_operator_clips_and_drops_like_the_primitive_walk():
-    p, window = 2, Window(-3, 3, 0)
-    # psi_(-2) leaves the window at the fourth primitive, psi_3 at the
-    # first: the walk raises for psi_3, although psi_(-2) comes first
-    e = WaveletExpansion(p, window, {KozyrevIndex(-2): Cyc.one(p), KozyrevIndex(3): Cyc.one(p)})
-    op = ladder_op(+1).then(BasisOperator((ScaleShift(-1),) * 3))
-    with pytest.raises(WindowClipError) as err:
-        apply_operator(op, e)
-    assert err.value.index == KozyrevIndex(4)
-    _assert_same_action(op, e)
-    # J+ is (1 - n) then a shift: under J+ J+, psi_1 is zeroed by the first
-    # factor and psi_0 by the second, mid-word
-    e = WaveletExpansion(p, window, {KozyrevIndex(1): Cyc.one(p), KozyrevIndex(0): 0.5})
-    assert _assert_same_action(j_op(+1) @ j_op(+1), e).coefficients == {}
-    # at the top scale 1, psi_1 is zeroed before J+'s shift leaves the window
-    e = WaveletExpansion(p, Window(-3, 1, 0), {KozyrevIndex(1): Cyc.one(p)})
-    assert _assert_same_action(j_op(+1), e).coefficients == {}
-    # a zero coefficient is dropped by a leading shift, before a later shift
-    # could take it out of the window, and kept by an empty word
-    e = WaveletExpansion(p, window, {KozyrevIndex(0): 0.0, KozyrevIndex(1): Cyc.one(p)})
-    out = _assert_same_action(ladder_op(-1).then(scalar_op(2.0)), e)
-    assert list(out.coefficients) == [KozyrevIndex(0)]
-    assert _assert_same_action(BasisOperator(), e).coefficients == e.coefficients
-    e = WaveletExpansion(p, Window(-1, 1, 0), {KozyrevIndex(0): 0.0})
-    assert _assert_same_action(ladder_op(+1).then(ladder_op(+1)), e).coefficients == {}
 
 
 # -- commutation relations ----------------------------------------------------------
