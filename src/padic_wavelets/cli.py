@@ -136,9 +136,20 @@ def parse_rational(spec: str) -> Fraction:
         raise click.UsageError(f"'{spec}' is not a rational number") from exc
 
 
+def _echo(text: str, err: bool = False, nl: bool = True) -> None:
+    """`click.echo` to the current stdout or stderr, passed as `file`.
+
+    Without `file`, click keeps each stream it writes to in a
+    `WeakKeyDictionary` whose value is the stream itself, so the key never
+    dies: every redirected stream (one per in-process call) would live on.
+    `click.get_text_stream` makes the same encoding fix-up without a cache.
+    """
+    click.echo(text, file=click.get_text_stream("stderr" if err else "stdout"), nl=nl)
+
+
 def write_output(text: str, output: str | None) -> None:
     if output in (None, "-"):
-        click.echo(text, nl=False)
+        _echo(text, nl=False)
     else:
         with open(output, "w") as fh:
             fh.write(text)
@@ -271,7 +282,7 @@ def wavelet_eval(config: RunConfig, index, xi):
                 "magnitude": f"{encoded['mag_num']}/{encoded['mag_den']}",
                 "phase": f"{encoded['phase_num']}/{encoded['phase_den']}",
             }
-    click.echo(to_json(out))
+    _echo(to_json(out))
 
 
 @cli.command("analyze")
@@ -297,8 +308,8 @@ def analyze_cmd(config: RunConfig, input_file, output):
     rebuilt = synthesize_fn(expansion, resolution=resolution, cap=config.cap)
     residual = fn - rebuilt
     res_norm2 = complex(inner_product(residual, residual)).real
-    click.echo(f"mean component: {fmt(mean.real)}{mean.imag:+.17g}j", err=True)
-    click.echo(f"round-trip residual norm^2: {fmt(res_norm2)}", err=True)
+    _echo(f"mean component: {fmt(mean.real)}{mean.imag:+.17g}j", err=True)
+    _echo(f"round-trip residual norm^2: {fmt(res_norm2)}", err=True)
 
 
 @cli.command("synthesize")
@@ -397,11 +408,10 @@ def check_algebra(config: RunConfig, relations, alphas):
         by_relation[r.relation] = max(by_relation.get(r.relation, 0.0), r.residual)
     # a relation with no instance inside the window is named, not dropped
     names = {name for family in wanted for name in relation_names(family, k_range=3)}
-    for name in sorted(names | set(by_relation)):
-        if name in by_relation:
-            click.echo(f"{name}: max residual {fmt(by_relation[name])}")
-        else:
-            click.echo(f"{name}: 0 instances")
+    lines = [f"{name}: max residual {fmt(by_relation[name])}" if name in by_relation
+             else f"{name}: 0 instances" for name in sorted(names | set(by_relation))]
+    if lines:
+        _echo("\n".join(lines))
     failing = [r for r in results if not r.passed(config.tolerance)]
     if failing:
         first = failing[0]
@@ -409,7 +419,7 @@ def check_algebra(config: RunConfig, relations, alphas):
             f"{first.relation} violated at index {first.index}, alpha={first.alpha}: "
             f"residual {fmt(first.residual)}"
         )
-    click.echo(f"all {len(results)} relation instances passed")
+    _echo(f"all {len(results)} relation instances passed")
 
 
 def _exactify(a: float):
@@ -508,7 +518,7 @@ def monna_map(config: RunConfig, xi):
             "image": str(image),
             "image_float": float(image),
         }
-    click.echo(to_json(payload))
+    _echo(to_json(payload))
 
 
 def main(argv=None) -> int:
@@ -517,21 +527,21 @@ def main(argv=None) -> int:
         cli.main(args=argv, standalone_mode=False)
     except click.UsageError as exc:
         if no_args_help and isinstance(exc, no_args_help):
-            click.echo(exc.format_message())
+            _echo(exc.format_message())
             return 0
-        click.echo(f"usage error: {exc.format_message()}", err=True)
+        _echo(f"usage error: {exc.format_message()}", err=True)
         return 1
     except InvalidInputError as exc:
-        click.echo(f"input error: {exc}", err=True)
+        _echo(f"input error: {exc}", err=True)
         return 1
     except EnumerationCapError as exc:
-        click.echo(f"resource cap: {exc}", err=True)
+        _echo(f"resource cap: {exc}", err=True)
         return 3
     except CheckFailure as exc:
-        click.echo(f"check failed: {exc}", err=True)
+        _echo(f"check failed: {exc}", err=True)
         return 2
     except PadicError as exc:
-        click.echo(f"numeric failure: {exc}", err=True)
+        _echo(f"numeric failure: {exc}", err=True)
         return 2
     return 0
 

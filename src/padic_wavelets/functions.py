@@ -155,7 +155,7 @@ class LocallyConstantFn:
         f = self.refine_to(res)
         g = other.refine_to(res)
         table = dict(f.table)
-        add_cells(table, g.table)
+        add_cells(table, g.table.items())
         return LocallyConstantFn(
             self.prime,
             max(self.support_exponent, other.support_exponent),
@@ -167,9 +167,10 @@ class LocallyConstantFn:
         return self + other.scaled(Fraction(-1))
 
 
-def add_cells(table: dict, cells: dict) -> None:
-    """Add `cells` into `table` in place; a cell whose sum is zero is deleted."""
-    for r, v in cells.items():
+def add_cells(table: dict, cells) -> None:
+    """Add the (cell, value) pairs `cells` into `table` in place, in their
+    order; a cell whose sum is zero is deleted."""
+    for r, v in cells:
         if r in table:
             v = table[r] + v
             if amp_is_zero(v):

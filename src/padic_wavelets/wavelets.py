@@ -29,6 +29,7 @@ from .exact import Cyc, amp_is_zero
 from .functions import (
     DEFAULT_CELL_CAP,
     LocallyConstantFn,
+    _char_root,
     _check_cap,
     add_cells,
     amp_from_json,
@@ -233,41 +234,65 @@ def mother(p: int, j: int = 1, extra_depth: int = 0) -> LocallyConstantFn:
 # -- analysis / synthesis ----------------------------------------------------
 
 
+def _twiddle(p: int, v, e: int):
+    """v * zeta_p^e: v itself at e = 0 mod p, -v at p = 2."""
+    e %= p
+    if e == 0:
+        return v
+    if p == 2:
+        return -v
+    return v * _char_root(p, e, p)
+
+
 def analyze(f: LocallyConstantFn, window: Window,
              cap: int = DEFAULT_CELL_CAP) -> WaveletExpansion:
     """Project onto every wavelet in the window; clipping is silent.
 
     On its child p^(-n)(m + d + pZ_p) the wavelet is p^(-n/2) chi(j(m + d)/p),
     so with m = mu p^(-k), k = depth(m), a coefficient needs only the class
-    sums of f's cells i p^(-M) at i = u p^(M-n-k) mod p^(M-n+1), u = mu + d p^k.
-    Labels finer than the cells (n < 1 - K) or off the ball get 0.
+    sums s_d of f's cells i p^(-M) at i = mu p^(M-n-k) + d p^(M-n) mod
+    p^(M-n+1), and is (sum_d zeta_p^(-jd) s_d) * chi(-j mu/p^(k+1)) p^(-n/2) p^(-K).
+    The labels are read off the nonzero class sums, in the order of
+    `enumerate_indices`; labels finer than the cells (n < 1 - K) or off the
+    ball get 0.
     """
     p = f.prime
     m_exp, res = f.support_exponent, f.resolution
-    labels = enumerate_indices(p, window)
     # the cap bounds each label's p^(1+depth(m)) cells, as `materialize` does
     for depth in range(window.m_depth + 1):
         _check_cap(p, depth + 1, cap)
     coeffs = {}
-    if window.n_max < 1 - res:
+    n_low = max(window.n_min, 1 - res)
+    if window.n_max < n_low:
         return WaveletExpansion(p, window, coeffs)
     sums = class_sums(p, {cell_index(r, p, m_exp): v for r, v in f.table.items()}, m_exp + res)
     measure = Fraction(p) ** (-res)
-    for idx in labels:
-        n, k = idx.n, idx.m_depth
-        if n < 1 - res or (k and n + k > m_exp):
-            continue
+    for n in range(n_low, window.n_max + 1):
+        scale = Cyc.half_power(p, -n) * measure
         if n > m_exp:  # m = 0 above the ball: all of f lies in child 0
-            children = {0: sums[0].get(0)}
+            groups = {(0, 0): {0: sums[0][0]}} if sums[0] else {}
         else:
-            mu = digits_to_int(idx.m_digits[::-1], p)
-            level, shift = sums[m_exp - n + 1], p ** (m_exp - n - k)
-            children = {u: level.get(u * shift) for u in range(mu, mu + p ** (k + 1), p**k)}
-        terms = [character_amp(p, Fraction(-idx.j * u, p ** (k + 1))) * s
-                 for u, s in children.items() if s is not None]
-        c = sum(terms, Cyc.zero(p)) * (Cyc.half_power(p, -n) * measure)
-        if not amp_is_zero(c):
-            coeffs[idx] = c
+            # the class i mod p^(M-n+1) is mu p^(M-n-k) + d p^(M-n)
+            shift = p ** (m_exp - n)
+            by_class = {}
+            for i, s in sums[m_exp - n + 1].items():
+                by_class.setdefault(i % shift, {})[i // shift] = s
+            groups = {}
+            for a, children in by_class.items():
+                v = valp(a, p) if a else m_exp - n
+                if m_exp - n - v <= window.m_depth:
+                    groups[(m_exp - n - v, a // p**v)] = children
+        for k, mu in sorted(groups):
+            children = groups[(k, mu)]
+            m_digits = int_to_digits(mu, p, k)[::-1]
+            for j in range(1, p):
+                total = None
+                for d in sorted(children):
+                    term = _twiddle(p, children[d], -j * d)
+                    total = term if total is None else total + term
+                c = total * (character_amp(p, Fraction(-j * mu, p ** (k + 1))) * scale)
+                if not amp_is_zero(c):
+                    coeffs[KozyrevIndex(n, m_digits, j)] = c
     return WaveletExpansion(p, window, coeffs)
 
 
@@ -275,13 +300,18 @@ def synthesize(expansion: WaveletExpansion, resolution: int | None = None,
                cap: int = DEFAULT_CELL_CAP) -> LocallyConstantFn:
     """Sum coeff * wavelet over the expansion at a common resolution.
 
-    With m = mu p^(-k), k = depth(m), a label's child t < p takes the value
-    p^(-n/2) chi(j(mu + t p^k)/p^(k+1)) on the cells i p^(-M) with
-    i = mu p^(M-n-k) + t p^(M-n) + s p^(M-n+1), s < p^(K-1+n).  Each value
-    is (p^(-n/2) chi) * coeff, the product `materialize` and `scaled` form,
-    and the cells are visited and added in the order of each label's refined
-    `materialize` table, so the sums, their order and the cancelled cells
-    are the same, floats included.
+    On the ball |x| <= p^S, a label with m = mu p^(-k), k = depth(m), is
+    constant on the p classes i = mu p^(S-n-k) + t p^(S-n) mod p^(S-n+1) of
+    the cell indices i, where it takes v_0 zeta_p^(jt) with
+    v_0 = p^(-n/2) chi(j mu/p^(k+1)) * coeff.  So the pass runs top down
+    over the residue-class tree: a class mod p^L takes its parent's value
+    plus the values of the labels at level L = S - n + 1, a class whose sum
+    cancels is dropped, and the finest level is spread to the output cells.
+    Exact values are those of the sum of the scaled wavelets; float values
+    are sums in another order, equal to within rounding.  Cells come out in
+    increasing order.  Every label is validated and its cap checks (those
+    of `materialize` and then `refine_to`) made, in sorted label order,
+    before any cell is built.
     """
     p = expansion.prime
     finest = 1 - expansion.window.n_min
@@ -291,32 +321,45 @@ def synthesize(expansion: WaveletExpansion, resolution: int | None = None,
         raise InvalidInputError(
             f"resolution {resolution} is coarser than the window's finest {finest}"
         )
+    labels = sorted(expansion.coefficients)
     support = max(
-        [natural_support_exponent(i) for i in expansion.coefficients],
+        [natural_support_exponent(i) for i in labels],
         default=max(0, -resolution),
     )
     support = max(support, -resolution)
-    # one running table keyed by cell index, added to as `+` would add
-    table = {}
-    for idx in sorted(expansion.coefficients):
+    for idx in labels:
         validate_index(p, idx)
-        n, k = idx.n, idx.m_depth
+        _check_cap(p, idx.m_depth + 1, cap)
         extra = resolution - natural_resolution(idx)
-        # the checks of `materialize` and then `refine_to`
-        _check_cap(p, k + 1, cap)
         if extra:
             _check_cap(p, extra, cap, p)
-        c = expansion.coefficients[idx]
-        mag = Cyc.half_power(p, -n)
+    # level L -> the (class mod p^L, value) pairs its labels add
+    adds = {}
+    for idx in labels:
+        n, k, j = idx.n, idx.m_depth, idx.j
         mu = digits_to_int(idx.m_digits[::-1], p)
-        child = p ** (support - n)
-        span = child * p ** (extra + 1)
-        for t in range(p):
-            v = mag * character_amp(p, Fraction(idx.j * (mu + t * p**k), p ** (k + 1))) * c
-            start = mu * p ** (support - n - k) + t * child
-            add_cells(table, dict.fromkeys(range(start, start + span, child * p), v))
+        v = (Cyc.half_power(p, -n) * character_amp(p, Fraction(j * mu, p ** (k + 1)))
+             * expansion.coefficients[idx])
+        first, child = mu * p ** (support - n - k), p ** (support - n)
+        adds.setdefault(support - n + 1, []).extend(
+            (first + t * child, _twiddle(p, v, j * t)) for t in range(p))
+    nodes, level = {}, 0
+    for below in sorted(adds):
+        nodes = _spread(p, nodes, level, below)
+        add_cells(nodes, adds[below])
+        level = below
+    nodes = _spread(p, nodes, level, support + resolution)
     unit = Fraction(p) ** -support
-    return LocallyConstantFn(p, support, resolution, {i * unit: v for i, v in table.items()})
+    return LocallyConstantFn(p, support, resolution, {i * unit: v for i, v in nodes.items()})
+
+
+def _spread(p: int, nodes: dict, level: int, below: int) -> dict:
+    """Each class r mod p^level split into the classes r + s p^level mod
+    p^below, which keep r's value; keys in increasing order."""
+    if not nodes:
+        return nodes
+    order = sorted(nodes)
+    return {r + s: nodes[r] for s in range(0, p**below, p**level) for r in order}
 
 
 def expansion_to_json(e: WaveletExpansion) -> dict:

@@ -173,6 +173,29 @@ def test_analyze_reports_mean_component(capsys, tmp_path):
     assert "residual norm^2: 0.5" in err
 
 
+def test_in_process_calls_free_their_streams(tmp_path):
+    # each call writes stdout and stderr into fresh streams; once the caller
+    # drops them, none may stay alive (click caches a stream it finds by
+    # itself in a map that holds the stream as its own value)
+    import gc
+    import io
+    import weakref
+    from contextlib import redirect_stderr, redirect_stdout
+
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(_README_TABLE))
+    refs = []
+    for _ in range(50):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            assert main(["--window", "-2:2:1", "analyze", str(path)]) == 0
+        assert out.getvalue() and err.getvalue()
+        refs += [weakref.ref(out), weakref.ref(err)]
+        del out, err
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
+
+
 def test_fourier_round_trip(capsys, tmp_path, psi_file):
     code, out, _ = run(capsys, ["fourier", str(psi_file)])
     assert code == 0

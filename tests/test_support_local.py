@@ -2,13 +2,15 @@
 
 `materialize` enumerates only the support coset, `analyze` reads every
 coefficient from class sums of the table, and `synthesize` adds each label's
-p child values straight into the cells.  Each is compared here with the
-plain loop (the whole declared ball, one `inner_product` per label, the fold
-of `+` over the materialized wavelets), which stays as the oracle, and the
-work saved is pinned by call counts.
+p child values to their residue classes and passes the sums down to the
+cells.  Each is compared here with the plain loop (the whole declared ball,
+one `inner_product` per label, the fold of `+` over the materialized
+wavelets), which stays as the oracle, and the work saved is pinned by call
+and operation counts.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -117,6 +119,28 @@ def same_table(f, g):
         g.prime, g.support_exponent, g.resolution)
     assert list(f.table) == list(g.table)
     assert repr(list(f.table.values())) == repr(list(g.table.values()))
+
+
+def same_synthesis(got, want, expansion):
+    """`synthesize` against the fold: the same shape, cells in increasing
+    order, and for an exact expansion the same cells with equal values of
+    the same repr.  Otherwise the sums are taken in another order, so the
+    values agree within 1e-12 * max(1, ||c||), ||c|| the l2 norm of the
+    coefficients, over the cells of either table, a missing cell read as 0."""
+    assert (got.prime, got.support_exponent, got.resolution) == (
+        want.prime, want.support_exponent, want.resolution)
+    assert list(got.table) == sorted(got.table)
+    coeffs = expansion.coefficients.values()
+    if all(isinstance(c, Cyc) for c in coeffs):
+        assert set(got.table) == set(want.table)
+        for rep, v in want.table.items():
+            assert got.table[rep] == v
+            assert repr(got.table[rep]) == repr(v)
+        return
+    size = sum(abs(complex(c)) ** 2 for c in coeffs) ** 0.5
+    tol = 1e-12 * max(1.0, size)
+    for rep in set(got.table) | set(want.table):
+        assert abs(complex(got.table.get(rep, 0j)) - complex(want.table.get(rep, 0j))) <= tol
 
 
 def same_amplitude(x, y):
@@ -240,7 +264,7 @@ def test_synthesize_matches_the_fold_of_add(p, m, k, exact):
     e = analyze(f, window)
     assert e.coefficients
     for resolution in (None, max(k, 1 - window.n_min) + 1):
-        same_table(synthesize(e, resolution), folded_synthesize(e, resolution))
+        same_synthesis(synthesize(e, resolution), folded_synthesize(e, resolution), e)
 
 
 def test_synthesize_deletes_cells_that_cancel():
@@ -250,7 +274,7 @@ def test_synthesize_deletes_cells_that_cancel():
     f = LocallyConstantFn(p, 0, 2, {Fraction(0): Cyc.one(p), Fraction(1): -Cyc.one(p)})
     e = analyze(f, Window(-1, 0, 1))
     got = synthesize(e)
-    same_table(got, folded_synthesize(e))
+    same_synthesis(got, folded_synthesize(e), e)
     assert list(got.table) == [0, 1]
     assert got.table[Fraction(0)] == 1 and got.table[Fraction(1)] == -1
 
@@ -326,6 +350,48 @@ def test_synthesize_builds_no_wavelet_table(evaluations, characters, monkeypatch
     assert len(f.table) == p**6
     assert built == [] and evaluations == []
     assert len(characters) <= p * len(e.coefficients)
+
+
+@pytest.fixture
+def cyc_ops(monkeypatch):
+    counts = {"add": 0, "mul": 0}
+
+    def counting(real, kind):
+        def op(*args):
+            counts[kind] += 1
+            return real(*args)
+        return op
+
+    for name, kind in (("__add__", "add"), ("__radd__", "add"),
+                       ("__mul__", "mul"), ("__rmul__", "mul")):
+        monkeypatch.setattr(Cyc, name, counting(getattr(Cyc, name), kind))
+    return counts
+
+
+@pytest.mark.parametrize("p,m,k", [(2, 6, 6), (3, 3, 3)])
+def test_synthesize_work_over_the_complete_window(cyc_ops, p, m, k):
+    # one product per label and one per other child, and at most one
+    # addition per child value and two per cell
+    rng = random.Random(p)
+    table = {rep: Cyc.rational(p, Fraction(rng.randint(1, 5), rng.randint(1, 3)))
+             * Cyc.root_of_unity(p, RationalPhase(rng.randrange(p * p), p * p))
+             for rep in ball_reps(p, m, k)}
+    e = analyze(LocallyConstantFn(p, m, k, table), Window(1 - k, m, m + k - 1))
+    cells, labels = p ** (m + k), len(e.coefficients)
+    assert labels > cells - p ** (m + k - 1)
+    cyc_ops.update(add=0, mul=0)
+    f = synthesize(e)
+    assert len(f.table) == cells
+    assert cyc_ops["add"] <= 2 * cells + p * labels
+    assert cyc_ops["mul"] <= (p + 1) * labels
+
+
+def test_synthesize_of_nothing_builds_no_level():
+    # no label, so no class of the p^(10^6) cells is visited
+    start = time.perf_counter()
+    f = synthesize(WaveletExpansion(2, Window(-5, 5, 1)), resolution=10**6)
+    assert time.perf_counter() - start < 1.0
+    assert (f.support_exponent, f.resolution, f.table) == (0, 10**6, {})
 
 
 # -- analyze ----------------------------------------------------------------------
@@ -455,7 +521,7 @@ def synthesis_cases(draw):
 def test_synthesize_matches_the_fold_over_random_labels(case):
     e, resolution, f = case
     got = synthesize(e, resolution)
-    same_table(got, folded_synthesize(e, resolution))
+    same_synthesis(got, folded_synthesize(e, resolution), e)
     if f is not None:
         # the complete window carries all of the mean-zero f
         assert set(got.table) == set(f.table)
@@ -481,4 +547,4 @@ def test_synthesize_cap_error_matches_label_by_label(case, data):
         assert type(got.value) is type(exc)
         assert str(got.value) == str(exc)
     else:
-        same_table(synthesize(e, resolution, cap), want)
+        same_synthesis(synthesize(e, resolution, cap), want, e)
