@@ -26,6 +26,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from numbers import Rational
+from operator import sub
 
 from .errors import FloatRangeError, InvalidInputError
 from .padic import RationalPhase, check_prime
@@ -347,6 +348,17 @@ def _normalize(p: int, level: int, terms: dict):
 
 
 def _canonical(p: int, level: int, terms: dict):
+    # exponents that are all multiples of p^k put the value in the subfield
+    # of level - k, where its canonical form is the same: fold from there
+    # (at level 1 the loop below makes that one step itself)
+    if level > 1:
+        common = gcd(*terms)
+        if not common % p:
+            common = gcd(p**level, common)
+            terms = {e // common: c for e, c in terms.items()}
+            while common > 1:
+                common //= p
+                level -= 1
     while level:
         modulus = p**level
         block = modulus // p
@@ -375,6 +387,38 @@ def _canonical(p: int, level: int, terms: dict):
         a += ca
         b += cb
     return 0, ({0: (a, b)} if a or b else {})
+
+
+def cyc_from_coefficients(p: int, level: int, a: list, b, num: int, den: int) -> Cyc:
+    """The Cyc (sum_e a[e] zeta^e + sqrt(p) * sum_e b[e] zeta^e) * num / den
+    of integer lists of length p^level; b is None when there is no sqrt(p)
+    part.  The lists are left unchanged.
+
+    One slice subtraction folds the top block, exponents (p-1)*p^(level-1)
+    and up, into the canonical basis; the level is then lowered while no
+    exponent is prime to p, as `_canonical` does for a term dict.  The
+    lowest terms and the Gauss-sum zero test follow, as in `Cyc`."""
+    parts = [a] if b is None else [a, b]
+    if not any(map(any, parts)):
+        return Cyc.zero(p)
+    if level:
+        top = len(a) - len(a) // p
+        parts = [list(map(sub, v[:top], v[top:] * (p - 1))) for v in parts]
+        while level and not any(any(v[i::p]) for v in parts for i in range(1, p)):
+            parts = [v[::p] for v in parts]
+            level -= 1
+    common = gcd(*chain.from_iterable(parts))
+    if not common:
+        return Cyc.zero(p)
+    g = gcd(den, num * common)
+    if b is None:
+        terms = {e: (x * num // g, 0) for e, x in enumerate(parts[0]) if x}
+    else:
+        terms = {e: (x * num // g, y * num // g)
+                 for e, (x, y) in enumerate(zip(*parts)) if x or y}
+    if _gauss_zero(p, level, terms):
+        return Cyc.zero(p)
+    return Cyc(p, level, terms, den // g, _reduced=True)
 
 
 def _gauss_zero(p: int, level: int, terms: dict) -> bool:

@@ -16,10 +16,12 @@ import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from itertools import compress
+from math import gcd, lcm
+from operator import add, or_
 
 from .errors import EnumerationCapError, InvalidInputError, PrimeMismatchError
-from .exact import Cyc, CycSum, amp_equal, amp_is_zero, conj
+from .exact import Cyc, CycSum, amp_equal, amp_is_zero, conj, cyc_from_coefficients
 from .padic import (
     RationalPhase,
     check_prime,
@@ -299,68 +301,112 @@ def inverse_fourier(f: LocallyConstantFn, cap: int = DEFAULT_CELL_CAP) -> Locall
 def _fourier_impl(f: LocallyConstantFn, sign: int, cap: int) -> LocallyConstantFn:
     # for w = iw*p^(-K) and r = ir*p^(-M) the phase of chi(w*r) is
     # (iw*ir mod N) / N over the N = p^(M+K) cells, so this is a length-N
-    # DFT, taken by `class_tree_dft`.  Exact values are lifted once to
-    # integers over a common cyclotomic level and denominator, rational and
-    # sqrt(p) parts apart, and a twiddle only shifts their exponents; each
-    # output cell is normalized once.  A table with a float value is summed
-    # in floating point through the same pass.
+    # DFT, taken by `class_tree_dft`.  A table with a float value is summed
+    # in floating point.  Exact values are lifted once to a common
+    # denominator, as integer coefficient lists by exponent at their own
+    # cyclotomic level, rational and sqrt(p) parts apart.  A twiddle, a
+    # power of zeta_N, rotates a list; a node entry takes the lowest level
+    # that holds its children and twiddles, and each output cell is reduced
+    # once.
     p = f.prime
+    depth = f.support_exponent + f.resolution
     count = ball_size(p, f.resolution, f.support_exponent, cap)
     cells = {cell_index(r, p, f.support_exponent): v for r, v in f.table.items()}
     if f.is_exact():
-        level = max([f.support_exponent + f.resolution] + [v.level for v in cells.values()])
-        den = lcm(*(v.den for v in cells.values()))
+        # a value above level M+K splits, by linearity, into zeta^r times
+        # values at level M+K, one class tree per residue r mod p^(level-M-K)
+        level = max([depth] + [v.level for v in cells.values()])
         modulus = p**level
         lift_root = modulus // count
-        leaves = {}
+        den = lcm(*(v.den for v in cells.values()))
+        with_b = any(b for v in cells.values() for _, b in v.terms.values())
+        groups: dict = {}
         for ir, v in cells.items():
-            lift = p ** (level - v.level)
             up = den // v.den
-            leaves[ir] = (
-                {e * lift: a * up for e, (a, _) in v.terms.items() if a},
-                {e * lift: b * up for e, (_, b) in v.terms.items() if b},
-                0,
-            )
+            node_level = min(v.level, depth)
+            size = p**node_level
+            spread = p ** (v.level - node_level)
+            parts = {0: v.terms}
+            if spread > 1:
+                parts = {}
+                for e, c in v.terms.items():
+                    parts.setdefault(e % spread, {})[e // spread] = c
+            for r, terms in parts.items():
+                a = [0] * size
+                b = [0] * size if with_b else None
+                for e, (x, y) in terms.items():
+                    a[e] = x * up
+                    if with_b:
+                        b[e] = y * up
+                groups.setdefault(r * p ** (level - v.level), {})[ir] = (node_level, a, b, None)
+        # zeta_N^s lies at level depth - v_p(s)
+        levels = {p**v: depth - v for v in range(depth + 1)}
 
         def mix(pairs):
-            # entries are (a terms, b terms, pending exponent shift); one
-            # child is passed on unchanged, with its shift moved
+            # entries are (level, a list, b list or None, pending shift of
+            # zeta_N); one child is passed on with its lists and its shift
+            # moved, so the shift is None only on a list no other entry holds
             if len(pairs) == 1:
-                (terms_a, terms_b, shift), j = pairs[0]
-                return terms_a, terms_b, (shift + j * lift_root) % modulus
-            acc_a, acc_b = {}, {}
-            get_a, get_b = acc_a.get, acc_b.get
-            for (terms_a, terms_b, shift), j in pairs:
-                shift = (shift + j * lift_root) % modulus
-                for e, c in terms_a.items():
-                    e += shift
-                    if e >= modulus:
-                        e -= modulus
-                    acc_a[e] = get_a(e, 0) + c
-                for e, c in terms_b.items():
-                    e += shift
-                    if e >= modulus:
-                        e -= modulus
-                    acc_b[e] = get_b(e, 0) + c
-            return acc_a, acc_b, 0
+                (node_level, a, b, shift), j = pairs[0]
+                return node_level, a, b, ((shift or 0) + j) % count
+            shifts = [((entry[3] or 0) + j) % count for entry, j in pairs]
+            node_level = levels[gcd(count, *shifts)]
+            for entry, _ in pairs:
+                if entry[0] > node_level:
+                    node_level = entry[0]
+            size = p**node_level
+            drop = p ** (depth - node_level)
+            acc_a = acc_b = None
+            # each child is rotated by u slots, lifted to node_level into
+            # every step-th slot from q, and added in
+            for ((_, a, b, _), _), shift in zip(pairs, shifts):
+                step = size // len(a)
+                u, q = divmod(shift // drop, step)
+                if u:
+                    a = a[-u:] + a[:-u]
+                if step > 1:
+                    a, lifted = [0] * size, a
+                    a[q::step] = lifted
+                acc_a = a if acc_a is None else map(add, acc_a, a)
+                if with_b:
+                    if u:
+                        b = b[-u:] + b[:-u]
+                    if step > 1:
+                        b, lifted = [0] * size, b
+                        b[q::step] = lifted
+                    acc_b = b if acc_b is None else map(add, acc_b, b)
+            return node_level, list(acc_a), list(acc_b) if with_b else None, None
 
+        residues = list(groups)
+        trees = [groups[r] for r in residues]
         scale = Fraction(p) ** (-f.resolution) / den
         num = scale.numerator
 
-        def finish(entry):
-            terms_a, terms_b, shift = entry
+        nonzero: dict = {}
+
+        def finish(entries):
+            node_level, a, b, shift = entries[0]
+            if residues == [0] and shift is None:
+                return cyc_from_coefficients(p, node_level, a, b, num, scale.denominator)
+            # a cell on a single-child chain, whose lists it shares with the
+            # other cells of that chain, or one of several residues: the
+            # nonzero terms, found once per list, at the top level
             terms = {}
-            for e, c in terms_a.items():
-                if c:
-                    terms[(e + shift) % modulus] = (c * num, 0)
-            for e, c in terms_b.items():
-                if c:
-                    e = (e + shift) % modulus
-                    old = terms.get(e)
-                    terms[e] = (0, c * num) if old is None else (old[0], c * num)
-            return Cyc(p, level, terms, scale.denominator)
+            for r, (node_level, a, b, shift) in zip(residues, entries):
+                # `outputs` holds every list until the last cell, so no id
+                # is reused before then
+                keys = nonzero.get(id(a))
+                if keys is None:
+                    keys = nonzero[id(a)] = list(compress(
+                        range(len(a)), a if b is None else map(or_, a, b)))
+                lift = p ** (level - node_level)
+                start = r + (shift or 0) * lift_root
+                for e in keys:
+                    terms[(start + e * lift) % modulus] = (
+                        a[e] * num, b[e] * num if b is not None else 0)
+            return Cyc(p, level, terms, scale.denominator) if terms else Cyc.zero(p)
     else:
-        leaves = {ir: complex(v) for ir, v in cells.items()}
+        trees = [{ir: complex(v) for ir, v in cells.items()}]
         roots = [cmath.exp(2j * cmath.pi * k / count) for k in range(count)]
 
         def mix(pairs):
@@ -368,13 +414,13 @@ def _fourier_impl(f: LocallyConstantFn, sign: int, cap: int) -> LocallyConstantF
 
         scale = float(p) ** (-f.resolution)
 
-        def finish(entry):
-            return entry * scale
+        def finish(entries):
+            return entries[0] * scale
     unit = Fraction(p) ** (-f.resolution)
     out = {}
-    depth = f.support_exponent + f.resolution
-    for iw, entry in enumerate(class_tree_dft(p, depth, sign, leaves, mix)):
-        total = finish(entry)
+    outputs = [class_tree_dft(p, depth, sign, leaves, mix) for leaves in trees]
+    for iw, entries in enumerate(zip(*outputs)):
+        total = finish(entries)
         if not amp_is_zero(total):
             out[iw * unit] = total
     return LocallyConstantFn(p, f.resolution, f.support_exponent, out)

@@ -11,6 +11,11 @@ only `RelationResult`, the words and `apply_operator` with the code they
 check, and the two routes must agree down to the repr of every float
 residual.
 
+`canonical_by_level` is the fold of a term dict into the canonical
+cyclotomic basis one level at a time, from the level it is given: the loop
+`exact._canonical` ran before it first lowers the level by the common p-power
+of the exponents.  The two must return the same level and terms.
+
 `fourier_by_cell` is the transform as one character sum per output cell,
 Theta(N^2): the route `functions.fourier` took before the radix-p pass up
 the class tree.  On exact tables the two must agree in keys, key order and
@@ -203,6 +208,37 @@ def translation_spectral_by_label(p, window, shift, alphas):
                 continue
             out.append(_residual("translation:spectral", idx, alpha, [lhs, rhs], exact))
     return out
+
+
+def canonical_by_level(p: int, level: int, terms: dict):
+    """(level, terms) of exponent -> (a, b) pairs in the canonical basis of
+    the p^level-th cyclotomic field, zeros dropped, the level lowered while
+    no exponent is prime to p."""
+    while level:
+        modulus = p**level
+        block = modulus // p
+        top = modulus - block
+        out: dict = {}
+        for e, (a, b) in terms.items():
+            e %= modulus
+            if e >= top:
+                # zeta^((p-1)*block + r) = -sum_{i<p-1} zeta^(i*block + r)
+                for k in range(e - top, top, block):
+                    c = out.get(k, (0, 0))
+                    out[k] = (c[0] - a, c[1] - b)
+            else:
+                c = out.get(e, (0, 0))
+                out[e] = (c[0] + a, c[1] + b)
+        out = {e: c for e, c in out.items() if c[0] or c[1]}
+        if not out:
+            return 0, {}
+        if any(e % p for e in out):
+            return level, out
+        terms = {e // p: c for e, c in out.items()}
+        level -= 1
+    a = sum(c[0] for c in terms.values())
+    b = sum(c[1] for c in terms.values())
+    return 0, ({0: (a, b)} if a or b else {})
 
 
 def fourier_by_cell(f: LocallyConstantFn, sign: int, cap: int = DEFAULT_CELL_CAP):

@@ -6,12 +6,22 @@ from itertools import chain
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from padic_wavelets.errors import FloatRangeError, InvalidInputError
-from padic_wavelets.exact import Cyc, CycSum, amp_equal, conj, p_power_amp
+from padic_wavelets.exact import (
+    Cyc,
+    CycSum,
+    _canonical,
+    amp_equal,
+    conj,
+    cyc_from_coefficients,
+    p_power_amp,
+)
 from padic_wavelets.padic import RationalPhase
+
+import oracles
 
 PRIMES = (2, 3, 5)
 
@@ -239,3 +249,67 @@ def test_integer_normal_form(triple):
     term = x.single_term()
     if term is not None:
         assert type(term[0]) is Fraction and type(term[1]) is Fraction
+
+
+# -- reduction into the canonical basis -------------------------------------------
+
+
+@st.composite
+def term_dicts(draw):
+    """(p, level, terms): exponents scaled by a common p-power, some at or
+    above p^level or negative, full orbits that cancel, and sqrt(p) parts."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    level = draw(st.integers(0, 4 if p == 2 else 3))
+    modulus = p**level
+    unit = p ** draw(st.integers(0, level))
+    pairs = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    terms = {}
+    for e, c in draw(st.lists(st.tuples(st.integers(-2 * modulus, 2 * modulus), pairs),
+                              max_size=8)):
+        terms[e * unit] = c
+    if level:
+        # zeta^r times the sum of the p-th roots of unity, which is zero
+        block = modulus // p
+        for r, (a, b) in draw(st.lists(st.tuples(st.integers(0, block - 1), pairs),
+                                       max_size=2)):
+            for i in range(p):
+                e = r + i * block
+                old = terms.get(e, (0, 0))
+                terms[e] = (old[0] + a, old[1] + b)
+    return p, level, terms
+
+
+@given(term_dicts())
+@example((3, 2, {9: (1, 0), -3: (0, 2)}))
+@example((2, 3, {0: (1, 1), 4: (1, -1)}))
+@example((5, 1, {0: (0, 0)}))
+def test_canonical_matches_the_fold_by_level(case):
+    p, level, terms = case
+    assert _canonical(p, level, dict(terms)) == oracles.canonical_by_level(p, level, dict(terms))
+
+
+@st.composite
+def coefficient_lists(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    level = draw(st.integers(0, 4 if p == 2 else 2))
+    size = p**level
+    coeff = st.integers(-4, 4)
+    a = draw(st.lists(coeff, min_size=size, max_size=size))
+    b = draw(st.none() | st.lists(coeff, min_size=size, max_size=size))
+    return p, level, a, b, draw(st.integers(1, 6)), draw(st.integers(1, 12))
+
+
+@given(coefficient_lists())
+# sqrt(5) - (1 + 2 zeta_5 + 2 zeta_5^4) and sqrt(2) - (zeta_8 + zeta_8^7):
+# zeros only the Gauss-sum test finds
+@example((5, 1, [-1, -2, 0, 0, -2], [1, 0, 0, 0, 0], 1, 1))
+@example((2, 3, [0, -3, 0, 0, 0, 0, 0, -3], [3, 0, 0, 0, 0, 0, 0, 0], 2, 4))
+def test_cyc_from_coefficients_matches_the_term_dict(case):
+    p, level, a, b, num, den = case
+    copies = (list(a), b and list(b))
+    got = cyc_from_coefficients(p, level, a, b, num, den)
+    want = Cyc(p, level, {e: (x * num, b[e] * num if b else 0) for e, x in enumerate(a)}, den)
+    assert (a, b) == copies
+    assert_normal_form(got)
+    assert (got.level, got.terms, got.den) == (want.level, want.terms, want.den)
+    assert repr(got) == repr(want)

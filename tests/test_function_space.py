@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from padic_wavelets import exact, functions
 from padic_wavelets.errors import EnumerationCapError, InvalidInputError, PrimeMismatchError
 from padic_wavelets.exact import Cyc, CycSum, amp_equal, amp_is_zero
 from padic_wavelets.functions import (
@@ -38,12 +39,16 @@ from padic_wavelets.wavelets import KozyrevIndex, expansion_from_json, materiali
 import oracles
 
 
-def random_exact_fn(p, support, resolution, rng, density=0.7) -> LocallyConstantFn:
+def random_exact_fn(p, support, resolution, rng, density=0.7, sqrt_p=False) -> LocallyConstantFn:
+    """Rationals times p^2-th roots of unity; with `sqrt_p`, about a third
+    of them also times sqrt(p)."""
     table = {}
     for rep in ball_reps(p, support, resolution):
         if rng.random() < density:
             v = Cyc.rational(p, Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
             v = v * Cyc.root_of_unity(p, RationalPhase(rng.randint(0, p**2 - 1), p**2))
+            if sqrt_p and rng.random() < 0.3:
+                v = v * Cyc.half_power(p, 1)
             if not v.is_zero:
                 table[rep] = v
     return LocallyConstantFn(p, support, resolution, table)
@@ -271,25 +276,30 @@ def test_fourier_swaps_exponents():
     assert (g.support_exponent, g.resolution) == (2, 1)
 
 
+# sqrt(5) lies in every Q(zeta_(5^t)), so at p = 5 the transformed cells,
+# with rational and sqrt(5) parts, go through the Gauss-sum zero test
 @given(
-    p=st.sampled_from((2, 3)),
+    p=st.sampled_from((2, 3, 5)),
     shape=st.sampled_from([(0, 0), (1, 1), (0, 3), (2, 1), (1, 2)]),
     seed=st.integers(0, 10**6),
 )
 def test_fourier_round_trip_exact(p, shape, seed):
     m, k = shape
-    f = random_exact_fn(p, m, k, random.Random(seed))
+    f = random_exact_fn(p, m, k, random.Random(seed), sqrt_p=True)
     assert fn_equal(inverse_fourier(fourier(f)), f)
 
 
 @given(
-    p=st.sampled_from((2, 3)),
+    p=st.sampled_from((2, 3, 5)),
     seed=st.integers(0, 10**6),
 )
 def test_plancherel(p, seed):
+    # N = 25 at p = 5: at N = 125 each transformed cell holds up to 100
+    # terms, which the inner product multiplies pairwise
     rng = random.Random(seed)
-    f = random_exact_fn(p, 1, 2, rng)
-    g = random_exact_fn(p, 1, 2, rng)
+    k = 1 if p == 5 else 2
+    f = random_exact_fn(p, 1, k, rng, sqrt_p=True)
+    g = random_exact_fn(p, 1, k, rng, sqrt_p=True)
     assert inner_product(f, g) == inner_product(fourier(f), fourier(g))
 
 
@@ -317,6 +327,44 @@ def test_dense_round_trip_and_plancherel_at_p3():
     assert back == f
     assert elapsed < 1.5, f"exact round trip at N = 243 took {elapsed:.2f} s"
     assert inner_product(g, g) == inner_product(f, f)
+
+
+@pytest.mark.parametrize("p,m,k", [(3, 2, 3), (2, 4, 4)])
+def test_dense_fourier_reduces_each_cell_once(monkeypatch, p, m, k):
+    # counts only: each transform reduces every one of its N output cells
+    # once, from coefficient lists, with no canonical pass over a term dict,
+    # and builds no Cyc inside the radix-p pass
+    counts = {"reduced": 0, "canonical": 0, "built": 0}
+
+    def counting(real, kind):
+        def op(*args, **kwargs):
+            counts[kind] += 1
+            return real(*args, **kwargs)
+        return op
+
+    monkeypatch.setattr(functions, "cyc_from_coefficients",
+                        counting(functions.cyc_from_coefficients, "reduced"))
+    monkeypatch.setattr(exact, "_canonical", counting(exact._canonical, "canonical"))
+    monkeypatch.setattr(Cyc, "__init__", counting(Cyc.__init__, "built"))
+    built_in_pass = []
+    real_dft = functions.class_tree_dft
+
+    def dft(*args):
+        before = counts["built"]
+        stage = real_dft(*args)
+        built_in_pass.append(counts["built"] - before)
+        return stage
+
+    monkeypatch.setattr(functions, "class_tree_dft", dft)
+    f = random_exact_fn(p, m, k, random.Random(p), density=1.0)
+    cells = p ** (m + k)
+    for transform in (fourier, inverse_fourier):
+        counts.update(reduced=0, canonical=0, built=0)
+        built_in_pass.clear()
+        g = transform(f)
+        assert counts == {"reduced": cells, "canonical": 0, "built": cells}
+        assert built_in_pass == [0]
+        f = g
 
 
 # -- Fourier against the naive character sum -----------------------------------------
@@ -442,9 +490,22 @@ def test_fourier_matches_naive_sum_float(p, shape, seed, mixed):
 
 def oracle_table(p, kind, rng):
     """An exact table of one kind: dense; confined to one residue class mod
-    p^t, so that the tree skips the other branches; an odd-n wavelet, whose
-    values carry sqrt(p); or empty.  The first two hold values at levels up
-    to M+K+3, above the grid of w*r."""
+    p^t, so that the tree skips the other branches; sparse, at most p cells
+    of one class mod p^(M+K-1) in a ball p^2 to p^3 times larger, the shape
+    of a widened wavelet; an odd-n wavelet, whose values carry sqrt(p); or
+    empty.  The first three hold values at levels up to M+K+3, above the
+    grid of w*r for the first two."""
+    if kind == "sparse":
+        m, k = rng.choice([s for s in FOURIER_SHAPES if sum(s) >= 1])
+        widen = rng.randint(2, 3) if p ** (m + k + 3) <= 3125 else 2
+        c = rng.randrange(p ** (m + k - 1))
+        table = {}
+        for d in range(p):
+            if rng.random() < 0.8:
+                v = random_value(p, rng, m + k + 3)
+                if not v.is_zero:
+                    table[(c + d * p ** (m + k - 1)) * Fraction(p) ** -m] = v
+        return LocallyConstantFn(p, m + widen, k, table)
     if kind == "wavelet":
         # m of depth 2 at p = 2 puts the values at level 3, where sqrt(2)
         # lies in the field, as sqrt(5) does at every level >= 1
@@ -468,15 +529,17 @@ def oracle_table(p, kind, rng):
 
 
 @given(
-    p=st.sampled_from((2, 3, 5)),
-    kind=st.sampled_from(("dense", "class", "wavelet", "empty")),
+    p=st.sampled_from((2, 3, 5, 7)),
+    kind=st.sampled_from(("dense", "class", "sparse", "wavelet", "empty")),
     seed=st.integers(0, 10**6),
 )
 # sqrt(2) values at level 3 and sqrt(5) values, where the (a, b) split is
-# not unique; two cells of one class mod 3
+# not unique; two cells of one class mod 3; two level-3 sqrt(2) values of
+# one class mod 8 in a ball of 16 cells
 @example(p=2, kind="wavelet", seed=5)
 @example(p=5, kind="wavelet", seed=0)
 @example(p=3, kind="class", seed=4)
+@example(p=2, kind="sparse", seed=18)
 def test_fourier_matches_the_per_cell_oracle(p, kind, seed):
     # the radix-p pass against one character sum per output cell: the same
     # keys in the same order, and every value == with the same repr
@@ -488,6 +551,23 @@ def test_fourier_matches_the_per_cell_oracle(p, kind, seed):
         for w, v in want.items():
             assert got[w] == v
             assert repr(got[w]) == repr(v)
+
+
+def test_fourier_drops_a_cell_only_the_gauss_sum_zeroes():
+    # sqrt(5) = 1 + 2 zeta_5 + 2 zeta_5^4, so the cells sum to zero at w = 0,
+    # although the rational and sqrt(5) parts of that sum are not zero
+    zeta = Cyc.root_of_unity(5, RationalPhase(1, 5))
+    f = LocallyConstantFn(5, 0, 1, {
+        Fraction(0): Cyc.half_power(5, 1) - 1,
+        Fraction(1): zeta * -2,
+        Fraction(4): zeta.conj() * -2,
+    })
+    for sign, transform in ((-1, fourier), (+1, inverse_fourier)):
+        got = transform(f).table
+        assert Fraction(0) not in got
+        want = oracles.fourier_by_cell(f, sign).table
+        assert list(got) == list(want)
+        assert all(repr(got[w]) == repr(v) for w, v in want.items())
 
 
 def test_fourier_rejects_a_negative_cell_count():
