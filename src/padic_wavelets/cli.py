@@ -19,6 +19,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import click
 
@@ -28,7 +29,7 @@ from .errors import (
     OutputRangeError,
     PadicError,
 )
-from .exact import is_half_integral
+from .exact import CycSum, is_half_integral
 from .functions import (
     DEFAULT_CELL_CAP,
     LocallyConstantFn,
@@ -37,6 +38,7 @@ from .functions import (
     fn_from_json,
     fn_to_json,
     fourier as fourier_fn,
+    integrate,
     inverse_fourier,
     rep_digits,
 )
@@ -166,9 +168,56 @@ def _digit_limit():
 
 
 def to_json(payload) -> str:
-    """`payload` as indented JSON text, the form every command writes."""
+    """`payload` as indented JSON text, the form every command writes: the
+    bytes of `json.dumps(payload, indent=2)` for a tree of dicts with string
+    keys, lists, strings, ints, floats, bools and None."""
     with _digit_limit():
-        return json.dumps(payload, indent=2)
+        return _json_text(payload, "\n")
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+# ints are written by `int.__repr__`, which raises the digit-limit
+# `ValueError` as json does
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda x: "true" if x else "false",
+    type(None): lambda x: "null",
+}
+
+
+def _json_text(x, newline: str) -> str:
+    # `newline` is the line break and indent that close x; its items are
+    # indented one step further
+    scalar = _SCALAR_TEXT.get(type(x))
+    if scalar is not None:
+        return scalar(x)
+    inner = newline + "  "
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        get = _SCALAR_TEXT.get
+        items = [f"{encode_basestring_ascii(k)}: "
+                 f"{w(v) if (w := get(type(v))) else _json_text(v, inner)}"
+                 for k, v in x.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    if isinstance(x, list):
+        if not x:
+            return "[]"
+        if all(type(v) is int for v in x):
+            items = map(int.__repr__, x)
+        else:
+            items = [_json_text(v, inner) for v in x]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def csv_lines(header, rows) -> str:
@@ -293,9 +342,10 @@ def analyze_cmd(config: RunConfig, input_file, output):
     """Project a JSON table function onto the window's wavelets.
 
     The part the window cannot carry (a nonzero mean in particular) is
-    reported on stderr alongside the round-trip residual."""
-    from .functions import inner_product, integrate
-
+    reported on stderr alongside the round-trip residual.  The window's
+    wavelets are orthonormal and `analyze` returns every coefficient of
+    f's projection onto them, so by Parseval that residual is
+    ||f||^2 - sum |c|^2, exact for an exact table."""
     fn = _load_table(config, input_file)
     if fn.prime != config.prime:
         raise InvalidInputError(
@@ -304,10 +354,14 @@ def analyze_cmd(config: RunConfig, input_file, output):
     expansion = analyze_fn(fn, config.window, cap=config.cap)
     write_output(to_json(expansion_to_json(expansion)) + "\n", output)
     mean = complex(integrate(fn))
-    resolution = max(fn.resolution, 1 - config.window.n_min)
-    rebuilt = synthesize_fn(expansion, resolution=resolution, cap=config.cap)
-    residual = fn - rebuilt
-    res_norm2 = complex(inner_product(residual, residual)).real
+    # the reader rejects repeated cells, so each value is one cell of f
+    norm2, kept = CycSum(fn.prime), CycSum(fn.prime)
+    for v in fn.table.values():
+        norm2.add_abs2(v)
+    for c in expansion.coefficients.values():
+        kept.add_abs2(c)
+    measure = Fraction(fn.prime) ** (-fn.resolution)
+    res_norm2 = complex(norm2.result() * measure - kept.result()).real
     _echo(f"mean component: {fmt(mean.real)}{mean.imag:+.17g}j", err=True)
     _echo(f"round-trip residual norm^2: {fmt(res_norm2)}", err=True)
 

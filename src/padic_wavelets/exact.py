@@ -468,32 +468,56 @@ class CycSum:
             self.fallback += complex(value)
             return
         if isinstance(value, Cyc):
-            terms = self.terms
-            if value.level > self.level:
-                shift = self.prime ** (value.level - self.level)
-                terms = self.terms = {e * shift: c for e, c in terms.items()}
-                self.level = value.level
-            den = lcm(self.den, value.den)
-            if den != self.den:
-                up = den // self.den
-                terms = self.terms = {e: (a * up, b * up) for e, (a, b) in terms.items()}
-                self.den = den
-            scale = den // value.den
-            shift = self.prime ** (self.level - value.level)
-            get = terms.get
-            for e, (a, b) in value.terms.items():
-                key = e * shift
-                c = get(key)
-                if c is None:
-                    terms[key] = (a * scale, b * scale)
-                else:
-                    terms[key] = (c[0] + a * scale, c[1] + b * scale)
+            self._add_terms(value.level, value.terms, value.den)
         elif isinstance(value, Rational):
             self.add(Cyc.rational(self.prime, value))
         else:
             # switch to floating mode
             current = complex(self._exact())
             self.fallback = current + complex(value)
+
+    def add_abs2(self, value) -> None:
+        """Add |value|^2 = conj(value) * value.  An exact product is added as
+        its integer terms, which are brought to normal form only with the
+        sum, not one product at a time."""
+        if self.fallback is not None or not isinstance(value, Cyc):
+            self.add(conj(value) * value)
+            return
+        p = self.prime
+        modulus = p**value.level
+        items = value.terms.items()
+        terms: dict = {}
+        get = terms.get
+        for e1, (a, b) in items:
+            for e2, (c, d) in items:
+                e = (e2 - e1) % modulus
+                ra, rb = a * c + p * b * d, a * d + b * c
+                old = get(e)
+                terms[e] = (ra, rb) if old is None else (old[0] + ra, old[1] + rb)
+        self._add_terms(value.level, terms, value.den * value.den)
+
+    def _add_terms(self, level: int, more: dict, den: int) -> None:
+        """Add the integer terms `more` of level `level` over `den`."""
+        terms = self.terms
+        if level > self.level:
+            shift = self.prime ** (level - self.level)
+            terms = self.terms = {e * shift: c for e, c in terms.items()}
+            self.level = level
+        common = lcm(self.den, den)
+        if common != self.den:
+            up = common // self.den
+            terms = self.terms = {e: (a * up, b * up) for e, (a, b) in terms.items()}
+            self.den = common
+        scale = common // den
+        shift = self.prime ** (self.level - level)
+        get = terms.get
+        for e, (a, b) in more.items():
+            key = e * shift
+            c = get(key)
+            if c is None:
+                terms[key] = (a * scale, b * scale)
+            else:
+                terms[key] = (c[0] + a * scale, c[1] + b * scale)
 
     def _exact(self) -> Cyc:
         return Cyc(self.prime, self.level, dict(self.terms), self.den)

@@ -20,6 +20,12 @@ of the exponents.  The two must return the same level and terms.
 Theta(N^2): the route `functions.fourier` took before the radix-p pass up
 the class tree.  On exact tables the two must agree in keys, key order and
 the repr of every value.
+
+`residual_by_synthesis` is the round-trip residual of `analyze` as the
+command once computed it: rebuild f from its coefficients with
+`synthesize`, subtract, and take the inner product.  The command now uses
+Parseval, ||f||^2 - sum |c|^2; on exact tables the two must print the same
+bytes.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from padic_wavelets.functions import (
     LocallyConstantFn,
     ball_reps,
     cell_index,
+    inner_product,
 )
 from padic_wavelets.operators import (
     RelationResult,
@@ -53,6 +60,7 @@ from padic_wavelets.wavelets import (
     basis_vector,
     enumerate_m_digits,
     label_translate,
+    synthesize,
 )
 
 
@@ -305,3 +313,14 @@ def fourier_by_cell(f: LocallyConstantFn, sign: int, cap: int = DEFAULT_CELL_CAP
         if not amp_is_zero(total):
             out[w] = total
     return LocallyConstantFn(p, f.resolution, f.support_exponent, out)
+
+
+def residual_by_synthesis(f: LocallyConstantFn, expansion: WaveletExpansion,
+                          cap: int = DEFAULT_CELL_CAP):
+    """||f - g||^2 for g the expansion synthesized at the finer of f's
+    resolution and the window's finest, 1 - n_min.  Its cost grows with
+    p^(S + 1 - n_min), S the support of the rebuilt table, not with f."""
+    resolution = max(f.resolution, 1 - expansion.window.n_min)
+    rebuilt = synthesize(expansion, resolution=resolution, cap=cap)
+    residual = f - rebuilt
+    return inner_product(residual, residual)

@@ -1,15 +1,26 @@
 """Exit codes, determinism and file round trips of the command line."""
 
+import io
 import json
+import math
+import random
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from padic_wavelets.cli import main, parse_index, parse_window
-from padic_wavelets.functions import fn_from_json, fn_equal, fn_to_json
-from padic_wavelets.wavelets import KozyrevIndex, materialize
+from padic_wavelets import cli, functions, wavelets
+from padic_wavelets.cli import fmt, main, parse_index, parse_window, to_json
+from padic_wavelets.errors import OutputRangeError
+from padic_wavelets.functions import LocallyConstantFn, fn_from_json, fn_equal, fn_to_json
+from padic_wavelets.wavelets import KozyrevIndex, Window, analyze, materialize
+
+import oracles
 
 
 def run(capsys, args):
@@ -430,6 +441,34 @@ def test_integer_beyond_the_digit_limit_is_exit_two_on_output(capsys):
     assert code == (2 if _over_digit_limit(4516) else 0)
 
 
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.text()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.integers() | st.integers(10**4290, 10**4310).map(lambda n: n * (-1) ** n)
+)
+_JSON_PAYLOADS = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(st.integers(), max_size=6)
+                  | st.dictionaries(st.text(max_size=6), kids, max_size=4)),
+    max_leaves=16,
+)
+
+
+@given(payload=_JSON_PAYLOADS)
+@example(payload={"cells": [], "empty": {}, "digits": [0, 1, 1], "x": [[], {}, [[]]]})
+@example(payload=["\u00e9\u4e2d\U0001f600\ud800", "\"\\\n\t\x00", True, False, None])
+@example(payload=[math.nan, math.inf, -math.inf, -0.0, 1e-300, 5.551115123125783e-17])
+def test_to_json_writes_the_bytes_of_json_dumps(payload):
+    try:
+        want = json.dumps(payload, indent=2)
+    except ValueError:
+        # an int beyond the interpreter's int-to-str digit limit
+        with pytest.raises(OutputRangeError):
+            to_json(payload)
+    else:
+        assert to_json(payload) == want
+
+
 def test_integer_beyond_the_digit_limit_is_exit_one_on_input(capsys, tmp_path):
     path = tmp_path / "long.json"
     path.write_text(
@@ -466,6 +505,140 @@ def test_deterministic_output(capsys, psi_file):
     first = run(capsys, args)
     second = run(capsys, args)
     assert first == second
+
+
+# -- the analyze residual by Parseval --------------------------------------------
+
+
+def _random_table(p, m, k, rng, exact, phase_levels):
+    """About 60% of the p^(M+K) cells: exact magnitudes times phases k/p^t,
+    t in `phase_levels` (at odd p some k/(2p^t)), or floats."""
+    cells = []
+    for i in range(p ** (m + k)):
+        if rng.random() < 0.6:
+            cell = {"digits": [i // p**t % p for t in range(m + k)]}
+            if exact:
+                den = p ** rng.choice(phase_levels) * (2 if p != 2 and rng.random() < 0.3 else 1)
+                cell.update(mag_num=rng.randint(1, 4), mag_den=rng.randint(1, 3),
+                            phase_num=rng.randrange(den), phase_den=den)
+            else:
+                cell.update(re=rng.uniform(-1, 1), im=rng.uniform(-1, 1))
+            cells.append(cell)
+    return {"prime": p, "support_exponent": m, "resolution_exponent": k, "cells": cells}
+
+
+def _analyze_stderr(data, window_spec):
+    """Exit code and stderr of an in-process `analyze` of the table `data`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.json"
+        path.write_text(json.dumps(data))
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["--prime", str(data["prime"]), "--window", window_spec,
+                         "analyze", str(path)])
+    return code, err.getvalue()
+
+
+@given(
+    p=st.sampled_from((2, 3, 5)),
+    exact=st.booleans(),
+    fine_phases=st.booleans(),
+    seed=st.integers(0, 10**6),
+)
+@example(p=2, exact=True, fine_phases=True, seed=0)  # window -4:0:2 on K = 2
+@example(p=5, exact=True, fine_phases=False, seed=135)  # window -1:1:1 on K = 1
+@example(p=3, exact=False, fine_phases=False, seed=30)  # window -5:-2:1 on K = 3
+def test_analyze_residual_matches_the_synthesis_oracle(p, exact, fine_phases, seed):
+    # M <= 2, K <= 3, m-depth <= 2, and windows down to n_min = -K - 2,
+    # finer than the table's cells; the oracle's table of p^(S + R) cells,
+    # S its support and R = max(K, 1 - n_min), is kept small.  At p = 2 with
+    # `fine_phases` the values lie at levels 3 and 4, where the sqrt(2) of an
+    # odd scale has more than one (a, b) split
+    rng = random.Random(seed)
+    budget = {2: 11, 3: 7, 5: 5}[p]
+    while True:
+        m, k = rng.randint(-1, 2), rng.randint(-1, 3)
+        if m + k < 0 or p ** (m + k) > 125:
+            continue
+        n_min = rng.randint(-k - 2, m + 1)
+        n_max = rng.randint(n_min, m + 2)
+        depth = rng.randint(0, 2)
+        if max(m, n_max + depth) + max(k, 1 - n_min) <= budget:
+            break
+    levels = (3, 4) if p == 2 and fine_phases else (0, 1, 2)
+    data = _random_table(p, m, k, rng, exact, levels)
+    code, err = _analyze_stderr(data, f"{n_min}:{n_max}:{depth}")
+    assert code == 0
+    f = fn_from_json(data)
+    want = complex(oracles.residual_by_synthesis(f, analyze(f, Window(n_min, n_max, depth)))).real
+    line = err.splitlines()[1]
+    if exact:
+        assert line == f"round-trip residual norm^2: {fmt(want)}"
+    else:
+        norm2 = sum(abs(complex(v)) ** 2 for v in f.table.values()) * p ** -k
+        got = float(line.removeprefix("round-trip residual norm^2: "))
+        assert abs(got - want) <= 1e-12 * max(1.0, norm2)
+
+
+# three cells of a p = 5 table on Z_5 at resolution 1: its mean is zeta_5/10,
+# so the residual of any window with n_max = 3 is |mean|^2 * 5^-3 = 1/12500
+_P5_TABLE = {"prime": 5, "support_exponent": 0, "resolution_exponent": 1, "cells": [
+    {"digits": [1], "mag_num": 1, "mag_den": 1, "phase_num": 0, "phase_den": 1},
+    {"digits": [2], "mag_num": 1, "mag_den": 2, "phase_num": 1, "phase_den": 5},
+    {"digits": [4], "mag_num": 1, "mag_den": 1, "phase_num": 1, "phase_den": 2}]}
+
+
+def test_analyze_window_finer_than_the_table(capsys, tmp_path):
+    # wavelets finer than the cells have no coefficient, so the residual
+    # does not depend on n_min below 1 - K; the synthesis route needed
+    # 5^(4 - n_min) cells for it and exited 3 at n_min = -5
+    path = tmp_path / "f5.json"
+    path.write_text(json.dumps(_P5_TABLE))
+    errs = []
+    for window in ("-1:3:0", "-3:3:0", "-5:3:0"):
+        code, _, err = run(capsys, ["--prime", "5", "--window", window, "analyze", str(path)])
+        assert code == 0
+        errs.append(err)
+    assert errs[0] == errs[1] == errs[2]
+    assert errs[0].splitlines()[1] == "round-trip residual norm^2: 8.0000000000000007e-05"
+    f = fn_from_json(_P5_TABLE)
+    want = oracles.residual_by_synthesis(f, analyze(f, Window(-1, 3, 0)))
+    assert want == Fraction(1, 12500)
+
+
+def test_analyze_builds_no_table_larger_than_its_input(capsys, tmp_path, monkeypatch):
+    # a work count: no synthesis, subtraction or inner product, and every
+    # table built while the command runs has at most the input's cells
+    calls, sizes = [], []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(wavelets, "synthesize", counted("synthesize", wavelets.synthesize))
+    monkeypatch.setattr(cli, "synthesize_fn", counted("synthesize", cli.synthesize_fn))
+    monkeypatch.setattr(functions, "inner_product",
+                        counted("inner_product", functions.inner_product))
+    monkeypatch.setattr(LocallyConstantFn, "__sub__",
+                        counted("__sub__", LocallyConstantFn.__sub__))
+    post_init = LocallyConstantFn.__post_init__
+
+    def sized(self):
+        sizes.append(len(self.table))
+        post_init(self)
+
+    monkeypatch.setattr(LocallyConstantFn, "__post_init__", sized)
+    for data, window in ((_README_TABLE, "-6:2:1"), (_P5_TABLE, "-5:3:0")):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(data))
+        sizes.clear()
+        code, _, _ = run(capsys, ["--prime", str(data["prime"]), "--window", window,
+                                  "analyze", str(path)])
+        assert code == 0
+        assert sizes and max(sizes) <= len(data["cells"])
+    assert calls == []
 
 
 # -- checks ----------------------------------------------------------------------

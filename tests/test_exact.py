@@ -251,6 +251,26 @@ def test_integer_normal_form(triple):
         assert type(term[0]) is Fraction and type(term[1]) is Fraction
 
 
+@given(st.sampled_from(PRIMES).flatmap(lambda p: st.lists(values(p), min_size=1, max_size=4)),
+       st.booleans())
+@example([(Cyc.half_power(2, 1) * root(2, 1, 8) + root(2, 3, 16), 0j)] * 2, False)
+def test_abs2_accumulator_matches_conj_times_value(pairs, with_float):
+    # the products enter the sum unnormalized, and the sum is normalized once
+    p = pairs[0][0].prime
+    direct, acc = CycSum(p), CycSum(p)
+    for v, _ in pairs:
+        direct.add(conj(v) * v)
+        acc.add_abs2(v)
+    if with_float:
+        direct.add(conj(0.5 - 0.25j) * (0.5 - 0.25j))
+        acc.add_abs2(0.5 - 0.25j)
+        want = direct.result()
+        assert abs(acc.result() - want) <= 1e-12 * max(1.0, abs(want))
+    else:
+        assert acc.result() == direct.result()
+        assert_normal_form(acc.result())
+
+
 # -- reduction into the canonical basis -------------------------------------------
 
 
