@@ -181,13 +181,6 @@ def add_cells(table: dict, cells) -> None:
         table[r] = v
 
 
-def indicator_fn(p: int, ball_exponent: int = 0) -> LocallyConstantFn:
-    """Indicator of the ball |x|_p <= p^ball_exponent (one cell of that size)."""
-    return LocallyConstantFn(
-        p, ball_exponent, -ball_exponent, {Fraction(0): Cyc.one(p)}
-    )
-
-
 def translate(f: LocallyConstantFn, shift) -> LocallyConstantFn:
     """x -> f(x - b).  A `PAdicNumber` shift is read as the exact rational
     its digits denote."""
@@ -198,14 +191,6 @@ def translate(f: LocallyConstantFn, shift) -> LocallyConstantFn:
     support = max(f.support_exponent, -frac_valp(b, p))
     table = {reduce_rep(r + b, p, f.resolution): v for r, v in f.table.items()}
     return LocallyConstantFn(p, support, f.resolution, table)
-
-
-def scale_arg(f: LocallyConstantFn, e: int) -> LocallyConstantFn:
-    """x -> f(p^e x); the support ball grows to p^(M+e), resolution drops to K-e."""
-    p = f.prime
-    unit = Fraction(p) ** (-e)
-    table = {r * unit: v for r, v in f.table.items()}
-    return LocallyConstantFn(p, f.support_exponent + e, f.resolution - e, table)
 
 
 def integrate(f: LocallyConstantFn):
@@ -466,12 +451,6 @@ def fn_equal(f: LocallyConstantFn, g: LocallyConstantFn, tol: float = 0.0) -> bo
         if not amp_equal(a.table.get(rep, zero), b.table.get(rep, zero), tol):
             return False
     return True
-
-
-def support_measure(f: LocallyConstantFn) -> Fraction:
-    """Total Haar measure of the cells carrying a nonzero value."""
-    count = sum(1 for v in f.table.values() if not amp_is_zero(v))
-    return count * Fraction(f.prime) ** (-f.resolution)
 
 
 # -- JSON encoding of cell values and whole functions -----------------------

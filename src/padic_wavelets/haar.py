@@ -74,14 +74,6 @@ class RealStepFn:
         i = bisect.bisect_right(self.breakpoints, x) - 1
         return self.values[i]
 
-    def jumps(self):
-        """(x, jump) at every breakpoint, counting the function as 0 outside."""
-        out = [(self.breakpoints[0], self.values[0])]
-        for i in range(1, len(self.values)):
-            out.append((self.breakpoints[i], self.values[i] - self.values[i - 1]))
-        out.append((self.breakpoints[-1], -self.values[-1] + Fraction(0)))
-        return out
-
     def scaled(self, factor) -> "RealStepFn":
         return RealStepFn(self.breakpoints, tuple(v * factor for v in self.values))
 
@@ -98,16 +90,6 @@ def step_monomial_integral(f: RealStepFn, degree: int):
     for i, v in enumerate(f.values):
         a, b = f.breakpoints[i], f.breakpoints[i + 1]
         total = total + v * (Fraction(b**d1 - a**d1) / d1)
-    return total
-
-
-def step_inner(f: RealStepFn, g: RealStepFn):
-    """Hermitian <f, g> = integral of conj(f) * g, exact."""
-    bps = sorted(set(f.breakpoints) | set(g.breakpoints))
-    total = Fraction(0)
-    for i in range(len(bps) - 1):
-        a, b = bps[i], bps[i + 1]
-        total = total + conj(f.value_at(a)) * g.value_at(a) * (b - a)
     return total
 
 
@@ -128,39 +110,6 @@ def haar_step(p: int, idx: HaarIndex) -> RealStepFn:
     for ell in range(p):
         bps.append(start + (ell + 1) * width)
         vals.append(amp * character_amp(p, Fraction(ell, p)))
-    if bps[-1] < 1:
-        bps.append(Fraction(1))
-        vals.append(Cyc.zero(p))
-    return RealStepFn(tuple(bps), tuple(vals))
-
-
-def haar_evaluate(p: int, idx: HaarIndex, x: Fraction):
-    """Pointwise value at a rational x in [0, 1)."""
-    if not 0 <= x < 1:
-        raise InvalidInputError("x outside [0, 1)")
-    return haar_step(p, idx).value_at(Fraction(x))
-
-
-def dilate_arg(f: RealStepFn, p: int, alpha: int) -> RealStepFn:
-    """x -> f(p^(-alpha) x) restricted to [0, 1]; alpha >= 0 stretches supports.
-
-    Breakpoints scale by p^alpha and the picture is clipped at 1, so this is
-    exact whenever the stretched support fits the unit interval.
-    """
-    if alpha < 0:
-        raise InvalidInputError("dilate_arg implemented for alpha >= 0")
-    factor = Fraction(p) ** alpha
-    bps = [Fraction(0)]
-    vals: list = []
-    for i, v in enumerate(f.values):
-        a_scaled = f.breakpoints[i] * factor
-        b_scaled = f.breakpoints[i + 1] * factor
-        if a_scaled >= 1:
-            break
-        bps.append(min(b_scaled, Fraction(1)))
-        vals.append(v)
-        if b_scaled >= 1:
-            break
     if bps[-1] < 1:
         bps.append(Fraction(1))
         vals.append(Cyc.zero(p))
@@ -205,92 +154,6 @@ def scaling_constant(degree: int) -> Fraction:
     """Coefficient of the unit-interval indicator in the expansion of
     x^degree: its mean 1/(degree+1)."""
     return Fraction(1, degree + 1)
-
-
-# -- derivative identities on monomials ---------------------------------------
-
-
-def _jump_moment(psi: RealStepFn, k: int):
-    """int Psi (x^k)' dx through the jumps of Psi, boundary terms set to zero."""
-    return -sum(jump * Fraction(x**k) for x, jump in psi.jumps())
-
-
-def verify_lowering(p: int, degree: int, idx: HaarIndex):
-    """Residual of the integration-by-parts identity
-
-        int Psi (x^degree)' dx = degree * int Psi x^(degree-1) dx,
-
-    the left side evaluated through the jump form of dPsi/dx with boundary
-    terms at 0 and 1 set to zero.  Exactly zero in rational arithmetic."""
-    if degree < 1:
-        raise InvalidInputError("degree must be >= 1")
-    psi = haar_step(p, idx)
-    return _jump_moment(psi, degree) - degree * step_monomial_integral(psi, degree - 1)
-
-
-def verify_scaling_generator(p: int, degree: int, idx: HaarIndex):
-    """Residual of the x d/dx eigenvalue statement on x^degree,
-
-        int Psi x (x^degree)' dx = degree * int Psi x^degree dx,
-
-    with the left side through jump terms (zero-boundary convention)."""
-    if degree < 1:
-        raise InvalidInputError("degree must be >= 1")
-    psi = haar_step(p, idx)
-    return _jump_moment(psi, degree + 1) - (degree + 1) * step_monomial_integral(psi, degree)
-
-
-@dataclass
-class DilatationReport:
-    degree: int
-    alpha: int
-    max_level: int
-    coefficient_checks: int
-    step_identity_checks: int
-    failures: list
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def verify_dilatation(p: int, degree: int, alpha: int, max_level: int = 3,
-                      convention: str = "orthonormal") -> DilatationReport:
-    """Check the coefficient shift-and-scale of dilation by p^(-alpha).
-
-    Substituting x -> p^(-alpha) x shifts every wavelet level down by alpha
-    and multiplies it by p^(alpha/2), so the coefficients of x^degree obey
-
-        p^(alpha (1-n)) c(L, t) = p^(alpha/2) c(L+alpha, t),  n = degree+1,
-
-    exactly; alongside, the step-function identity
-    Psi_{L,t}(p^(-alpha) x) = p^(alpha/2) Psi_{L-alpha,t}(x) is checked
-    cellwise for every wavelet whose stretched support fits in [0, 1]."""
-    if alpha < 1:
-        raise InvalidInputError("alpha must be a positive integer")
-    n = degree + 1
-    failures = []
-    coeff_checks = 0
-    eigen = Cyc.half_power(p, 2 * alpha * (1 - n))
-    half = Cyc.half_power(p, alpha)
-    for level in range(0, max_level - alpha + 1):
-        for t in range(p**level):
-            lo = HaarIndex(level, t, convention)
-            hi = HaarIndex(level + alpha, t, convention)
-            lhs = eigen * monomial_coefficient(p, degree, lo)
-            rhs = half * monomial_coefficient(p, degree, hi)
-            coeff_checks += 1
-            if not amp_equal(lhs, rhs):
-                failures.append(("coefficient", level, t))
-    step_checks = 0
-    for level in range(alpha, max_level + 1):
-        for t in range(p ** (level - alpha)):
-            stretched = dilate_arg(haar_step(p, HaarIndex(level, t, convention)), p, alpha)
-            target = haar_step(p, HaarIndex(level - alpha, t, convention)).scaled(half)
-            step_checks += 1
-            if not step_equal(stretched, target):
-                failures.append(("step", level, t))
-    return DilatationReport(degree, alpha, max_level, coeff_checks, step_checks, failures)
 
 
 # -- Monna pushforward and the exponent map -----------------------------------

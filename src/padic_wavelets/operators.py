@@ -1,7 +1,7 @@
 """Vladimirov derivative, ladder operators and commutation-relation checks.
 
-Operators act on `WaveletExpansion` coefficient maps.  They are words of
-four primitive actions:
+Operators act on the coefficients of a wavelet expansion.  They are words
+of four primitive actions:
 
     ScaleShift(s)   n -> n + s, coefficient unchanged
     Diagonal(a)     coefficient *= p^(a*(1-n))      (the derivative D^a)
@@ -10,11 +10,9 @@ four primitive actions:
 
 A word is applied left to right; composition is concatenation.  None of the
 primitives reads m or j, and the wavelets are eigenvectors of D^a, so every
-word maps psi_(n,m,j) to c(n) psi_(n+s,m,j).  `apply_operator` applies the
-primitives one at a time to a whole expansion.  Shifts that would leave the
-window raise `WindowClipError` rather than truncating, so relation checks
-restrict themselves to interior scales where every intermediate index stays
-inside.  There the `*_results` families compile each word once
+word maps psi_(n,m,j) to c(n) psi_(n+s,m,j).  Relation checks restrict
+themselves to interior scales, where every intermediate index stays inside
+the window.  There the `*_results` families compile each word once
 (`BasisOperator.compile`) into that weighted shift, the total shift s and
 its factors in word order, each at its offset from n, and evaluate each
 side as one scalar per scale, with no expansion built.
@@ -22,12 +20,10 @@ side as one scalar per scale, with no expansion built.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
-from .errors import InvalidInputError, UnsupportedCaseError, WindowClipError
+from .errors import InvalidInputError, UnsupportedCaseError
 from .exact import Cyc, amp_is_zero, is_half_integral, p_power_amp
 from .functions import (
     DEFAULT_CELL_CAP,
@@ -35,17 +31,10 @@ from .functions import (
     ball_reps,
     cell_index,
     class_sums,
-    reduce_rep,
     translate,
 )
 from .padic import frac_valp, shift_rational
-from .wavelets import (
-    KozyrevIndex,
-    WaveletExpansion,
-    Window,
-    enumerate_m_digits,
-    label_translate,
-)
+from .wavelets import KozyrevIndex, Window, enumerate_m_digits, label_translate
 
 
 @dataclass(frozen=True)
@@ -77,9 +66,6 @@ class BasisOperator:
     """A word of primitive actions, applied left to right."""
 
     word: tuple = ()
-
-    def then(self, other: "BasisOperator") -> "BasisOperator":
-        return BasisOperator(self.word + other.word)
 
     def __matmul__(self, other: "BasisOperator") -> "BasisOperator":
         """Operator product: (A @ B)(e) = A(B(e))."""
@@ -155,10 +141,6 @@ def log_vladimirov_op() -> BasisOperator:
     return BasisOperator((LogDiagonal(),))
 
 
-def ladder_op(step: int) -> BasisOperator:
-    return BasisOperator((ScaleShift(step),))
-
-
 def j_op(step: int) -> BasisOperator:
     """J_(+-) = shift after log_p D, so J_s psi_n = (1-n) psi_(n+s)."""
     return BasisOperator((LogDiagonal(), ScaleShift(step)))
@@ -170,101 +152,6 @@ def ell_op(k: int) -> BasisOperator:
     step = 1 if k > 0 else -1
     word += tuple(ScaleShift(step) for _ in range(abs(k)))
     return BasisOperator(word)
-
-
-def apply_operator(op: BasisOperator, e: WaveletExpansion) -> WaveletExpansion:
-    p = e.prime
-    coeffs = dict(e.coefficients)
-    for prim in op.word:
-        new: dict = {}
-        for idx, c in coeffs.items():
-            if isinstance(prim, ScaleShift):
-                target = KozyrevIndex(idx.n + prim.step, idx.m_digits, idx.j)
-                if not e.window.contains(target):
-                    raise WindowClipError(target)
-                new_idx, value = target, c
-            elif isinstance(prim, Diagonal):
-                new_idx, value = idx, c * p_power_amp(p, prim.alpha * (1 - idx.n))
-            elif isinstance(prim, LogDiagonal):
-                new_idx, value = idx, c * Fraction(1 - idx.n)
-            elif isinstance(prim, Scalar):
-                new_idx, value = idx, c * prim.factor
-            else:
-                raise InvalidInputError(f"unknown primitive {prim!r}")
-            if new_idx in new:
-                value = new[new_idx] + value
-            if amp_is_zero(value):
-                new.pop(new_idx, None)
-            else:
-                new[new_idx] = value
-        coeffs = new
-    return WaveletExpansion(p, e.window, coeffs)
-
-
-# -- spectral-form operator actions ------------------------------------------
-
-
-def vladimirov_spectral(alpha, e: WaveletExpansion) -> WaveletExpansion:
-    """D^alpha acting diagonally: eigenvalue p^(alpha*(1-n)) at scale n."""
-    return apply_operator(vladimirov(alpha), e)
-
-
-def log_vladimirov(e: WaveletExpansion) -> WaveletExpansion:
-    """log_p D: eigenvalue (1-n) at scale n."""
-    return apply_operator(log_vladimirov_op(), e)
-
-
-def ladder(step: int, e: WaveletExpansion) -> WaveletExpansion:
-    return apply_operator(ladder_op(step), e)
-
-
-def j_shift(step: int, e: WaveletExpansion) -> WaveletExpansion:
-    return apply_operator(j_op(step), e)
-
-
-def ell(k: int, e: WaveletExpansion) -> WaveletExpansion:
-    return apply_operator(ell_op(k), e)
-
-
-# -- expansion arithmetic ------------------------------------------------------
-
-
-def expansion_sub(e1: WaveletExpansion, e2: WaveletExpansion) -> WaveletExpansion:
-    coeffs = dict(e1.coefficients)
-    for idx, c in e2.coefficients.items():
-        total = coeffs.get(idx, Cyc.zero(e1.prime)) - c
-        if amp_is_zero(total):
-            coeffs.pop(idx, None)
-        else:
-            coeffs[idx] = total
-    return WaveletExpansion(e1.prime, e1.window, coeffs)
-
-
-def expansion_scale(e: WaveletExpansion, factor) -> WaveletExpansion:
-    return WaveletExpansion(
-        e.prime, e.window, {i: c * factor for i, c in e.coefficients.items()}
-    )
-
-
-def expansion_max_abs(e: WaveletExpansion) -> float:
-    return max((abs(complex(c)) for c in e.coefficients.values()), default=0.0)
-
-
-def expansion_is_zero(e: WaveletExpansion) -> bool:
-    return all(amp_is_zero(c) for c in e.coefficients.values())
-
-
-def translate_expansion(e: WaveletExpansion, b) -> WaveletExpansion:
-    """Translation on labels: m -> m + b mod Z_p with n, j fixed."""
-    p = e.prime
-    b = shift_rational(b, p)
-    coeffs = {}
-    for idx, c in e.coefficients.items():
-        target = label_translate(idx, b, p)
-        if not e.window.contains(target):
-            raise WindowClipError(target, f"translated label {target} left the window")
-        coeffs[target] = coeffs.get(target, Cyc.zero(p)) + c
-    return WaveletExpansion(p, e.window, coeffs)
 
 
 # -- commutators ----------------------------------------------------------------
@@ -279,25 +166,12 @@ def _commutator_sides(a: BasisOperator, b: BasisOperator,
     return sides
 
 
-def check_commutator(a: BasisOperator, b: BasisOperator, e: WaveletExpansion,
-                     expected: BasisOperator | None = None) -> WaveletExpansion:
-    """Residual of [a, b] - expected applied to e; all-zero on success."""
-    return reduce(expansion_sub, [apply_operator(op, e)
-                                  for op, _ in _commutator_sides(a, b, expected)])
-
-
 def _deformed_sides(p: int, alpha, step: int) -> list:
     """p^(s a/2) D^a J_s and p^(-s a/2) J_s D^a as (word, prefactor) pairs."""
     dal, js = vladimirov(alpha), j_op(step)
     # dividing by Fraction(2) keeps an integer alpha exact
     return [(dal @ js, p_power_amp(p, step * alpha / Fraction(2))),
             (js @ dal, p_power_amp(p, -step * alpha / Fraction(2)))]
-
-
-def check_deformed(alpha, step: int, e: WaveletExpansion) -> WaveletExpansion:
-    """Residual of p^(s a/2) D^a J_s - p^(-s a/2) J_s D^a on e."""
-    return reduce(expansion_sub, [expansion_scale(apply_operator(op, e), factor)
-                                  for op, factor in _deformed_sides(e.prime, alpha, step)])
 
 
 def interior_scales(window: Window, *ops: BasisOperator) -> range:
@@ -369,11 +243,12 @@ class _ScaleWalk:
         values = []
         for compiled, factor in sides:
             c = compiled.weight(self.p, n, self.one, self.powers)
-            # a prefactor scales as `expansion_scale` does: a zero product stays
+            # a prefactor scales a nonzero side only; a zero product stays absent
             values.append(None if c is None else
                           (n + compiled.shift, c if factor is None else c * factor))
         # subtracted in order, from zero where the first side has no
-        # coefficient, as reduce(expansion_sub, ...) does
+        # coefficient, so that float bits are those of a coefficientwise
+        # difference of expansions
         first, *rest = values
         residual = dict([first]) if first else {}
         for value in rest:
@@ -597,15 +472,6 @@ def vladimirov_kernel_apply(alpha, f: LocallyConstantFn,
     return LocallyConstantFn(f.prime, f.support_exponent, f.resolution, out)
 
 
-def vladimirov_kernel(alpha, f: LocallyConstantFn, point):
-    """Kernel-form D^alpha f on the cell of f's grid holding the rational
-    `point`; zero off the ball."""
-    rep = reduce_rep(Fraction(point), f.prime, f.resolution)
-    _, row = _kernel_rows(alpha, f, DEFAULT_CELL_CAP)
-    i0 = cell_index(rep, f.prime, f.support_exponent)
-    return Cyc.zero(f.prime) if i0 is None else row(i0)
-
-
 def translation_kernel_residual(alpha, f: LocallyConstantFn, shift) -> LocallyConstantFn:
     """D^alpha(translate f) - translate(D^alpha f) on the common ball."""
     p = f.prime
@@ -618,13 +484,3 @@ def translation_kernel_residual(alpha, f: LocallyConstantFn, shift) -> LocallyCo
     rhs = translate(vladimirov_kernel_apply(alpha, base), b)
     return lhs - rhs
 
-
-def log_limit_residual_norm(e: WaveletExpansion, alpha: float) -> float:
-    """L2 size of ((D^alpha - 1)/(alpha ln p) - log_p D) applied to e."""
-    p = e.prime
-    lnp = math.log(p)
-    total = 0.0
-    for idx, c in e.coefficients.items():
-        mult = (float(p) ** (alpha * (1 - idx.n)) - 1.0) / (alpha * lnp) - (1 - idx.n)
-        total += abs(complex(c) * mult) ** 2
-    return math.sqrt(total)

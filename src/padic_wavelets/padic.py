@@ -265,10 +265,6 @@ def shift_rational(shift, p: int) -> Fraction:
     return Fraction(shift)
 
 
-def norm(x: PAdicNumber) -> Fraction:
-    return x.norm()
-
-
 def neg(x: PAdicNumber) -> PAdicNumber:
     if x.is_zero:
         return x
@@ -351,31 +347,3 @@ def monna_rational(q: Fraction, p: int) -> Fraction:
         reversed_n = reversed_n * p + d
         count += 1
     return reversed_n * Fraction(p) ** (s - count)
-
-
-@dataclass(frozen=True)
-class AffineElement:
-    """Element g(a, b) of the p-adic 'ax+b' group, a with nonzero norm."""
-
-    a: PAdicNumber
-    b: PAdicNumber
-
-    def __post_init__(self):
-        self.a._require_same_prime(self.b)
-        if self.a.is_zero:
-            raise InvalidInputError("scaling part must have nonzero norm")
-
-    @property
-    def prime(self) -> int:
-        return self.a.prime
-
-
-def affine_identity(p: int, precision: int) -> AffineElement:
-    return AffineElement(from_rational(1, 1, p, precision), PAdicNumber.zero(p))
-
-
-def affine_compose(g1: AffineElement, g2: AffineElement) -> AffineElement:
-    """Group law (a1, b1)(a2, b2) = (a1*a2, b1 + a1*b2)."""
-    if g1.prime != g2.prime:
-        raise PrimeMismatchError("affine elements over different primes")
-    return AffineElement(mul(g1.a, g2.a), add(g1.b, mul(g1.a, g2.b)))

@@ -7,10 +7,11 @@ index j in [1, p-1].  The wavelet itself is
     psi_{n,m,j}(x) = p^(-n/2) * chi(j p^(n-1) x) * [ |p^n x - m|_p <= 1 ],
 
 supported on the coset p^(-n)(m + Z_p) and constant on cosets of
-p^(1-n) Z_p.  Alongside evaluation and materialization as cell tables, this
-module carries independent piecewise constructors (`closed_form_*`) built
-straight from the case tables of the scaled/translated wavelets; those serve
-as cross-checks for the evaluation path, never as its implementation.
+p^(1-n) Z_p.  This module evaluates and materializes the wavelets as cell
+tables and projects onto them.  The independent piecewise constructors
+built straight from the case tables of the scaled/translated wavelets
+(`closed_form_*`) are test oracles in `tests/oracles.py`, never part of
+the evaluation path.
 """
 
 from __future__ import annotations
@@ -19,12 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf
 
-from .errors import (
-    InsufficientPrecisionError,
-    InvalidInputError,
-    UnsupportedCaseError,
-    WindowClipError,
-)
+from .errors import InsufficientPrecisionError, InvalidInputError, WindowClipError
 from .exact import Cyc, amp_is_zero
 from .functions import (
     DEFAULT_CELL_CAP,
@@ -38,7 +34,6 @@ from .functions import (
     character_amp,
     class_sums,
     json_int,
-    reduce_rep,
 )
 from .padic import (
     PAdicNumber,
@@ -124,15 +119,6 @@ def enumerate_m_digits(p: int, max_depth: int):
     return sorted(result, key=lambda t: (len(t), t))
 
 
-def enumerate_indices(p: int, window: Window):
-    return [
-        KozyrevIndex(n, m, j)
-        for n in range(window.n_min, window.n_max + 1)
-        for m in enumerate_m_digits(p, window.m_depth)
-        for j in range(1, p)
-    ]
-
-
 @dataclass
 class WaveletExpansion:
     """Sparse coefficient map over wavelet labels inside a window."""
@@ -146,11 +132,6 @@ class WaveletExpansion:
         for idx in self.coefficients:
             if not self.window.contains(idx):
                 raise WindowClipError(idx, f"index {idx} outside window {self.window}")
-
-
-def basis_vector(p: int, window: Window, idx: KozyrevIndex, amp=None) -> WaveletExpansion:
-    validate_index(p, idx)
-    return WaveletExpansion(p, window, {idx: Cyc.one(p) if amp is None else amp})
 
 
 # -- evaluation --------------------------------------------------------------
@@ -227,10 +208,6 @@ def materialize(p: int, idx: KozyrevIndex, extra_depth: int = 0,
     return LocallyConstantFn(p, support, resolution, table)
 
 
-def mother(p: int, j: int = 1, extra_depth: int = 0) -> LocallyConstantFn:
-    return materialize(p, KozyrevIndex(0, (), j), extra_depth)
-
-
 # -- analysis / synthesis ----------------------------------------------------
 
 
@@ -252,9 +229,9 @@ def analyze(f: LocallyConstantFn, window: Window,
     so with m = mu p^(-k), k = depth(m), a coefficient needs only the class
     sums s_d of f's cells i p^(-M) at i = mu p^(M-n-k) + d p^(M-n) mod
     p^(M-n+1), and is (sum_d zeta_p^(-jd) s_d) * chi(-j mu/p^(k+1)) p^(-n/2) p^(-K).
-    The labels are read off the nonzero class sums, in the order of
-    `enumerate_indices`; labels finer than the cells (n < 1 - K) or off the
-    ball get 0.
+    The labels are read off the nonzero class sums in order of n, then m by
+    depth and digits, then j; labels finer than the cells (n < 1 - K) or off
+    the ball get 0.
     """
     p = f.prime
     m_exp, res = f.support_exponent, f.resolution
@@ -401,102 +378,3 @@ def expansion_from_json(data: dict) -> WaveletExpansion:
     except (KeyError, TypeError, OverflowError) as exc:
         raise InvalidInputError(f"malformed expansion record: {exc}") from exc
     return WaveletExpansion(p, window, coeffs)
-
-
-# -- closed-form piecewise constructions ------------------------------------
-#
-# These build the scaled/translated wavelets directly from their case tables
-# (which sphere, which digit conditions, which root of unity) and are used as
-# independent cross-checks against evaluate/materialize + translate/scale_arg.
-
-
-def closed_form_scaled(p: int, n: int, j: int = 1) -> LocallyConstantFn:
-    """The n-scaled mother wavelet, built from its piecewise display:
-    p^(-n/2) on |x| < p^n and p^(-n/2) * w_p^(j x0) on the sphere |x| = p^n
-    (x0 the leading digit).  The two cases overlap as usually printed; the
-    inner one is taken strict, matching the defining formula."""
-    check_prime(p)
-    if not 1 <= j <= p - 1:
-        raise InvalidInputError("j outside [1, p-1]")
-    mag = Cyc.half_power(p, -n)
-    unit = Fraction(p) ** (-n)
-    table = {Fraction(0): mag}
-    for c in range(1, p):
-        table[c * unit] = mag * character_amp(p, Fraction(j * c, p))
-    return LocallyConstantFn(p, n, 1 - n, table)
-
-
-def closed_form_label_translated(p: int, n: int, m_digits, j: int = 1) -> LocallyConstantFn:
-    """The wavelet with label (n, m, j), m != 0, built from its case table.
-
-    Support is the subset of the sphere |x| = p^(n+k) whose leading digits
-    reproduce m; on the sub-cell whose first free digit is d the value is
-    p^(-n/2) * e(j*(m+d)/p).  For depth-1 m this is the familiar display
-    w_{p^2}^(j m0) * w_p^(j x1) with x0 = m0 forced.
-    """
-    idx = validate_index(p, KozyrevIndex(n, tuple(m_digits), j))
-    if not idx.m_digits:
-        raise UnsupportedCaseError("label translation by 0: use closed_form_scaled")
-    mhat = m_value(idx, p)
-    scale = Fraction(p) ** (-n)
-    mag = Cyc.half_power(p, -n)
-    table = {}
-    for d in range(p):
-        rep = (mhat + d) * scale
-        table[rep] = mag * character_amp(p, Fraction(j) * (mhat + d) / p)
-    return LocallyConstantFn(p, n + idx.m_depth, 1 - n, table)
-
-
-def closed_form_scaled_translated(p: int, n: int, m0: int, j: int = 1,
-                                  int_digits: tuple = ()) -> LocallyConstantFn:
-    """The n-scaled wavelet translated in its argument by b = m0/p + (integer
-    digits), built from the case tables.
-
-    n = 1: w_p^(-j m0) * p^(-1/2) on |x| <= 1, p^(-1/2) * w_p^(j(x0-m0)) on
-    the sphere |x| = p; i.e. the scaled wavelet times the global phase
-    w_p^(-j m0).
-
-    n >= 2: identical to the scaled wavelet.  The translation phase is
-    chi(-j * m0 * p^(n-2)) = 1, so no case picks up a phase; a printed
-    version of this table that keeps w_p^(-j m0) on the inner region is
-    inconsistent with its own sphere case and with direct evaluation.
-
-    n < 0: supported on the sphere |x| = p where the digits x_0..x_{|n|}
-    match b; the value is p^(|n|/2), twisted by w_p^(j(x_{|n|+1}-b_{|n|+1}))
-    when the first digit past the matching window differs.
-    """
-    check_prime(p)
-    if not 1 <= j <= p - 1:
-        raise InvalidInputError("j outside [1, p-1]")
-    if not 1 <= m0 <= p - 1:
-        raise UnsupportedCaseError("translation must have a nonzero depth-1 digit")
-    if n == 0:
-        raise UnsupportedCaseError(
-            "n = 0 argument translation is not in the case table; "
-            "use closed_form_label_translated for the label-translated wavelet"
-        )
-    if n >= 1:
-        scaled = closed_form_scaled(p, n, j)
-        if n >= 2:
-            return scaled
-        # n = 1: global phase w_p^(-j m0) on every case
-        phase = character_amp(p, Fraction(-j * m0, p))
-        table = {rep: v * phase for rep, v in scaled.table.items()}
-        return LocallyConstantFn(p, scaled.support_exponent, scaled.resolution, table)
-
-    # n < 0: need the integer digits of b up to exponent |n|
-    size = -n + 1
-    b_int = tuple(int_digits) + (0,) * max(0, size - len(int_digits))
-    if any(not 0 <= d < p for d in b_int):
-        raise InvalidInputError("integer digits of the translation out of range")
-    mag = Cyc.half_power(p, -n)
-    resolution = 1 - n
-    table = {}
-    match = (m0,) + b_int[: -n]  # digits at exponents -1 .. |n|-1
-    for d in range(p):
-        digits = match + (d,)
-        rep = sum(Fraction(di) * Fraction(p) ** (e - 1) for e, di in enumerate(digits))
-        delta = (d - b_int[-n]) % p
-        v = mag if delta == 0 else mag * character_amp(p, Fraction(j * delta, p))
-        table[reduce_rep(rep, p, resolution)] = v
-    return LocallyConstantFn(p, 1, resolution, table)

@@ -1,11 +1,15 @@
 """Test-only oracles: the slow, direct routes that fast paths are checked against.
 
+`apply_operator` applies an operator word one primitive at a time to a
+whole `WaveletExpansion`, raising `WindowClipError` where a shift would
+leave the window; it is the reference for the words that
+`BasisOperator.compile` turns into one scalar per scale.
+
 The `*_by_label` functions are the per-basis-vector relation walk of the
 five `operators.*_results` families: every relation is evaluated afresh on
 each interior basis vector psi_(n, m, j), with no use of the fact that the
 operators never read m or j.  Their sides are expansions built by
-`operators.apply_operator`, which applies a word one primitive at a time,
-and are subtracted coefficient by coefficient here; the relation checks
+`apply_operator` and are subtracted coefficient by coefficient here; the relation checks
 compile each word into a scalar per scale instead, so the oracles share
 only `RelationResult`, the words and `apply_operator` with the code they
 check, and the two routes must agree down to the repr of every float
@@ -26,42 +30,112 @@ command once computed it: rebuild f from its coefficients with
 `synthesize`, subtract, and take the inner product.  The command now uses
 Parseval, ||f||^2 - sum |c|^2; on exact tables the two must print the same
 bytes.
+
+The `closed_form_*` constructors build the scaled and translated wavelets
+straight from their printed case tables, independently of `evaluate`,
+`materialize` and `translate`.  `scale_arg`, `indicator_fn` and
+`support_measure` are the small function-space helpers those comparisons
+use.  `verify_lowering`, `verify_scaling_generator` and `verify_dilatation`
+check the derivative and dilatation identities of the Haar wavelets on
+[0, 1] through jump sums, and `log_limit_residual_norm` measures how
+(D^a - 1)/(a ln p) tends to log_p D.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from padic_wavelets.errors import WindowClipError
-from padic_wavelets.exact import Cyc, amp_is_zero, is_half_integral, p_power_amp
+from padic_wavelets.errors import InvalidInputError, UnsupportedCaseError, WindowClipError
+from padic_wavelets.exact import Cyc, amp_equal, amp_is_zero, is_half_integral, p_power_amp
 from padic_wavelets.functions import (
     DEFAULT_CELL_CAP,
     LocallyConstantFn,
     ball_reps,
     cell_index,
+    character_amp,
     inner_product,
+    reduce_rep,
+)
+from padic_wavelets.haar import (
+    HaarIndex,
+    RealStepFn,
+    haar_step,
+    monomial_coefficient,
+    step_equal,
+    step_monomial_integral,
 )
 from padic_wavelets.operators import (
+    Diagonal,
+    LogDiagonal,
     RelationResult,
+    Scalar,
     ScaleShift,
-    apply_operator,
     ell_op,
     j_op,
     log_vladimirov_op,
     scalar_op,
     vladimirov,
 )
-from padic_wavelets.padic import shift_rational
+from padic_wavelets.padic import check_prime, shift_rational
 from padic_wavelets.wavelets import (
     KozyrevIndex,
     WaveletExpansion,
-    basis_vector,
+    Window,
     enumerate_m_digits,
     label_translate,
+    m_value,
     synthesize,
+    validate_index,
 )
+
+
+def apply_operator(op, e: WaveletExpansion) -> WaveletExpansion:
+    p = e.prime
+    coeffs = dict(e.coefficients)
+    for prim in op.word:
+        new: dict = {}
+        for idx, c in coeffs.items():
+            if isinstance(prim, ScaleShift):
+                target = KozyrevIndex(idx.n + prim.step, idx.m_digits, idx.j)
+                if not e.window.contains(target):
+                    raise WindowClipError(target)
+                new_idx, value = target, c
+            elif isinstance(prim, Diagonal):
+                new_idx, value = idx, c * p_power_amp(p, prim.alpha * (1 - idx.n))
+            elif isinstance(prim, LogDiagonal):
+                new_idx, value = idx, c * Fraction(1 - idx.n)
+            elif isinstance(prim, Scalar):
+                new_idx, value = idx, c * prim.factor
+            else:
+                raise InvalidInputError(f"unknown primitive {prim!r}")
+            if new_idx in new:
+                value = new[new_idx] + value
+            if amp_is_zero(value):
+                new.pop(new_idx, None)
+            else:
+                new[new_idx] = value
+        coeffs = new
+    return WaveletExpansion(p, e.window, coeffs)
+
+
+def basis_vector(p: int, window: Window, idx: KozyrevIndex, amp=None) -> WaveletExpansion:
+    validate_index(p, idx)
+    return WaveletExpansion(p, window, {idx: Cyc.one(p) if amp is None else amp})
+
+
+def enumerate_indices(p: int, window: Window):
+    return [
+        KozyrevIndex(n, m, j)
+        for n in range(window.n_min, window.n_max + 1)
+        for m in enumerate_m_digits(p, window.m_depth)
+        for j in range(1, p)
+    ]
+
+
 
 
 def _sub(e1: WaveletExpansion, e2: WaveletExpansion) -> WaveletExpansion:
@@ -324,3 +398,258 @@ def residual_by_synthesis(f: LocallyConstantFn, expansion: WaveletExpansion,
     rebuilt = synthesize(expansion, resolution=resolution, cap=cap)
     residual = f - rebuilt
     return inner_product(residual, residual)
+
+
+# -- closed-form piecewise constructions ------------------------------------
+#
+# These build the scaled/translated wavelets directly from their case tables
+# (which sphere, which digit conditions, which root of unity) and are used as
+# independent cross-checks against evaluate/materialize + translate/scale_arg.
+
+
+def closed_form_scaled(p: int, n: int, j: int = 1) -> LocallyConstantFn:
+    """The n-scaled mother wavelet, built from its piecewise display:
+    p^(-n/2) on |x| < p^n and p^(-n/2) * w_p^(j x0) on the sphere |x| = p^n
+    (x0 the leading digit).  The two cases overlap as usually printed; the
+    inner one is taken strict, matching the defining formula."""
+    check_prime(p)
+    if not 1 <= j <= p - 1:
+        raise InvalidInputError("j outside [1, p-1]")
+    mag = Cyc.half_power(p, -n)
+    unit = Fraction(p) ** (-n)
+    table = {Fraction(0): mag}
+    for c in range(1, p):
+        table[c * unit] = mag * character_amp(p, Fraction(j * c, p))
+    return LocallyConstantFn(p, n, 1 - n, table)
+
+
+def closed_form_label_translated(p: int, n: int, m_digits, j: int = 1) -> LocallyConstantFn:
+    """The wavelet with label (n, m, j), m != 0, built from its case table.
+
+    Support is the subset of the sphere |x| = p^(n+k) whose leading digits
+    reproduce m; on the sub-cell whose first free digit is d the value is
+    p^(-n/2) * e(j*(m+d)/p).  For depth-1 m this is the familiar display
+    w_{p^2}^(j m0) * w_p^(j x1) with x0 = m0 forced.
+    """
+    idx = validate_index(p, KozyrevIndex(n, tuple(m_digits), j))
+    if not idx.m_digits:
+        raise UnsupportedCaseError("label translation by 0: use closed_form_scaled")
+    mhat = m_value(idx, p)
+    scale = Fraction(p) ** (-n)
+    mag = Cyc.half_power(p, -n)
+    table = {}
+    for d in range(p):
+        rep = (mhat + d) * scale
+        table[rep] = mag * character_amp(p, Fraction(j) * (mhat + d) / p)
+    return LocallyConstantFn(p, n + idx.m_depth, 1 - n, table)
+
+
+def closed_form_scaled_translated(p: int, n: int, m0: int, j: int = 1,
+                                  int_digits: tuple = ()) -> LocallyConstantFn:
+    """The n-scaled wavelet translated in its argument by b = m0/p + (integer
+    digits), built from the case tables.
+
+    n = 1: w_p^(-j m0) * p^(-1/2) on |x| <= 1, p^(-1/2) * w_p^(j(x0-m0)) on
+    the sphere |x| = p; i.e. the scaled wavelet times the global phase
+    w_p^(-j m0).
+
+    n >= 2: identical to the scaled wavelet.  The translation phase is
+    chi(-j * m0 * p^(n-2)) = 1, so no case picks up a phase; a printed
+    version of this table that keeps w_p^(-j m0) on the inner region is
+    inconsistent with its own sphere case and with direct evaluation.
+
+    n < 0: supported on the sphere |x| = p where the digits x_0..x_{|n|}
+    match b; the value is p^(|n|/2), twisted by w_p^(j(x_{|n|+1}-b_{|n|+1}))
+    when the first digit past the matching window differs.
+    """
+    check_prime(p)
+    if not 1 <= j <= p - 1:
+        raise InvalidInputError("j outside [1, p-1]")
+    if not 1 <= m0 <= p - 1:
+        raise UnsupportedCaseError("translation must have a nonzero depth-1 digit")
+    if n == 0:
+        raise UnsupportedCaseError(
+            "n = 0 argument translation is not in the case table; "
+            "use closed_form_label_translated for the label-translated wavelet"
+        )
+    if n >= 1:
+        scaled = closed_form_scaled(p, n, j)
+        if n >= 2:
+            return scaled
+        # n = 1: global phase w_p^(-j m0) on every case
+        phase = character_amp(p, Fraction(-j * m0, p))
+        table = {rep: v * phase for rep, v in scaled.table.items()}
+        return LocallyConstantFn(p, scaled.support_exponent, scaled.resolution, table)
+
+    # n < 0: need the integer digits of b up to exponent |n|
+    size = -n + 1
+    b_int = tuple(int_digits) + (0,) * max(0, size - len(int_digits))
+    if any(not 0 <= d < p for d in b_int):
+        raise InvalidInputError("integer digits of the translation out of range")
+    mag = Cyc.half_power(p, -n)
+    resolution = 1 - n
+    table = {}
+    match = (m0,) + b_int[: -n]  # digits at exponents -1 .. |n|-1
+    for d in range(p):
+        digits = match + (d,)
+        rep = sum(Fraction(di) * Fraction(p) ** (e - 1) for e, di in enumerate(digits))
+        delta = (d - b_int[-n]) % p
+        v = mag if delta == 0 else mag * character_amp(p, Fraction(j * delta, p))
+        table[reduce_rep(rep, p, resolution)] = v
+    return LocallyConstantFn(p, 1, resolution, table)
+
+
+# -- function-space helpers ---------------------------------------------------
+
+
+def indicator_fn(p: int, ball_exponent: int = 0) -> LocallyConstantFn:
+    """Indicator of the ball |x|_p <= p^ball_exponent (one cell of that size)."""
+    return LocallyConstantFn(
+        p, ball_exponent, -ball_exponent, {Fraction(0): Cyc.one(p)}
+    )
+
+
+def scale_arg(f: LocallyConstantFn, e: int) -> LocallyConstantFn:
+    """x -> f(p^e x); the support ball grows to p^(M+e), resolution drops to K-e."""
+    p = f.prime
+    unit = Fraction(p) ** (-e)
+    table = {r * unit: v for r, v in f.table.items()}
+    return LocallyConstantFn(p, f.support_exponent + e, f.resolution - e, table)
+
+
+def support_measure(f: LocallyConstantFn) -> Fraction:
+    """Total Haar measure of the cells carrying a nonzero value."""
+    count = sum(1 for v in f.table.values() if not amp_is_zero(v))
+    return count * Fraction(f.prime) ** (-f.resolution)
+
+
+# -- Haar identities through jump sums ----------------------------------------
+
+
+def jumps(f: RealStepFn):
+    """(x, jump) at every breakpoint, counting the function as 0 outside."""
+    out = [(f.breakpoints[0], f.values[0])]
+    for i in range(1, len(f.values)):
+        out.append((f.breakpoints[i], f.values[i] - f.values[i - 1]))
+    out.append((f.breakpoints[-1], -f.values[-1] + Fraction(0)))
+    return out
+
+
+def dilate_arg(f: RealStepFn, p: int, alpha: int) -> RealStepFn:
+    """x -> f(p^(-alpha) x) restricted to [0, 1]; alpha >= 0 stretches supports.
+
+    Breakpoints scale by p^alpha and the picture is clipped at 1, so this is
+    exact whenever the stretched support fits the unit interval.
+    """
+    if alpha < 0:
+        raise InvalidInputError("dilate_arg implemented for alpha >= 0")
+    factor = Fraction(p) ** alpha
+    bps = [Fraction(0)]
+    vals: list = []
+    for i, v in enumerate(f.values):
+        a_scaled = f.breakpoints[i] * factor
+        b_scaled = f.breakpoints[i + 1] * factor
+        if a_scaled >= 1:
+            break
+        bps.append(min(b_scaled, Fraction(1)))
+        vals.append(v)
+        if b_scaled >= 1:
+            break
+    if bps[-1] < 1:
+        bps.append(Fraction(1))
+        vals.append(Cyc.zero(p))
+    return RealStepFn(tuple(bps), tuple(vals))
+
+
+def _jump_moment(psi: RealStepFn, k: int):
+    """int Psi (x^k)' dx through the jumps of Psi, boundary terms set to zero."""
+    return -sum(jump * Fraction(x**k) for x, jump in jumps(psi))
+
+
+def verify_lowering(p: int, degree: int, idx: HaarIndex):
+    """Residual of the integration-by-parts identity
+
+        int Psi (x^degree)' dx = degree * int Psi x^(degree-1) dx,
+
+    the left side evaluated through the jump form of dPsi/dx with boundary
+    terms at 0 and 1 set to zero.  Exactly zero in rational arithmetic."""
+    if degree < 1:
+        raise InvalidInputError("degree must be >= 1")
+    psi = haar_step(p, idx)
+    return _jump_moment(psi, degree) - degree * step_monomial_integral(psi, degree - 1)
+
+
+def verify_scaling_generator(p: int, degree: int, idx: HaarIndex):
+    """Residual of the x d/dx eigenvalue statement on x^degree,
+
+        int Psi x (x^degree)' dx = degree * int Psi x^degree dx,
+
+    with the left side through jump terms (zero-boundary convention)."""
+    if degree < 1:
+        raise InvalidInputError("degree must be >= 1")
+    psi = haar_step(p, idx)
+    return _jump_moment(psi, degree + 1) - (degree + 1) * step_monomial_integral(psi, degree)
+
+
+@dataclass
+class DilatationReport:
+    degree: int
+    alpha: int
+    max_level: int
+    coefficient_checks: int
+    step_identity_checks: int
+    failures: list
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+
+def verify_dilatation(p: int, degree: int, alpha: int, max_level: int = 3,
+                      convention: str = "orthonormal") -> DilatationReport:
+    """Check the coefficient shift-and-scale of dilation by p^(-alpha).
+
+    Substituting x -> p^(-alpha) x shifts every wavelet level down by alpha
+    and multiplies it by p^(alpha/2), so the coefficients of x^degree obey
+
+        p^(alpha (1-n)) c(L, t) = p^(alpha/2) c(L+alpha, t),  n = degree+1,
+
+    exactly; alongside, the step-function identity
+    Psi_{L,t}(p^(-alpha) x) = p^(alpha/2) Psi_{L-alpha,t}(x) is checked
+    cellwise for every wavelet whose stretched support fits in [0, 1]."""
+    if alpha < 1:
+        raise InvalidInputError("alpha must be a positive integer")
+    n = degree + 1
+    failures = []
+    coeff_checks = 0
+    eigen = Cyc.half_power(p, 2 * alpha * (1 - n))
+    half = Cyc.half_power(p, alpha)
+    for level in range(0, max_level - alpha + 1):
+        for t in range(p**level):
+            lo = HaarIndex(level, t, convention)
+            hi = HaarIndex(level + alpha, t, convention)
+            lhs = eigen * monomial_coefficient(p, degree, lo)
+            rhs = half * monomial_coefficient(p, degree, hi)
+            coeff_checks += 1
+            if not amp_equal(lhs, rhs):
+                failures.append(("coefficient", level, t))
+    step_checks = 0
+    for level in range(alpha, max_level + 1):
+        for t in range(p ** (level - alpha)):
+            stretched = dilate_arg(haar_step(p, HaarIndex(level, t, convention)), p, alpha)
+            target = haar_step(p, HaarIndex(level - alpha, t, convention)).scaled(half)
+            step_checks += 1
+            if not step_equal(stretched, target):
+                failures.append(("step", level, t))
+    return DilatationReport(degree, alpha, max_level, coeff_checks, step_checks, failures)
+
+
+def log_limit_residual_norm(e: WaveletExpansion, alpha: float) -> float:
+    """L2 size of ((D^alpha - 1)/(alpha ln p) - log_p D) applied to e."""
+    p = e.prime
+    lnp = math.log(p)
+    total = 0.0
+    for idx, c in e.coefficients.items():
+        mult = (float(p) ** (alpha * (1 - idx.n)) - 1.0) / (alpha * lnp) - (1 - idx.n)
+        total += abs(complex(c) * mult) ** 2
+    return math.sqrt(total)

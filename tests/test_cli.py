@@ -174,10 +174,9 @@ def test_readme_round_trip_bytes(capsys, tmp_path):
 
 def test_analyze_reports_mean_component(capsys, tmp_path):
     from padic_wavelets.exact import Cyc
-    from padic_wavelets.functions import indicator_fn
 
     path = tmp_path / "omega.json"
-    path.write_text(json.dumps(fn_to_json(indicator_fn(2))))
+    path.write_text(json.dumps(fn_to_json(oracles.indicator_fn(2))))
     code, _, err = run(capsys, ["--window", "-1:1:1", "analyze", str(path)])
     assert code == 0
     assert "mean component: 1" in err
@@ -704,26 +703,19 @@ def test_check_algebra_evaluates_each_side_as_a_scalar(capsys, monkeypatch):
 
 
 def test_corrupted_word_is_exit_two(capsys, monkeypatch):
-    # negative control: one sl2 instance checked against 3 log_p D instead of 2
-    from padic_wavelets import cli
-    from padic_wavelets.operators import (
-        RelationResult,
-        check_commutator,
-        expansion_max_abs,
-        j_op,
-        log_vladimirov_op,
-        scalar_op,
-    )
-    from padic_wavelets.wavelets import basis_vector
+    # negative control: one sl2 instance checked against 3 log_p D instead of
+    # 2, on the compiled words that `check algebra` evaluates
+    from padic_wavelets import cli, operators
+    from padic_wavelets.operators import j_op, log_vladimirov_op, scalar_op
 
     sl2_results = cli.sl2_results
 
     def corrupted(p, window):
-        idx = KozyrevIndex(0)
-        bad = check_commutator(j_op(+1), j_op(-1), basis_vector(p, window, idx),
-                               scalar_op(Fraction(3)) @ log_vladimirov_op())
-        return sl2_results(p, window) + [
-            RelationResult("sl2:corrupted", idx, None, expansion_max_abs(bad), True)]
+        walk = operators._ScaleWalk(p, window)
+        sides = operators._compiled(operators._commutator_sides(
+            j_op(+1), j_op(-1), scalar_op(Fraction(3)) @ log_vladimirov_op()))
+        bad = walk.check("sl2:corrupted", None, sides, 0, True)
+        return sl2_results(p, window) + operators._for_labels([bad], [KozyrevIndex(0)])
 
     monkeypatch.setattr(cli, "sl2_results", corrupted)
     code, _, err = run(

@@ -24,19 +24,17 @@ from padic_wavelets.functions import (
     fn_from_json,
     fn_to_json,
     fourier,
-    indicator_fn,
     inner_product,
     integrate,
     inverse_fourier,
     reduce_rep,
-    scale_arg,
-    support_measure,
     translate,
 )
 from padic_wavelets.padic import RationalPhase, from_rational
 from padic_wavelets.wavelets import KozyrevIndex, expansion_from_json, materialize
 
 import oracles
+from oracles import indicator_fn, scale_arg, support_measure
 
 
 def random_exact_fn(p, support, resolution, rng, density=0.7, sqrt_p=False) -> LocallyConstantFn:

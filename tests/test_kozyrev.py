@@ -16,8 +16,6 @@ from padic_wavelets.functions import (
     fn_equal,
     inner_product,
     integrate,
-    scale_arg,
-    support_measure,
     translate,
 )
 from padic_wavelets.padic import PAdicNumber, from_rational
@@ -26,10 +24,6 @@ from padic_wavelets.wavelets import (
     WaveletExpansion,
     Window,
     analyze,
-    closed_form_label_translated,
-    closed_form_scaled,
-    closed_form_scaled_translated,
-    enumerate_indices,
     enumerate_m_digits,
     evaluate,
     evaluate_at_rational,
@@ -39,8 +33,17 @@ from padic_wavelets.wavelets import (
     label_translate,
     m_value,
     materialize,
-    mother,
     synthesize,
+)
+
+from oracles import (
+    closed_form_label_translated,
+    closed_form_scaled,
+    closed_form_scaled_translated,
+    enumerate_indices,
+    indicator_fn,
+    scale_arg,
+    support_measure,
 )
 
 
@@ -181,7 +184,7 @@ def test_evaluate_matches_rational_path():
 
 def test_mother_support_measure_one():
     for p in (2, 3, 5):
-        assert support_measure(mother(p)) == 1
+        assert support_measure(materialize(p, KozyrevIndex(0))) == 1
 
 
 def test_materialize_support_and_mean():
@@ -264,8 +267,6 @@ def test_bessel_inequality_tracks_window():
     # the indicator of Z_p projects onto the n >= 1 zero-m wavelets with
     # coefficients p^(-n/2); a finite window captures the partial sum
     p = 2
-    from padic_wavelets.functions import indicator_fn
-
     f = indicator_fn(p)
     norm2 = complex(inner_product(f, f)).real
     previous = 0.0
@@ -284,7 +285,7 @@ def test_round_trip_residual_is_mean_projection():
     # the mean: the round-trip residual is exactly mean * indicator
     p = 2
     w = Window(-1, 0, 1)
-    from padic_wavelets.functions import LocallyConstantFn, indicator_fn
+    from padic_wavelets.functions import LocallyConstantFn
 
     table = {
         Fraction(0): Cyc.rational(p, Fraction(3, 4)),
@@ -339,9 +340,10 @@ def test_gram_identity_small(p):
 @pytest.mark.parametrize("p", (2, 3))
 def test_scaled_closed_form_matches_scale_route(p):
     for j in range(1, p):
+        mother = materialize(p, KozyrevIndex(0, (), j))
         for n in range(-2, 4):
             display = closed_form_scaled(p, n, j)
-            route = scale_arg(mother(p, j), n).scaled(Cyc.half_power(p, -n))
+            route = scale_arg(mother, n).scaled(Cyc.half_power(p, -n))
             assert fn_equal(display, route)
             assert fn_equal(display, materialize(p, KozyrevIndex(n, (), j)))
 
@@ -395,7 +397,7 @@ def test_xi_translation_differs_by_constant_phase():
         for j in range(1, p):
             for m0 in range(1, p):
                 b = Fraction(m0, p)
-                xi_route = translate(mother(p, j), b)
+                xi_route = translate(materialize(p, KozyrevIndex(0, (), j)), b)
                 phase = character_amp(p, Fraction(-j) * b / p)
                 label_route = closed_form_label_translated(p, 0, (m0,), j)
                 assert fn_equal(xi_route, label_route.scaled(phase))
@@ -405,13 +407,12 @@ def test_xi_translation_differs_by_constant_phase():
 def test_scaled_translated_closed_form(p):
     # scale-then-translate branches: n < 0, n = 1, n >= 2
     for j in range(1, p):
+        mother = materialize(p, KozyrevIndex(0, (), j))
         for m0 in range(1, p):
             b = Fraction(m0, p)
             for n in (-2, -1, 1, 2, 3):
                 display = closed_form_scaled_translated(p, n, m0, j)
-                route = translate(
-                    scale_arg(mother(p, j), n).scaled(Cyc.half_power(p, -n)), b
-                )
+                route = translate(scale_arg(mother, n).scaled(Cyc.half_power(p, -n)), b)
                 assert fn_equal(display, route)
 
 
@@ -444,7 +445,7 @@ def test_scaled_translated_deep_integer_digits():
     ints = (1, 0, 1)
     b = Fraction(1, 2) + 1 + 4
     display = closed_form_scaled_translated(p, -2, 1, 1, int_digits=ints)
-    route = translate(scale_arg(mother(p, 1), -2).scaled(Cyc.half_power(p, 2)), b)
+    route = translate(scale_arg(materialize(p, KozyrevIndex(0)), -2).scaled(Cyc.half_power(p, 2)), b)
     assert fn_equal(display, route)
 
 

@@ -8,17 +8,13 @@ from hypothesis import strategies as st
 
 from padic_wavelets.errors import InvalidInputError, PrimeMismatchError
 from padic_wavelets.padic import (
-    AffineElement,
     PAdicNumber,
     RationalPhase,
     add,
-    affine_compose,
-    affine_identity,
     from_rational,
     monna_rational,
     mul,
     neg,
-    norm,
     rational_character_phase,
 )
 
@@ -98,9 +94,9 @@ def test_round_trip_mod_precision(num, den, p):
 
 
 def test_norm_basics():
-    assert norm(PAdicNumber.zero(3)) == 0
-    assert norm(from_rational(2, 1, 2, 4)) == Fraction(1, 2)
-    assert norm(from_rational(12, 1, 2, 4)) == Fraction(1, 4)
+    assert PAdicNumber.zero(3).norm() == 0
+    assert from_rational(2, 1, 2, 4).norm() == Fraction(1, 2)
+    assert from_rational(12, 1, 2, 4).norm() == Fraction(1, 4)
 
 
 @given(
@@ -268,26 +264,7 @@ def test_monna_refinements_partition_image(p):
             assert starts == expected
 
 
-# -- affine group ------------------------------------------------------------------
-
-
-def rand_affine(p, aa, bb, k=6):
-    return AffineElement(from_rational(aa, 1, p, k), from_rational(bb, 1, p, k))
-
-
-def test_affine_identity_neutral():
-    g = rand_affine(3, 7, 5)
-    e = affine_identity(3, 6)
-    assert affine_compose(g, e).a.to_rational() == g.a.to_rational()
-    assert affine_compose(g, e).b.to_rational() == g.b.to_rational()
-
-
-def test_affine_scale_then_shift():
-    # (a, 0) * (1, b) = (a, a b)
-    p = 5
-    g = affine_compose(rand_affine(p, 3, 0), rand_affine(p, 1, 2))
-    assert g.a.to_rational() == 3
-    assert g.b.to_rational() == 6
+# -- ring laws -------------------------------------------------------------------
 
 
 @given(
@@ -296,23 +273,21 @@ def test_affine_scale_then_shift():
     a3=st.integers(1, 50), b3=st.integers(-50, 50),
     p=st.sampled_from(PRIMES),
 )
-def test_affine_associative(a1, b1, a2, b2, a3, b3, p):
-    g1, g2, g3 = (rand_affine(p, a, b, 8) for a, b in ((a1, b1), (a2, b2), (a3, b3)))
-    left = affine_compose(affine_compose(g1, g2), g3)
-    right = affine_compose(g1, affine_compose(g2, g3))
+def test_mul_associative_and_distributes_over_add(a1, b1, a2, b2, a3, b3, p):
+    # the two bracketings of (a1 a2 a3, b1 + a1 b2 + a1 a2 b3), at 8 digits
+    a1, b1, a2, b2, a3, b3 = (from_rational(v, 1, p, 8) for v in (a1, b1, a2, b2, a3, b3))
+    left_a = mul(mul(a1, a2), a3)
+    right_a = mul(a1, mul(a2, a3))
+    left = add(add(b1, mul(a1, b2)), mul(mul(a1, a2), b3))
+    right = add(b1, mul(a1, add(b2, mul(a2, b3))))
     # compare on the digits both sides actually carry
-    span = min(left.b.precision, right.b.precision) if not (left.b.is_zero or right.b.is_zero) else 0
-    assert left.a.digits == right.a.digits and left.a.valuation == right.a.valuation
-    if left.b.is_zero or right.b.is_zero:
-        assert left.b.is_zero == right.b.is_zero
+    span = min(left.precision, right.precision) if not (left.is_zero or right.is_zero) else 0
+    assert left_a.digits == right_a.digits and left_a.valuation == right_a.valuation
+    if left.is_zero or right.is_zero:
+        assert left.is_zero == right.is_zero
     else:
-        assert left.b.valuation == right.b.valuation
-        assert left.b.digits[:span] == right.b.digits[:span]
-
-
-def test_affine_rejects_zero_scale():
-    with pytest.raises(InvalidInputError):
-        AffineElement(PAdicNumber.zero(2), PAdicNumber.zero(2))
+        assert left.valuation == right.valuation
+        assert left.digits[:span] == right.digits[:span]
 
 
 # -- textual and JSON forms ----------------------------------------------------------

@@ -34,7 +34,6 @@ from padic_wavelets.wavelets import (
     WaveletExpansion,
     Window,
     analyze,
-    enumerate_indices,
     enumerate_m_digits,
     evaluate_at_rational,
     materialize,
@@ -42,6 +41,8 @@ from padic_wavelets.wavelets import (
     natural_support_exponent,
     synthesize,
 )
+
+from oracles import enumerate_indices
 
 
 # -- the oracles ---------------------------------------------------------------
