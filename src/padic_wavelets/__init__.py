@@ -41,7 +41,7 @@ from .wavelets import (
     materialize,
     synthesize,
 )
-from .operators import BasisOperator, vladimirov_kernel_apply
+from .operators import vladimirov_kernel_apply
 from .haar import (
     HaarIndex,
     RealStepFn,

@@ -509,7 +509,6 @@ def expand_monomial(config: RunConfig, degree, max_level, output):
     if degree < 0:
         raise InvalidInputError("--degree must be >= 0")
     p = config.prime
-    rows = [(-1, 0, fmt(float(scaling_constant(degree))), fmt(0.0))]
     records = [{"level": -1, "translate": 0,
                 "re": float(scaling_constant(degree)), "im": 0.0,
                 "kind": "scaling"}]
@@ -517,10 +516,10 @@ def expand_monomial(config: RunConfig, degree, max_level, output):
         for t in range(p**level):
             c = complex(monomial_coefficient(
                 p, degree, HaarIndex(level, t, config.convention)))
-            rows.append((level, t, fmt(c.real), fmt(c.imag)))
             records.append({"level": level, "translate": t,
                             "re": c.real, "im": c.imag, "kind": "wavelet"})
     if config.output_format == "csv":
+        rows = [(r["level"], r["translate"], fmt(r["re"]), fmt(r["im"])) for r in records]
         text = csv_lines(("level", "translate", "re", "im"), rows)
     else:
         text = to_json(records) + "\n"
@@ -543,14 +542,13 @@ def haar_sample(config: RunConfig, points, level, translate, output):
     if points < 1:
         raise InvalidInputError("--points must be >= 1")
     step_fn = haar_step(config.prime, HaarIndex(level, translate, config.convention))
-    rows = []
     records = []
     for i in range(points):
         x = Fraction(i, points)
         z = complex(step_fn.value_at(x))
-        rows.append((fmt(float(x)), fmt(z.real), fmt(z.imag)))
         records.append({"x": float(x), "re": z.real, "im": z.imag})
     if config.output_format == "csv":
+        rows = [(fmt(r["x"]), fmt(r["re"]), fmt(r["im"])) for r in records]
         text = csv_lines(("x", "re", "im"), rows)
     else:
         text = to_json(records) + "\n"

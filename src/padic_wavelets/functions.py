@@ -458,20 +458,15 @@ def fn_equal(f: LocallyConstantFn, g: LocallyConstantFn, tol: float = 0.0) -> bo
 
 def amp_to_json(v) -> dict:
     if isinstance(v, Cyc):
-        term = v.as_phase_multiple()
-        if term is not None:
-            a, b, phase = term
-            if b == 0:
-                mag = a
-                if mag < 0:
-                    mag = -mag
-                    phase = phase + RationalPhase(1, 2)
-                return {
-                    "mag_num": mag.numerator,
-                    "mag_den": mag.denominator,
-                    "phase_num": phase.numerator,
-                    "phase_den": phase.denominator,
-                }
+        term = v.polar_exact()
+        if term is not None and term[1] == 0:
+            mag, _, phase = term
+            return {
+                "mag_num": mag.numerator,
+                "mag_den": mag.denominator,
+                "phase_num": phase.numerator,
+                "phase_den": phase.denominator,
+            }
     z = complex(v)
     return {"re": z.real, "im": z.imag}
 

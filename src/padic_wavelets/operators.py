@@ -1,21 +1,19 @@
 """Vladimirov derivative, ladder operators and commutation-relation checks.
 
-Operators act on the coefficients of a wavelet expansion.  They are words
-of four primitive actions:
+Every operator here maps psi_(n,m,j) to c(n) psi_(n+s,m,j): none reads m
+or j, and the wavelets are eigenvectors of D^a.  So an operator is a
+`WeightedShift`, its total scale shift s and its factors in order, each
+applied at scale n + offset, the offset being the shift made before it:
 
-    ScaleShift(s)   n -> n + s, coefficient unchanged
     Diagonal(a)     coefficient *= p^(a*(1-n))      (the derivative D^a)
     LogDiagonal     coefficient *= (1 - n)          (log_p D)
     Scalar(c)       coefficient *= c
 
-A word is applied left to right; composition is concatenation.  None of the
-primitives reads m or j, and the wavelets are eigenvectors of D^a, so every
-word maps psi_(n,m,j) to c(n) psi_(n+s,m,j).  Relation checks restrict
-themselves to interior scales, where every intermediate index stays inside
-the window.  There the `*_results` families compile each word once
-(`BasisOperator.compile`) into that weighted shift, the total shift s and
-its factors in word order, each at its offset from n, and evaluate each
-side as one scalar per scale, with no expansion built.
+J_(+-) and ell_k apply log_p D, then shift by +-1 and k.  A @ B applies B,
+then A.  Relation checks restrict themselves to interior scales, where the
+running shift of every operator stays inside the window; there the
+`*_results` families evaluate each side as one scalar per scale, with no
+expansion built.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidInputError, UnsupportedCaseError
+from .errors import UnsupportedCaseError
 from .exact import Cyc, amp_is_zero, is_half_integral, p_power_amp
 from .functions import (
     DEFAULT_CELL_CAP,
@@ -35,15 +33,6 @@ from .functions import (
 )
 from .padic import frac_valp, shift_rational
 from .wavelets import KozyrevIndex, Window, enumerate_m_digits, label_translate
-
-
-@dataclass(frozen=True)
-class ScaleShift:
-    step: int
-
-    def __post_init__(self):
-        if self.step not in (-1, 1):
-            raise InvalidInputError("shift step must be +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -62,54 +51,29 @@ class Scalar:
 
 
 @dataclass(frozen=True)
-class BasisOperator:
-    """A word of primitive actions, applied left to right."""
-
-    word: tuple = ()
-
-    def __matmul__(self, other: "BasisOperator") -> "BasisOperator":
-        """Operator product: (A @ B)(e) = A(B(e))."""
-        return BasisOperator(other.word + self.word)
-
-    def shift_extent(self) -> tuple[int, int]:
-        """Extremes of the running scale shift over all prefixes."""
-        lo = hi = total = 0
-        for prim in self.word:
-            if isinstance(prim, ScaleShift):
-                total += prim.step
-                lo = min(lo, total)
-                hi = max(hi, total)
-        return lo, hi
-
-    def compile(self) -> "WeightedShift":
-        """The word as psi_(n,m,j) -> c(n) psi_(n+s,m,j)."""
-        total = 0
-        steps = []
-        for prim in self.word:
-            if isinstance(prim, ScaleShift):
-                total += prim.step
-            elif isinstance(prim, (Diagonal, LogDiagonal, Scalar)):
-                steps.append((total, prim))
-            else:
-                raise InvalidInputError(f"unknown primitive {prim!r}")
-        return WeightedShift(total, tuple(steps))
-
-
-@dataclass(frozen=True)
 class WeightedShift:
-    """A compiled word: the total scale shift and the factors in word order.
-    Each step is (offset, primitive): a Diagonal, LogDiagonal or Scalar
-    applied at scale n + offset, where offset is the running shift before
-    it.  It carries no window check: the relation checks evaluate it only
-    at interior scales."""
+    """psi_(n,m,j) -> c(n) psi_(n+shift,m,j).  Each step is (offset,
+    factor): a Diagonal, LogDiagonal or Scalar applied at scale n + offset.
+    lo <= 0 <= hi bound the running shift.  It carries no window check: the
+    relation checks evaluate it only at interior scales."""
 
     shift: int
     steps: tuple
+    lo: int
+    hi: int
+
+    def __matmul__(self, other: "WeightedShift") -> "WeightedShift":
+        """Operator product: (A @ B)(e) = A(B(e)), B's steps first, then
+        A's at offset B.shift."""
+        at = other.shift
+        return WeightedShift(at + self.shift,
+                             other.steps + tuple((at + o, f) for o, f in self.steps),
+                             min(other.lo, at + self.lo), max(other.hi, at + self.hi))
 
     def weight(self, p: int, n: int, c, powers: dict):
-        """c times each factor at scale n, in word order, so that float bits
-        are those of applying the primitives one by one; None once a product
-        is exactly zero.  `powers` holds p^(a(1-n)) by (a, n) for the caller."""
+        """c times each factor at scale n, in order, so that float bits are
+        those of applying the factors one by one; None once a product is
+        exactly zero.  `powers` holds p^(a(1-n)) by (a, n) for the caller."""
         for offset, prim in self.steps:
             at = n + offset
             if isinstance(prim, Diagonal):
@@ -129,56 +93,54 @@ class WeightedShift:
         return c
 
 
-def scalar_op(c) -> BasisOperator:
-    return BasisOperator((Scalar(c),))
+def scalar_op(c) -> WeightedShift:
+    return WeightedShift(0, ((0, Scalar(c)),), 0, 0)
 
 
-def vladimirov(alpha) -> BasisOperator:
-    return BasisOperator((Diagonal(alpha),))
+def vladimirov(alpha) -> WeightedShift:
+    return WeightedShift(0, ((0, Diagonal(alpha)),), 0, 0)
 
 
-def log_vladimirov_op() -> BasisOperator:
-    return BasisOperator((LogDiagonal(),))
+def log_vladimirov_op() -> WeightedShift:
+    return WeightedShift(0, ((0, LogDiagonal()),), 0, 0)
 
 
-def j_op(step: int) -> BasisOperator:
-    """J_(+-) = shift after log_p D, so J_s psi_n = (1-n) psi_(n+s)."""
-    return BasisOperator((LogDiagonal(), ScaleShift(step)))
+def ell_op(k: int) -> WeightedShift:
+    """ell_k = shift by k after log_p D, so ell_k psi_n = (1-n) psi_(n+k);
+    ell_0 = log_p D."""
+    return WeightedShift(k, ((0, LogDiagonal()),), min(k, 0), max(k, 0))
 
 
-def ell_op(k: int) -> BasisOperator:
-    """ell_k = |k| uniform-sign shifts after log_p D; ell_0 = log_p D."""
-    word: tuple = (LogDiagonal(),)
-    step = 1 if k > 0 else -1
-    word += tuple(ScaleShift(step) for _ in range(abs(k)))
-    return BasisOperator(word)
+def j_op(step: int) -> WeightedShift:
+    """J_(+-) = ell_(+-1), so J_s psi_n = (1-n) psi_(n+s)."""
+    return ell_op(step)
 
 
 # -- commutators ----------------------------------------------------------------
 
 
-def _commutator_sides(a: BasisOperator, b: BasisOperator,
-                      expected: BasisOperator | None) -> list:
-    """The sides of [a, b] = expected as (word, prefactor) pairs."""
-    sides = [(a @ b, None), (b @ a, None)]
+def _commutator_sides(a: WeightedShift, b: WeightedShift,
+                      expected: WeightedShift | None) -> list:
+    """The sides of [a, b] = expected."""
+    sides = [a @ b, b @ a]
     if expected is not None:
-        sides.append((expected, None))
+        sides.append(expected)
     return sides
 
 
 def _deformed_sides(p: int, alpha, step: int) -> list:
-    """p^(s a/2) D^a J_s and p^(-s a/2) J_s D^a as (word, prefactor) pairs."""
+    """p^(s a/2) D^a J_s and p^(-s a/2) J_s D^a, each prefactor multiplied last."""
     dal, js = vladimirov(alpha), j_op(step)
     # dividing by Fraction(2) keeps an integer alpha exact
-    return [(dal @ js, p_power_amp(p, step * alpha / Fraction(2))),
-            (js @ dal, p_power_amp(p, -step * alpha / Fraction(2)))]
+    return [scalar_op(p_power_amp(p, step * alpha / Fraction(2))) @ (dal @ js),
+            scalar_op(p_power_amp(p, -step * alpha / Fraction(2))) @ (js @ dal)]
 
 
-def interior_scales(window: Window, *ops: BasisOperator) -> range:
-    """Scales from which every prefix of every word stays inside the window."""
-    extents = [op.shift_extent() for op in ops]
-    lo = min((lo for lo, _ in extents), default=0)
-    hi = max((hi for _, hi in extents), default=0)
+def interior_scales(window: Window, *ops: WeightedShift) -> range:
+    """Scales from which the running shift of every operator stays inside
+    the window."""
+    lo = min((op.lo for op in ops), default=0)
+    hi = max((op.hi for op in ops), default=0)
     return range(window.n_min - lo, window.n_max - hi + 1)
 
 
@@ -209,10 +171,6 @@ def _for_labels(results, labels) -> list[RelationResult]:
             for idx in labels for r in results]
 
 
-def _compiled(sides) -> list:
-    return [(op.compile(), factor) for op, factor in sides]
-
-
 class _ScaleWalk:
     """One `*_results` call over the interior scales.  Every side maps
     psi_(n,m,j) to c(n) psi_(n+s,m,j), so it is one scalar per scale, and a
@@ -237,15 +195,13 @@ class _ScaleWalk:
         return out
 
     def check(self, relation, alpha, sides, n: int, exact: bool) -> RelationResult:
-        """The relation sides[0] = sum of sides[1:] on psi_n, for compiled
-        (word, prefactor) sides; `exact` follows from the inputs, not from
-        the residual's values."""
+        """The relation sides[0] = sum of sides[1:] on psi_n, for operator
+        sides; `exact` follows from the inputs, not from the residual's
+        values."""
         values = []
-        for compiled, factor in sides:
-            c = compiled.weight(self.p, n, self.one, self.powers)
-            # a prefactor scales a nonzero side only; a zero product stays absent
-            values.append(None if c is None else
-                          (n + compiled.shift, c if factor is None else c * factor))
+        for op in sides:
+            c = op.weight(self.p, n, self.one, self.powers)
+            values.append(None if c is None else (n + op.shift, c))
         # subtracted in order, from zero where the first side has no
         # coefficient, so that float bits are those of a coefficientwise
         # difference of expansions
@@ -284,12 +240,12 @@ def sl2_results(p: int, window: Window) -> list[RelationResult]:
     """[J+, J-] = 2 log_p D and [log_p D, J_s] = -s J_s on interior vectors."""
     walk = _ScaleWalk(p, window)
     jp, jm, logd = j_op(+1), j_op(-1), log_vladimirov_op()
-    sides = _compiled(_commutator_sides(jp, jm, scalar_op(Fraction(2)) @ logd))
+    sides = _commutator_sides(jp, jm, scalar_op(Fraction(2)) @ logd)
     out = walk.results((jp, jm), lambda n: [
         walk.check("sl2:[J+,J-]-2logD", None, sides, n, True)])
     for step, name in ((+1, "sl2:[logD,J+]+J+"), (-1, "sl2:[logD,J-]-J-")):
         js = j_op(step)
-        sides = _compiled(_commutator_sides(logd, js, scalar_op(Fraction(-step)) @ js))
+        sides = _commutator_sides(logd, js, scalar_op(Fraction(-step)) @ js)
         out += walk.results((js,), lambda n: [walk.check(name, None, sides, n, True)])
     return out
 
@@ -301,7 +257,7 @@ def witt_results(p: int, window: Window, k_range: int = 3) -> list[RelationResul
     for a in range(-k_range, k_range + 1):
         for b in range(-k_range, k_range + 1):
             la, lb, lab = ell_op(a), ell_op(b), ell_op(a + b)
-            sides = _compiled(_commutator_sides(la, lb, scalar_op(Fraction(a - b)) @ lab))
+            sides = _commutator_sides(la, lb, scalar_op(Fraction(a - b)) @ lab)
             out += walk.results((la, lb, lab), lambda n: [
                 walk.check(f"witt:[l{a},l{b}]", None, sides, n, True)])
     return out
@@ -320,13 +276,13 @@ def deformed_results(p: int, window: Window, alphas) -> list[RelationResult]:
         exact_deformed = is_half_integral(alpha / Fraction(2))
         for step in (+1, -1):
             js = j_op(step)
-            deformed = _compiled(_deformed_sides(p, alpha, step))
+            deformed = _deformed_sides(p, alpha, step)
             expected = scalar_op(1 - p_power_amp(p, step * alpha)) @ dal @ js
-            commutator = _compiled(_commutator_sides(dal, js, expected))
+            commutator = _commutator_sides(dal, js, expected)
             out += walk.results((js,), lambda n: [
                 walk.check(f"deformed:s={step:+d}", alpha, deformed, n, exact_deformed),
                 walk.check(f"commutator:[D^a,J{step:+d}]", alpha, commutator, n, exact)])
-        commutator = _compiled(_commutator_sides(dal, logd, None))
+        commutator = _commutator_sides(dal, logd, None)
         out += walk.results((), lambda n: [
             walk.check("commutator:[D^a,logD]", alpha, commutator, n, exact)])
     return out
@@ -338,8 +294,7 @@ def semigroup_results(p: int, window: Window, alpha_pairs) -> list[RelationResul
     out = []
     for a1, a2 in alpha_pairs:
         exact = is_half_integral(a1) and is_half_integral(a2)
-        sides = _compiled([(vladimirov(a1) @ vladimirov(a2), None),
-                           (vladimirov(a1 + a2), None)])
+        sides = [vladimirov(a1) @ vladimirov(a2), vladimirov(a1 + a2)]
         out += walk.results((), lambda n: [
             walk.check("semigroup", (a1, a2), sides, n, exact)])
     return out
@@ -359,7 +314,7 @@ def translation_spectral_results(p: int, window: Window, shift: Fraction,
     out = []
     for alpha in alphas:
         exact = is_half_integral(alpha)
-        side = (vladimirov(alpha).compile(), None)
+        side = vladimirov(alpha)
         for labels in filter(None, inside):
             out += _for_labels([walk.check(
                 "translation:spectral", alpha, [side, side], labels[0].n, exact)], labels)

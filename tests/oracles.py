@@ -1,17 +1,20 @@
 """Test-only oracles: the slow, direct routes that fast paths are checked against.
 
-`apply_operator` applies an operator word one primitive at a time to a
-whole `WaveletExpansion`, raising `WindowClipError` where a shift would
-leave the window; it is the reference for the words that
-`BasisOperator.compile` turns into one scalar per scale.
+The operator words here are this module's own: `ScaleShift`, `Diagonal`,
+`LogDiagonal` and `Scalar` primitives strung into a `Word`, applied left to
+right, with builders for D^a, log_p D, J_(+-), ell_k and scalars.
+`apply_operator` applies a word one primitive at a time to a whole
+`WaveletExpansion`, raising `WindowClipError` where a shift would leave the
+window; it is the reference for `operators.WeightedShift`, which maps
+psi_(n,m,j) to c(n) psi_(n+s,m,j) in one step.
 
 The `*_by_label` functions are the per-basis-vector relation walk of the
 five `operators.*_results` families: every relation is evaluated afresh on
 each interior basis vector psi_(n, m, j), with no use of the fact that the
 operators never read m or j.  Their sides are expansions built by
-`apply_operator` and are subtracted coefficient by coefficient here; the relation checks
-compile each word into a scalar per scale instead, so the oracles share
-only `RelationResult`, the words and `apply_operator` with the code they
+`apply_operator` from these words and are subtracted coefficient by
+coefficient here; the relation checks evaluate each side as one scalar per
+scale instead.  The oracles share only `RelationResult` with the code they
 check, and the two routes must agree down to the repr of every float
 residual.
 
@@ -68,18 +71,7 @@ from padic_wavelets.haar import (
     step_equal,
     step_monomial_integral,
 )
-from padic_wavelets.operators import (
-    Diagonal,
-    LogDiagonal,
-    RelationResult,
-    Scalar,
-    ScaleShift,
-    ell_op,
-    j_op,
-    log_vladimirov_op,
-    scalar_op,
-    vladimirov,
-)
+from padic_wavelets.operators import RelationResult
 from padic_wavelets.padic import check_prime, shift_rational
 from padic_wavelets.wavelets import (
     KozyrevIndex,
@@ -93,10 +85,68 @@ from padic_wavelets.wavelets import (
 )
 
 
-def apply_operator(op, e: WaveletExpansion) -> WaveletExpansion:
+@dataclass(frozen=True)
+class ScaleShift:
+    step: int
+
+    def __post_init__(self):
+        if self.step not in (-1, 1):
+            raise InvalidInputError("shift step must be +1 or -1")
+
+
+@dataclass(frozen=True)
+class Diagonal:
+    alpha: object
+
+
+@dataclass(frozen=True)
+class LogDiagonal:
+    pass
+
+
+@dataclass(frozen=True)
+class Scalar:
+    factor: object
+
+
+@dataclass(frozen=True)
+class Word:
+    """Primitive actions, applied left to right."""
+
+    prims: tuple = ()
+
+    def __matmul__(self, other: "Word") -> "Word":
+        """Operator product: (A @ B)(e) = A(B(e))."""
+        return Word(other.prims + self.prims)
+
+
+def scalar_word(c) -> Word:
+    return Word((Scalar(c),))
+
+
+def vladimirov_word(alpha) -> Word:
+    return Word((Diagonal(alpha),))
+
+
+def log_vladimirov_word() -> Word:
+    return Word((LogDiagonal(),))
+
+
+def j_word(step: int) -> Word:
+    """J_(+-) = shift after log_p D, so J_s psi_n = (1-n) psi_(n+s)."""
+    return Word((LogDiagonal(), ScaleShift(step)))
+
+
+def ell_word(k: int) -> Word:
+    """ell_k = |k| uniform-sign shifts after log_p D; ell_0 = log_p D."""
+    step = 1 if k > 0 else -1
+    return Word((LogDiagonal(),) + tuple(ScaleShift(step) for _ in range(abs(k))))
+
+
+def apply_operator(op: Word, e: WaveletExpansion) -> WaveletExpansion:
     p = e.prime
     coeffs = dict(e.coefficients)
-    for prim in op.word:
+    for prim in op.prims:
         new: dict = {}
         for idx, c in coeffs.items():
             if isinstance(prim, ScaleShift):
@@ -136,8 +186,6 @@ def enumerate_indices(p: int, window: Window):
     ]
 
 
-
-
 def _sub(e1: WaveletExpansion, e2: WaveletExpansion) -> WaveletExpansion:
     coeffs = dict(e1.coefficients)
     for idx, c in e2.coefficients.items():
@@ -174,7 +222,7 @@ def _deformed(alpha, step, e) -> list:
     p = e.prime
     plus = p_power_amp(p, step * alpha / Fraction(2))
     minus = p_power_amp(p, -step * alpha / Fraction(2))
-    dal, js = vladimirov(alpha), j_op(step)
+    dal, js = vladimirov_word(alpha), j_word(step)
     lhs = apply_operator(dal, apply_operator(js, e))
     rhs = apply_operator(js, apply_operator(dal, e))
     return [WaveletExpansion(p, e.window, {i: c * plus for i, c in lhs.coefficients.items()}),
@@ -197,7 +245,7 @@ def _interior_basis(p, window, *ops):
     lo = hi = 0
     for op in ops:
         total = 0
-        for prim in op.word:
+        for prim in op.prims:
             if isinstance(prim, ScaleShift):
                 total += prim.step
                 lo, hi = min(lo, total), max(hi, total)
@@ -209,15 +257,15 @@ def _interior_basis(p, window, *ops):
 
 def sl2_by_label(p, window):
     out = []
-    jp, jm, logd = j_op(+1), j_op(-1), log_vladimirov_op()
-    plus_minus = scalar_op(Fraction(2)) @ logd
+    jp, jm, logd = j_word(+1), j_word(-1), log_vladimirov_word()
+    plus_minus = scalar_word(Fraction(2)) @ logd
     for idx in _interior_basis(p, window, jp, jm):
         e = basis_vector(p, window, idx)
         out.append(_residual(
             "sl2:[J+,J-]-2logD", idx, None, _commutator(jp, jm, e, plus_minus), True))
     for step, name in ((+1, "sl2:[logD,J+]+J+"), (-1, "sl2:[logD,J-]-J-")):
-        js = j_op(step)
-        expected = scalar_op(Fraction(-step)) @ js
+        js = j_word(step)
+        expected = scalar_word(Fraction(-step)) @ js
         for idx in _interior_basis(p, window, js):
             e = basis_vector(p, window, idx)
             out.append(_residual(name, idx, None, _commutator(logd, js, e, expected), True))
@@ -228,9 +276,9 @@ def witt_by_label(p, window, k_range=3):
     out = []
     for a in range(-k_range, k_range + 1):
         for b in range(-k_range, k_range + 1):
-            la, lb = ell_op(a), ell_op(b)
-            expected = scalar_op(Fraction(a - b)) @ ell_op(a + b)
-            for idx in _interior_basis(p, window, la, lb, ell_op(a + b)):
+            la, lb = ell_word(a), ell_word(b)
+            expected = scalar_word(Fraction(a - b)) @ ell_word(a + b)
+            for idx in _interior_basis(p, window, la, lb, ell_word(a + b)):
                 e = basis_vector(p, window, idx)
                 out.append(_residual(
                     f"witt:[l{a},l{b}]", idx, None, _commutator(la, lb, e, expected), True))
@@ -239,20 +287,20 @@ def witt_by_label(p, window, k_range=3):
 
 def deformed_by_label(p, window, alphas):
     out = []
-    logd = log_vladimirov_op()
+    logd = log_vladimirov_word()
     for alpha in alphas:
-        dal = vladimirov(alpha)
+        dal = vladimirov_word(alpha)
         exact = is_half_integral(alpha)
         exact_deformed = is_half_integral(alpha / Fraction(2))
         for step in (+1, -1):
-            js = j_op(step)
+            js = j_word(step)
             for idx in _interior_basis(p, window, js):
                 e = basis_vector(p, window, idx)
                 out.append(_residual(
                     f"deformed:s={step:+d}", idx, alpha, _deformed(alpha, step, e),
                     exact_deformed))
                 factor = 1 - p_power_amp(p, step * alpha)
-                expected = scalar_op(factor) @ dal @ js
+                expected = scalar_word(factor) @ dal @ js
                 out.append(_residual(
                     f"commutator:[D^a,J{step:+d}]", idx, alpha,
                     _commutator(dal, js, e, expected), exact))
@@ -269,8 +317,8 @@ def semigroup_by_label(p, window, alpha_pairs):
         exact = is_half_integral(a1) and is_half_integral(a2)
         for idx in _interior_basis(p, window):
             e = basis_vector(p, window, idx)
-            lhs = apply_operator(vladimirov(a1), apply_operator(vladimirov(a2), e))
-            rhs = apply_operator(vladimirov(a1 + a2), e)
+            lhs = apply_operator(vladimirov_word(a1), apply_operator(vladimirov_word(a2), e))
+            rhs = apply_operator(vladimirov_word(a1 + a2), e)
             out.append(_residual("semigroup", idx, (a1, a2), [lhs, rhs], exact))
     return out
 
@@ -280,7 +328,7 @@ def translation_spectral_by_label(p, window, shift, alphas):
     b = shift_rational(shift, p)
     for alpha in alphas:
         exact = is_half_integral(alpha)
-        dal = vladimirov(alpha)
+        dal = vladimirov_word(alpha)
         for idx in _interior_basis(p, window):
             e = basis_vector(p, window, idx)
             try:

@@ -704,7 +704,7 @@ def test_check_algebra_evaluates_each_side_as_a_scalar(capsys, monkeypatch):
 
 def test_corrupted_word_is_exit_two(capsys, monkeypatch):
     # negative control: one sl2 instance checked against 3 log_p D instead of
-    # 2, on the compiled words that `check algebra` evaluates
+    # 2, on the weighted shifts that `check algebra` evaluates
     from padic_wavelets import cli, operators
     from padic_wavelets.operators import j_op, log_vladimirov_op, scalar_op
 
@@ -712,8 +712,8 @@ def test_corrupted_word_is_exit_two(capsys, monkeypatch):
 
     def corrupted(p, window):
         walk = operators._ScaleWalk(p, window)
-        sides = operators._compiled(operators._commutator_sides(
-            j_op(+1), j_op(-1), scalar_op(Fraction(3)) @ log_vladimirov_op()))
+        sides = operators._commutator_sides(
+            j_op(+1), j_op(-1), scalar_op(Fraction(3)) @ log_vladimirov_op())
         bad = walk.check("sl2:corrupted", None, sides, 0, True)
         return sl2_results(p, window) + operators._for_labels([bad], [KozyrevIndex(0)])
 
@@ -762,17 +762,17 @@ def test_float_relation_large_coefficients_pass(capsys):
 
 
 def corrupt_spectral_sum(monkeypatch, at_scale):
-    """Make the compiled word D^2.7 = D^(1 + 1.7) yield c(n) (1 + 1e-6) at
-    the scales n where `at_scale(n)` holds."""
+    """Make the operator D^2.7 = D^(1 + 1.7) yield c(n) (1 + 1e-6) at the
+    scales n where `at_scale(n)` holds."""
     from padic_wavelets.operators import Diagonal, WeightedShift
 
     weight = WeightedShift.weight
 
     def corrupted(self, p, n, c, powers):
         out = weight(self, p, n, c, powers)
-        alphas = [prim.alpha for _, prim in self.steps if isinstance(prim, Diagonal)]
-        if len(self.steps) == 1 and alphas and isinstance(alphas[0], float) and \
-                abs(alphas[0] - 2.7) < 1e-9 and at_scale(n) and out is not None:
+        if len(self.steps) == 1 and isinstance(prim := self.steps[0][1], Diagonal) and \
+                isinstance(prim.alpha, float) and abs(prim.alpha - 2.7) < 1e-9 and \
+                at_scale(n) and out is not None:
             out = out * (1 + 1e-6)
         return out
 
@@ -893,6 +893,17 @@ def test_haar_sample(capsys):
     lines = out.strip().splitlines()
     assert lines[1] == "0,1,0"
     assert lines[3] == "0.5,-1,0"
+
+
+REAL_SIDE_GOLDEN = json.loads((Path(__file__).parent / "real_side_cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", REAL_SIDE_GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_real_side_stdout_is_golden(capsys, case):
+    # `expand-monomial` and `haar sample` in both formats, recorded when each
+    # command still built its CSV rows apart from its JSON records
+    code, out, _ = run(capsys, case["argv"])
+    assert (code, out) == (case["exit"], case["stdout"])
 
 
 def test_monna_map(capsys):

@@ -1,5 +1,7 @@
 """Vladimirov derivative (spectral and kernel), ladder algebra, commutators."""
 
+import functools
+import operator
 import random
 from fractions import Fraction
 
@@ -19,8 +21,10 @@ from padic_wavelets.exact import (
 from padic_wavelets.functions import DEFAULT_CELL_CAP, LocallyConstantFn, ball_reps, fn_equal
 from padic_wavelets.operators import (
     _inv_one_minus,
-    BasisOperator,
-    ScaleShift,
+    Diagonal,
+    LogDiagonal,
+    Scalar,
+    WeightedShift,
     deformed_results,
     ell_op,
     interior_scales,
@@ -47,7 +51,17 @@ from padic_wavelets.wavelets import (
 )
 
 import oracles
-from oracles import apply_operator, log_limit_residual_norm
+from oracles import (
+    ScaleShift,
+    Word,
+    apply_operator,
+    ell_word,
+    j_word,
+    log_limit_residual_norm,
+    log_vladimirov_word,
+    scalar_word,
+    vladimirov_word,
+)
 
 W = Window(-4, 4, 1)
 
@@ -57,7 +71,7 @@ def unit(p, idx, window=W):
 
 
 def ladder(step, e):
-    return apply_operator(BasisOperator((ScaleShift(step),)), e)
+    return apply_operator(Word((ScaleShift(step),)), e)
 
 
 # -- spectral action -----------------------------------------------------------
@@ -66,7 +80,7 @@ def ladder(step, e):
 def test_spectral_eigenvalue():
     p = 2
     for n in (-2, 0, 3):
-        e = apply_operator(vladimirov(Fraction(3, 2)), unit(p, KozyrevIndex(n)))
+        e = apply_operator(vladimirov_word(Fraction(3, 2)), unit(p, KozyrevIndex(n)))
         assert amp_equal(
             e.coefficients[KozyrevIndex(n)], p_power_amp(p, Fraction(3, 2) * (1 - n))
         )
@@ -75,7 +89,7 @@ def test_spectral_eigenvalue():
 def test_spectral_identity_at_zero_exponent():
     p = 3
     e = unit(p, KozyrevIndex(1, (2,), 2))
-    out = apply_operator(vladimirov(0), e)
+    out = apply_operator(vladimirov_word(0), e)
     assert out.coefficients == e.coefficients
 
 
@@ -118,7 +132,7 @@ def test_float_relation_judged_relative_to_its_sides():
 
 def test_log_vladimirov_action():
     p = 2
-    logd = log_vladimirov_op()
+    logd = log_vladimirov_word()
     assert apply_operator(logd, unit(p, KozyrevIndex(1))).coefficients == {}
     out = apply_operator(logd, unit(p, KozyrevIndex(0)))
     assert out.coefficients[KozyrevIndex(0)] == 1
@@ -144,19 +158,19 @@ def test_ladder_and_j_actions():
     idx = KozyrevIndex(0, (1,), 2)
     up = ladder(+1, unit(p, idx))
     assert set(up.coefficients) == {KozyrevIndex(1, (1,), 2)}
-    jplus = apply_operator(j_op(+1), unit(p, idx))
+    jplus = apply_operator(j_word(+1), unit(p, idx))
     assert amp_equal(jplus.coefficients[KozyrevIndex(1, (1,), 2)], Cyc.one(p))
-    jm = apply_operator(j_op(-1), unit(p, KozyrevIndex(-1)))
+    jm = apply_operator(j_word(-1), unit(p, KozyrevIndex(-1)))
     assert jm.coefficients[KozyrevIndex(-2)] == 2
 
 
 def test_ell_actions():
     p = 2
-    assert apply_operator(ell_op(0), unit(p, KozyrevIndex(0))).coefficients == \
-        apply_operator(log_vladimirov_op(), unit(p, KozyrevIndex(0))).coefficients
-    out = apply_operator(ell_op(2), unit(p, KozyrevIndex(-1)))
+    assert apply_operator(ell_word(0), unit(p, KozyrevIndex(0))).coefficients == \
+        apply_operator(log_vladimirov_word(), unit(p, KozyrevIndex(0))).coefficients
+    out = apply_operator(ell_word(2), unit(p, KozyrevIndex(-1)))
     assert out.coefficients == {KozyrevIndex(1): Cyc.rational(p, 2)}
-    out = apply_operator(ell_op(-3), unit(p, KozyrevIndex(3)))
+    out = apply_operator(ell_word(-3), unit(p, KozyrevIndex(3)))
     assert out.coefficients[KozyrevIndex(0)] == -2
 
 
@@ -166,20 +180,27 @@ def test_window_clip_is_loud():
         ladder(+1, unit(p, KozyrevIndex(4)))
     assert err.value.index == KozyrevIndex(5)
     with pytest.raises(WindowClipError):
-        apply_operator(ell_op(-2), unit(p, KozyrevIndex(-3)))
+        apply_operator(ell_word(-2), unit(p, KozyrevIndex(-3)))
 
 
 def test_operator_word_algebra():
-    a = j_op(+1)
-    b = log_vladimirov_op()
-    assert (a @ b).word == b.word + a.word
-    assert BasisOperator().shift_extent() == (0, 0)
-    assert ell_op(-2).shift_extent() == (-2, 0)
-    assert (j_op(+1) @ j_op(-1)).shift_extent() == (-1, 0)
+    # A @ B takes B's steps, then A's at offset B.shift; lo and hi are the
+    # extremes of the running shift over both
+    logd = LogDiagonal()
+    assert j_op(+1) @ log_vladimirov_op() == WeightedShift(1, ((0, logd), (0, logd)), 0, 1)
+    assert log_vladimirov_op() @ j_op(+1) == WeightedShift(1, ((0, logd), (1, logd)), 0, 1)
+    assert vladimirov(Fraction(1, 2)) == WeightedShift(0, ((0, Diagonal(Fraction(1, 2))),), 0, 0)
+    assert ell_op(-2) == WeightedShift(-2, ((0, logd),), -2, 0)
+    assert ell_op(0) == log_vladimirov_op()
+    assert j_op(+1) @ j_op(-1) == WeightedShift(0, ((0, logd), (-1, logd)), -1, 0)
+    product = WeightedShift(-1, ((0, logd), (-3, logd), (-1, Scalar(3))), -3, 0)
+    assert (scalar_op(3) @ ell_op(2)) @ ell_op(-3) == product
+    assert scalar_op(3) @ (ell_op(2) @ ell_op(-3)) == product
 
 
 def test_interior_scales():
     w = Window(-3, 3, 1)
+    assert list(interior_scales(w)) == list(range(-3, 4))
     assert list(interior_scales(w, j_op(+1))) == list(range(-3, 3))
     assert list(interior_scales(w, ell_op(2), ell_op(-2))) == list(range(-1, 2))
 
@@ -187,9 +208,62 @@ def test_interior_scales():
 def test_operators_leave_m_and_j_alone():
     p = 3
     idx = KozyrevIndex(0, (2,), 2)
-    for op in (vladimirov(Fraction(1, 2)), log_vladimirov_op(), j_op(1), ell_op(-1)):
+    for op in (vladimirov_word(Fraction(1, 2)), log_vladimirov_word(), j_word(1), ell_word(-1)):
         out = apply_operator(op, unit(p, idx))
         assert all(i.m_digits == (2,) and i.j == 2 for i in out.coefficients)
+
+
+# -- weighted shifts against the oracle's words ----------------------------------------
+
+PRODUCTION = {"D": vladimirov, "logD": lambda _: log_vladimirov_op(), "J": j_op,
+              "ell": ell_op, "scalar": scalar_op}
+WORDS = {"D": vladimirov_word, "logD": lambda _: log_vladimirov_word(), "J": j_word,
+         "ell": ell_word, "scalar": scalar_word}
+
+
+@st.composite
+def operator_recipes(draw):
+    p = draw(st.sampled_from((2, 3)))
+    factor = st.one_of(
+        st.tuples(st.just("D"), st.sampled_from(
+            (Fraction(1, 2), Fraction(1), Fraction(-3, 2), 0.3, 1.7))),
+        st.tuples(st.just("logD"), st.none()),
+        st.tuples(st.just("J"), st.sampled_from((-1, 1))),
+        st.tuples(st.just("ell"), st.integers(-2, 2)),
+        st.tuples(st.just("scalar"), st.sampled_from(
+            (Fraction(-2), Fraction(1, 3), 0.7, p_power_amp(p, Fraction(1, 2))))),
+    )
+    recipe = draw(st.lists(factor, min_size=1, max_size=6))
+    return p, recipe, draw(st.integers(0, 1))
+
+
+def _compose(builders, recipe):
+    return functools.reduce(operator.matmul, (builders[kind](arg) for kind, arg in recipe))
+
+
+@given(operator_recipes())
+def test_weighted_shift_matches_the_oracle_word(case):
+    p, recipe, m_depth = case
+    op, word = _compose(PRODUCTION, recipe), _compose(WORDS, recipe)
+    # n = 1 is in the window, where log_p D is exactly zero
+    window = Window(-5, 4, m_depth)
+    interior = list(oracles._interior_basis(p, window, word))
+    scales = interior_scales(window, op)
+    assert list(scales) == sorted({idx.n for idx in interior})
+    for idx in interior:
+        c = op.weight(p, idx.n, Cyc.one(p), {})
+        got = [] if c is None else [
+            (KozyrevIndex(idx.n + op.shift, idx.m_digits, idx.j), repr(c))]
+        out = apply_operator(word, unit(p, idx, window))
+        assert got == [(i, repr(v)) for i, v in out.coefficients.items()]
+    # on scales <= 0 no factor is zero, so every scale of the window outside
+    # the interior (one past each end included) leaves the window midway
+    window = Window(-9, 0, m_depth)
+    scales = interior_scales(window, op)
+    for n in range(window.n_min, window.n_max + 1):
+        if n not in scales:
+            with pytest.raises(WindowClipError):
+                apply_operator(word, unit(p, KozyrevIndex(n, (0,) * m_depth, 1), window))
 
 
 # -- commutation relations ----------------------------------------------------------
@@ -233,10 +307,10 @@ def test_check_commutator_detects_wrong_expectation():
     p = 2
     e = unit(p, KozyrevIndex(0))
     bad = oracles._commutator(
-        j_op(+1), j_op(-1), e, scalar_op(Fraction(3)) @ log_vladimirov_op())
+        j_word(+1), j_word(-1), e, scalar_word(Fraction(3)) @ log_vladimirov_word())
     assert _residual(bad) > 0
     good = oracles._commutator(
-        j_op(+1), j_op(-1), e, scalar_op(Fraction(2)) @ log_vladimirov_op())
+        j_word(+1), j_word(-1), e, scalar_word(Fraction(2)) @ log_vladimirov_word())
     assert _residual(good) == 0
 
 
@@ -519,7 +593,7 @@ def test_synthesized_spectral_derivative_equals_the_kernel(p, m, k):
     f = LocallyConstantFn(p, m, k, dict(zip(reps, values)))
     alpha = Fraction(1, 2)
     e = analyze(f, Window(1 - k, m, m + k - 1))
-    got = synthesize(apply_operator(vladimirov(alpha), e), resolution=k)
+    got = synthesize(apply_operator(vladimirov_word(alpha), e), resolution=k)
     assert got.is_exact() and len(got.table) == len(reps)
     assert fn_equal(got, vladimirov_kernel_apply(alpha, f), tol=0.0)
 
