@@ -14,6 +14,16 @@ Where sqrt(p) itself lies in that field (p = 2 at level >= 3, p = 1 mod 4 at
 level >= 1) the split into a and b is not unique; there the zero test also
 replaces sqrt(p) by its Gauss sum, so `is_zero` and `==` stay exact.
 
+A value at level 0 is one pair c + d*sqrt(p), a real number in Q(sqrt p).
+Multiplying by it maps each term (a, b) of the other factor to
+(ac + p*bd, ad + bc) and leaves the exponents, already canonical, alone.
+sqrt(p) is irrational, so no nonzero pair becomes (0, 0), and a product of
+two nonzero values is nonzero, so the Gauss-sum zero test has nothing to
+find: only the common factor with the denominator is divided out.  Two
+level-0 values add as pairs in the same way.  Every other sum, and a product
+of two values at level >= 1, lifts both to the common level and normalizes
+the result.
+
 `Fraction` appears only at the edge: the rational constructors, `*` and `+`
 with a `Rational`, and the accessors that hand coefficients out.  Mixing a
 `Cyc` with a float/complex demotes the result to `complex`; code that wants
@@ -45,14 +55,7 @@ class Cyc:
             self.level, self.terms, self.den = level, terms, den
             return
         self.level, terms = _normalize(prime, level, terms)
-        if terms:
-            g = gcd(den, *chain.from_iterable(terms.values()))
-            if g != 1:
-                terms = {e: (a // g, b // g) for e, (a, b) in terms.items()}
-                den //= g
-        else:
-            den = 1
-        self.terms, self.den = terms, den
+        self.terms, self.den = _lowest(terms, den) if terms else ({}, 1)
 
     # -- constructors ------------------------------------------------------
 
@@ -196,6 +199,16 @@ class Cyc:
         if isinstance(other, Cyc):
             if other.prime != self.prime:
                 raise InvalidInputError("amplitude primes differ")
+            if not (self.level or other.level):
+                # two pairs in Q(sqrt p): add them and reduce; nothing to fold
+                den = lcm(self.den, other.den)
+                mine, theirs = den // self.den, den // other.den
+                a, b = self.terms.get(0, (0, 0))
+                c, d = other.terms.get(0, (0, 0))
+                a, b = a * mine + c * theirs, b * mine + d * theirs
+                if not (a or b):
+                    return Cyc.zero(self.prime)
+                return Cyc(self.prime, 0, *_lowest({0: (a, b)}, den), _reduced=True)
             level = max(self.level, other.level)
             den = lcm(self.den, other.den)
             mine, theirs = den // self.den, den // other.den
@@ -242,6 +255,17 @@ class Cyc:
             if other.prime != self.prime:
                 raise InvalidInputError("amplitude primes differ")
             p = self.prime
+            if not (self.level and other.level):
+                # c + d*sqrt(p) scales the other factor's terms: see the
+                # module docstring for why nothing needs normalizing
+                scalar, value = (self, other) if not self.level else (other, self)
+                if not (scalar.terms and value.terms):
+                    return Cyc.zero(p)
+                (c, d), = scalar.terms.values()
+                terms = {e: (a * c + p * b * d, a * d + b * c)
+                         for e, (a, b) in value.terms.items()}
+                return Cyc(p, value.level, *_lowest(terms, scalar.den * value.den),
+                           _reduced=True)
             level = max(self.level, other.level)
             modulus = p**level
             xs = self._lifted(level).items()
@@ -332,6 +356,16 @@ class Cyc:
             coeff = f"{a}" if b == 0 else (f"{b}*sqrt{self.prime}" if a == 0 else f"({a}+{b}*sqrt{self.prime})")
             parts.append(coeff if e == 0 else f"{coeff}*z({e}/{n})")
         return f"Cyc(p={self.prime}, " + " + ".join(parts) + ")"
+
+
+def _lowest(terms: dict, den: int):
+    """(terms, den) of nonzero integer terms over den with their common
+    factor divided out."""
+    g = gcd(den, *chain.from_iterable(terms.values()))
+    if g != 1:
+        terms = {e: (a // g, b // g) for e, (a, b) in terms.items()}
+        den //= g
+    return terms, den
 
 
 def _strip(terms: dict) -> dict:

@@ -73,7 +73,9 @@ class WeightedShift:
     def weight(self, p: int, n: int, c, powers: dict):
         """c times each factor at scale n, in order, so that float bits are
         those of applying the factors one by one; None once a product is
-        exactly zero.  `powers` holds p^(a(1-n)) by (a, n) for the caller."""
+        exactly zero.  c may be an int: the product then stays an int or
+        `Fraction` until a factor is a `Cyc` or a float.  `powers` holds
+        p^(a(1-n)) by (a, n) for the caller."""
         for offset, prim in self.steps:
             at = n + offset
             if isinstance(prim, Diagonal):
@@ -84,7 +86,7 @@ class WeightedShift:
                 if factor is None:
                     factor = powers[key] = p_power_amp(p, alpha * (1 - at))
             elif isinstance(prim, LogDiagonal):
-                factor = Fraction(1 - at)
+                factor = 1 - at
             else:
                 factor = prim.factor
             c = c * factor
@@ -174,12 +176,13 @@ def _for_labels(results, labels) -> list[RelationResult]:
 class _ScaleWalk:
     """One `*_results` call over the interior scales.  Every side maps
     psi_(n,m,j) to c(n) psi_(n+s,m,j), so it is one scalar per scale, and a
-    residual never depends on m or j.  The labels of each scale and each
-    p^(a(1-n)) are computed once and kept for this call only."""
+    residual never depends on m or j.  Each side starts from the int 1 and
+    the residual from 0, so they stay an int or `Fraction` until a D^a
+    power or a `Cyc` prefactor enters.  The labels of each scale and
+    each p^(a(1-n)) are computed once and kept for this call only."""
 
     def __init__(self, p: int, window: Window):
         self.p, self.window = p, window
-        self.one = Cyc.one(p)
         self.powers: dict = {}
         self.labels: dict = {}
 
@@ -200,7 +203,7 @@ class _ScaleWalk:
         values."""
         values = []
         for op in sides:
-            c = op.weight(self.p, n, self.one, self.powers)
+            c = op.weight(self.p, n, 1, self.powers)
             values.append(None if c is None else (n + op.shift, c))
         # subtracted in order, from zero where the first side has no
         # coefficient, so that float bits are those of a coefficientwise
@@ -211,7 +214,7 @@ class _ScaleWalk:
             if value is None:
                 continue
             at, c = value
-            total = (residual[at] if at in residual else Cyc.zero(self.p)) - c
+            total = residual.get(at, 0) - c
             if amp_is_zero(total):
                 residual.pop(at, None)
             else:
@@ -240,12 +243,12 @@ def sl2_results(p: int, window: Window) -> list[RelationResult]:
     """[J+, J-] = 2 log_p D and [log_p D, J_s] = -s J_s on interior vectors."""
     walk = _ScaleWalk(p, window)
     jp, jm, logd = j_op(+1), j_op(-1), log_vladimirov_op()
-    sides = _commutator_sides(jp, jm, scalar_op(Fraction(2)) @ logd)
+    sides = _commutator_sides(jp, jm, scalar_op(2) @ logd)
     out = walk.results((jp, jm), lambda n: [
         walk.check("sl2:[J+,J-]-2logD", None, sides, n, True)])
     for step, name in ((+1, "sl2:[logD,J+]+J+"), (-1, "sl2:[logD,J-]-J-")):
         js = j_op(step)
-        sides = _commutator_sides(logd, js, scalar_op(Fraction(-step)) @ js)
+        sides = _commutator_sides(logd, js, scalar_op(-step) @ js)
         out += walk.results((js,), lambda n: [walk.check(name, None, sides, n, True)])
     return out
 
@@ -257,7 +260,7 @@ def witt_results(p: int, window: Window, k_range: int = 3) -> list[RelationResul
     for a in range(-k_range, k_range + 1):
         for b in range(-k_range, k_range + 1):
             la, lb, lab = ell_op(a), ell_op(b), ell_op(a + b)
-            sides = _commutator_sides(la, lb, scalar_op(Fraction(a - b)) @ lab)
+            sides = _commutator_sides(la, lb, scalar_op(a - b) @ lab)
             out += walk.results((la, lb, lab), lambda n: [
                 walk.check(f"witt:[l{a},l{b}]", None, sides, n, True)])
     return out

@@ -23,6 +23,13 @@ cyclotomic basis one level at a time, from the level it is given: the loop
 `exact._canonical` ran before it first lowers the level by the common p-power
 of the exponents.  The two must return the same level and terms.
 
+`product_by_terms` and `sum_by_terms` are `Cyc` arithmetic by the general
+route: lift both operands to the common level, combine every pair of terms
+without reducing them, and hand the result to the normalizing `Cyc`
+constructor.  `Cyc` multiplies by a level-0 factor, and adds two level-0
+values, without that normalization; the two must agree in terms, term
+order, denominator and level.
+
 `fourier_by_cell` is the transform as one character sum per output cell,
 Theta(N^2): the route `functions.fourier` took before the radix-p pass up
 the class tree.  On exact tables the two must agree in keys, key order and
@@ -369,6 +376,37 @@ def canonical_by_level(p: int, level: int, terms: dict):
     a = sum(c[0] for c in terms.values())
     b = sum(c[1] for c in terms.values())
     return 0, ({0: (a, b)} if a or b else {})
+
+
+def _lifted_terms(x: Cyc, level: int):
+    shift = x.prime ** (level - x.level)
+    return [(e * shift, c) for e, c in x.terms.items()]
+
+
+def product_by_terms(x: Cyc, y: Cyc) -> Cyc:
+    """x * y: every term of x times every term of y, in that order, at the
+    common level, then one normalization."""
+    p, level = x.prime, max(x.level, y.level)
+    modulus = p**level
+    terms: dict = {}
+    for e1, (a, b) in _lifted_terms(x, level):
+        for e2, (c, d) in _lifted_terms(y, level):
+            e = (e1 + e2) % modulus
+            old = terms.get(e, (0, 0))
+            terms[e] = (old[0] + a * c + p * b * d, old[1] + a * d + b * c)
+    return Cyc(p, level, terms, x.den * y.den)
+
+
+def sum_by_terms(x: Cyc, y: Cyc, sign: int = 1) -> Cyc:
+    """x + sign * y: both over their least common denominator at the common
+    level, x's terms first, then one normalization."""
+    level, den = max(x.level, y.level), lcm(x.den, y.den)
+    terms: dict = {}
+    for v, s in ((x, den // x.den), (y, sign * (den // y.den))):
+        for e, (a, b) in _lifted_terms(v, level):
+            old = terms.get(e, (0, 0))
+            terms[e] = (old[0] + s * a, old[1] + s * b)
+    return Cyc(x.prime, level, terms, den)
 
 
 def fourier_by_cell(f: LocallyConstantFn, sign: int, cap: int = DEFAULT_CELL_CAP):

@@ -666,12 +666,19 @@ def test_check_algebra_all_relations(capsys):
 
 def test_check_algebra_evaluates_each_side_as_a_scalar(capsys, monkeypatch):
     # every side maps psi_(n,m,j) to c(n) psi_(n+s,m,j): the families build no
-    # expansion, and each call takes p^(a(1-n)) once per (a, n) it meets
+    # expansion, and each call takes p^(a(1-n)) once per (a, n) it meets; a
+    # side stays a Python rational until a root or sqrt(p) enters, so the
+    # rational families build no Cyc at all
     from padic_wavelets import cli, operators
+    from padic_wavelets.exact import Cyc
     from padic_wavelets.wavelets import WaveletExpansion
 
     built, powers, seen = [], [], {}
+    cycs, cycs_seen = [], {}
     monkeypatch.setattr(WaveletExpansion, "__post_init__", lambda self: built.append(self))
+    init = Cyc.__init__
+    monkeypatch.setattr(Cyc, "__init__",
+                        lambda self, *args, **kwargs: cycs.append(1) or init(self, *args, **kwargs))
     power = operators.p_power_amp
     monkeypatch.setattr(operators, "p_power_amp",
                         lambda p, x: powers.append(x) or power(p, x))
@@ -681,8 +688,10 @@ def test_check_algebra_evaluates_each_side_as_a_scalar(capsys, monkeypatch):
         def counted(*args, checker=checker, family=family, **kwargs):
             built.clear()
             powers.clear()
+            cycs.clear()
             out = checker(*args, **kwargs)
             seen[family] = (len(built), len(powers))
+            cycs_seen[family] = len(cycs)
             return out
 
         monkeypatch.setattr(cli, f"{family}_results", counted)
@@ -700,6 +709,9 @@ def test_check_algebra_evaluates_each_side_as_a_scalar(capsys, monkeypatch):
     assert seen["deformed"][1] <= scales * len(alphas) + 3 * 2 * len(alphas)
     assert seen["semigroup"][1] <= scales * len(sums | {(type(a), a) for a in alphas})
     assert seen["translation_spectral"][1] <= scales * len(alphas)
+    assert cycs_seen["sl2"] == cycs_seen["witt"] == 0
+    # p^(a(1-n)) at a = 1/2 is a Cyc: the count is live
+    assert cycs_seen["deformed"] > 0
 
 
 def test_corrupted_word_is_exit_two(capsys, monkeypatch):

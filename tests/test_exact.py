@@ -6,7 +6,7 @@ from itertools import chain
 from math import gcd
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padic_wavelets.errors import FloatRangeError, InvalidInputError
@@ -333,3 +333,57 @@ def test_cyc_from_coefficients_matches_the_term_dict(case):
     assert_normal_form(got)
     assert (got.level, got.terms, got.den) == (want.level, want.terms, want.den)
     assert repr(got) == repr(want)
+
+
+# -- level-0 factors and sums ------------------------------------------------------
+
+
+def cycs(p, levels):
+    """Values of p drawn at a level from `levels` (their normal form may sit
+    lower), zero among them; small pairs and denominators, so that products
+    and sums often share a factor with the denominator."""
+    pairs = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+    return levels.flatmap(lambda level: st.builds(
+        lambda terms, den: Cyc(p, level, dict(terms), den),
+        st.lists(st.tuples(st.integers(0, p**level - 1), pairs), max_size=4),
+        st.integers(1, 12)))
+
+
+@st.composite
+def level_zero_cases(draw):
+    """(x, y, z): x and z at level 0, y at level 0 to 4."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    x, z = draw(cycs(p, st.just(0))), draw(cycs(p, st.just(0)))
+    return x, draw(cycs(p, st.integers(0, 4))), z
+
+
+def quad(p, a, b, den=1):
+    return Cyc(p, 0, {0: (a, b)}, den)
+
+
+@given(level_zero_cases())
+@settings(max_examples=150)
+# the products and sums share a factor with their denominators
+@example((quad(3, 2, 0, 3), Cyc(3, 1, {1: (3, 3)}, 4), quad(3, 1, 1, 2)))
+@example((quad(7, 1, 1, 2), Cyc(7, 2, {1: (1, 0), 8: (0, 2)}, 6), quad(7, 1, -1, 2)))
+# sqrt(2) times the eighth-root sum that equals it, and sqrt(5) times its
+# Gauss sum: the sqrt(p) split is not unique in these fields
+@example((quad(2, 0, 1), Cyc(2, 3, {1: (1, 0), 7: (1, 0)}), quad(2, 0, -1)))
+@example((quad(5, 0, 1), Cyc(5, 1, {1: (1, 0), 2: (-1, 0), 3: (-1, 0), 4: (1, 0)}),
+          quad(5, 3, 0, 2)))
+# zero operands, and a sum that cancels
+@example((Cyc.zero(5), Cyc(5, 2, {1: (1, 1)}), quad(5, 0, 0)))
+@example((quad(3, 1, 2), Cyc.zero(3), quad(3, -1, -2)))
+def test_level_zero_arithmetic_matches_the_general_route(case):
+    x, y, z = case
+    assert x.level == z.level == 0
+
+    def same(got, want):
+        assert_normal_form(got)
+        assert (list(got.terms.items()), got.den, got.level) == \
+            (list(want.terms.items()), want.den, want.level)
+
+    same(x * y, oracles.product_by_terms(x, y))
+    same(y * x, oracles.product_by_terms(y, x))
+    same(x + z, oracles.sum_by_terms(x, z))
+    same(x - z, oracles.sum_by_terms(x, z, -1))
