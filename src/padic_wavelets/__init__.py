@@ -1,9 +1,9 @@
 """Wavelet analysis on the p-adic line.
 
-Finite-precision arithmetic in Q_p, Kozyrev wavelets, the Vladimirov
-pseudo-differential operator in spectral and kernel form, their symmetry
-algebra (sl(2), Witt-type ladder operators, deformed commutators), and the
-Monna-map correspondence with generalized Haar wavelets on [0, 1].
+Base-p digits and finite-precision points of Q_p, Kozyrev wavelets, the
+Vladimirov pseudo-differential operator in spectral and kernel form, their
+symmetry algebra (sl(2), Witt-type ladder operators, deformed commutators),
+and the Monna-map correspondence with generalized Haar wavelets on [0, 1].
 """
 
 from .errors import (
@@ -16,7 +16,7 @@ from .errors import (
     UnsupportedCaseError,
     WindowClipError,
 )
-from .exact import Cyc, amp_equal, amp_is_zero, conj, p_power_amp
+from .exact import Cyc, amp_equal, conj, p_power_amp
 from .padic import (
     PAdicNumber,
     RationalPhase,

@@ -121,6 +121,11 @@ class Cyc:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        """A `Cyc` is falsy exactly when it is zero, like an int, `Fraction`,
+        float or complex amplitude, so `not value` tests any amplitude."""
+        return bool(self.terms)
+
     @property
     def is_rational(self) -> bool:
         if not self.terms:
@@ -567,12 +572,6 @@ def conj(value):
     if isinstance(value, Cyc):
         return value.conj()
     return complex(value).conjugate()
-
-
-def amp_is_zero(value) -> bool:
-    if isinstance(value, Cyc):
-        return value.is_zero
-    return complex(value) == 0
 
 
 def amp_equal(x, y, tol: float = 0.0) -> bool:

@@ -21,7 +21,7 @@ from math import gcd, lcm
 from operator import add, or_
 
 from .errors import EnumerationCapError, InvalidInputError, PrimeMismatchError
-from .exact import Cyc, CycSum, amp_equal, amp_is_zero, conj, cyc_from_coefficients
+from .exact import Cyc, CycSum, amp_equal, conj, cyc_from_coefficients
 from .padic import (
     RationalPhase,
     check_prime,
@@ -29,7 +29,6 @@ from .padic import (
     int_to_digits,
     digits_to_int,
     rational_character_phase,
-    shift_rational,
     valp,
 )
 
@@ -175,17 +174,16 @@ def add_cells(table: dict, cells) -> None:
     for r, v in cells:
         if r in table:
             v = table[r] + v
-            if amp_is_zero(v):
+            if not v:
                 del table[r]
                 continue
         table[r] = v
 
 
 def translate(f: LocallyConstantFn, shift) -> LocallyConstantFn:
-    """x -> f(x - b).  A `PAdicNumber` shift is read as the exact rational
-    its digits denote."""
+    """x -> f(x - b) for the rational b = `shift`."""
     p = f.prime
-    b = shift_rational(shift, p)
+    b = Fraction(shift)
     if b == 0:
         return f
     support = max(f.support_exponent, -frac_valp(b, p))
@@ -244,14 +242,14 @@ def cell_index(r: Fraction, p: int, support_exponent: int) -> int | None:
 def class_sums(p: int, cells: dict, depth: int) -> list[dict]:
     """Entry t maps r to the sum, in index order, of `cells` (index in
     [0, p^depth) -> value) over i = r mod p^t; zeros are absent.  O(N) additions."""
-    sums = [{i: cells[i] for i in sorted(cells) if not amp_is_zero(cells[i])}]
+    sums = [{i: cells[i] for i in sorted(cells) if cells[i]}]
     for t in range(depth - 1, -1, -1):
         size, coarse = p**t, {}
         for i, v in sorted(sums[-1].items()):
             r = i % size
             if r in coarse:
                 v = coarse.pop(r) + v
-            if not amp_is_zero(v):
+            if v:
                 coarse[r] = v
         sums.append(coarse)
     return sums[::-1]
@@ -259,8 +257,6 @@ def class_sums(p: int, cells: dict, depth: int) -> list[dict]:
 
 @lru_cache(maxsize=65536)
 def _char_root(p: int, num: int, den: int) -> Cyc:
-    from .padic import RationalPhase
-
     return Cyc.root_of_unity(p, RationalPhase(num, den))
 
 
@@ -406,7 +402,7 @@ def _fourier_impl(f: LocallyConstantFn, sign: int, cap: int) -> LocallyConstantF
     outputs = [class_tree_dft(p, depth, sign, leaves, mix) for leaves in trees]
     for iw, entries in enumerate(zip(*outputs)):
         total = finish(entries)
-        if not amp_is_zero(total):
+        if total:
             out[iw * unit] = total
     return LocallyConstantFn(p, f.resolution, f.support_exponent, out)
 
@@ -532,6 +528,6 @@ def fn_from_json(data: dict) -> LocallyConstantFn:
             value = amp_from_json(p, entry)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidInputError(f"malformed cell record at index {i}: {exc}") from exc
-        if not amp_is_zero(value):
+        if value:
             table[rep] = value
     return LocallyConstantFn(p, m, k, table)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UnsupportedCaseError
-from .exact import Cyc, amp_is_zero, is_half_integral, p_power_amp
+from .exact import Cyc, is_half_integral, p_power_amp
 from .functions import (
     DEFAULT_CELL_CAP,
     LocallyConstantFn,
@@ -31,7 +31,7 @@ from .functions import (
     class_sums,
     translate,
 )
-from .padic import frac_valp, shift_rational
+from .padic import frac_valp
 from .wavelets import KozyrevIndex, Window, enumerate_m_digits, label_translate
 
 
@@ -90,7 +90,7 @@ class WeightedShift:
             else:
                 factor = prim.factor
             c = c * factor
-            if amp_is_zero(c):
+            if not c:
                 return None
         return c
 
@@ -103,19 +103,10 @@ def vladimirov(alpha) -> WeightedShift:
     return WeightedShift(0, ((0, Diagonal(alpha)),), 0, 0)
 
 
-def log_vladimirov_op() -> WeightedShift:
-    return WeightedShift(0, ((0, LogDiagonal()),), 0, 0)
-
-
 def ell_op(k: int) -> WeightedShift:
-    """ell_k = shift by k after log_p D, so ell_k psi_n = (1-n) psi_(n+k);
-    ell_0 = log_p D."""
+    """ell_k = shift by k after log_p D, so ell_k psi_n = (1-n) psi_(n+k).
+    The ladder family: ell_0 = log_p D and ell_(+-1) = J_(+-)."""
     return WeightedShift(k, ((0, LogDiagonal()),), min(k, 0), max(k, 0))
-
-
-def j_op(step: int) -> WeightedShift:
-    """J_(+-) = ell_(+-1), so J_s psi_n = (1-n) psi_(n+s)."""
-    return ell_op(step)
 
 
 # -- commutators ----------------------------------------------------------------
@@ -132,7 +123,7 @@ def _commutator_sides(a: WeightedShift, b: WeightedShift,
 
 def _deformed_sides(p: int, alpha, step: int) -> list:
     """p^(s a/2) D^a J_s and p^(-s a/2) J_s D^a, each prefactor multiplied last."""
-    dal, js = vladimirov(alpha), j_op(step)
+    dal, js = vladimirov(alpha), ell_op(step)
     # dividing by Fraction(2) keeps an integer alpha exact
     return [scalar_op(p_power_amp(p, step * alpha / Fraction(2))) @ (dal @ js),
             scalar_op(p_power_amp(p, -step * alpha / Fraction(2))) @ (js @ dal)]
@@ -215,7 +206,7 @@ class _ScaleWalk:
                 continue
             at, c = value
             total = residual.get(at, 0) - c
-            if amp_is_zero(total):
+            if not total:
                 residual.pop(at, None)
             else:
                 residual[at] = total
@@ -242,12 +233,12 @@ def relation_names(family: str, k_range: int = 3) -> list[str]:
 def sl2_results(p: int, window: Window) -> list[RelationResult]:
     """[J+, J-] = 2 log_p D and [log_p D, J_s] = -s J_s on interior vectors."""
     walk = _ScaleWalk(p, window)
-    jp, jm, logd = j_op(+1), j_op(-1), log_vladimirov_op()
+    jp, jm, logd = ell_op(+1), ell_op(-1), ell_op(0)
     sides = _commutator_sides(jp, jm, scalar_op(2) @ logd)
     out = walk.results((jp, jm), lambda n: [
         walk.check("sl2:[J+,J-]-2logD", None, sides, n, True)])
     for step, name in ((+1, "sl2:[logD,J+]+J+"), (-1, "sl2:[logD,J-]-J-")):
-        js = j_op(step)
+        js = ell_op(step)
         sides = _commutator_sides(logd, js, scalar_op(-step) @ js)
         out += walk.results((js,), lambda n: [walk.check(name, None, sides, n, True)])
     return out
@@ -271,14 +262,14 @@ def deformed_results(p: int, window: Window, alphas) -> list[RelationResult]:
     [D^a, log_p D] = 0."""
     walk = _ScaleWalk(p, window)
     out = []
-    logd = log_vladimirov_op()
+    logd = ell_op(0)
     for alpha in alphas:
         dal = vladimirov(alpha)
         exact = is_half_integral(alpha)
         # the prefactors p^(+-s a/2) need a half-integral a/2
         exact_deformed = is_half_integral(alpha / Fraction(2))
         for step in (+1, -1):
-            js = j_op(step)
+            js = ell_op(step)
             deformed = _deformed_sides(p, alpha, step)
             expected = scalar_op(1 - p_power_amp(p, step * alpha)) @ dal @ js
             commutator = _commutator_sides(dal, js, expected)
@@ -309,7 +300,7 @@ def translation_spectral_results(p: int, window: Window, shift: Fraction,
     whose translated label stays inside the window.  A label translation
     keeps n and the coefficient, so both sides are D^a on psi_n, and one
     evaluation per scale gives the residual of all its labels."""
-    b = shift_rational(shift, p)
+    b = Fraction(shift)
     inside = [[idx for idx in _scale_labels(p, window, n)
                if window.contains(label_translate(idx, b, p))]
               for n in interior_scales(window)]
@@ -391,7 +382,7 @@ def _kernel_rows(alpha, f: LocallyConstantFn, cap: int):
         for r in range(size * p):
             q = r % size
             d = coarse.get(q, zero) - fine.get(r, zero)
-            step.append(paths[q] if amp_is_zero(d) else paths[q] + w * d)
+            step.append(paths[q] + w * d if d else paths[q])
         paths = step
 
     def row(i0):
@@ -425,7 +416,7 @@ def vladimirov_kernel_apply(alpha, f: LocallyConstantFn,
     out = {}
     for i0, r0 in enumerate(reps):
         value = row(i0)
-        if not amp_is_zero(value):
+        if value:
             out[r0] = value
     return LocallyConstantFn(f.prime, f.support_exponent, f.resolution, out)
 
@@ -433,7 +424,7 @@ def vladimirov_kernel_apply(alpha, f: LocallyConstantFn,
 def translation_kernel_residual(alpha, f: LocallyConstantFn, shift) -> LocallyConstantFn:
     """D^alpha(translate f) - translate(D^alpha f) on the common ball."""
     p = f.prime
-    b = shift_rational(shift, p)
+    b = Fraction(shift)
     support = f.support_exponent
     if b != 0:
         support = max(support, -frac_valp(b, p))

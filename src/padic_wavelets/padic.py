@@ -1,7 +1,12 @@
-"""Finite-precision p-adic numbers.
+"""The digit structure of Q_p that the wavelets read.
 
-A nonzero element of Q_p is stored as a valuation N together with K base-p
-digits (d0, d1, ...), d0 != 0, standing for
+A wavelet's support test |p^n x - m|_p <= 1 and its character
+chi(j p^(n-1) x) read only the base-p digits of x and its fractional part,
+so this module holds no p-adic arithmetic: it converts between rationals and
+digits, reads valuations, character phases in Q/Z and the Monna map.
+
+A finite-precision point `PAdicNumber` is a valuation N together with K
+base-p digits (d0, d1, ...), d0 != 0, standing for
 
     p^N * (d0 + d1*p + d2*p^2 + ... + d_{K-1}*p^{K-1}) + O(p^{N+K}).
 
@@ -13,12 +18,11 @@ their complement digits (15 = -1 mod 2^4 and so on), not by a sign flag.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import InvalidInputError, PrimeMismatchError
+from .errors import InvalidInputError
 
 _PRIMES: set[int] = set()
 
@@ -94,36 +98,22 @@ class RationalPhase:
         object.__setattr__(self, "numerator", num // g)
         object.__setattr__(self, "denominator", self.denominator // g)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.numerator == 0
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-    def value(self) -> complex:
-        return cmath.exp(2j * cmath.pi * self.numerator / self.denominator)
-
     def __add__(self, other: "RationalPhase") -> "RationalPhase":
         return RationalPhase(
             self.numerator * other.denominator + other.numerator * self.denominator,
             self.denominator * other.denominator,
         )
 
-    def __neg__(self) -> "RationalPhase":
-        return RationalPhase(-self.numerator, self.denominator)
-
-    def __sub__(self, other: "RationalPhase") -> "RationalPhase":
-        return self + (-other)
-
 
 @dataclass(frozen=True)
 class PAdicNumber:
-    """A finite-precision element of Q_p.
+    """A finite-precision point of Q_p, read by `wavelets.evaluate` and
+    the Monna map.
 
-    For zero values `digits` is empty; `exact` distinguishes a true zero from
-    one produced by full digit cancellation, in which case `valuation` only
-    records a lower bound on the true valuation.
+    For zero values `digits` is empty.  `exact` distinguishes a true zero
+    from an inexact one, O(p^valuation), whose digits below `valuation` are
+    known to vanish; `from_rational` makes only true zeros, but `evaluate`
+    still accepts an inexact one.
     """
 
     prime: int
@@ -151,12 +141,6 @@ class PAdicNumber:
     def precision(self) -> int:
         return len(self.digits)
 
-    def norm(self) -> Fraction:
-        """The p-adic absolute value p^(-valuation); |0| = 0."""
-        if self.is_zero:
-            return Fraction(0)
-        return Fraction(self.prime) ** (-self.valuation)
-
     def unit_int(self) -> int:
         return digits_to_int(self.digits, self.prime)
 
@@ -164,70 +148,9 @@ class PAdicNumber:
         """The exact rational denoted by the stored digits."""
         return self.unit_int() * Fraction(self.prime) ** self.valuation
 
-    def fractional_part(self) -> Fraction:
-        """Sum of the digits sitting at negative powers of p; lies in [0, 1)."""
-        return self.character_phase().as_fraction()
-
-    def character_phase(self) -> RationalPhase:
-        """Phase of the additive character: exp(2*pi*i*{x}_p)."""
-        return rational_character_phase(self.to_rational(), self.prime)
-
     def monna(self) -> Fraction:
         """Digit-reversing Monna image: sum d_m p^m maps to sum d_m p^(-m-1)."""
         return monna_rational(self.to_rational(), self.prime)
-
-    def to_dict(self) -> dict:
-        return {
-            "prime": self.prime,
-            "valuation": self.valuation,
-            "digits": list(self.digits),
-            "precision": self.precision,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PAdicNumber":
-        return cls(data["prime"], data["valuation"], tuple(data["digits"]))
-
-    def __str__(self) -> str:
-        p, n = self.prime, self.valuation
-        if self.is_zero:
-            return "0" if self.exact else f"0 ~ O({p}^{n})"
-        parts = []
-        for i, d in enumerate(self.digits):
-            if i == 0:
-                parts.append(str(d))
-            elif d == 0:
-                continue
-            elif i == 1:
-                parts.append(f"{d}*{p}")
-            else:
-                parts.append(f"{d}*{p}^{i}")
-        body = " + ".join(parts)
-        return f"{p}^{n} * ({body}) ~ O({p}^{n + self.precision})"
-
-    def _require_same_prime(self, other: "PAdicNumber") -> None:
-        if self.prime != other.prime:
-            raise PrimeMismatchError(
-                f"cannot combine p={self.prime} with p={other.prime}"
-            )
-
-    def __add__(self, other: "PAdicNumber") -> "PAdicNumber":
-        if not isinstance(other, PAdicNumber):
-            return NotImplemented
-        return add(self, other)
-
-    def __sub__(self, other: "PAdicNumber") -> "PAdicNumber":
-        if not isinstance(other, PAdicNumber):
-            return NotImplemented
-        return add(self, neg(other))
-
-    def __mul__(self, other: "PAdicNumber") -> "PAdicNumber":
-        if not isinstance(other, PAdicNumber):
-            return NotImplemented
-        return mul(self, other)
-
-    def __neg__(self) -> "PAdicNumber":
-        return neg(self)
 
 
 def from_rational(num: int, den: int, p: int, precision: int) -> PAdicNumber:
@@ -249,73 +172,6 @@ def from_rational(num: int, den: int, p: int, precision: int) -> PAdicNumber:
     modulus = p**precision
     unit = (u * pow(v, -1, modulus)) % modulus
     return PAdicNumber(p, vn - vd, int_to_digits(unit, p, precision))
-
-
-def shift_rational(shift, p: int) -> Fraction:
-    """A translation argument as an exact rational.
-
-    A `PAdicNumber` over p is read as the rational its digits denote; one over
-    another prime raises `PrimeMismatchError`; anything else goes through
-    `Fraction`.
-    """
-    if isinstance(shift, PAdicNumber):
-        if shift.prime != p:
-            raise PrimeMismatchError("translation over a different prime")
-        return shift.to_rational()
-    return Fraction(shift)
-
-
-def neg(x: PAdicNumber) -> PAdicNumber:
-    if x.is_zero:
-        return x
-    p, k = x.prime, x.precision
-    unit = (-x.unit_int()) % p**k
-    return PAdicNumber(p, x.valuation, int_to_digits(unit, p, k))
-
-
-def add(x: PAdicNumber, y: PAdicNumber) -> PAdicNumber:
-    x._require_same_prime(y)
-    p = x.prime
-    if x.is_zero and y.is_zero:
-        if x.exact and y.exact:
-            return PAdicNumber.zero(p)
-        bound = min(v for v, ex in ((x.valuation, x.exact), (y.valuation, y.exact)) if not ex)
-        return PAdicNumber(p, bound, (), exact=False)
-    if x.is_zero or y.is_zero:
-        z, w = (x, y) if x.is_zero else (y, x)
-        if z.exact:
-            return w
-        # w + O(p^bound): digits of w at exponents >= bound are unknown
-        keep = z.valuation - w.valuation
-        if keep <= 0:
-            return PAdicNumber(p, z.valuation, (), exact=False)
-        if keep >= w.precision:
-            return w
-        return PAdicNumber(p, w.valuation, w.digits[:keep])
-    base = min(x.valuation, y.valuation)
-    limit = min(x.valuation + x.precision, y.valuation + y.precision)
-    span = limit - base
-    total = (
-        x.unit_int() * p ** (x.valuation - base)
-        + y.unit_int() * p ** (y.valuation - base)
-    ) % p**span
-    if total == 0:
-        return PAdicNumber(p, limit, (), exact=False)
-    w = valp(total, p)
-    return PAdicNumber(p, base + w, int_to_digits(total // p**w, p, span - w))
-
-
-def mul(x: PAdicNumber, y: PAdicNumber) -> PAdicNumber:
-    x._require_same_prime(y)
-    p = x.prime
-    if x.is_zero or y.is_zero:
-        if (x.is_zero and x.exact) or (y.is_zero and y.exact):
-            return PAdicNumber.zero(p)
-        bound = x.valuation + y.valuation
-        return PAdicNumber(p, bound, (), exact=False)
-    k = min(x.precision, y.precision)
-    unit = (x.unit_int() * y.unit_int()) % p**k
-    return PAdicNumber(p, x.valuation + y.valuation, int_to_digits(unit, p, k))
 
 
 def rational_character_phase(q: Fraction, p: int) -> RationalPhase:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import inf
 
 from .errors import InsufficientPrecisionError, InvalidInputError, WindowClipError
-from .exact import Cyc, amp_is_zero
+from .exact import Cyc
 from .functions import (
     DEFAULT_CELL_CAP,
     LocallyConstantFn,
@@ -268,7 +268,7 @@ def analyze(f: LocallyConstantFn, window: Window,
                     term = _twiddle(p, children[d], -j * d)
                     total = term if total is None else total + term
                 c = total * (character_amp(p, Fraction(-j * mu, p ** (k + 1))) * scale)
-                if not amp_is_zero(c):
+                if c:
                     coeffs[KozyrevIndex(n, m_digits, j)] = c
     return WaveletExpansion(p, window, coeffs)
 
@@ -373,7 +373,7 @@ def expansion_from_json(data: dict) -> WaveletExpansion:
                 raise InvalidInputError(f"label {idx} repeats an earlier label")
             seen.add(idx)
             value = amp_from_json(p, entry)
-            if not amp_is_zero(value):
+            if value:
                 coeffs[idx] = value
     except (KeyError, TypeError, OverflowError) as exc:
         raise InvalidInputError(f"malformed expansion record: {exc}") from exc

@@ -60,7 +60,7 @@ from fractions import Fraction
 from math import lcm
 
 from padic_wavelets.errors import InvalidInputError, UnsupportedCaseError, WindowClipError
-from padic_wavelets.exact import Cyc, amp_equal, amp_is_zero, is_half_integral, p_power_amp
+from padic_wavelets.exact import Cyc, amp_equal, is_half_integral, p_power_amp
 from padic_wavelets.functions import (
     DEFAULT_CELL_CAP,
     LocallyConstantFn,
@@ -79,7 +79,7 @@ from padic_wavelets.haar import (
     step_monomial_integral,
 )
 from padic_wavelets.operators import RelationResult
-from padic_wavelets.padic import check_prime, shift_rational
+from padic_wavelets.padic import check_prime
 from padic_wavelets.wavelets import (
     KozyrevIndex,
     WaveletExpansion,
@@ -171,7 +171,7 @@ def apply_operator(op: Word, e: WaveletExpansion) -> WaveletExpansion:
                 raise InvalidInputError(f"unknown primitive {prim!r}")
             if new_idx in new:
                 value = new[new_idx] + value
-            if amp_is_zero(value):
+            if not value:
                 new.pop(new_idx, None)
             else:
                 new[new_idx] = value
@@ -197,7 +197,7 @@ def _sub(e1: WaveletExpansion, e2: WaveletExpansion) -> WaveletExpansion:
     coeffs = dict(e1.coefficients)
     for idx, c in e2.coefficients.items():
         total = coeffs.get(idx, Cyc.zero(e1.prime)) - c
-        if amp_is_zero(total):
+        if not total:
             coeffs.pop(idx, None)
         else:
             coeffs[idx] = total
@@ -332,7 +332,7 @@ def semigroup_by_label(p, window, alpha_pairs):
 
 def translation_spectral_by_label(p, window, shift, alphas):
     out = []
-    b = shift_rational(shift, p)
+    b = Fraction(shift)
     for alpha in alphas:
         exact = is_half_integral(alpha)
         dal = vladimirov_word(alpha)
@@ -470,7 +470,7 @@ def fourier_by_cell(f: LocallyConstantFn, sign: int, cap: int = DEFAULT_CELL_CAP
             total = Cyc(p, level, terms, scale.denominator)
         else:
             total = sum(roots[e] * c for e, c in acc_a.items()) * scale
-        if not amp_is_zero(total):
+        if total:
             out[w] = total
     return LocallyConstantFn(p, f.resolution, f.support_exponent, out)
 
@@ -605,7 +605,7 @@ def scale_arg(f: LocallyConstantFn, e: int) -> LocallyConstantFn:
 
 def support_measure(f: LocallyConstantFn) -> Fraction:
     """Total Haar measure of the cells carrying a nonzero value."""
-    count = sum(1 for v in f.table.values() if not amp_is_zero(v))
+    count = sum(1 for v in f.table.values() if v)
     return count * Fraction(f.prime) ** (-f.resolution)
 
 

@@ -718,14 +718,14 @@ def test_corrupted_word_is_exit_two(capsys, monkeypatch):
     # negative control: one sl2 instance checked against 3 log_p D instead of
     # 2, on the weighted shifts that `check algebra` evaluates
     from padic_wavelets import cli, operators
-    from padic_wavelets.operators import j_op, log_vladimirov_op, scalar_op
+    from padic_wavelets.operators import ell_op, scalar_op
 
     sl2_results = cli.sl2_results
 
     def corrupted(p, window):
         walk = operators._ScaleWalk(p, window)
         sides = operators._commutator_sides(
-            j_op(+1), j_op(-1), scalar_op(Fraction(3)) @ log_vladimirov_op())
+            ell_op(+1), ell_op(-1), scalar_op(Fraction(3)) @ ell_op(0))
         bad = walk.check("sl2:corrupted", None, sides, 0, True)
         return sl2_results(p, window) + operators._for_labels([bad], [KozyrevIndex(0)])
 
@@ -929,6 +929,24 @@ def test_monna_map_readme_example(capsys):
     code, out, err = run(capsys, ["--prime", "2", "monna-map", "--xi", "3/4"])
     assert (code, err) == (0, "")
     assert json.loads(out) == {"prime": 2, "input": "3/4", "image": "3", "image_float": 3.0}
+
+
+@pytest.mark.parametrize("argv, image", [
+    # 1/3 = 1 + 2 + 2^3 + 2^5 + ... in 2-adic digits 1101 0101 0101 ...: the
+    # image reverses the digits that --precision keeps
+    (["--precision", "4", "monna-map", "--xi", "1/3"], "13/16"),
+    (["monna-map", "--xi", "1/3"], "3413/4096"),
+    # -1/2 = 2^-1 (1 + 2 + 2^2 + ...): complement digits, all ones
+    (["monna-map", "--xi", "-1/2"], "4095/2048"),
+    # a zero numerator gives the exact zero point, which has no digits
+    (["monna-map", "--xi", "0"], "0"),
+])
+def test_monna_map_reads_the_digits_kept_by_precision(capsys, argv, image):
+    code, out, err = run(capsys, ["--prime", "2", *argv])
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["image"] == image
+    assert data["image_float"] == float(Fraction(image))
 
 
 def test_bad_global_prime(capsys):

@@ -189,6 +189,23 @@ def test_sqrt_thirteen_is_its_gauss_sum():
     assert gauss * Cyc.half_power(p, 1) == p
 
 
+def test_exact_zero_is_falsy():
+    # `not v` is the zero test of every amplitude: for Python numbers it
+    # agrees with comparing the complex value to 0, signed zero and nan included
+    nan = float("nan")
+    numbers = [0, 1, -3, Fraction(0), Fraction(-2, 3), 0.0, -0.0, 1e-300, nan,
+               float("inf"), 0j, complex(-0.0, -0.0), complex(0.0, 1e-300),
+               complex(nan, 0.0), complex(0.0, nan), 2 - 1j]
+    for v in numbers:
+        assert (not v) == (complex(v) == 0), v
+    # a Cyc is falsy exactly when it is zero, also when the zero is only
+    # seen through a Gauss sum: (zeta_8 + zeta_8^7) * sqrt 2 - 2 at p = 2
+    gauss_zero = (root(2, 1, 8) + root(2, 7, 8)) * Cyc.half_power(2, 1) - 2
+    assert gauss_zero.is_zero and not gauss_zero
+    assert not Cyc.zero(3) and not (root(3, 1, 3) - root(3, 1, 3))
+    assert Cyc.one(3) and root(2, 1, 8) and Cyc.half_power(5, 1) - 2
+
+
 # -- the integer normal form ------------------------------------------------------
 
 

@@ -1,10 +1,16 @@
 """src/ holds production routes only.
 
-Every module-level function and class in `src/padic_wavelets` must be
-reached from a non-test caller: a function of `cli.py`, a `module.name`
-attribute reference in `perfbench/*.py`, or a name that `scripts/*.py`
-imports from the package.  Reference oracles and identity checks that only
-tests call live in `tests/oracles.py` or in the test module that uses them.
+Every module-level function and class in `src/padic_wavelets`, and every
+method of such a class, must be reached from a non-test caller: a function
+of `cli.py`, a `module.name` attribute reference in `perfbench/*.py`, or a
+name that `scripts/*.py` imports from the package.  Reference oracles and
+identity checks that only tests call live in `tests/oracles.py` or in the
+test module that uses them.
+
+A reached class brings its class-level statements and its dunder methods
+with it, since operators, constructors and the interpreter call dunders
+without naming them.  Any other method counts only when reached code loads
+its name; a method of an unreached class is not reported on its own.
 
 The walk is conservative: a name loaded anywhere in reached code (or in the
 statements that run at import) counts as a use of every definition with that
@@ -15,6 +21,7 @@ target, a local import) is that function's own, not a use.
 """
 
 import ast
+from copy import copy
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -75,14 +82,30 @@ def _uses(node, shadowed=frozenset()) -> set:
     return out
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(src: Path):
-    """(module, name) -> the module-level def or class node, and the names
-    loaded by the statements that run at import."""
+    """(module, name) -> the module-level def node, the class node without
+    its non-dunder methods, or, under (module, "Class.method"), such a
+    method; and the names loaded by the statements that run at import."""
     defs, at_import = {}, set()
     for path in sorted(src.glob("*.py")):
         for node in _parse(path).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(node, ast.ClassDef):
+                shell = copy(node)
+                shell.body = []
+                for item in node.body:
+                    if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not _is_dunder(item.name)):
+                        defs[(path.stem, f"{node.name}.{item.name}")] = item
+                    else:
+                        shell.body.append(item)
+                defs[(path.stem, node.name)] = shell
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 defs[(path.stem, node.name)] = node
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 # decorators, defaults and bases run at import
                 at_import |= set().union(*(_uses(d) for d in getattr(node, "decorator_list", [])))
             else:
@@ -126,12 +149,13 @@ def _aliases(src: Path) -> dict:
 
 
 def unreached(src: Path = SRC) -> list:
-    """The module-level definitions of `src` that no root reaches."""
+    """The module-level definitions of `src`, and the methods of reached
+    classes, that no root reaches."""
     defs, at_import = _definitions(src)
     aliases = _aliases(src)
     by_name = {}
     for key in defs:
-        by_name.setdefault(key[1], []).append(key)
+        by_name.setdefault(key[1].rpartition(".")[2], []).append(key)
     # click registers the commands by decorator: all of cli.py is a root
     reached = {key for key in defs if key[0] == "cli"}
     todo = list(_roots(src) | at_import)
@@ -145,7 +169,9 @@ def unreached(src: Path = SRC) -> list:
         for key in by_name.get(name, ()):
             reached.add(key)
             todo.extend(_uses(defs[key]))
-    return sorted(f"{module}.{name}" for module, name in defs.keys() - reached)
+    # a method of an unreached class is reported with its class
+    return sorted(f"{module}.{name}" for module, name in defs.keys() - reached
+                  if "." not in name or (module, name.partition(".")[0]) in reached)
 
 
 def test_every_src_definition_has_a_production_caller():
@@ -153,12 +179,31 @@ def test_every_src_definition_has_a_production_caller():
     assert missing == [], "no production caller: " + ", ".join(missing)
 
 
+def _src_copy(tmp_path) -> Path:
+    """A copy of the package sources, for a negative control to change."""
+    pkg = tmp_path / "padic_wavelets"
+    pkg.mkdir()
+    for path in SRC.glob("*.py"):
+        (pkg / path.name).write_text(path.read_text())
+    return pkg
+
+
 def test_the_walk_finds_an_unreached_definition(tmp_path):
     # negative control: a helper that nothing outside tests calls
-    copy = tmp_path / "padic_wavelets"
-    copy.mkdir()
-    for path in SRC.glob("*.py"):
-        (copy / path.name).write_text(path.read_text())
-    with open(copy / "haar.py", "a") as f:
+    pkg = _src_copy(tmp_path)
+    with open(pkg / "haar.py", "a") as f:
         f.write("\n\ndef test_only_helper(p):\n    return haar_step(p, HaarIndex(0, 0))\n")
-    assert unreached(copy) == ["haar.test_only_helper"]
+    assert unreached(pkg) == ["haar.test_only_helper"]
+
+
+def test_the_walk_finds_an_unreached_method(tmp_path):
+    # negative control: a method of a reached class that no reached code
+    # names, next to a dunder that no code names either
+    pkg = _src_copy(tmp_path)
+    text = (pkg / "padic.py").read_text()
+    anchor = "    def unit_int(self) -> int:\n"
+    assert text.count(anchor) == 1
+    extra = ("    def test_only_method(self):\n        return self.digits\n\n"
+             "    def __len__(self):\n        return len(self.digits)\n\n")
+    (pkg / "padic.py").write_text(text.replace(anchor, extra + anchor))
+    assert unreached(pkg) == ["padic.PAdicNumber.test_only_method"]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from padic_wavelets.errors import InvalidInputError, UnsupportedCaseError
-from padic_wavelets.exact import Cyc, amp_equal, amp_is_zero, conj
+from padic_wavelets.exact import Cyc, amp_equal, conj
 from padic_wavelets.haar import (
     HaarIndex,
     RealStepFn,
@@ -256,7 +256,7 @@ def test_pushforward_cell_measure_preserved():
     nonzero = sum(
         b2 - b1
         for b1, b2, v in zip(push.breakpoints, push.breakpoints[1:], push.values)
-        if not amp_is_zero(v)
+        if v
     )
     assert nonzero == fn_measure
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from padic_wavelets import functions, wavelets
 from padic_wavelets.errors import EnumerationCapError, InvalidInputError
-from padic_wavelets.exact import Cyc, CycSum, amp_is_zero, conj
+from padic_wavelets.exact import Cyc, CycSum, conj
 from padic_wavelets.functions import (
     DEFAULT_CELL_CAP,
     LocallyConstantFn,
@@ -91,7 +91,7 @@ def label_by_label_analyze(f, window, cap=DEFAULT_CELL_CAP):
     coeffs = {}
     for idx in enumerate_indices(p, window):
         c = inner_product(materialize(p, idx, cap=cap), f)
-        if not amp_is_zero(c):
+        if c:
             coeffs[idx] = c
     return coeffs
 
@@ -431,7 +431,7 @@ def analysis_cases(draw):
     table = {}
     for rep in reps:
         v = _amplitude(draw, p, exact)
-        if not amp_is_zero(v):
+        if v:
             table[rep] = v
     n_min = draw(st.integers(-k - 1, m + 1))
     n_max = draw(st.integers(n_min, n_min + 3))
@@ -492,7 +492,7 @@ def synthesis_cases(draw):
         r, s = draw(st.lists(st.sampled_from(ball_reps(p, m, k)), min_size=2, max_size=2,
                              unique=True))
         v = _amplitude(draw, p, True)
-        if amp_is_zero(v):
+        if not v:
             v = Cyc.one(p)
         f = LocallyConstantFn(p, m, k, {r: v, s: -v})
         return analyze(f, Window(1 - k, m, m + k - 1)), None, f
@@ -511,7 +511,7 @@ def synthesis_cases(draw):
         idx = KozyrevIndex(draw(st.integers(n_min, n_min + span)), tuple(digits),
                            draw(st.integers(1, p - 1)))
         v = _amplitude(draw, p, kind == "exact" or (kind == "mixed" and draw(st.booleans())))
-        if not amp_is_zero(v):
+        if v:
             coeffs[idx] = v
     return WaveletExpansion(p, Window(n_min, n_min + span, depth), coeffs), resolution, None
 
