@@ -12,7 +12,7 @@ the p^level-th cyclotomic field (the residues whose top base-p digit is not
 p-1), so sums like 1 + zeta_p + ... + zeta_p^(p-1) reduce to 0 structurally.
 Where sqrt(p) itself lies in that field (p = 2 at level >= 3, p = 1 mod 4 at
 level >= 1) the split into a and b is not unique; there the zero test also
-replaces sqrt(p) by its Gauss sum, so `is_zero` and `==` stay exact.
+replaces sqrt(p) by its Gauss sum, so `not value` and `==` stay exact.
 
 A value at level 0 is one pair c + d*sqrt(p), a real number in Q(sqrt p).
 Multiplying by it maps each term (a, b) of the other factor to
@@ -23,6 +23,16 @@ find: only the common factor with the denominator is divided out.  Two
 level-0 values add as pairs in the same way.  Every other sum, and a product
 of two values at level >= 1, lifts both to the common level and normalizes
 the result.
+
+A root of unity zeta^s times a nonzero canonical value (`cyc_rotated`) needs
+no general normalization either.  The exponents move by s at the lowest
+level that holds both factors; a term that lands in the top block is folded
+into the p-1 basis terms below it, and no other term moves; the level then
+drops by the common p-power of the exponents.  The canonical exponents are
+a Z-basis of Z[zeta], on which zeta^s acts by an invertible integer matrix,
+so the common factor of the coefficients, and with it the lowest terms, is
+unchanged; and a root of unity times a nonzero value is nonzero, so the
+Gauss-sum zero test is skipped.
 
 `Fraction` appears only at the edge: the rational constructors, `*` and `+`
 with a `Rational`, and the accessors that hand coefficients out.  Mixing a
@@ -117,10 +127,6 @@ class Cyc:
 
     # -- predicates --------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         """A `Cyc` is falsy exactly when it is zero, like an int, `Fraction`,
         float or complex amplitude, so `not value` tests any amplitude."""
@@ -136,7 +142,7 @@ class Cyc:
         return b == 0
 
     def rational_value(self) -> Fraction:
-        if self.is_zero:
+        if not self.terms:
             return Fraction(0)
         if not self.is_rational:
             raise InvalidInputError("value is not rational")
@@ -144,7 +150,7 @@ class Cyc:
 
     def single_term(self):
         """Return (coeff_a, coeff_b, phase) if the value is one basis term."""
-        if self.is_zero:
+        if not self.terms:
             return (Fraction(0), Fraction(0), RationalPhase(0))
         if len(self.terms) != 1:
             return None
@@ -159,7 +165,7 @@ class Cyc:
         Covers both a single stored term and the excluded-exponent pattern:
         a root whose top base-p digit is p-1 reduces to p-1 equal-coefficient
         basis terms, which this undoes."""
-        if self.is_zero or len(self.terms) == 1:
+        if len(self.terms) <= 1:
             return self.single_term()
         p = self.prime
         if self.level >= 1 and len(self.terms) == p - 1:
@@ -319,9 +325,9 @@ class Cyc:
 
     def __eq__(self, other):
         if isinstance(other, Cyc):
-            return (self - other).is_zero
+            return not (self - other)
         if isinstance(other, Rational):
-            return (self - Cyc.rational(self.prime, other)).is_zero
+            return not (self - Cyc.rational(self.prime, other))
         if isinstance(other, (float, complex)):
             return complex(self) == other
         return NotImplemented
@@ -352,7 +358,7 @@ class Cyc:
         return abs(complex(self))
 
     def __repr__(self) -> str:
-        if self.is_zero:
+        if not self.terms:
             return f"Cyc(p={self.prime}, 0)"
         parts = []
         n = self.prime**self.level
@@ -458,6 +464,48 @@ def cyc_from_coefficients(p: int, level: int, a: list, b, num: int, den: int) ->
     if _gauss_zero(p, level, terms):
         return Cyc.zero(p)
     return Cyc(p, level, terms, den // g, _reduced=True)
+
+
+def cyc_rotated(value: Cyc, shift: int, level: int) -> Cyc:
+    """zeta^shift * value for zeta = exp(2*pi*i / p^level) and a nonzero
+    canonical `value`, by the rotation rule of the module docstring."""
+    p = value.prime
+    shift %= p**level
+    if not shift:
+        return value
+    # zeta^shift lies at level - v_p(shift)
+    while not shift % p:
+        shift //= p
+        level -= 1
+    top_level = max(level, value.level)
+    modulus = p**top_level
+    shift *= modulus // p**level
+    lift = modulus // p**value.level
+    block = modulus // p
+    top = modulus - block
+    terms = {}
+    folded = []
+    for e, c in value.terms.items():
+        e = (e * lift + shift) % modulus
+        if e < top:
+            terms[e] = c
+        else:
+            folded.append((e, c))
+    if folded:
+        get = terms.get
+        for e, (a, b) in folded:
+            # zeta^((p-1)*block + r) = -sum_{i<p-1} zeta^(i*block + r)
+            for k in range(e - top, top, block):
+                c = get(k)
+                terms[k] = (-a, -b) if c is None else (c[0] - a, c[1] - b)
+        terms = _strip(terms)
+    common = gcd(modulus, *terms)
+    if common > 1:
+        terms = {e // common: c for e, c in terms.items()}
+        while common > 1:
+            common //= p
+            top_level -= 1
+    return Cyc(p, top_level, terms, value.den, _reduced=True)
 
 
 def _gauss_zero(p: int, level: int, terms: dict) -> bool:
@@ -576,7 +624,7 @@ def conj(value):
 
 def amp_equal(x, y, tol: float = 0.0) -> bool:
     if isinstance(x, Cyc) and isinstance(y, Cyc):
-        return (x - y).is_zero
+        return not (x - y)
     return abs(complex(x) - complex(y)) <= tol
 
 

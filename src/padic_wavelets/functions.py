@@ -21,7 +21,7 @@ from math import gcd, lcm
 from operator import add, or_
 
 from .errors import EnumerationCapError, InvalidInputError, PrimeMismatchError
-from .exact import Cyc, CycSum, amp_equal, conj, cyc_from_coefficients
+from .exact import Cyc, CycSum, amp_equal, conj, cyc_from_coefficients, cyc_rotated
 from .padic import (
     RationalPhase,
     check_prime,
@@ -287,8 +287,10 @@ def _fourier_impl(f: LocallyConstantFn, sign: int, cap: int) -> LocallyConstantF
     # denominator, as integer coefficient lists by exponent at their own
     # cyclotomic level, rational and sqrt(p) parts apart.  A twiddle, a
     # power of zeta_N, rotates a list; a node entry takes the lowest level
-    # that holds its children and twiddles, and each output cell is reduced
-    # once.
+    # that holds its children and twiddles.  An output cell whose lists no
+    # other cell holds is reduced once; the cells of a single-child chain
+    # share lists, each reduced once and rotated per cell by `cyc_rotated`,
+    # and a list that reduces to zero gives no cell.
     p = f.prime
     depth = f.support_exponent + f.resolution
     count = ball_size(p, f.resolution, f.support_exponent, cap)
@@ -363,19 +365,27 @@ def _fourier_impl(f: LocallyConstantFn, sign: int, cap: int) -> LocallyConstantF
         scale = Fraction(p) ** (-f.resolution) / den
         num = scale.numerator
 
+        # `outputs` holds every list until the last cell, so no id is
+        # reused before then
+        bases: dict = {}
         nonzero: dict = {}
 
         def finish(entries):
             node_level, a, b, shift = entries[0]
-            if residues == [0] and shift is None:
-                return cyc_from_coefficients(p, node_level, a, b, num, scale.denominator)
-            # a cell on a single-child chain, whose lists it shares with the
-            # other cells of that chain, or one of several residues: the
-            # nonzero terms, found once per list, at the top level
+            if residues == [0]:
+                if shift is None:
+                    return cyc_from_coefficients(p, node_level, a, b, num, scale.denominator)
+                # a cell on a single-child chain is zeta_N^shift times the
+                # lists it shares with the other cells of that chain
+                base = bases.get(id(a))
+                if base is None:
+                    base = bases[id(a)] = cyc_from_coefficients(
+                        p, node_level, a, b, num, scale.denominator)
+                return cyc_rotated(base, shift, depth) if base else None
+            # one of several residues: the nonzero terms, found once per
+            # list, at the top level
             terms = {}
             for r, (node_level, a, b, shift) in zip(residues, entries):
-                # `outputs` holds every list until the last cell, so no id
-                # is reused before then
                 keys = nonzero.get(id(a))
                 if keys is None:
                     keys = nonzero[id(a)] = list(compress(

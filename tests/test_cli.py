@@ -222,10 +222,12 @@ FOURIER_GOLDEN = json.loads((Path(__file__).parent / "fourier_cli_golden.json").
 @pytest.mark.parametrize("case", FOURIER_GOLDEN,
                          ids=lambda case: f"{case['name']} {' '.join(case['argv'])}")
 def test_fourier_stdout_is_golden(capsys, tmp_path, case):
-    # stdout recorded from the per-output-cell character sum.  An exact
-    # table is written byte for byte as then (the chirp's transform is
-    # sqrt(5) times a phase in every cell).  A sqrt(p) wavelet can only be
-    # read as floats, and a float table may differ in its last bits
+    # stdout recorded from the per-output-cell character sum, and for the
+    # two wavelets widened to 729 and 256 cells, whose output cells are
+    # rotations of shared lists, from the radix-p pass.  An exact table is
+    # written byte for byte as then (the chirp's transform is sqrt(5) times
+    # a phase in every cell).  A sqrt(p) wavelet can only be read as floats,
+    # and a float table may differ in its last bits
     path = tmp_path / "f.json"
     path.write_text(json.dumps(case["input"]))
     code, out, _ = run(capsys, case["argv"] + [str(path)])

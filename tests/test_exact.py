@@ -17,6 +17,7 @@ from padic_wavelets.exact import (
     amp_equal,
     conj,
     cyc_from_coefficients,
+    cyc_rotated,
     p_power_amp,
 )
 from padic_wavelets.padic import RationalPhase
@@ -31,7 +32,7 @@ def test_full_root_sum_vanishes(p):
     total = Cyc.zero(p)
     for k in range(p):
         total = total + Cyc.root_of_unity(p, RationalPhase(k, p))
-    assert total.is_zero
+    assert not total
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -40,7 +41,7 @@ def test_subgroup_sum_vanishes_at_depth_two(p):
     total = Cyc.zero(p)
     for k in range(p):
         total = total + Cyc.root_of_unity(p, RationalPhase(k * p, p**2))
-    assert total.is_zero
+    assert not total
 
 
 @given(
@@ -185,7 +186,7 @@ def test_sqrt_thirteen_is_its_gauss_sum():
     for k in range(1, p):
         gauss = gauss + root(p, k, p) * (1 if pow(k, (p - 1) // 2, p) == 1 else -1)
     assert gauss == Cyc.half_power(p, 1)
-    assert (gauss - Cyc.half_power(p, 1)).is_zero
+    assert not (gauss - Cyc.half_power(p, 1))
     assert gauss * Cyc.half_power(p, 1) == p
 
 
@@ -201,7 +202,7 @@ def test_exact_zero_is_falsy():
     # a Cyc is falsy exactly when it is zero, also when the zero is only
     # seen through a Gauss sum: (zeta_8 + zeta_8^7) * sqrt 2 - 2 at p = 2
     gauss_zero = (root(2, 1, 8) + root(2, 7, 8)) * Cyc.half_power(2, 1) - 2
-    assert gauss_zero.is_zero and not gauss_zero
+    assert not gauss_zero
     assert not Cyc.zero(3) and not (root(3, 1, 3) - root(3, 1, 3))
     assert Cyc.one(3) and root(2, 1, 8) and Cyc.half_power(5, 1) - 2
 
@@ -239,7 +240,7 @@ def values(p):
 def assert_normal_form(v):
     p = v.prime
     assert type(v.den) is int and v.den > 0
-    if v.is_zero:
+    if not v:
         assert v.terms == {} and v.den == 1
         return
     assert gcd(v.den, *chain.from_iterable(v.terms.values())) == 1
@@ -404,3 +405,41 @@ def test_level_zero_arithmetic_matches_the_general_route(case):
     same(y * x, oracles.product_by_terms(y, x))
     same(x + z, oracles.sum_by_terms(x, z))
     same(x - z, oracles.sum_by_terms(x, z, -1))
+
+
+# -- rotation by a root of unity ---------------------------------------------------
+
+
+@st.composite
+def rotation_cases(draw):
+    """(value, shift, level): a nonzero value drawn at level 0 to 4, sqrt(p)
+    parts among them, and zeta^shift with zeta a p^level-th root, level 0 to 5."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    value = draw(cycs(p, st.integers(0, 4)).filter(bool))
+    level = draw(st.integers(0, 5))
+    return value, draw(st.integers(-(p**level), 2 * p**level)), level
+
+
+@given(rotation_cases())
+@settings(max_examples=200)
+# zeta_9 * zeta_9^2 = zeta_3: the level drops without a fold
+@example((Cyc(3, 2, {1: (1, 0)}), 2, 2))
+# zeta_3 * (1 + zeta_3) = zeta_3 + zeta_3^2 = -1: the fold cancels a term and
+# the level drops to 0
+@example((Cyc(3, 1, {0: (1, 0), 1: (1, 0)}), 1, 1))
+# -i * i = 1 at p = 2: the fold lands on exponent 0 and two levels drop
+@example((Cyc(2, 2, {1: (-1, 0)}), 1, 2))
+# sqrt(2) parts at level 3, both terms folded; a level-0 value rotated to
+# level 5; and sqrt(5) parts, where the fold lands on the other terms
+@example((Cyc(2, 3, {1: (1, 1), 2: (0, 1)}, 3), 5, 3))
+@example((Cyc(2, 0, {0: (3, -1)}, 2), 7, 5))
+@example((Cyc(5, 1, {0: (1, 1), 3: (2, -1)}, 4), 1, 1))
+def test_rotation_matches_the_general_product(case):
+    # zeta^shift * value by the rotation rule against every term of the root
+    # times every term of the value, then one normalization
+    value, shift, level = case
+    p = value.prime
+    got = cyc_rotated(value, shift, level)
+    want = oracles.product_by_terms(Cyc.root_of_unity(p, RationalPhase(shift, p**level)), value)
+    assert_normal_form(got)
+    assert (got.terms, got.level, got.den) == (want.terms, want.level, want.den)

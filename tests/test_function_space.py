@@ -47,7 +47,7 @@ def random_exact_fn(p, support, resolution, rng, density=0.7, sqrt_p=False) -> L
             v = v * Cyc.root_of_unity(p, RationalPhase(rng.randint(0, p**2 - 1), p**2))
             if sqrt_p and rng.random() < 0.3:
                 v = v * Cyc.half_power(p, 1)
-            if not v.is_zero:
+            if v:
                 table[rep] = v
     return LocallyConstantFn(p, support, resolution, table)
 
@@ -130,7 +130,7 @@ def test_wavelets_have_mean_zero():
     for p in (2, 3):
         for n in (-1, 0, 2):
             for j in range(1, p):
-                assert integrate(materialize(p, KozyrevIndex(n, (), j))).is_zero
+                assert not integrate(materialize(p, KozyrevIndex(n, (), j)))
 
 
 def test_integrate_linear():
@@ -146,7 +146,7 @@ def test_inner_product_positive():
     ip = inner_product(f, f)
     assert ip.is_rational and ip.rational_value() >= 0
     zero = LocallyConstantFn(3, 0, 2, {})
-    assert inner_product(zero, zero).is_zero
+    assert not inner_product(zero, zero)
 
 
 def test_inner_product_mixed_resolutions():
@@ -154,8 +154,8 @@ def test_inner_product_mixed_resolutions():
     p = 2
     coarse = indicator_fn(p)
     fine = materialize(p, KozyrevIndex(-1))
-    assert inner_product(coarse, fine).is_zero
-    assert inner_product(fine, coarse).is_zero
+    assert not inner_product(coarse, fine)
+    assert not inner_product(fine, coarse)
     assert inner_product(coarse, coarse) == 1
 
 
@@ -359,6 +359,46 @@ def test_dense_fourier_reduces_each_cell_once(monkeypatch, p, m, k):
         f = g
 
 
+@pytest.mark.parametrize("idx", [KozyrevIndex(0, (1,), 1), KozyrevIndex(-2, (2, 1), 2)])
+def test_sparse_fourier_reduces_each_shared_list_once(monkeypatch, idx):
+    # a p = 3 wavelet of 3 cells in the ball of N = 729 cells: most output
+    # cells sit on single-child chains and share their coefficient lists.
+    # Each distinct list of the root is reduced once, with no canonical pass
+    # over a term dict, and every Cyc built is such a reduction or a nonzero
+    # output value: a zero cell costs at most the reduction of its list
+    reduced, built, canonical, roots = [], [], [], []
+
+    def logging(real, log, entry):
+        def op(*args, **kwargs):
+            result = real(*args, **kwargs)
+            log.append(entry(args, result))
+            return result
+        return op
+
+    monkeypatch.setattr(functions, "cyc_from_coefficients", logging(
+        functions.cyc_from_coefficients, reduced, lambda args, v: (args[2], v)))
+    monkeypatch.setattr(exact, "_canonical", logging(
+        exact._canonical, canonical, lambda args, _: args))
+    monkeypatch.setattr(Cyc, "__init__", logging(
+        Cyc.__init__, built, lambda args, _: args[0]))
+    monkeypatch.setattr(functions, "class_tree_dft", logging(
+        functions.class_tree_dft, roots, lambda _, stage: stage))
+    f = materialize(3, idx)
+    f = f.with_support(6 - f.resolution)
+    assert len(f.table) == 3
+    for transform in (fourier, inverse_fourier):
+        for log in (reduced, built, canonical, roots):
+            log.clear()
+        g = transform(f)
+        [root] = roots
+        lists = {id(a) for _, a, _, _ in root}
+        assert len(root) == 729 and canonical == []
+        assert sorted(id(a) for a, _ in reduced) == sorted(lists)
+        made = {id(v) for _, v in reduced} | {id(v) for v in g.table.values()}
+        assert all(id(v) in made for v in built)
+        f = g
+
+
 # -- Fourier against the naive character sum -----------------------------------------
 
 
@@ -416,7 +456,7 @@ def test_fourier_matches_naive_sum_exact(p, shape, seed):
     for rep in ball_reps(p, m, k):
         if rng.random() < 0.7:
             v = random_value(p, rng, m + k + 3)
-            if not v.is_zero:
+            if v:
                 table[rep] = v
     f = LocallyConstantFn(p, m, k, table)
     for sign, transform in ((-1, fourier), (+1, inverse_fourier)):
@@ -485,8 +525,10 @@ def oracle_table(p, kind, rng):
     p^t, so that the tree skips the other branches; sparse, at most p cells
     of one class mod p^(M+K-1) in a ball p^2 to p^3 times larger, the shape
     of a widened wavelet; an odd-n wavelet, whose values carry sqrt(p); or
-    empty.  The first three hold values at levels up to M+K+3, above the
-    grid of w*r for the first two."""
+    empty.  The first two hold values at levels up to M+K+3, above the grid
+    of w*r; the sparse values stay at or below the level M+K of the widened
+    ball, where the output cells of a single-child chain are rotations of
+    the lists they share."""
     if kind == "sparse":
         m, k = rng.choice([s for s in FOURIER_SHAPES if sum(s) >= 1])
         widen = rng.randint(2, 3) if p ** (m + k + 3) <= 3125 else 2
@@ -494,8 +536,8 @@ def oracle_table(p, kind, rng):
         table = {}
         for d in range(p):
             if rng.random() < 0.8:
-                v = random_value(p, rng, m + k + 3)
-                if not v.is_zero:
+                v = random_value(p, rng, m + widen + k)
+                if v:
                     table[(c + d * p ** (m + k - 1)) * Fraction(p) ** -m] = v
         return LocallyConstantFn(p, m + widen, k, table)
     if kind == "wavelet":
@@ -515,7 +557,7 @@ def oracle_table(p, kind, rng):
         for rep in ball_reps(p, m, k):
             if cell_index(rep, p, m) % size == c and rng.random() < 0.8:
                 v = random_value(p, rng, m + k + 3)
-                if not v.is_zero:
+                if v:
                     table[rep] = v
     return LocallyConstantFn(p, m, k, table)
 

@@ -55,7 +55,7 @@ def ball_materialize(p, idx, extra_depth=0, cap=DEFAULT_CELL_CAP):
     table = {}
     for rep in ball_reps(p, support, resolution, cap):
         v = evaluate_at_rational(p, idx, rep)
-        if not v.is_zero:
+        if v:
             table[rep] = v
     return LocallyConstantFn(p, support, resolution, table)
 
