@@ -48,7 +48,6 @@ from .haar import (
     haar_step,
     monna_pushforward,
     monomial_coefficient,
-    rho_exponent,
 )
 
 __version__ = "0.1.0"

@@ -1,7 +1,8 @@
 """Batch command-line front end.
 
 Subcommands: `wavelet table`, `wavelet eval`, `analyze`, `synthesize`,
-`fourier`, `check algebra`, `expand-monomial`, `haar sample`, `monna-map`.
+`fourier`, `check algebra`, `check monna`, `expand-monomial`, `haar sample`,
+`monna-map`.
 Exit codes: 0 success, 1 usage/parse error, 2 numeric or invariant failure,
 3 enumeration cap exceeded.
 
@@ -42,7 +43,13 @@ from .functions import (
     inverse_fourier,
     rep_digits,
 )
-from .haar import HaarIndex, haar_step, monomial_coefficient, scaling_constant
+from .haar import (
+    HaarIndex,
+    haar_step,
+    monna_instances,
+    monomial_coefficient,
+    scaling_constant,
+)
 from .operators import (
     RelationResult,
     deformed_results,
@@ -474,6 +481,24 @@ def check_algebra(config: RunConfig, relations, alphas):
             f"residual {fmt(first.residual)}"
         )
     _echo(f"all {len(results)} relation instances passed")
+
+
+@check.command("monna")
+@click.pass_obj
+def check_monna(config: RunConfig):
+    """Check the Monna correspondence exactly on the window's labels
+    supported in Z_p; exit 2 on any violation."""
+    window = config.window
+    if window.n_min <= 0:
+        # the pushforward at scale n enumerates p^(1-n) cells
+        _check_cap(config.prime, 1 - window.n_min, config.cap)
+    counts = dict.fromkeys(("labels", "modulus", "monomial", "pushforward"), 0)
+    for family, label, passed in monna_instances(config.prime, window):
+        if not passed:
+            raise CheckFailure(f"monna:{family} violated at {label}")
+        counts[family] += 1
+    _echo("\n".join(f"monna:{family}: {k} instances passed" for family, k in counts.items()))
+    _echo(f"all {sum(counts.values())} monna instances passed")
 
 
 def _exactify(a: float):

@@ -444,18 +444,15 @@ def cyc_from_coefficients(p: int, level: int, a: list, b, num: int, den: int) ->
     exponent is prime to p, as `_canonical` does for a term dict.  The
     lowest terms and the Gauss-sum zero test follow, as in `Cyc`."""
     parts = [a] if b is None else [a, b]
-    if not any(map(any, parts)):
-        return Cyc.zero(p)
     if level:
         top = len(a) - len(a) // p
         parts = [list(map(sub, v[:top], v[top:] * (p - 1))) for v in parts]
-        while level and not any(any(v[i::p]) for v in parts for i in range(1, p)):
-            parts = [v[::p] for v in parts]
-            level -= 1
-    common = gcd(*chain.from_iterable(parts))
-    if not common:
+    if not any(map(any, parts)):
         return Cyc.zero(p)
-    g = gcd(den, num * common)
+    while level and not any(any(v[i::p]) for v in parts for i in range(1, p)):
+        parts = [v[::p] for v in parts]
+        level -= 1
+    g = gcd(den, num * gcd(*chain.from_iterable(parts)))
     if b is None:
         terms = {e: (x * num // g, 0) for e, x in enumerate(parts[0]) if x}
     else:

@@ -16,7 +16,6 @@ breakpoints: no numerical integration error enters any identity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +23,14 @@ from .errors import InvalidInputError, UnsupportedCaseError
 from .exact import Cyc, amp_equal, conj
 from .functions import character_amp
 from .padic import check_prime, monna_rational
-from .wavelets import KozyrevIndex, m_value, materialize, validate_index
+from .wavelets import (
+    KozyrevIndex,
+    Window,
+    enumerate_m_digits,
+    m_value,
+    materialize,
+    validate_index,
+)
 
 CONVENTIONS = ("orthonormal", "paper")
 
@@ -204,15 +210,43 @@ def haar_index_for(p: int, idx: KozyrevIndex) -> HaarIndex:
     return HaarIndex(level, int(t))
 
 
-def rho_exponent(p: int, idx: KozyrevIndex) -> int:
-    """-2 log_p(max |psi|) - 1, measured from the materialized table.
+def monna_instances(p: int, window: Window):
+    """Every instance of the Monna correspondence over the window's labels
+    (n, m) with n <= 0 and n + depth(m) <= 0, i.e. supported in Z_p, as
+    (family, label, passed); families in sorted order, each in label order.
+    Every comparison is exact.
 
-    Equals n - 1 for every label: the maximum modulus is p^(-n/2)
-    independently of m and j."""
-    fn = materialize(p, idx)
-    max_mod = max(abs(complex(v)) for v in fn.table.values())
-    raw = -2 * math.log(max_mod) / math.log(p) - 1
-    nearest = round(raw)
-    if abs(raw - nearest) > 1e-9:
-        raise InvalidInputError(f"max modulus {max_mod} is not a half power of p")
-    return int(nearest)
+    - `labels`: at level L = -n, `haar_index_for` sends the labels (n, m, 1)
+      one to one into (L, t), t < p^L, and onto them when the window's
+      m-depth reaches L;
+    - `modulus`: psi * conj(psi) = p^(-n) on every cell, for every j;
+    - `monomial`: <Psi_(L+1,t), x^d> = p^(1/2-(d+1)) <Psi_(L,t), x^d>, the
+      scaling eigenvalue of x^d, for 1 <= d <= 4 and -L, -L-1 in the window;
+    - `pushforward`: the Monna image of psi_(n,m,1) is the Haar wavelet of
+      `haar_index_for` times `pushforward_phase`."""
+    scales = range(window.n_min, min(window.n_max, 0) + 1)
+    labels = [KozyrevIndex(n, m) for n in scales
+              for m in enumerate_m_digits(p, min(window.m_depth, -n))]
+    seen = set()
+    for idx in labels:
+        h = haar_index_for(p, idx)
+        yield "labels", idx, h.level == -idx.n and 0 <= h.translate < p**h.level and h not in seen
+        seen.add(h)
+    onto = [HaarIndex(-n, t) for n in scales if window.m_depth >= -n for t in range(p**-n)]
+    yield from (("labels", h, h in seen) for h in onto)
+    for idx in labels:
+        modulus = Fraction(p) ** -idx.n
+        for j in range(1, p):
+            label = KozyrevIndex(idx.n, idx.m_digits, j)
+            cells = materialize(p, label).table.values()
+            yield "modulus", label, bool(cells) and all(v * conj(v) == modulus for v in cells)
+    for degree in range(1, 5):
+        eigenvalue = Cyc.half_power(p, -1 - 2 * degree)
+        for level in range(max(0, -window.n_max), -window.n_min):
+            for t in range(p**level):
+                lo = monomial_coefficient(p, degree, HaarIndex(level, t))
+                hi = monomial_coefficient(p, degree, HaarIndex(level + 1, t))
+                yield "monomial", (degree, HaarIndex(level, t)), hi == lo * eigenvalue
+    for idx in labels:
+        image = haar_step(p, haar_index_for(p, idx)).scaled(pushforward_phase(p, idx))
+        yield "pushforward", idx, step_equal(monna_pushforward(p, idx), image)

@@ -334,15 +334,28 @@ def _inv_one_minus(s: Cyc) -> Cyc:
     return (1 + s) * (1 / (1 - s * s).rational_value())
 
 
-def _kernel_rows(alpha, f: LocallyConstantFn, cap: int):
-    """The cells of f's ball and `row(i0)`, kernel-form D^alpha f on cell i0.
+def vladimirov_kernel_apply(alpha, f: LocallyConstantFn,
+                            cap: int = DEFAULT_CELL_CAP) -> LocallyConstantFn:
+    """D^alpha f on f's cell grid via the difference-kernel integral.
 
-    The class sums S_t (`class_sums`) are built bottom up and the weighted
-    path sums P top down (see `vladimirov_kernel_apply`), each in O(N), with
-    c_alpha p^(-K) folded into the weights; a row then costs one product.
-    The sum is exact when alpha is a half-integral Rational and every cell
-    value is exact, and floating otherwise; only the constants and the cell
-    values differ between the two.
+    The integrand is cellwise constant away from the evaluation cell, the
+    evaluation cell itself contributes nothing, and the tail beyond the
+    support ball is the closed-form geometric sum
+    -f(x) (1-1/p) p^(-(M+1) alpha) / (1 - p^(-alpha)).  The kernel depends
+    on x - y only through |x - y|_p, so the cell sum needs only the class
+    sums S_t[r] of f over the cells i = r mod p^t (cell i is i * p^(-M),
+    N = p^(M+K) cells, T = M + K).  With w_t = p^((1+alpha)(t-M)),
+    C = sum_(t<T) w_t (N/p^t - N/p^(t+1)) and
+    P[i0] = sum_(t<T) w_t (S_t[i0 mod p^t] - S_(t+1)[i0 mod p^(t+1)]),
+
+        D^alpha f(i0) = c_alpha ((P[i0] - f(i0) C) p^(-K) - f(i0) tail),
+
+    which costs O(N) for the whole table instead of O(N^2) cell pairs: the
+    S_t are built bottom up and the P top down, with c_alpha p^(-K) folded
+    into the weights, and a cell then costs one product.  The sum is exact
+    when alpha is a half-integral Rational and every cell value is exact,
+    and floating otherwise; only the constants and the cell values differ
+    between the two.
     """
     _check_kernel_alpha(alpha)
     p = f.prime
@@ -385,40 +398,13 @@ def _kernel_rows(alpha, f: LocallyConstantFn, cap: int):
             step.append(paths[q] + w * d if d else paths[q])
         paths = step
 
-    def row(i0):
-        v0 = sums[depth].get(i0)
-        return paths[i0] if v0 is None else paths[i0] - v0 * own
-
-    return reps, row
-
-
-def vladimirov_kernel_apply(alpha, f: LocallyConstantFn,
-                            cap: int = DEFAULT_CELL_CAP) -> LocallyConstantFn:
-    """D^alpha f on f's cell grid via the difference-kernel integral.
-
-    The integrand is cellwise constant away from the evaluation cell, the
-    evaluation cell itself contributes nothing, and the tail beyond the
-    support ball is the closed-form geometric sum
-    -f(x) (1-1/p) p^(-(M+1) alpha) / (1 - p^(-alpha)).  The kernel depends
-    on x - y only through |x - y|_p, so the cell sum needs only the class
-    sums S_t[r] of f over the cells i = r mod p^t (cell i is i * p^(-M),
-    N = p^(M+K) cells, T = M + K).  With w_t = p^((1+alpha)(t-M)),
-    C = sum_(t<T) w_t (N/p^t - N/p^(t+1)) and
-    P[i0] = sum_(t<T) w_t (S_t[i0 mod p^t] - S_(t+1)[i0 mod p^(t+1)]),
-
-        D^alpha f(i0) = c_alpha ((P[i0] - f(i0) C) p^(-K) - f(i0) tail),
-
-    which costs O(N) for the whole table instead of O(N^2) cell pairs.
-    With half-integral alpha and an exact table the whole computation stays
-    exact.
-    """
-    reps, row = _kernel_rows(alpha, f, cap)
-    out = {}
+    values, out = sums[depth], {}
     for i0, r0 in enumerate(reps):
-        value = row(i0)
+        v0 = values.get(i0)
+        value = paths[i0] if v0 is None else paths[i0] - v0 * own
         if value:
             out[r0] = value
-    return LocallyConstantFn(f.prime, f.support_exponent, f.resolution, out)
+    return LocallyConstantFn(p, m_exp, res, out)
 
 
 def translation_kernel_residual(alpha, f: LocallyConstantFn, shift) -> LocallyConstantFn:

@@ -8,6 +8,9 @@ tolerance; tolerances appear only where a criterion names one.
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
+
+import pytest
 
 from padic_wavelets.exact import Cyc, amp_equal
 from padic_wavelets.functions import (
@@ -41,6 +44,8 @@ from padic_wavelets.wavelets import (
     materialize,
 )
 
+import conftest
+from conftest import WALL_CLOCK_BUDGET
 from oracles import (
     closed_form_label_translated,
     closed_form_scaled,
@@ -303,5 +308,20 @@ def test_c12_dilatation_identity():
 
 def test_c13_wall_clock(session_start):
     elapsed = time.monotonic() - session_start
-    assert elapsed < 60.0, f"suite has been running {elapsed:.1f} s"
+    assert elapsed < WALL_CLOCK_BUDGET, f"suite has been running {elapsed:.1f} s"
     report(13, f"suite wall-clock within budget so far ({elapsed:.1f} s < 60 s)")
+
+
+def _finished_session(monkeypatch, elapsed):
+    """The exit status that `pytest_sessionfinish` leaves on a passing
+    session that started `elapsed` seconds ago."""
+    monkeypatch.setattr(conftest, "SESSION_START", time.monotonic() - elapsed)
+    session = SimpleNamespace(exitstatus=pytest.ExitCode.OK)
+    conftest.pytest_sessionfinish(session)
+    return session.exitstatus
+
+
+def test_c13_bounds_the_whole_session(monkeypatch):
+    # the bound holds at the session's end, not only when C13 runs
+    assert _finished_session(monkeypatch, 61.0) == pytest.ExitCode.TESTS_FAILED
+    assert _finished_session(monkeypatch, 1.0) == pytest.ExitCode.OK

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from padic_wavelets import cli, functions, wavelets
+from padic_wavelets import cli, functions, haar, wavelets
 from padic_wavelets.cli import fmt, main, parse_index, parse_window, to_json
 from padic_wavelets.errors import OutputRangeError
+from padic_wavelets.exact import Cyc
 from padic_wavelets.functions import LocallyConstantFn, fn_from_json, fn_equal, fn_to_json
 from padic_wavelets.wavelets import KozyrevIndex, Window, analyze, materialize
 
@@ -858,6 +859,55 @@ def test_check_algebra_stdout_is_golden(capsys, case):
     # stdout recorded from the per-basis-vector relation walk
     code, out, _ = run(capsys, case["argv"])
     assert (code, out) == (case["exit"], case["stdout"])
+
+
+MONNA_GOLDEN = json.loads((Path(__file__).parent / "check_monna_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", MONNA_GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_check_monna_stdout_is_golden(capsys, case):
+    code, out, _ = run(capsys, case["argv"])
+    assert (code, out) == (case["exit"], case["stdout"])
+
+
+# each family broken at one place, and the first label where it shows
+@pytest.mark.parametrize("name, broken, where", [
+    ("pushforward_phase", lambda fn: lambda p, idx: -fn(p, idx),
+     "monna:pushforward violated at KozyrevIndex(n=-3, m_digits=(), j=1)"),
+    # the translate loses its last digit, so two labels share a Haar label
+    ("haar_index_for", lambda fn: lambda p, idx: haar.HaarIndex(-idx.n, fn(p, idx).translate // p),
+     "monna:labels violated at KozyrevIndex(n=-3, m_digits=(1,), j=1)"),
+    # one label fewer at each scale leaves a Haar label unreached
+    ("enumerate_m_digits", lambda fn: lambda p, depth: fn(p, depth)[:-1],
+     "monna:labels violated at HaarIndex(level=3, translate=26, convention='orthonormal')"),
+    # the p^(L/2) normalization dropped
+    ("monomial_coefficient",
+     lambda fn: lambda p, d, idx: fn(p, d, idx) * Cyc.half_power(p, -idx.level),
+     "monna:monomial violated at (1, HaarIndex(level=0, translate=0, convention='orthonormal'))"),
+    # a wavelet scaled by a wrong constant
+    ("materialize", lambda fn: lambda p, idx: fn(p, idx).scaled(Cyc.half_power(p, 1)),
+     "monna:modulus violated at KozyrevIndex(n=-3, m_digits=(), j=1)"),
+], ids=["pushforward", "labels-injective", "labels-onto", "monomial", "modulus"])
+def test_check_monna_names_the_failing_family_and_label(capsys, monkeypatch, name, broken, where):
+    monkeypatch.setattr(haar, name, broken(getattr(haar, name)))
+    code, out, err = run(capsys, ["--prime", "3", "--window", "-3:0:3", "check", "monna"])
+    assert (code, out, err) == (2, "", f"check failed: {where}\n")
+
+
+def test_check_monna_respects_the_cap(capsys):
+    # the pushforward at scale -3 enumerates 3^4 cells
+    code, out, err = run(capsys, ["--prime", "3", "--window", "-3:0:3", "--cap", "80",
+                                  "check", "monna"])
+    assert (code, out) == (3, "")
+    assert err.startswith("resource cap:")
+    assert run(capsys, ["--prime", "3", "--window", "-3:0:3", "--cap", "81",
+                        "check", "monna"])[0] == 0
+
+
+def test_check_monna_takes_no_option(capsys):
+    code, out, _ = run(capsys, ["check", "monna", "--help"])
+    assert code == 0
+    assert [line.split()[0] for line in out.split("Options:")[1].splitlines() if line] == ["--help"]
 
 
 # -- real side ---------------------------------------------------------------------

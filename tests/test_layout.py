@@ -2,10 +2,9 @@
 
 Every module-level function and class in `src/padic_wavelets`, and every
 method of such a class, must be reached from a non-test caller: a function
-of `cli.py`, a `module.name` attribute reference in `perfbench/*.py`, or a
-name that `scripts/*.py` imports from the package.  Reference oracles and
-identity checks that only tests call live in `tests/oracles.py` or in the
-test module that uses them.
+of `cli.py`, or a `module.name` attribute reference or package import in
+`perfbench/*.py`.  Reference oracles and identity checks that only tests
+call live in `tests/oracles.py` or in the test module that uses them.
 
 A reached class brings its class-level statements and its dunder methods
 with it, since operators, constructors and the interpreter call dunders
@@ -126,19 +125,13 @@ def _roots(src: Path) -> set:
                 names.add(node.attr)
             elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith(PACKAGE):
                 names.update(a.name for a in node.names)
-    # names the scripts import from the package
-    for path in sorted((ROOT / "scripts").glob("*.py")):
-        for node in ast.walk(_parse(path)):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith(PACKAGE):
-                names.update(a.name for a in node.names)
     return names
 
 
 def _aliases(src: Path) -> dict:
-    """`import name as alias` in src/, perfbench/ and scripts/: alias -> names."""
+    """`import name as alias` in src/ and perfbench/: alias -> names."""
     out = {}
-    paths = [*src.glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
-             *(ROOT / "scripts").glob("*.py")]
+    paths = [*src.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
     for path in paths:
         for node in ast.walk(_parse(path)):
             if isinstance(node, ast.ImportFrom):

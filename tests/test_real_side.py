@@ -11,16 +11,16 @@ from padic_wavelets.haar import (
     RealStepFn,
     haar_index_for,
     haar_step,
+    monna_instances,
     monna_pushforward,
     monomial_coefficient,
     monomial_coefficient_quadrature,
     pushforward_phase,
-    rho_exponent,
     scaling_constant,
     step_equal,
     step_monomial_integral,
 )
-from padic_wavelets.wavelets import KozyrevIndex, enumerate_m_digits
+from padic_wavelets.wavelets import KozyrevIndex, Window, enumerate_m_digits, materialize
 
 from oracles import (
     dilate_arg,
@@ -274,21 +274,33 @@ def test_pushforward_phase_trivial_for_zero_m():
         assert pushforward_phase(p, KozyrevIndex(0, (), 1)) == 1
 
 
-# -- the exponent map -----------------------------------------------------------------
+# -- the correspondence as one exact suite ---------------------------------------------
 
 
 @pytest.mark.parametrize("p", (2, 3))
-def test_rho_exponent_is_n_minus_one(p):
+def test_wavelet_modulus_is_exact(p):
+    # |psi|^2 = p^(-n) on every cell, whatever m and j, supported in Z_p or not
     for n in (-2, -1, 0, 1, 3):
         for m in ((), (1,)):
             for j in range(1, p):
-                assert rho_exponent(p, KozyrevIndex(n, m, j)) == n - 1
+                cells = materialize(p, KozyrevIndex(n, m, j)).table.values()
+                assert cells and all(v * conj(v) == Fraction(p) ** -n for v in cells)
 
 
-def test_rho_exponent_examples():
-    # max|psi| = 1 at n=0 gives -1; max|psi| = p^(-1/2) at n=1 gives 0
-    assert rho_exponent(2, KozyrevIndex(0)) == -1
-    assert rho_exponent(2, KozyrevIndex(1)) == 0
+@pytest.mark.parametrize("p", (2, 3))
+def test_monna_instances_cover_the_pushforward_table(p):
+    # every row of the pushforward table down to scale -2 (label, Haar
+    # label, phase, maximum modulus) and the degree-2 monomial ratio across
+    # levels 0 -> 1 -> 2 -> 3 is a passing instance over -3:0:3
+    instances = list(monna_instances(p, Window(-3, 0, 3)))
+    assert all(passed for _, _, passed in instances)
+    labels = {(family, label) for family, label, _ in instances}
+    for n in range(-2, 1):
+        for m in enumerate_m_digits(p, -n):
+            idx = KozyrevIndex(n, m, 1)
+            assert {("labels", idx), ("modulus", idx), ("pushforward", idx)} <= labels
+    for level in range(3):
+        assert ("monomial", (2, HaarIndex(level, 0))) in labels
 
 
 # -- step function plumbing -----------------------------------------------------------
