@@ -57,7 +57,6 @@ from .operators import (
     semigroup_results,
     sl2_results,
     translation_kernel_residual,
-    translation_spectral_results,
     witt_results,
 )
 from .padic import frac_valp, from_rational, is_prime
@@ -450,17 +449,13 @@ def check_algebra(config: RunConfig, relations, alphas):
     if "semigroup" in wanted:
         pairs = [(a1, a2) for a1 in exact_alphas for a2 in exact_alphas]
         results += semigroup_results(p, window, pairs)
-    if "translation" in wanted:
-        shift = Fraction(1, p)
-        results += translation_spectral_results(p, window, shift, exact_alphas)
-        rng = random.Random(config.seed)
-        fn = _random_function(p, rng)
-        # the kernel form of D^alpha is defined for alpha > 0 only
-        for alpha in (a for a in alphas if a > 0):
-            residual = translation_kernel_residual(alpha, fn, shift)
-            worst = max(
-                (abs(complex(v)) for v in residual.table.values()), default=0.0
-            )
+    # the kernel form of D^alpha is defined for alpha > 0 only
+    kernel_alphas = [a for a in alphas if a > 0] if "translation" in wanted else []
+    if kernel_alphas:
+        fn = _random_function(p, random.Random(config.seed), config.cap)
+        for alpha in kernel_alphas:
+            residual = translation_kernel_residual(alpha, fn, Fraction(1, p))
+            worst = max((abs(complex(v)) for v in residual.values()), default=0.0)
             results.append(RelationResult(
                 "translation:kernel", KozyrevIndex(0), alpha, worst, False))
 
@@ -510,9 +505,12 @@ def _exactify(a: float):
     return exact if is_half_integral(exact) else a
 
 
-def _random_function(p: int, rng: random.Random) -> LocallyConstantFn:
+def _random_function(p: int, rng: random.Random, cap: int) -> LocallyConstantFn:
+    """A random complex float table on the p^3 cells of |x| <= p at
+    resolution 2, checked against the cap before any cell is built."""
     fn_table = {}
     support, res = 1, 2
+    _check_cap(p, support + res, cap)
     for i in range(p ** (support + res)):
         if rng.random() < 0.5:
             fn_table[Fraction(i, p**support)] = complex(

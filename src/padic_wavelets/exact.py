@@ -634,9 +634,12 @@ def p_power_amp(p: int, exponent):
     """p**exponent: exact `Cyc` for half-integer exponents, float otherwise."""
     if is_half_integral(exponent):
         return Cyc.half_power(p, int(2 * Fraction(exponent)))
-    if isinstance(exponent, complex):
-        import cmath
-        import math
+    try:
+        if isinstance(exponent, complex):
+            import cmath
+            import math
 
-        return cmath.exp(exponent * math.log(p))
-    return float(p) ** float(exponent)
+            return cmath.exp(exponent * math.log(p))
+        return float(p) ** float(exponent)
+    except OverflowError:
+        raise FloatRangeError(f"float power {p}^{exponent} lies beyond the float range") from None

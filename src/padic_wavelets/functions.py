@@ -137,36 +137,6 @@ class LocallyConstantFn:
             raise InvalidInputError("cannot shrink the declared support ball")
         return LocallyConstantFn(self.prime, support_exponent, self.resolution, dict(self.table))
 
-    def scaled(self, factor) -> "LocallyConstantFn":
-        if isinstance(factor, int):
-            factor = Fraction(factor)
-        return LocallyConstantFn(
-            self.prime,
-            self.support_exponent,
-            self.resolution,
-            {r: v * factor for r, v in self.table.items()},
-        )
-
-    def __add__(self, other: "LocallyConstantFn") -> "LocallyConstantFn":
-        if not isinstance(other, LocallyConstantFn):
-            return NotImplemented
-        if other.prime != self.prime:
-            raise PrimeMismatchError("functions over different primes")
-        res = max(self.resolution, other.resolution)
-        f = self.refine_to(res)
-        g = other.refine_to(res)
-        table = dict(f.table)
-        add_cells(table, g.table.items())
-        return LocallyConstantFn(
-            self.prime,
-            max(self.support_exponent, other.support_exponent),
-            res,
-            table,
-        )
-
-    def __sub__(self, other: "LocallyConstantFn") -> "LocallyConstantFn":
-        return self + other.scaled(Fraction(-1))
-
 
 def add_cells(table: dict, cells) -> None:
     """Add the (cell, value) pairs `cells` into `table` in place, in their

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UnsupportedCaseError
+from .errors import FloatRangeError, UnsupportedCaseError
 from .exact import Cyc, is_half_integral, p_power_amp
 from .functions import (
     DEFAULT_CELL_CAP,
@@ -32,7 +32,7 @@ from .functions import (
     translate,
 )
 from .padic import frac_valp
-from .wavelets import KozyrevIndex, Window, enumerate_m_digits, label_translate
+from .wavelets import KozyrevIndex, Window, enumerate_m_digits
 
 
 @dataclass(frozen=True)
@@ -153,17 +153,6 @@ class RelationResult:
         return self.residual == 0.0 if self.exact else self.residual <= tol * self.scale
 
 
-def _scale_labels(p: int, window: Window, n: int) -> list[KozyrevIndex]:
-    return [KozyrevIndex(n, m, j)
-            for m in enumerate_m_digits(p, window.m_depth) for j in range(1, p)]
-
-
-def _for_labels(results, labels) -> list[RelationResult]:
-    """`results` reported again for each label, label by label."""
-    return [RelationResult(r.relation, idx, r.alpha, r.residual, r.exact, r.scale)
-            for idx in labels for r in results]
-
-
 class _ScaleWalk:
     """One `*_results` call over the interior scales.  Every side maps
     psi_(n,m,j) to c(n) psi_(n+s,m,j), so it is one scalar per scale, and a
@@ -184,8 +173,13 @@ class _ScaleWalk:
         for n in interior_scales(self.window, *ops):
             labels = self.labels.get(n)
             if labels is None:
-                labels = self.labels[n] = _scale_labels(self.p, self.window, n)
-            out += _for_labels(evaluate(n), labels)
+                labels = self.labels[n] = [
+                    KozyrevIndex(n, m, j)
+                    for m in enumerate_m_digits(self.p, self.window.m_depth)
+                    for j in range(1, self.p)]
+            results = evaluate(n)
+            out += [RelationResult(r.relation, idx, r.alpha, r.residual, r.exact, r.scale)
+                    for idx in labels for r in results]
         return out
 
     def check(self, relation, alpha, sides, n: int, exact: bool) -> RelationResult:
@@ -226,7 +220,7 @@ def relation_names(family: str, k_range: int = 3) -> list[str]:
         "deformed": ["deformed:s=+1", "deformed:s=-1", "commutator:[D^a,J+1]",
                      "commutator:[D^a,J-1]", "commutator:[D^a,logD]"],
         "semigroup": ["semigroup"],
-        "translation": ["translation:spectral"],
+        "translation": ["translation:kernel"],
     }[family]
 
 
@@ -294,27 +288,6 @@ def semigroup_results(p: int, window: Window, alpha_pairs) -> list[RelationResul
     return out
 
 
-def translation_spectral_results(p: int, window: Window, shift: Fraction,
-                                 alphas) -> list[RelationResult]:
-    """D^a (label-translate) - (label-translate) D^a on the basis vectors
-    whose translated label stays inside the window.  A label translation
-    keeps n and the coefficient, so both sides are D^a on psi_n, and one
-    evaluation per scale gives the residual of all its labels."""
-    b = Fraction(shift)
-    inside = [[idx for idx in _scale_labels(p, window, n)
-               if window.contains(label_translate(idx, b, p))]
-              for n in interior_scales(window)]
-    walk = _ScaleWalk(p, window)
-    out = []
-    for alpha in alphas:
-        exact = is_half_integral(alpha)
-        side = vladimirov(alpha)
-        for labels in filter(None, inside):
-            out += _for_labels([walk.check(
-                "translation:spectral", alpha, [side, side], labels[0].n, exact)], labels)
-    return out
-
-
 # -- kernel form of the Vladimirov derivative ---------------------------------
 
 
@@ -372,9 +345,13 @@ def vladimirov_kernel_apply(alpha, f: LocallyConstantFn,
     else:
         a = float(alpha)
         pa = float(p)
-        c_alpha = (1.0 - pa**a) / (1.0 - pa ** (-1.0 - a))
-        tail = (1.0 - 1.0 / pa) * pa ** (-(m_exp + 1) * a) / (1.0 - pa**-a)
-        measure = pa**-res
+        try:
+            c_alpha = (1.0 - pa**a) / (1.0 - pa ** (-1.0 - a))
+            tail = (1.0 - 1.0 / pa) * pa ** (-(m_exp + 1) * a) / (1.0 - pa**-a)
+            measure = pa**-res
+        except OverflowError:
+            raise FloatRangeError(
+                f"a float power of {p} for alpha = {alpha} lies beyond the float range") from None
         zero = 0j
         table = {r: complex(v) for r, v in f.table.items()}
     depth, cells = m_exp + res, len(reps)
@@ -407,15 +384,16 @@ def vladimirov_kernel_apply(alpha, f: LocallyConstantFn,
     return LocallyConstantFn(p, m_exp, res, out)
 
 
-def translation_kernel_residual(alpha, f: LocallyConstantFn, shift) -> LocallyConstantFn:
-    """D^alpha(translate f) - translate(D^alpha f) on the common ball."""
-    p = f.prime
+def translation_kernel_residual(alpha, f: LocallyConstantFn, shift) -> dict:
+    """D^alpha(translate f) - translate(D^alpha f) as a table: both sides
+    lie on the same ball and grid, so they are subtracted cell by cell and
+    zero cells are dropped."""
     b = Fraction(shift)
     support = f.support_exponent
     if b != 0:
-        support = max(support, -frac_valp(b, p))
+        support = max(support, -frac_valp(b, f.prime))
     base = f.with_support(support)
-    lhs = vladimirov_kernel_apply(alpha, translate(base, b))
-    rhs = translate(vladimirov_kernel_apply(alpha, base), b)
-    return lhs - rhs
-
+    lhs = vladimirov_kernel_apply(alpha, translate(base, b)).table
+    rhs = translate(vladimirov_kernel_apply(alpha, base), b).table
+    diff = ((r, lhs.get(r, 0) - rhs.get(r, 0)) for r in {**lhs, **rhs})
+    return {r: v for r, v in diff if v}

@@ -41,7 +41,6 @@ from .padic import (
     digits_to_int,
     frac_valp,
     int_to_digits,
-    rational_character_phase,
     valp,
 )
 
@@ -79,17 +78,6 @@ def validate_index(p: int, idx: KozyrevIndex) -> KozyrevIndex:
     if any(not 0 <= d < p for d in idx.m_digits):
         raise InvalidInputError("m digits must lie in [0, p-1]")
     return idx
-
-
-def fractional_digits(q: Fraction, p: int) -> tuple:
-    """Digits (m_1, ..., m_t) of the p-adic fractional part of a rational."""
-    phase = rational_character_phase(q, p)
-    return int_to_digits(phase.numerator, p, valp(phase.denominator, p))[::-1]
-
-
-def label_translate(idx: KozyrevIndex, b: Fraction, p: int) -> KozyrevIndex:
-    """Translation acting on labels: m -> m + b mod Z_p, scale untouched."""
-    return KozyrevIndex(idx.n, fractional_digits(m_value(idx, p) + b, p), idx.j)
 
 
 @dataclass(frozen=True)

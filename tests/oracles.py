@@ -9,7 +9,7 @@ window; it is the reference for `operators.WeightedShift`, which maps
 psi_(n,m,j) to c(n) psi_(n+s,m,j) in one step.
 
 The `*_by_label` functions are the per-basis-vector relation walk of the
-five `operators.*_results` families: every relation is evaluated afresh on
+four `operators.*_results` families: every relation is evaluated afresh on
 each interior basis vector psi_(n, m, j), with no use of the fact that the
 operators never read m or j.  Their sides are expansions built by
 `apply_operator` from these words and are subtracted coefficient by
@@ -45,10 +45,12 @@ The `closed_form_*` constructors build the scaled and translated wavelets
 straight from their printed case tables, independently of `evaluate`,
 `materialize` and `translate`.  `scale_arg`, `indicator_fn` and
 `support_measure` are the small function-space helpers those comparisons
-use.  `verify_lowering`, `verify_scaling_generator` and `verify_dilatation`
-check the derivative and dilatation identities of the Haar wavelets on
-[0, 1] through jump sums, and `log_limit_residual_norm` measures how
-(D^a - 1)/(a ln p) tends to log_p D.
+use, and `scaled`, `add` and `subtract` the cellwise table arithmetic of
+the sums and differences the tests build.  `verify_lowering`,
+`verify_scaling_generator` and `verify_dilatation` check the derivative
+and dilatation identities of the Haar wavelets on [0, 1] through jump
+sums, and `log_limit_residual_norm` measures how (D^a - 1)/(a ln p) tends
+to log_p D.
 """
 
 from __future__ import annotations
@@ -59,11 +61,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from padic_wavelets.errors import InvalidInputError, UnsupportedCaseError, WindowClipError
+from padic_wavelets.errors import (
+    InvalidInputError,
+    PrimeMismatchError,
+    UnsupportedCaseError,
+    WindowClipError,
+)
 from padic_wavelets.exact import Cyc, amp_equal, is_half_integral, p_power_amp
 from padic_wavelets.functions import (
     DEFAULT_CELL_CAP,
     LocallyConstantFn,
+    add_cells,
     ball_reps,
     cell_index,
     character_amp,
@@ -85,7 +93,6 @@ from padic_wavelets.wavelets import (
     WaveletExpansion,
     Window,
     enumerate_m_digits,
-    label_translate,
     m_value,
     synthesize,
     validate_index,
@@ -236,17 +243,6 @@ def _deformed(alpha, step, e) -> list:
             WaveletExpansion(p, e.window, {i: c * minus for i, c in rhs.coefficients.items()})]
 
 
-def _translate(e: WaveletExpansion, b) -> WaveletExpansion:
-    p = e.prime
-    coeffs = {}
-    for idx, c in e.coefficients.items():
-        target = label_translate(idx, b, p)
-        if not e.window.contains(target):
-            raise WindowClipError(target)
-        coeffs[target] = coeffs.get(target, Cyc.zero(p)) + c
-    return WaveletExpansion(p, e.window, coeffs)
-
-
 def _interior_basis(p, window, *ops):
     """Labels from which no prefix of any word leaves the window's scales."""
     lo = hi = 0
@@ -327,23 +323,6 @@ def semigroup_by_label(p, window, alpha_pairs):
             lhs = apply_operator(vladimirov_word(a1), apply_operator(vladimirov_word(a2), e))
             rhs = apply_operator(vladimirov_word(a1 + a2), e)
             out.append(_residual("semigroup", idx, (a1, a2), [lhs, rhs], exact))
-    return out
-
-
-def translation_spectral_by_label(p, window, shift, alphas):
-    out = []
-    b = Fraction(shift)
-    for alpha in alphas:
-        exact = is_half_integral(alpha)
-        dal = vladimirov_word(alpha)
-        for idx in _interior_basis(p, window):
-            e = basis_vector(p, window, idx)
-            try:
-                lhs = apply_operator(dal, _translate(e, b))
-                rhs = _translate(apply_operator(dal, e), b)
-            except WindowClipError:
-                continue
-            out.append(_residual("translation:spectral", idx, alpha, [lhs, rhs], exact))
     return out
 
 
@@ -482,7 +461,7 @@ def residual_by_synthesis(f: LocallyConstantFn, expansion: WaveletExpansion,
     p^(S + 1 - n_min), S the support of the rebuilt table, not with f."""
     resolution = max(f.resolution, 1 - expansion.window.n_min)
     rebuilt = synthesize(expansion, resolution=resolution, cap=cap)
-    residual = f - rebuilt
+    residual = subtract(f, rebuilt)
     return inner_product(residual, residual)
 
 
@@ -559,13 +538,13 @@ def closed_form_scaled_translated(p: int, n: int, m0: int, j: int = 1,
             "use closed_form_label_translated for the label-translated wavelet"
         )
     if n >= 1:
-        scaled = closed_form_scaled(p, n, j)
+        wavelet = closed_form_scaled(p, n, j)
         if n >= 2:
-            return scaled
+            return wavelet
         # n = 1: global phase w_p^(-j m0) on every case
         phase = character_amp(p, Fraction(-j * m0, p))
-        table = {rep: v * phase for rep, v in scaled.table.items()}
-        return LocallyConstantFn(p, scaled.support_exponent, scaled.resolution, table)
+        table = {rep: v * phase for rep, v in wavelet.table.items()}
+        return LocallyConstantFn(p, wavelet.support_exponent, wavelet.resolution, table)
 
     # n < 0: need the integer digits of b up to exponent |n|
     size = -n + 1
@@ -586,6 +565,30 @@ def closed_form_scaled_translated(p: int, n: int, m0: int, j: int = 1,
 
 
 # -- function-space helpers ---------------------------------------------------
+
+
+def scaled(f: LocallyConstantFn, factor) -> LocallyConstantFn:
+    """f times `factor` cell by cell; an int factor enters as a `Fraction`."""
+    if isinstance(factor, int):
+        factor = Fraction(factor)
+    return LocallyConstantFn(f.prime, f.support_exponent, f.resolution,
+                             {r: v * factor for r, v in f.table.items()})
+
+
+def add(f: LocallyConstantFn, g: LocallyConstantFn) -> LocallyConstantFn:
+    """f + g on the larger ball at the finer resolution, g's cells added
+    into f's in g's order; a cell whose sum is zero is dropped."""
+    if f.prime != g.prime:
+        raise PrimeMismatchError("functions over different primes")
+    res = max(f.resolution, g.resolution)
+    table = dict(f.refine_to(res).table)
+    add_cells(table, g.refine_to(res).table.items())
+    return LocallyConstantFn(f.prime, max(f.support_exponent, g.support_exponent), res, table)
+
+
+def subtract(f: LocallyConstantFn, g: LocallyConstantFn) -> LocallyConstantFn:
+    """f + (-1) g, through `add` and `scaled`."""
+    return add(f, scaled(g, -1))
 
 
 def indicator_fn(p: int, ball_exponent: int = 0) -> LocallyConstantFn:

@@ -1,5 +1,6 @@
 """Exit codes, determinism and file round trips of the command line."""
 
+import dataclasses
 import io
 import json
 import math
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from padic_wavelets import cli, functions, haar, wavelets
+from padic_wavelets import cli, functions, haar, operators, wavelets
 from padic_wavelets.cli import fmt, main, parse_index, parse_window, to_json
 from padic_wavelets.errors import OutputRangeError
 from padic_wavelets.exact import Cyc
@@ -609,8 +610,8 @@ def test_analyze_window_finer_than_the_table(capsys, tmp_path):
 
 
 def test_analyze_builds_no_table_larger_than_its_input(capsys, tmp_path, monkeypatch):
-    # a work count: no synthesis, subtraction or inner product, and every
-    # table built while the command runs has at most the input's cells
+    # a work count: no synthesis or inner product, and every table built
+    # while the command runs has at most the input's cells
     calls, sizes = [], []
 
     def counted(name, fn):
@@ -623,8 +624,6 @@ def test_analyze_builds_no_table_larger_than_its_input(capsys, tmp_path, monkeyp
     monkeypatch.setattr(cli, "synthesize_fn", counted("synthesize", cli.synthesize_fn))
     monkeypatch.setattr(functions, "inner_product",
                         counted("inner_product", functions.inner_product))
-    monkeypatch.setattr(LocallyConstantFn, "__sub__",
-                        counted("__sub__", LocallyConstantFn.__sub__))
     post_init = LocallyConstantFn.__post_init__
 
     def sized(self):
@@ -685,7 +684,7 @@ def test_check_algebra_evaluates_each_side_as_a_scalar(capsys, monkeypatch):
     power = operators.p_power_amp
     monkeypatch.setattr(operators, "p_power_amp",
                         lambda p, x: powers.append(x) or power(p, x))
-    for family in ("sl2", "witt", "deformed", "semigroup", "translation_spectral"):
+    for family in ("sl2", "witt", "deformed", "semigroup"):
         checker = getattr(cli, f"{family}_results")
 
         def counted(*args, checker=checker, family=family, **kwargs):
@@ -702,8 +701,8 @@ def test_check_algebra_evaluates_each_side_as_a_scalar(capsys, monkeypatch):
                                   "--relation", "all", "--alpha", "0.5", "--alpha", "1",
                                   "--alpha", "0.3"])
     assert (code, err) == (0, "")
-    assert out.splitlines()[-1] == "all 2217 relation instances passed"
-    assert [count for count, _ in seen.values()] == [0] * 5
+    assert out.splitlines()[-1] == "all 2091 relation instances passed"
+    assert [count for count, _ in seen.values()] == [0] * 4
     alphas = [Fraction(1, 2), Fraction(1), 0.3]
     sums = {(type(a1 + a2), a1 + a2) for a1 in alphas for a2 in alphas}
     scales = 7
@@ -711,7 +710,6 @@ def test_check_algebra_evaluates_each_side_as_a_scalar(capsys, monkeypatch):
     # plus p^(s a/2), p^(-s a/2) and p^(s a) once per (a, s)
     assert seen["deformed"][1] <= scales * len(alphas) + 3 * 2 * len(alphas)
     assert seen["semigroup"][1] <= scales * len(sums | {(type(a), a) for a in alphas})
-    assert seen["translation_spectral"][1] <= scales * len(alphas)
     assert cycs_seen["sl2"] == cycs_seen["witt"] == 0
     # p^(a(1-n)) at a = 1/2 is a Cyc: the count is live
     assert cycs_seen["deformed"] > 0
@@ -730,7 +728,7 @@ def test_corrupted_word_is_exit_two(capsys, monkeypatch):
         sides = operators._commutator_sides(
             ell_op(+1), ell_op(-1), scalar_op(Fraction(3)) @ ell_op(0))
         bad = walk.check("sl2:corrupted", None, sides, 0, True)
-        return sl2_results(p, window) + operators._for_labels([bad], [KozyrevIndex(0)])
+        return sl2_results(p, window) + [dataclasses.replace(bad, index=KozyrevIndex(0))]
 
     monkeypatch.setattr(cli, "sl2_results", corrupted)
     code, _, err = run(
@@ -821,13 +819,13 @@ def test_relation_off_at_one_scale_names_that_scales_first_label(capsys, monkeyp
 
 
 def test_negative_alpha_skips_only_the_kernel_relation(capsys):
-    # the kernel form of D^alpha needs alpha > 0; the spectral relations run
-    # for every alpha
+    # the kernel form of D^alpha needs alpha > 0, so it has no instance here;
+    # the spectral relations run for every alpha
     code, out, err = run(
         capsys, ["--prime", "3", "--window", "-1:1:1", "check", "algebra", "--alpha", "-1.5"])
     assert (code, err) == (0, "")
-    assert "translation:kernel" not in out
-    assert "translation:spectral: max residual 0\n" in out
+    assert "translation:kernel: 0 instances\n" in out
+    assert "semigroup: max residual 0\n" in out
     assert out.endswith("relation instances passed\n")
     code, out, err = run(
         capsys, ["--prime", "3", "--window", "-1:1:1", "check", "algebra", "--relation",
@@ -837,18 +835,77 @@ def test_negative_alpha_skips_only_the_kernel_relation(capsys):
 
 
 def test_check_algebra_names_relations_without_instances(capsys):
-    # at m-depth 0 the shift 1/p takes every label out of the window, and 12
-    # of the 49 Witt pairs shift further than 5 scales allow
+    # 12 of the 49 Witt pairs shift further than 5 scales allow
     code, out, err = run(capsys, ["--prime", "3", "--window", "-2:2:0", "check", "algebra",
                                   "--alpha", "1", "--alpha", "2.5"])
     assert (code, err) == (0, "")
     lines = out.splitlines()
     assert lines[-1] == "all 310 relation instances passed"
-    assert len(lines) == 61
-    assert sum(line.endswith(": 0 instances") for line in lines) == 13
-    assert "translation:spectral: 0 instances" in lines
+    assert len(lines) == 60
+    assert sum(line.endswith(": 0 instances") for line in lines) == 12
     assert "witt:[l2,l3]: 0 instances" in lines
     assert sum(line.startswith("witt:") for line in lines) == 49
+
+
+def _relation_name_mismatch(capsys) -> list:
+    """The names that `check algebra` prints on a window holding an instance
+    of every relation, against the union of `relation_names` over the
+    families: each name missing on one side, and every `0 instances` line."""
+    code, out, err = run(capsys, ["--prime", "3", "--window", "-6:6:1", "check", "algebra",
+                                  "--alpha", "1"])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()[:-1]
+    printed = {line.split(": ")[0] for line in lines}
+    named = {name for family in cli._RELATIONS for name in operators.relation_names(family)}
+    return sorted(printed ^ named) + [line for line in lines if line.endswith(": 0 instances")]
+
+
+def test_relation_names_are_the_names_the_families_emit(capsys):
+    assert _relation_name_mismatch(capsys) == []
+
+
+def test_a_misspelled_relation_name_is_caught(capsys, monkeypatch):
+    # negative control: the semigroup family emits a name that
+    # `relation_names` does not list
+    semigroup = cli.semigroup_results
+
+    def misspelled(*args):
+        return [dataclasses.replace(r, relation="semigrup") for r in semigroup(*args)]
+
+    monkeypatch.setattr(cli, "semigroup_results", misspelled)
+    assert _relation_name_mismatch(capsys) == ["semigrup", "semigroup: 0 instances"]
+
+
+def test_check_algebra_kernel_relation_respects_the_cap(capsys):
+    # the translation kernel enumerates the 3^3 cells of its random table
+    args = ["--window", "0:0:0", "check", "algebra", "--relation"]
+    code, out, err = run(capsys, ["--prime", "3", "--cap", "10", *args, "translation",
+                                  "--alpha", "1"])
+    assert (code, out) == (3, "")
+    assert err == "resource cap: enumeration of 27 cells exceeds the cap of 10\n"
+    code, out, err = run(capsys, ["--prime", "3", "--cap", "27", *args, "translation",
+                                  "--alpha", "1"])
+    assert (code, err) == (0, "")
+    assert out.endswith("all 1 relation instances passed\n")
+    code, out, err = run(capsys, ["--prime", "3", "--cap", "10", *args, "sl2", "--alpha", "1"])
+    assert (code, err) == (0, "")
+    # no alpha > 0, no table: the cap is not consulted
+    code, out, err = run(capsys, ["--prime", "3", "--cap", "10", *args, "translation",
+                                  "--alpha", "-1"])
+    assert (code, err) == (0, "")
+    assert out == "translation:kernel: 0 instances\nall 0 relation instances passed\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--window", "-3:3:1", "check", "algebra", "--relation", "semigroup", "--alpha", "1000.3"],
+    ["--window", "0:0:1", "check", "algebra", "--relation", "translation", "--alpha", "1000.3"],
+], ids=["spectral", "kernel"])
+def test_float_power_beyond_the_float_range_is_exit_two(capsys, argv):
+    # 3^1000.3 has no float value: exit 2, as an exact value beyond the
+    # float range already exits
+    code, out, err = run(capsys, ["--prime", "3", *argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("numeric failure: ") and err.endswith("lies beyond the float range\n")
 
 
 GOLDEN = json.loads((Path(__file__).parent / "check_algebra_golden.json").read_text())
@@ -885,7 +942,7 @@ def test_check_monna_stdout_is_golden(capsys, case):
      lambda fn: lambda p, d, idx: fn(p, d, idx) * Cyc.half_power(p, -idx.level),
      "monna:monomial violated at (1, HaarIndex(level=0, translate=0, convention='orthonormal'))"),
     # a wavelet scaled by a wrong constant
-    ("materialize", lambda fn: lambda p, idx: fn(p, idx).scaled(Cyc.half_power(p, 1)),
+    ("materialize", lambda fn: lambda p, idx: oracles.scaled(fn(p, idx), Cyc.half_power(p, 1)),
      "monna:modulus violated at KozyrevIndex(n=-3, m_digits=(), j=1)"),
 ], ids=["pushforward", "labels-injective", "labels-onto", "monomial", "modulus"])
 def test_check_monna_names_the_failing_family_and_label(capsys, monkeypatch, name, broken, where):

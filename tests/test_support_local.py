@@ -42,7 +42,7 @@ from padic_wavelets.wavelets import (
     synthesize,
 )
 
-from oracles import enumerate_indices
+from oracles import add, enumerate_indices, scaled
 
 
 # -- the oracles ---------------------------------------------------------------
@@ -97,7 +97,7 @@ def label_by_label_analyze(f, window, cap=DEFAULT_CELL_CAP):
 
 
 def folded_synthesize(expansion, resolution=None, cap=DEFAULT_CELL_CAP):
-    """Sum the scaled wavelets with `LocallyConstantFn.__add__`."""
+    """Sum the scaled wavelets with `oracles.add`."""
     p = expansion.prime
     finest = 1 - expansion.window.n_min
     if resolution is None:
@@ -108,9 +108,8 @@ def folded_synthesize(expansion, resolution=None, cap=DEFAULT_CELL_CAP):
     )
     total = LocallyConstantFn(p, max(support, -resolution), resolution, {})
     for idx in sorted(expansion.coefficients):
-        total = total + materialize(p, idx, cap=cap).refine_to(resolution, cap).scaled(
-            expansion.coefficients[idx]
-        )
+        total = add(total, scaled(materialize(p, idx, cap=cap).refine_to(resolution, cap),
+                                  expansion.coefficients[idx]))
     return total
 
 
@@ -335,15 +334,14 @@ def test_analyze_evaluates_no_cell(evaluations, characters):
 
 def test_synthesize_builds_no_wavelet_table(evaluations, characters, monkeypatch):
     # each label adds its p child values straight into the cells: no wavelet
-    # table is built, refined or scaled, and no cell value is evaluated
+    # table is built or refined, and no cell value is evaluated
     p = 3
     rng = random.Random(11)
     table = {rep: Cyc.rational(p, rng.randint(1, 5)) for rep in ball_reps(p, 2, 2)}
     e = analyze(LocallyConstantFn(p, 2, 2, table), Window(-1, 2, 3))
     assert len(e.coefficients) == 80
     built = []
-    for owner, name in ((wavelets, "materialize"), (LocallyConstantFn, "refine_to"),
-                        (LocallyConstantFn, "scaled")):
+    for owner, name in ((wavelets, "materialize"), (LocallyConstantFn, "refine_to")):
         monkeypatch.setattr(owner, name, lambda *args, name=name, **kwargs: built.append(name))
     characters.clear()
     # two digits finer than the window's finest resolution 2, on |x| <= p^2
