@@ -485,7 +485,7 @@ def check_monna(config: RunConfig):
     supported in Z_p; exit 2 on any violation."""
     window = config.window
     if window.n_min <= 0:
-        # the pushforward at scale n enumerates p^(1-n) cells
+        # the pushforward at scale n lies on the grid of p^(1-n) cells of Z_p
         _check_cap(config.prime, 1 - window.n_min, config.cap)
     counts = dict.fromkeys(("labels", "modulus", "monomial", "pushforward"), 0)
     for family, label, passed in monna_instances(config.prime, window):

@@ -104,7 +104,12 @@ class Cyc:
 
     @classmethod
     def root_of_unity(cls, p: int, phase: RationalPhase) -> "Cyc":
-        """exp(2*pi*i*phase) for a phase whose denominator is p^t or 2*p^t."""
+        """exp(2*pi*i*phase) for a phase whose denominator is p^t or 2*p^t.
+
+        The phase is reduced, so the root is +-zeta^e, zeta = exp(2*pi*i/p^t),
+        with e prime to p when t >= 1: one basis term, or for e in the top
+        block the p-1 terms it folds into (see `_canonical`), already in
+        the canonical basis at the lowest level."""
         check_prime(p)
         k, d = phase.numerator, phase.denominator
         if k == 0:
@@ -114,16 +119,24 @@ class Cyc:
         while rest % p == 0:
             rest //= p
             t += 1
+        n = p**t
         if rest == 1:
-            return cls(p, t, {k * (p**t // d): (1, 0)})
-        if rest == 2 and p != 2:
-            # e(k / 2p^t) = (-1)^k * zeta^(k * (p^t+1)/2)
-            n = p**t
-            sign = -1 if k % 2 else 1
-            return cls(p, t, {(k * ((n + 1) // 2)) % n: (sign, 0)})
-        raise InvalidInputError(
-            f"phase {k}/{d} is not a p-power root of unity for p={p}"
-        )
+            e, sign = k, 1
+        elif rest == 2 and p != 2:
+            # e(k / 2p^t) = (-1)^k * zeta^(k * (p^t+1)/2), with k odd
+            e, sign = (k * ((n + 1) // 2)) % n, -1
+        else:
+            raise InvalidInputError(
+                f"phase {k}/{d} is not a p-power root of unity for p={p}"
+            )
+        block = n // p
+        top = n - block
+        if e < top:
+            return cls(p, t, {e: (sign, 0)}, _reduced=True)
+        if t == 1 and p == 2:
+            return cls(p, 0, {0: (-sign, 0)}, _reduced=True)
+        # zeta^((p-1)*block + r) = -sum_{i<p-1} zeta^(i*block + r)
+        return cls(p, t, {i: (-sign, 0) for i in range(e - top, top, block)}, _reduced=True)
 
     # -- predicates --------------------------------------------------------
 

@@ -452,8 +452,11 @@ def amp_from_json(p: int, obj: dict):
         if obj["mag_den"] == 0:
             raise InvalidInputError("magnitude denominator is zero")
         mag = Fraction(obj["mag_num"], obj["mag_den"])
-        phase = RationalPhase(obj["phase_num"], obj["phase_den"])
-        return Cyc.root_of_unity(p, phase) * mag
+        num, den = obj["phase_num"], obj["phase_den"]
+        if type(num) is int and type(den) is int:
+            # one root per phase, from the bounded cache of `character_amp`
+            return _char_root(p, num, den) * mag
+        return Cyc.root_of_unity(p, RationalPhase(num, den)) * mag
     return complex(obj["re"], obj["im"])
 
 

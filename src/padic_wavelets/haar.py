@@ -85,8 +85,22 @@ class RealStepFn:
 
 
 def step_equal(f: RealStepFn, g: RealStepFn) -> bool:
-    bps = sorted(set(f.breakpoints) | set(g.breakpoints))
-    return all(amp_equal(f.value_at(b), g.value_at(b)) for b in bps[:-1])
+    """Whether f = g on [0, 1): one merge walk over the two sorted
+    breakpoint tuples compares the values on every piece of the common
+    refinement, piece i of f against piece j of g where they overlap."""
+    fb, gb = f.breakpoints, g.breakpoints
+    fv, gv = f.values, g.values
+    i = j = 0
+    # both end at 1, so the walk leaves f and g at the same step
+    while i < len(fv):
+        if not amp_equal(fv[i], gv[j]):
+            return False
+        a, b = fb[i + 1], gb[j + 1]
+        if a <= b:
+            i += 1
+        if b <= a:
+            j += 1
+    return True
 
 
 def step_monomial_integral(f: RealStepFn, degree: int):
@@ -169,10 +183,12 @@ def monna_pushforward(p: int, idx: KozyrevIndex, extra_depth: int = 0) -> RealSt
     """Push a wavelet supported in Z_p through the Monna map.
 
     Each coset cell r + p^K Z_p inside Z_p maps to the interval
-    [mu(r), mu(r) + p^(-K)); the cell images partition [0, 1) and carry the
-    wavelet's cell values.  For label m != 0 the image equals the matching
-    generalized Haar wavelet times the constant chi(j*m/p) attached to the
-    coset representative (exactly 1 when m = 0)."""
+    [mu(r), mu(r) + p^(-K)); the cell images partition [0, 1).  The images
+    of the wavelet's support cells carry its values, and each gap between
+    them, the images of the cells off the support, is one piece of value 0.
+    For label m != 0 the image equals the matching generalized Haar wavelet
+    times the constant chi(j*m/p) attached to the coset representative
+    (exactly 1 when m = 0)."""
     validate_index(p, idx)
     fn = materialize(p, idx, extra_depth)
     if fn.support_exponent > 0:
@@ -180,16 +196,23 @@ def monna_pushforward(p: int, idx: KozyrevIndex, extra_depth: int = 0) -> RealSt
             f"support reaches |x| = p^{fn.support_exponent} > 1; "
             "the pushforward needs support inside Z_p"
         )
-    res = fn.resolution
-    pieces = []
-    for i in range(p**res):
-        rep = Fraction(i)
-        start = monna_rational(rep, p)
-        pieces.append((start, fn.table.get(rep, Cyc.zero(p))))
-    pieces.sort(key=lambda sv: sv[0])
-    bps = tuple(s for s, _ in pieces) + (Fraction(1),)
-    vals = tuple(v for _, v in pieces)
-    return RealStepFn(bps, vals)
+    width = Fraction(1, p**fn.resolution)
+    pieces = sorted(((monna_rational(rep, p), v) for rep, v in fn.table.items()),
+                    key=lambda sv: sv[0])
+    zero = Cyc.zero(p)
+    bps, vals = [], []
+    end = Fraction(0)
+    for start, v in pieces:
+        if start > end:
+            bps.append(end)
+            vals.append(zero)
+        bps.append(start)
+        vals.append(v)
+        end = start + width
+    if end < 1:
+        bps.append(end)
+        vals.append(zero)
+    return RealStepFn(tuple(bps) + (Fraction(1),), tuple(vals))
 
 
 def pushforward_phase(p: int, idx: KozyrevIndex) -> Cyc:

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import inf
+from math import inf, lcm
 
 from .errors import InsufficientPrecisionError, InvalidInputError, WindowClipError
-from .exact import Cyc
+from .exact import Cyc, cyc_rotated
 from .functions import (
     DEFAULT_CELL_CAP,
     LocallyConstantFn,
@@ -217,9 +217,18 @@ def analyze(f: LocallyConstantFn, window: Window,
     so with m = mu p^(-k), k = depth(m), a coefficient needs only the class
     sums s_d of f's cells i p^(-M) at i = mu p^(M-n-k) + d p^(M-n) mod
     p^(M-n+1), and is (sum_d zeta_p^(-jd) s_d) * chi(-j mu/p^(k+1)) p^(-n/2) p^(-K).
-    The labels are read off the nonzero class sums in order of n, then m by
-    depth and digits, then j; labels finer than the cells (n < 1 - K) or off
-    the ball get 0.
+    The labels are read off the class sums in order of n, then m by depth
+    and digits, then j; labels finer than the cells (n < 1 - K) or off the
+    ball get 0.
+
+    An exact table is summed as integer terms {exponent: (a, b)} of the
+    p^L-th roots of unity over one common denominator, L the highest level
+    of its values and at least 1 for p > 2, so that zeta_p is a power of
+    zeta_(p^L) (see `exact.Cyc`).  The class sums and the twiddled children
+    only merge those term dicts, which hold no more exponents than the
+    cells do, and each coefficient is normalized once, as one `Cyc`, then
+    rotated by its character (`exact.cyc_rotated`) and scaled.  A table
+    with a float value is summed as amplitudes by `class_sums`.
     """
     p = f.prime
     m_exp, res = f.support_exponent, f.resolution
@@ -230,8 +239,14 @@ def analyze(f: LocallyConstantFn, window: Window,
     n_low = max(window.n_min, 1 - res)
     if window.n_max < n_low:
         return WaveletExpansion(p, window, coeffs)
-    sums = class_sums(p, {cell_index(r, p, m_exp): v for r, v in f.table.items()}, m_exp + res)
+    cells = {cell_index(r, p, m_exp): v for r, v in f.table.items()}
     measure = Fraction(p) ** (-res)
+    exact = f.is_exact()
+    if exact:
+        level, den, sums = _term_sums(p, cells, m_exp + res)
+        measure /= den
+    else:
+        sums = class_sums(p, cells, m_exp + res)
     for n in range(n_low, window.n_max + 1):
         scale = Cyc.half_power(p, -n) * measure
         if n > m_exp:  # m = 0 above the ball: all of f lies in child 0
@@ -251,14 +266,77 @@ def analyze(f: LocallyConstantFn, window: Window,
             children = groups[(k, mu)]
             m_digits = int_to_digits(mu, p, k)[::-1]
             for j in range(1, p):
-                total = None
-                for d in sorted(children):
-                    term = _twiddle(p, children[d], -j * d)
-                    total = term if total is None else total + term
-                c = total * (character_amp(p, Fraction(-j * mu, p ** (k + 1))) * scale)
+                if exact:
+                    c = Cyc(p, level, _twiddled_sum(p, level, children, j))
+                    if c:
+                        c = cyc_rotated(c, -j * mu, k + 1) * scale
+                else:
+                    total = None
+                    for d in sorted(children):
+                        term = _twiddle(p, children[d], -j * d)
+                        total = term if total is None else total + term
+                    c = total * (character_amp(p, Fraction(-j * mu, p ** (k + 1))) * scale)
                 if c:
                     coeffs[KozyrevIndex(n, m_digits, j)] = c
     return WaveletExpansion(p, window, coeffs)
+
+
+def _term_sums(p: int, cells: dict, depth: int):
+    """(level, den, sums) for exact `cells` (index in [0, p^depth) -> `Cyc`):
+    entry t of sums maps r to the sum of the cells i = r mod p^t as integer
+    terms {e: (a, b)}, meaning (a + b sqrt(p)) zeta^e / den with
+    zeta = exp(2 pi i / p^level); zero pairs and empty classes are absent,
+    and a class with one child shares that child's dict."""
+    values = cells.values()
+    level = max([v.level for v in values] + [1 if p > 2 else 0])
+    den = lcm(*(v.den for v in values))
+    stage = {}
+    for i, v in cells.items():
+        if v:
+            up, lift = den // v.den, p ** (level - v.level)
+            stage[i] = {e * lift: (a * up, b * up) for e, (a, b) in v.terms.items()}
+    sums = [stage]
+    for t in range(depth - 1, -1, -1):
+        size, kids = p**t, {}
+        for i, terms in stage.items():
+            kids.setdefault(i % size, []).append(terms)
+        stage = {}
+        for r, group in kids.items():
+            terms = group[0] if len(group) == 1 else _added(g.items() for g in group)
+            if terms:
+                stage[r] = terms
+        sums.append(stage)
+    return level, den, sums[::-1]
+
+
+def _added(parts) -> dict:
+    """The sum of the term dicts given by their item iterables `parts`,
+    zero pairs dropped."""
+    out = {}
+    get = out.get
+    for items in parts:
+        for e, (a, b) in items:
+            c = get(e)
+            out[e] = (a, b) if c is None else (c[0] + a, c[1] + b)
+    return {e: c for e, c in out.items() if c[0] or c[1]}
+
+
+def _twiddled_sum(p: int, level: int, children: dict, j: int) -> dict:
+    """sum_d zeta_p^(-jd) children[d] of term dicts at `level`: at p = 2 a
+    child is negated when jd is odd; otherwise its exponents move by
+    (-jd mod p) p^(level-1), mod p^level."""
+    modulus = p**level
+    parts = []
+    for d, terms in children.items():
+        s = -j * d % p
+        if not s:
+            parts.append(terms.items())
+        elif p == 2:
+            parts.append([(e, (-a, -b)) for e, (a, b) in terms.items()])
+        else:
+            shift = s * modulus // p
+            parts.append([((e + shift) % modulus, c) for e, c in terms.items()])
+    return _added(parts)
 
 
 def synthesize(expansion: WaveletExpansion, resolution: int | None = None,
@@ -300,11 +378,15 @@ def synthesize(expansion: WaveletExpansion, resolution: int | None = None,
             _check_cap(p, extra, cap, p)
     # level L -> the (class mod p^L, value) pairs its labels add
     adds = {}
+    half_powers = {}
     for idx in labels:
         n, k, j = idx.n, idx.m_depth, idx.j
         mu = digits_to_int(idx.m_digits[::-1], p)
-        v = (Cyc.half_power(p, -n) * character_amp(p, Fraction(j * mu, p ** (k + 1)))
-             * expansion.coefficients[idx])
+        half = half_powers.get(n)
+        if half is None:
+            half = half_powers[n] = Cyc.half_power(p, -n)
+        den = p ** (k + 1)
+        v = half * _char_root(p, j * mu % den, den) * expansion.coefficients[idx]
         first, child = mu * p ** (support - n - k), p ** (support - n)
         adds.setdefault(support - n + 1, []).extend(
             (first + t * child, _twiddle(p, v, j * t)) for t in range(p))

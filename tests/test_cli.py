@@ -243,6 +243,24 @@ def test_fourier_stdout_is_golden(capsys, tmp_path, case):
         assert fn_equal(fn_from_json(got), fn_from_json(want), 1e-12)
 
 
+ANALYZE_GOLDEN = json.loads((Path(__file__).parent / "analyze_cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", ANALYZE_GOLDEN,
+                         ids=lambda case: f"{case['name']} {' '.join(case['argv'])}")
+def test_analyze_and_synthesize_output_is_golden(capsys, tmp_path, case):
+    # stdout, stderr and exit code of `analyze` on the case's table, and of
+    # `synthesize` on that stdout, recorded when `analyze` still summed the
+    # children of a label as `Cyc`s; byte for byte, floats included
+    f, e = tmp_path / "f.json", tmp_path / "e.json"
+    f.write_text(json.dumps(case["input"]))
+    code, out, err = run(capsys, case["argv"] + [str(f)])
+    assert {"exit": code, "stdout": out, "stderr": err} == case["analyze"]
+    e.write_text(out)
+    code, out, err = run(capsys, ["synthesize", str(e)])
+    assert {"exit": code, "stdout": out, "stderr": err} == case["synthesize"]
+
+
 def test_malformed_json_is_exit_one(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{this is not json")

@@ -76,6 +76,25 @@ def test_minus_one_phase_odd_prime():
     assert abs(complex(z) - cmath.exp(2j * cmath.pi / 6)) < 1e-12
 
 
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_roots_are_built_in_their_normalized_form(p):
+    # every reduced phase k/p^t and k/2p^t, t <= 3: the form built directly
+    # is the one `_normalize` makes of the single term +-zeta_(p^t)^e
+    for t in range(4):
+        n = p**t
+        for d in (n, 2 * n) if p > 2 else (n,):
+            for k in range(d):
+                z = Cyc.root_of_unity(p, RationalPhase(k, d))
+                if d == n:
+                    e, sign = k, 1
+                else:
+                    # e(k/2n) = e(k(n+1)/2 / n) e(k/2), e(k/2) = -1 for odd k
+                    e, sign = k * (n + 1) // 2 % n, -1 if k % 2 else 1
+                want = Cyc(p, t, {e: (sign, 0)})
+                assert (z.level, z.terms, z.den) == (want.level, want.terms, want.den), (k, d)
+                assert abs(complex(z) - cmath.exp(2j * cmath.pi * k / d)) < 1e-12
+
+
 def test_foreign_root_rejected():
     with pytest.raises(InvalidInputError):
         Cyc.root_of_unity(2, RationalPhase(1, 3))

@@ -20,6 +20,7 @@ from padic_wavelets.haar import (
     step_equal,
     step_monomial_integral,
 )
+from padic_wavelets.padic import monna_rational
 from padic_wavelets.wavelets import KozyrevIndex, Window, enumerate_m_digits, materialize
 
 from oracles import (
@@ -246,6 +247,53 @@ def test_pushforward_matches_haar_up_to_representative_phase(p):
             push = monna_pushforward(p, idx)
             target = haar_step(p, haar_index_for(p, idx)).scaled(pushforward_phase(p, idx))
             assert step_equal(push, target), (p, n, m)
+
+
+def value_at_each_breakpoint_equal(f: RealStepFn, g: RealStepFn) -> bool:
+    """Equality read off `value_at` at every breakpoint of either function."""
+    bps = sorted(set(f.breakpoints) | set(g.breakpoints))
+    return all(amp_equal(f.value_at(b), g.value_at(b)) for b in bps[:-1])
+
+
+def test_step_equal_matches_the_breakpoint_reads():
+    # random pairs on the grids of 1/12 and 1/18, with values 0, 1 and 2 (a
+    # zero `Cyc` among them), equal and unequal, same and different cuts
+    import random
+
+    rng = random.Random(3)
+    values = (Cyc.zero(2), Cyc.one(2), Cyc.rational(2, 2))
+    equal = 0
+    for _ in range(400):
+        fs = []
+        for grid in (12, 18):
+            cuts = sorted(rng.sample(range(1, grid), rng.randint(0, 2)))
+            bps = (Fraction(0), *(Fraction(c, grid) for c in cuts), Fraction(1))
+            fs.append(RealStepFn(bps, tuple(rng.choice(values) for _ in bps[1:])))
+        f, g = fs
+        assert step_equal(f, f)
+        assert step_equal(f, g) == step_equal(g, f) == value_at_each_breakpoint_equal(f, g)
+        equal += step_equal(f, g)
+    assert 0 < equal < 400
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_pushforward_has_one_piece_per_support_cell_and_gap(p):
+    # the p^(1 + extra_depth) support cells, and at most one zero piece
+    # before, between and after them, against the image of every cell
+    for idx in (KozyrevIndex(-2), KozyrevIndex(-2, (1,), 1), KozyrevIndex(-3, (0, 1), p - 1)):
+        for extra_depth in (0, 1):
+            push = monna_pushforward(p, idx, extra_depth)
+            fn = materialize(p, idx, extra_depth)
+            width = Fraction(1, p**fn.resolution)
+            every = sorted((monna_rational(Fraction(i), p), fn.table.get(Fraction(i), Cyc.zero(p)))
+                           for i in range(p**fn.resolution))
+            full = RealStepFn(tuple(s for s, _ in every) + (Fraction(1),), tuple(v for _, v in every))
+            assert step_equal(push, full) and value_at_each_breakpoint_equal(push, full)
+            support = [v for v in push.values if v]
+            assert len(support) == len(fn.table) == p ** (1 + extra_depth)
+            assert len(push.values) <= 2 * len(support) + 1
+            assert all(b - a == width for a, b, v in
+                       zip(push.breakpoints, push.breakpoints[1:], push.values) if v)
 
 
 def test_pushforward_cell_measure_preserved():

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from padic_wavelets import functions, wavelets
+from padic_wavelets import exact, functions, wavelets
 from padic_wavelets.errors import EnumerationCapError, InvalidInputError
 from padic_wavelets.exact import Cyc, CycSum, conj
 from padic_wavelets.functions import (
@@ -317,7 +317,9 @@ def characters(monkeypatch):
 
 def test_analyze_evaluates_no_cell(evaluations, characters):
     # every coefficient is read from class sums: no wavelet value is
-    # evaluated, and a label meeting the ball takes at most p characters
+    # evaluated, and a label meeting the ball takes at most p characters.
+    # An exact table takes none (its characters are rotations), so for this
+    # one the bound on `character_amp` holds vacuously
     rng = random.Random(5)
     table = {rep: Cyc.rational(2, rng.randint(1, 5)) for rep in ball_reps(2, 3, 3)}
     window = Window(-2, 3, 5)
@@ -330,6 +332,68 @@ def test_analyze_evaluates_no_cell(evaluations, characters):
     assert len(meeting) == 63
     assert evaluations == []
     assert len(characters) <= 2 * len(meeting)
+
+
+def test_analyze_sums_integer_terms_and_normalizes_once_per_coefficient(monkeypatch):
+    # the workload-sized table: a dense mean-zero exact table of +v, -v cell
+    # pairs, each v a rational times a 4th root of unity, on |x| <= 2^3 at
+    # resolution 3.  Its class sums and twiddled children are integer term
+    # dicts, so no `Cyc` is added, and each of the 63 (class, j) candidates
+    # of the labels meeting the ball is normalized at most once
+    p = 2
+    rng = random.Random(601)
+    reps = ball_reps(p, 3, 3)
+    rng.shuffle(reps)
+    table = {}
+    for r, s in zip(reps[::2], reps[1::2]):
+        v = (Cyc.root_of_unity(p, RationalPhase(rng.randrange(4), 4))
+             * Fraction(rng.randint(1, 3), rng.randint(1, 4)))
+        table[r], table[s] = v, -v
+    f = LocallyConstantFn(p, 3, 3, table)
+    adds, normalized = [], []
+    for name in ("__add__", "__radd__"):
+        real_add = getattr(Cyc, name)
+        monkeypatch.setattr(Cyc, name, lambda x, y, real_add=real_add: adds.append(y) or real_add(x, y))
+    real_normalize = exact._normalize
+    monkeypatch.setattr(exact, "_normalize", lambda *args: normalized.append(args) or real_normalize(*args))
+    e = analyze(f, Window(-2, 3, 5))
+    assert adds == []
+    assert 0 < len(e.coefficients) <= len(normalized) <= 63
+    monkeypatch.undo()
+    assert list(e.coefficients) == list(label_by_label_analyze(f, Window(-2, 3, 5)))
+
+
+def test_analyze_keeps_a_root_far_above_the_cells_sparse():
+    # a value at level 40 on a 2-cell table: the term dicts hold the cells'
+    # own terms, where coefficient lists over the 2^40 exponents of that
+    # level could not even be built
+    p = 2
+    far = Cyc.root_of_unity(p, RationalPhase(1, 2**40))
+    f = LocallyConstantFn(p, 1, 0, {Fraction(0): far, Fraction(1, 2): Cyc.one(p) * 3})
+    window = Window(-1, 3, 2)
+    start = time.perf_counter()
+    got = analyze(f, window).coefficients
+    assert time.perf_counter() - start < 1.0
+    want = label_by_label_analyze(f, window)
+    assert list(got) == list(want)
+    for idx in want:
+        same_amplitude(got[idx], want[idx])
+
+
+def test_analyze_sums_a_hidden_zero_class_as_the_oracle_does():
+    # sqrt(2) - (zeta_8 + zeta_8^7) is 0, which only the Gauss-sum test
+    # sees, and both cells lie in one class down to n = 0.  Summed as terms,
+    # the class keeps its pairs, as each oracle inner product does, so where
+    # sqrt(2) lies in the field the coefficients have the oracle's (a, b) split
+    p = 2
+    z8 = [Cyc.root_of_unity(p, RationalPhase(k, 8)) for k in range(8)]
+    f = LocallyConstantFn(p, 1, 2, {Fraction(0): Cyc.quad(p, 0, 1), Fraction(2): -(z8[1] + z8[7]),
+                                    Fraction(1, 2): z8[3], Fraction(3, 2): Cyc.one(p)})
+    window = Window(-1, 1, 2)
+    got, want = analyze(f, window).coefficients, label_by_label_analyze(f, window)
+    assert list(got) == list(want)
+    for idx in want:
+        same_amplitude(got[idx], want[idx])
 
 
 def test_synthesize_builds_no_wavelet_table(evaluations, characters, monkeypatch):
