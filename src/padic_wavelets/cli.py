@@ -456,8 +456,7 @@ def check_algebra(config: RunConfig, relations, alphas):
         for alpha in kernel_alphas:
             residual = translation_kernel_residual(alpha, fn, Fraction(1, p))
             worst = max((abs(complex(v)) for v in residual.values()), default=0.0)
-            results.append(RelationResult(
-                "translation:kernel", KozyrevIndex(0), alpha, worst, False))
+            results.append(RelationResult("translation:kernel", 0, 1, alpha, worst, False))
 
     by_relation: dict[str, float] = {}
     for r in results:
@@ -468,14 +467,14 @@ def check_algebra(config: RunConfig, relations, alphas):
              else f"{name}: 0 instances" for name in sorted(names | set(by_relation))]
     if lines:
         _echo("\n".join(lines))
-    failing = [r for r in results if not r.passed(config.tolerance)]
-    if failing:
-        first = failing[0]
+    # a result fails at every label of its scale: the message names the first
+    first = next((r for r in results if not r.passed(config.tolerance)), None)
+    if first is not None:
         raise CheckFailure(
-            f"{first.relation} violated at index {first.index}, alpha={first.alpha}: "
+            f"{first.relation} violated at index {first.first_label}, alpha={first.alpha}: "
             f"residual {fmt(first.residual)}"
         )
-    _echo(f"all {len(results)} relation instances passed")
+    _echo(f"all {sum(r.labels for r in results)} relation instances passed")
 
 
 @check.command("monna")
@@ -485,8 +484,9 @@ def check_monna(config: RunConfig):
     supported in Z_p; exit 2 on any violation."""
     window = config.window
     if window.n_min <= 0:
-        # the pushforward at scale n lies on the grid of p^(1-n) cells of Z_p
-        _check_cap(config.prime, 1 - window.n_min, config.cap)
+        # the widest enumeration: at most the p^(-n_min) Haar translates of
+        # level -n_min
+        _check_cap(config.prime, -window.n_min, config.cap)
     counts = dict.fromkeys(("labels", "modulus", "monomial", "pushforward"), 0)
     for family, label, passed in monna_instances(config.prime, window):
         if not passed:

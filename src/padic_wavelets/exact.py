@@ -43,6 +43,7 @@ to stay exact simply never introduces floats.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 from numbers import Rational
@@ -643,10 +644,17 @@ def is_half_integral(x) -> bool:
     return isinstance(x, Rational) and (2 * Fraction(x)).denominator == 1
 
 
+@lru_cache(maxsize=1024)
+def _half_power(p: int, half_exponent: int) -> Cyc:
+    return Cyc.half_power(p, half_exponent)
+
+
 def p_power_amp(p: int, exponent):
-    """p**exponent: exact `Cyc` for half-integer exponents, float otherwise."""
+    """p**exponent: exact `Cyc` for half-integer exponents, float otherwise.
+    An exact power is shared by every caller that asks for it: a `Cyc` is
+    immutable."""
     if is_half_integral(exponent):
-        return Cyc.half_power(p, int(2 * Fraction(exponent)))
+        return _half_power(p, int(2 * Fraction(exponent)))
     try:
         if isinstance(exponent, complex):
             import cmath

@@ -32,7 +32,7 @@ from .functions import (
     translate,
 )
 from .padic import frac_valp
-from .wavelets import KozyrevIndex, Window, enumerate_m_digits
+from .wavelets import KozyrevIndex, Window
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,11 @@ class WeightedShift:
             at = n + offset
             if isinstance(prim, Diagonal):
                 alpha = prim.alpha
-                # typed: Fraction(1, 2) == 0.5, but only the Fraction is exact
-                key = (type(alpha), alpha, at)
+                # a Fraction keys by its numerator and denominator, which
+                # hash fast; any other alpha by its type, since
+                # Fraction(1, 2) == 0.5 but only the Fraction is exact
+                key = ((alpha.numerator, alpha.denominator, at) if type(alpha) is Fraction
+                       else (type(alpha), alpha, at))
                 factor = powers.get(key)
                 if factor is None:
                     factor = powers[key] = p_power_amp(p, alpha * (1 - at))
@@ -139,11 +142,14 @@ def interior_scales(window: Window, *ops: WeightedShift) -> range:
 
 @dataclass
 class RelationResult:
-    """An exact relation passes only at exact zero, a float one when its
-    residual is at most tol * scale = tol * max(1, largest |side coefficient|)."""
+    """One relation at one scale n, standing for each of its `labels`
+    instances psi_(n,m,j): a residual never depends on m or j.  An exact
+    relation passes only at exact zero, a float one when its residual is at
+    most tol * scale = tol * max(1, largest |side coefficient|)."""
 
     relation: str
-    index: KozyrevIndex
+    n: int
+    labels: int
     alpha: object
     residual: float
     exact: bool
@@ -152,35 +158,30 @@ class RelationResult:
     def passed(self, tol: float) -> bool:
         return self.residual == 0.0 if self.exact else self.residual <= tol * self.scale
 
+    @property
+    def first_label(self) -> KozyrevIndex:
+        """The first label of scale n: m = () and j = 1 come first."""
+        return KozyrevIndex(self.n)
+
 
 class _ScaleWalk:
     """One `*_results` call over the interior scales.  Every side maps
     psi_(n,m,j) to c(n) psi_(n+s,m,j), so it is one scalar per scale, and a
-    residual never depends on m or j.  Each side starts from the int 1 and
+    residual never depends on m or j: each relation is checked and stored
+    once per scale, and its labels are only counted, p^m_depth m-digit
+    tuples times p - 1 values of j.  Each side starts from the int 1 and
     the residual from 0, so they stay an int or `Fraction` until a D^a
-    power or a `Cyc` prefactor enters.  The labels of each scale and
-    each p^(a(1-n)) are computed once and kept for this call only."""
+    power or a `Cyc` prefactor enters.  Each p^(a(1-n)) is computed once
+    and kept for this call only."""
 
     def __init__(self, p: int, window: Window):
         self.p, self.window = p, window
         self.powers: dict = {}
-        self.labels: dict = {}
+        self.labels = p**window.m_depth * (p - 1)
 
     def results(self, ops, evaluate) -> list[RelationResult]:
-        """`evaluate(n)`'s results at each interior scale n of `ops`,
-        repeated for every label (n, m, j) in order."""
-        out = []
-        for n in interior_scales(self.window, *ops):
-            labels = self.labels.get(n)
-            if labels is None:
-                labels = self.labels[n] = [
-                    KozyrevIndex(n, m, j)
-                    for m in enumerate_m_digits(self.p, self.window.m_depth)
-                    for j in range(1, self.p)]
-            results = evaluate(n)
-            out += [RelationResult(r.relation, idx, r.alpha, r.residual, r.exact, r.scale)
-                    for idx in labels for r in results]
-        return out
+        """`evaluate(n)`'s results at each interior scale n of `ops`, in order."""
+        return [r for n in interior_scales(self.window, *ops) for r in evaluate(n)]
 
     def check(self, relation, alpha, sides, n: int, exact: bool) -> RelationResult:
         """The relation sides[0] = sum of sides[1:] on psi_n, for operator
@@ -207,7 +208,7 @@ class _ScaleWalk:
         worst = max((abs(complex(c)) for c in residual.values()), default=0.0)
         scale = 1.0 if exact else max(
             1.0, *(0.0 if v is None else abs(complex(v[1])) for v in values))
-        return RelationResult(relation, None, alpha, worst, exact, scale)
+        return RelationResult(relation, n, self.labels, alpha, worst, exact, scale)
 
 
 def relation_names(family: str, k_range: int = 3) -> list[str]:
@@ -371,7 +372,11 @@ def vladimirov_kernel_apply(alpha, f: LocallyConstantFn,
         step = []
         for r in range(size * p):
             q = r % size
-            d = coarse.get(q, zero) - fine.get(r, zero)
+            c, v = coarse.get(q), fine.get(r)
+            if c is None and v is None:
+                step.append(paths[q])
+                continue
+            d = (zero if c is None else c) - (zero if v is None else v)
             step.append(paths[q] + w * d if d else paths[q])
         paths = step
 

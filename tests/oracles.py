@@ -14,8 +14,9 @@ each interior basis vector psi_(n, m, j), with no use of the fact that the
 operators never read m or j.  Their sides are expansions built by
 `apply_operator` from these words and are subtracted coefficient by
 coefficient here; the relation checks evaluate each side as one scalar per
-scale instead.  The oracles share only `RelationResult` with the code they
-check, and the two routes must agree down to the repr of every float
+scale instead, and report each relation once per scale.  `by_label` repeats
+each of those results for every label of its scale, in the order of this
+walk, and the two routes must agree down to the repr of every float
 residual.
 
 `canonical_by_level` is the fold of a term dict into the canonical
@@ -56,10 +57,12 @@ to log_p D.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from padic_wavelets.errors import (
     InvalidInputError,
@@ -86,7 +89,6 @@ from padic_wavelets.haar import (
     step_equal,
     step_monomial_integral,
 )
-from padic_wavelets.operators import RelationResult
 from padic_wavelets.padic import check_prime
 from padic_wavelets.wavelets import (
     KozyrevIndex,
@@ -215,13 +217,24 @@ def _max_abs(e: WaveletExpansion) -> float:
     return max((abs(complex(c)) for c in e.coefficients.values()), default=0.0)
 
 
-def _residual(relation, idx, alpha, sides, exact) -> RelationResult:
+class LabelResult(NamedTuple):
+    """One relation on one basis vector psi_index."""
+
+    relation: str
+    index: KozyrevIndex
+    alpha: object
+    residual: float
+    exact: bool
+    scale: float
+
+
+def _residual(relation, idx, alpha, sides, exact) -> LabelResult:
     """The relation sides[0] = sum of sides[1:] on one basis vector."""
     residual = sides[0]
     for side in sides[1:]:
         residual = _sub(residual, side)
     scale = 1.0 if exact else max(1.0, *map(_max_abs, sides))
-    return RelationResult(relation, idx, alpha, _max_abs(residual), exact, scale)
+    return LabelResult(relation, idx, alpha, _max_abs(residual), exact, scale)
 
 
 def _commutator(a, b, e, expected=None) -> list:
@@ -256,6 +269,24 @@ def _interior_basis(p, window, *ops):
         for m in enumerate_m_digits(p, window.m_depth):
             for j in range(1, p):
                 yield KozyrevIndex(n, m, j)
+
+
+def by_label(p, window, results) -> list[LabelResult]:
+    """Per-scale `operators.RelationResult`s repeated for every label
+    (n, m, j) of their scale, label-major within each run of one scale as
+    the walk below emits them.  Two relations that meet at one scale from
+    consecutive interior ranges would be interleaved here where a scale has
+    more than one label, so a comparison with the walk would fail, not
+    pass."""
+    out = []
+    for n, run in itertools.groupby(results, key=lambda r: r.n):
+        run = list(run)
+        labels = [KozyrevIndex(n, m, j)
+                  for m in enumerate_m_digits(p, window.m_depth) for j in range(1, p)]
+        assert all(r.labels == len(labels) for r in run)
+        out += [LabelResult(r.relation, idx, r.alpha, r.residual, r.exact, r.scale)
+                for idx in labels for r in run]
+    return out
 
 
 def sl2_by_label(p, window):

@@ -745,8 +745,7 @@ def test_corrupted_word_is_exit_two(capsys, monkeypatch):
         walk = operators._ScaleWalk(p, window)
         sides = operators._commutator_sides(
             ell_op(+1), ell_op(-1), scalar_op(Fraction(3)) @ ell_op(0))
-        bad = walk.check("sl2:corrupted", None, sides, 0, True)
-        return sl2_results(p, window) + [dataclasses.replace(bad, index=KozyrevIndex(0))]
+        return sl2_results(p, window) + [walk.check("sl2:corrupted", None, sides, 0, True)]
 
     monkeypatch.setattr(cli, "sl2_results", corrupted)
     code, _, err = run(
@@ -754,6 +753,58 @@ def test_corrupted_word_is_exit_two(capsys, monkeypatch):
     assert code == 2
     assert "sl2:corrupted" in err
     assert "KozyrevIndex" in err
+
+
+def test_relation_results_do_not_grow_with_the_m_depth(capsys, monkeypatch):
+    # a residual depends on the scale only: m-depth 3 holds p^2 times the
+    # labels of m-depth 1, which `check algebra` counts, but not one more
+    # result of any family
+    from padic_wavelets import cli
+
+    lengths = {}
+    for family in ("sl2", "witt", "deformed", "semigroup"):
+        checker = getattr(cli, f"{family}_results")
+
+        def counted(*args, checker=checker, family=family, **kwargs):
+            out = checker(*args, **kwargs)
+            lengths.setdefault(family, []).append(len(out))
+            return out
+
+        monkeypatch.setattr(cli, f"{family}_results", counted)
+    printed = []
+    for depth in (1, 3):
+        code, out, err = run(capsys, [
+            "--prime", "3", "--window", f"-3:3:{depth}", "check", "algebra",
+            "--relation", "sl2", "--relation", "witt", "--relation", "deformed",
+            "--relation", "semigroup", "--alpha", "0.5", "--alpha", "1", "--alpha", "0.3"])
+        assert (code, err) == (0, "")
+        printed.append(int(out.splitlines()[-1].split()[1]))
+    assert sorted(lengths) == ["deformed", "semigroup", "sl2", "witt"]
+    assert all(first == deeper > 0 for first, deeper in lengths.values())
+    assert printed[1] == 9 * printed[0]
+
+
+def test_relation_off_at_an_interior_scale_names_its_first_label(capsys, monkeypatch):
+    # negative control at m-depth 2, 18 labels per scale: [D^1, J-1] off by
+    # 1/7 at the interior scale n = 0 only must fail at the label (0, (), 1);
+    # stderr as the label-by-label walk printed it
+    from padic_wavelets import operators
+
+    check = operators._ScaleWalk.check
+
+    def broken(self, relation, alpha, sides, n, exact):
+        if relation == "commutator:[D^a,J-1]" and alpha == 1 and n == 0:
+            sides = [*sides, operators.scalar_op(Fraction(1, 7))]
+        return check(self, relation, alpha, sides, n, exact)
+
+    monkeypatch.setattr(operators._ScaleWalk, "check", broken)
+    code, out, err = run(capsys, ["--prime", "3", "--window", "-3:3:2", "check", "algebra",
+                                  "--relation", "all", "--alpha", "0.5", "--alpha", "1"])
+    assert code == 2
+    assert "commutator:[D^a,J-1]: max residual 0.14285714285714285\n" in out
+    assert err == (
+        "check failed: commutator:[D^a,J-1] violated at index "
+        "KozyrevIndex(n=0, m_digits=(), j=1), alpha=1: residual 0.14285714285714285\n")
 
 
 def test_alpha_is_exact_only_in_half_integers(capsys, monkeypatch):
@@ -970,12 +1021,12 @@ def test_check_monna_names_the_failing_family_and_label(capsys, monkeypatch, nam
 
 
 def test_check_monna_respects_the_cap(capsys):
-    # the pushforward at scale -3 enumerates 3^4 cells
-    code, out, err = run(capsys, ["--prime", "3", "--window", "-3:0:3", "--cap", "80",
+    # the widest enumeration is the 3^3 Haar translates of level 3
+    code, out, err = run(capsys, ["--prime", "3", "--window", "-3:0:3", "--cap", "26",
                                   "check", "monna"])
     assert (code, out) == (3, "")
     assert err.startswith("resource cap:")
-    assert run(capsys, ["--prime", "3", "--window", "-3:0:3", "--cap", "81",
+    assert run(capsys, ["--prime", "3", "--window", "-3:0:3", "--cap", "27",
                         "check", "monna"])[0] == 0
 
 

@@ -273,7 +273,7 @@ def test_sl2_residuals_zero():
 
 def test_witt_residuals_zero():
     results = witt_results(2, Window(-10, 10, 1), k_range=3)
-    assert len(results) > 1000
+    assert sum(r.labels for r in results) > 1000
     assert all(r.exact and r.residual == 0 for r in results)
 
 
@@ -341,15 +341,17 @@ def test_relations_per_scale_match_the_label_by_label_oracle(p, m_depth):
         (semigroup_results(p, window, pairs), oracles.semigroup_by_label(p, window, pairs)),
     ]
     for fast, slow in families:
-        assert _fingerprint(fast) == _fingerprint(slow)
+        assert _fingerprint(oracles.by_label(p, window, fast)) == _fingerprint(slow)
     assert all(slow for _, slow in families)
 
 
 def test_relations_read_the_m_depth_of_their_window():
     window = Window(-3, 3, 0)
     results = sl2_results(3, window)
-    assert {r.index.m_digits for r in results} == {()}
-    assert len(sl2_results(3, Window(-3, 3, 2))) == 9 * len(results)
+    # m = () only: each scale holds the p - 1 labels (n, (), j)
+    assert {r.labels for r in results} == {2}
+    deeper = sl2_results(3, Window(-3, 3, 2))
+    assert sum(r.labels for r in deeper) == 9 * sum(r.labels for r in results)
 
 
 # -- kernel form ---------------------------------------------------------------------
