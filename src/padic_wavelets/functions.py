@@ -82,14 +82,6 @@ def ball_size(p: int, support_exponent: int, resolution: int,
     return p**count_exp
 
 
-def ball_reps(p: int, support_exponent: int, resolution: int,
-              cap: int = DEFAULT_CELL_CAP) -> list[Fraction]:
-    """Canonical representatives of the p^(M+K) cells covering |x| <= p^M."""
-    count = ball_size(p, support_exponent, resolution, cap)
-    unit = Fraction(p) ** (-support_exponent)
-    return [i * unit for i in range(count)]
-
-
 @dataclass
 class LocallyConstantFn:
     """Table function: support ball exponent M, resolution exponent K.
@@ -223,6 +215,50 @@ def class_sums(p: int, cells: dict, depth: int) -> list[dict]:
                 coarse[r] = v
         sums.append(coarse)
     return sums[::-1]
+
+
+def term_sums(p: int, cells: dict, depth: int):
+    """`class_sums` of exact `cells` (index in [0, p^depth) -> `Cyc`) as
+    integer terms: (level, den, sums), entry t of sums mapping r to the sum
+    of the cells i = r mod p^t as {e: (a, b)}, meaning
+    (a + b sqrt(p)) zeta^e / den with zeta = exp(2 pi i / p^level).  The
+    level is the highest of the values and at least 1 for p > 2, so that
+    zeta_p is a power of zeta; every value is canonical at its own level and
+    stays so lifted to this one, so a sum of them is canonical too.  Zero
+    pairs and empty classes are absent, and a class with one child shares
+    that child's dict."""
+    values = cells.values()
+    level = max([v.level for v in values] + [1 if p > 2 else 0])
+    den = lcm(*(v.den for v in values))
+    stage = {}
+    for i, v in cells.items():
+        if v:
+            up, lift = den // v.den, p ** (level - v.level)
+            stage[i] = {e * lift: (a * up, b * up) for e, (a, b) in v.terms.items()}
+    sums = [stage]
+    for t in range(depth - 1, -1, -1):
+        size, kids = p**t, {}
+        for i, terms in stage.items():
+            kids.setdefault(i % size, []).append(terms)
+        stage = {}
+        for r, group in kids.items():
+            terms = group[0] if len(group) == 1 else added_terms(g.items() for g in group)
+            if terms:
+                stage[r] = terms
+        sums.append(stage)
+    return level, den, sums[::-1]
+
+
+def added_terms(parts) -> dict:
+    """The sum of the term dicts given by their item iterables `parts`,
+    zero pairs dropped."""
+    out = {}
+    get = out.get
+    for items in parts:
+        for e, (a, b) in items:
+            c = get(e)
+            out[e] = (a, b) if c is None else (c[0] + a, c[1] + b)
+    return {e: c for e, c in out.items() if c[0] or c[1]}
 
 
 @lru_cache(maxsize=65536)

@@ -20,16 +20,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import FloatRangeError, UnsupportedCaseError
 from .exact import Cyc, is_half_integral, p_power_amp
 from .functions import (
     DEFAULT_CELL_CAP,
     LocallyConstantFn,
-    ball_reps,
+    added_terms,
+    ball_size,
     cell_index,
     class_sums,
-    translate,
+    reduce_rep,
+    term_sums,
 )
 from .padic import frac_valp
 from .wavelets import KozyrevIndex, Window
@@ -326,23 +329,42 @@ def vladimirov_kernel_apply(alpha, f: LocallyConstantFn,
 
     which costs O(N) for the whole table instead of O(N^2) cell pairs: the
     S_t are built bottom up and the P top down, with c_alpha p^(-K) folded
-    into the weights, and a cell then costs one product.  The sum is exact
-    when alpha is a half-integral Rational and every cell value is exact,
-    and floating otherwise; only the constants and the cell values differ
-    between the two.
+    into the weights, and a cell then costs one product.  The sum runs on
+    cell indices (`_kernel_cells`); the cap is checked on the ball's cell
+    count, and only the nonzero output cells get a rational key.  It is
+    exact when alpha is a half-integral Rational and every cell value is
+    exact, and floating otherwise.
     """
     _check_kernel_alpha(alpha)
-    p = f.prime
-    m_exp, res = f.support_exponent, f.resolution
-    reps = ball_reps(p, m_exp, res, cap)
-    if is_half_integral(alpha) and f.is_exact():
+    p, m_exp, res = f.prime, f.support_exponent, f.resolution
+    ball_size(p, m_exp, res, cap)
+    cells = {cell_index(r, p, m_exp): v for r, v in f.table.items()}
+    unit = Fraction(p) ** -m_exp
+    out = _kernel_cells(alpha, p, m_exp, res, cells)
+    return LocallyConstantFn(p, m_exp, res, {i * unit: v for i, v in out.items()})
+
+
+def _kernel_cells(alpha, p: int, m_exp: int, res: int, cells: dict) -> dict:
+    """The kernel sum of `vladimirov_kernel_apply` on the table `cells`
+    (index i of the cell i p^(-M) on the ball of p^(M+K) cells -> value):
+    its nonzero output cells, by increasing index.
+
+    An exact table is summed by `functions.term_sums`, as integer terms at
+    one cyclotomic level over one denominator.  The weights and C are
+    level-0 values (c + d sqrt(p))/den, brought to one common denominator,
+    so each scales a term pair (a, b) to (ac + p bd, ad + bc) and the paths
+    P only merge term dicts.  Each output cell is normalized once, as one
+    `Cyc`.  A table with a float value is summed as amplitudes by
+    `class_sums`, with the same steps in the same order."""
+    depth = m_exp + res
+    count = p**depth
+    exact = is_half_integral(alpha) and all(isinstance(v, Cyc) for v in cells.values())
+    if exact:
         a = Fraction(alpha)
         c_alpha = (1 - p_power_amp(p, a)) * _inv_one_minus(p_power_amp(p, -1 - a))
         tail = (p_power_amp(p, -a * (m_exp + 1)) * _inv_one_minus(p_power_amp(p, -a))
                 * (1 - Fraction(1, p)))
         measure = Fraction(p) ** (-res)
-        zero = Cyc.zero(p)
-        table = f.table
     else:
         a = float(alpha)
         pa = float(p)
@@ -353,10 +375,6 @@ def vladimirov_kernel_apply(alpha, f: LocallyConstantFn,
         except OverflowError:
             raise FloatRangeError(
                 f"a float power of {p} for alpha = {alpha} lies beyond the float range") from None
-        zero = 0j
-        table = {r: complex(v) for r, v in f.table.items()}
-    depth, cells = m_exp + res, len(reps)
-    sums = class_sums(p, {cell_index(r, p, m_exp): v for r, v in table.items()}, depth)
     # cells i != i0 with t = v_p(i - i0) lie p^(M-t) apart (cell i is i * p^(-M)):
     # weight c_alpha * measure * p^((1+alpha)(t-M))
     scale = c_alpha * measure
@@ -364,41 +382,89 @@ def vladimirov_kernel_apply(alpha, f: LocallyConstantFn,
     # v0's coefficient: every pair's weight, then the tail beyond the ball
     own = c_alpha * tail
     for t, w in enumerate(weights):
-        own = own + w * (cells // p**t - cells // p ** (t + 1))
+        own = own + w * (count // p**t - count // p ** (t + 1))
 
+    if exact:
+        level, den, sums = term_sums(p, cells, depth)
+        # the weights and own over one common denominator, as int pairs
+        common = lcm(*(c.den for c in weights), own.den)
+        pairs = [tuple(x * (common // c.den) for x in c.terms.get(0, (0, 0)))
+                 for c in weights + [own]]
+        den *= common
+
+        def scaled(terms, x, y):
+            return ((e, (u * x + p * v * y, u * y + v * x)) for e, (u, v) in terms.items())
+
+        def move(path, c, v, t):
+            x, y = pairs[t]
+            parts = [path.items()]
+            if c is not None:
+                parts.append(scaled(c, x, y))
+            if v is not None:
+                parts.append(scaled(v, -x, -y))
+            return added_terms(parts)
+
+        def finish(terms, v0):
+            if v0 is not None:
+                x, y = pairs[depth]
+                terms = added_terms((terms.items(), scaled(v0, -x, -y)))
+            return Cyc(p, level, terms, den) if terms else None
+
+        zero = {}
+    else:
+        sums = class_sums(p, {i: complex(v) for i, v in cells.items()}, depth)
+
+        def move(path, c, v, t):
+            d = (0j if c is None else c) - (0j if v is None else v)
+            return path + weights[t] * d if d else path
+
+        def finish(path, v0):
+            return path if v0 is None else path - v0 * own
+
+        zero = 0j
     paths = [zero]
-    for t, w in enumerate(weights):
+    for t in range(depth):
         coarse, fine, size = sums[t], sums[t + 1], p**t
         step = []
         for r in range(size * p):
             q = r % size
             c, v = coarse.get(q), fine.get(r)
-            if c is None and v is None:
-                step.append(paths[q])
-                continue
-            d = (zero if c is None else c) - (zero if v is None else v)
-            step.append(paths[q] + w * d if d else paths[q])
+            # a class absent from both levels, or one sum that both levels
+            # share (a class with one child), adds nothing
+            step.append(paths[q] if c is v else move(paths[q], c, v, t))
         paths = step
-
     values, out = sums[depth], {}
-    for i0, r0 in enumerate(reps):
-        v0 = values.get(i0)
-        value = paths[i0] if v0 is None else paths[i0] - v0 * own
+    for i0 in range(count):
+        value = finish(paths[i0], values.get(i0))
         if value:
-            out[r0] = value
-    return LocallyConstantFn(p, m_exp, res, out)
+            out[i0] = value
+    return out
 
 
 def translation_kernel_residual(alpha, f: LocallyConstantFn, shift) -> dict:
-    """D^alpha(translate f) - translate(D^alpha f) as a table: both sides
-    lie on the same ball and grid, so they are subtracted cell by cell and
-    zero cells are dropped."""
+    """D^alpha(translate f) - translate(D^alpha f) as a table, zero cells
+    dropped.
+
+    Both sides lie on f's grid over the ball widened to hold the shift b,
+    whose cell count is checked against `DEFAULT_CELL_CAP` before any table
+    is built.  On that ball the translation by b moves cell i to
+    i + s mod N, s the index of b's cell, so f's cells are kept as indices:
+    both kernel sums run on index tables (`_kernel_cells`), f's cells are
+    shifted by s before the first and the second's output after it, and
+    the sides are subtracted cell by cell; only the nonzero residual cells
+    get a rational key."""
+    _check_kernel_alpha(alpha)
+    p, res = f.prime, f.resolution
     b = Fraction(shift)
     support = f.support_exponent
     if b != 0:
-        support = max(support, -frac_valp(b, f.prime))
-    base = f.with_support(support)
-    lhs = vladimirov_kernel_apply(alpha, translate(base, b)).table
-    rhs = translate(vladimirov_kernel_apply(alpha, base), b).table
-    diff = ((r, lhs.get(r, 0) - rhs.get(r, 0)) for r in {**lhs, **rhs})
-    return {r: v for r, v in diff if v}
+        support = max(support, -frac_valp(b, p))
+    count = ball_size(p, support, res)
+    s = cell_index(reduce_rep(b, p, res), p, support)
+    cells = {cell_index(r, p, support): v for r, v in f.table.items()}
+    lhs = _kernel_cells(alpha, p, support, res, {(i + s) % count: v for i, v in cells.items()})
+    rhs = {(i + s) % count: v
+           for i, v in _kernel_cells(alpha, p, support, res, cells).items()}
+    diff = ((i, lhs.get(i, 0) - rhs.get(i, 0)) for i in {**lhs, **rhs})
+    unit = Fraction(p) ** -support
+    return {i * unit: v for i, v in diff if v}

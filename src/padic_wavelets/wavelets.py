@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import inf, lcm
+from math import inf
 
 from .errors import InsufficientPrecisionError, InvalidInputError, WindowClipError
 from .exact import Cyc, cyc_rotated
@@ -28,12 +28,14 @@ from .functions import (
     _char_root,
     _check_cap,
     add_cells,
+    added_terms,
     amp_from_json,
     amp_to_json,
     cell_index,
     character_amp,
     class_sums,
     json_int,
+    term_sums,
 )
 from .padic import (
     PAdicNumber,
@@ -221,14 +223,15 @@ def analyze(f: LocallyConstantFn, window: Window,
     and digits, then j; labels finer than the cells (n < 1 - K) or off the
     ball get 0.
 
-    An exact table is summed as integer terms {exponent: (a, b)} of the
-    p^L-th roots of unity over one common denominator, L the highest level
-    of its values and at least 1 for p > 2, so that zeta_p is a power of
-    zeta_(p^L) (see `exact.Cyc`).  The class sums and the twiddled children
-    only merge those term dicts, which hold no more exponents than the
-    cells do, and each coefficient is normalized once, as one `Cyc`, then
-    rotated by its character (`exact.cyc_rotated`) and scaled.  A table
-    with a float value is summed as amplitudes by `class_sums`.
+    An exact table is summed by `functions.term_sums` as integer terms
+    {exponent: (a, b)} of the p^L-th roots of unity over one common
+    denominator, L the highest level of its values and at least 1 for
+    p > 2, so that zeta_p is a power of zeta_(p^L).  The class sums and the
+    twiddled children only merge those term dicts, which hold no more
+    exponents than the cells do, and each coefficient is normalized once,
+    as one `Cyc`, then rotated by its character (`exact.cyc_rotated`) and
+    scaled.  A table with a float value is summed as amplitudes by
+    `class_sums`.
     """
     p = f.prime
     m_exp, res = f.support_exponent, f.resolution
@@ -243,7 +246,7 @@ def analyze(f: LocallyConstantFn, window: Window,
     measure = Fraction(p) ** (-res)
     exact = f.is_exact()
     if exact:
-        level, den, sums = _term_sums(p, cells, m_exp + res)
+        level, den, sums = term_sums(p, cells, m_exp + res)
         measure /= den
     else:
         sums = class_sums(p, cells, m_exp + res)
@@ -281,46 +284,6 @@ def analyze(f: LocallyConstantFn, window: Window,
     return WaveletExpansion(p, window, coeffs)
 
 
-def _term_sums(p: int, cells: dict, depth: int):
-    """(level, den, sums) for exact `cells` (index in [0, p^depth) -> `Cyc`):
-    entry t of sums maps r to the sum of the cells i = r mod p^t as integer
-    terms {e: (a, b)}, meaning (a + b sqrt(p)) zeta^e / den with
-    zeta = exp(2 pi i / p^level); zero pairs and empty classes are absent,
-    and a class with one child shares that child's dict."""
-    values = cells.values()
-    level = max([v.level for v in values] + [1 if p > 2 else 0])
-    den = lcm(*(v.den for v in values))
-    stage = {}
-    for i, v in cells.items():
-        if v:
-            up, lift = den // v.den, p ** (level - v.level)
-            stage[i] = {e * lift: (a * up, b * up) for e, (a, b) in v.terms.items()}
-    sums = [stage]
-    for t in range(depth - 1, -1, -1):
-        size, kids = p**t, {}
-        for i, terms in stage.items():
-            kids.setdefault(i % size, []).append(terms)
-        stage = {}
-        for r, group in kids.items():
-            terms = group[0] if len(group) == 1 else _added(g.items() for g in group)
-            if terms:
-                stage[r] = terms
-        sums.append(stage)
-    return level, den, sums[::-1]
-
-
-def _added(parts) -> dict:
-    """The sum of the term dicts given by their item iterables `parts`,
-    zero pairs dropped."""
-    out = {}
-    get = out.get
-    for items in parts:
-        for e, (a, b) in items:
-            c = get(e)
-            out[e] = (a, b) if c is None else (c[0] + a, c[1] + b)
-    return {e: c for e, c in out.items() if c[0] or c[1]}
-
-
 def _twiddled_sum(p: int, level: int, children: dict, j: int) -> dict:
     """sum_d zeta_p^(-jd) children[d] of term dicts at `level`: at p = 2 a
     child is negated when jd is odd; otherwise its exponents move by
@@ -336,7 +299,7 @@ def _twiddled_sum(p: int, level: int, children: dict, j: int) -> dict:
         else:
             shift = s * modulus // p
             parts.append([((e + shift) % modulus, c) for e, c in terms.items()])
-    return _added(parts)
+    return added_terms(parts)
 
 
 def synthesize(expansion: WaveletExpansion, resolution: int | None = None,

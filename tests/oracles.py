@@ -31,6 +31,16 @@ constructor.  `Cyc` multiplies by a level-0 factor, and adds two level-0
 values, without that normalization; the two must agree in terms, term
 order, denominator and level.
 
+`ball_reps` lists the rational keys of every cell of a ball, in index
+order, for the tests that build or read whole tables.
+
+`translation_residual_by_tables` is the translation check of the kernel
+form as two whole tables: `translate` and `vladimirov_kernel_apply`, each
+keyed by rationals, and a cellwise difference.
+`operators.translation_kernel_residual` keeps the cells as indices and
+shifts them; the two must agree in keys, key order, exact values and the
+repr of every float.
+
 `fourier_by_cell` is the transform as one character sum per output cell,
 Theta(N^2): the route `functions.fourier` took before the radix-p pass up
 the class tree.  On exact tables the two must agree in keys, key order and
@@ -75,11 +85,12 @@ from padic_wavelets.functions import (
     DEFAULT_CELL_CAP,
     LocallyConstantFn,
     add_cells,
-    ball_reps,
+    ball_size,
     cell_index,
     character_amp,
     inner_product,
     reduce_rep,
+    translate,
 )
 from padic_wavelets.haar import (
     HaarIndex,
@@ -89,7 +100,8 @@ from padic_wavelets.haar import (
     step_equal,
     step_monomial_integral,
 )
-from padic_wavelets.padic import check_prime
+from padic_wavelets.operators import vladimirov_kernel_apply
+from padic_wavelets.padic import check_prime, frac_valp
 from padic_wavelets.wavelets import (
     KozyrevIndex,
     WaveletExpansion,
@@ -417,6 +429,31 @@ def sum_by_terms(x: Cyc, y: Cyc, sign: int = 1) -> Cyc:
             old = terms.get(e, (0, 0))
             terms[e] = (old[0] + s * a, old[1] + s * b)
     return Cyc(x.prime, level, terms, den)
+
+
+def ball_reps(p: int, support_exponent: int, resolution: int,
+              cap: int = DEFAULT_CELL_CAP) -> list[Fraction]:
+    """Canonical representatives of the p^(M+K) cells covering |x| <= p^M,
+    in index order."""
+    count = ball_size(p, support_exponent, resolution, cap)
+    unit = Fraction(p) ** (-support_exponent)
+    return [i * unit for i in range(count)]
+
+
+def translation_residual_by_tables(alpha, f: LocallyConstantFn, shift) -> dict:
+    """D^alpha(translate f) - translate(D^alpha f) from whole tables: f on
+    the ball widened to hold the shift, `translate` before and after
+    `vladimirov_kernel_apply`, and the two tables subtracted cell by cell,
+    zero cells dropped."""
+    b = Fraction(shift)
+    support = f.support_exponent
+    if b != 0:
+        support = max(support, -frac_valp(b, f.prime))
+    base = f.with_support(support)
+    lhs = vladimirov_kernel_apply(alpha, translate(base, b)).table
+    rhs = translate(vladimirov_kernel_apply(alpha, base), b).table
+    diff = ((r, lhs.get(r, 0) - rhs.get(r, 0)) for r in {**lhs, **rhs})
+    return {r: v for r, v in diff if v}
 
 
 def fourier_by_cell(f: LocallyConstantFn, sign: int, cap: int = DEFAULT_CELL_CAP):

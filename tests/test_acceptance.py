@@ -15,7 +15,6 @@ import pytest
 from padic_wavelets.exact import Cyc, amp_equal
 from padic_wavelets.functions import (
     LocallyConstantFn,
-    ball_reps,
     fn_equal,
     fourier,
     inner_product,
@@ -46,6 +45,7 @@ from padic_wavelets.wavelets import (
 import conftest
 from conftest import WALL_CLOCK_BUDGET
 from oracles import (
+    ball_reps,
     closed_form_label_translated,
     closed_form_scaled,
     closed_form_scaled_translated,

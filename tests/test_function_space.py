@@ -17,7 +17,6 @@ from padic_wavelets.functions import (
     LocallyConstantFn,
     amp_from_json,
     amp_to_json,
-    ball_reps,
     cell_index,
     character_amp,
     fn_equal,
@@ -34,7 +33,7 @@ from padic_wavelets.padic import RationalPhase
 from padic_wavelets.wavelets import KozyrevIndex, expansion_from_json, materialize
 
 import oracles
-from oracles import indicator_fn, scale_arg, support_measure
+from oracles import ball_reps, indicator_fn, scale_arg, support_measure
 
 
 def random_exact_fn(p, support, resolution, rng, density=0.7, sqrt_p=False) -> LocallyConstantFn:

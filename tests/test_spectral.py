@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from padic_wavelets.errors import UnsupportedCaseError, WindowClipError
+from padic_wavelets import exact
+from padic_wavelets.errors import EnumerationCapError, UnsupportedCaseError, WindowClipError
 from padic_wavelets.exact import (
     Cyc,
     CycSum,
@@ -17,7 +18,7 @@ from padic_wavelets.exact import (
     is_half_integral,
     p_power_amp,
 )
-from padic_wavelets.functions import DEFAULT_CELL_CAP, LocallyConstantFn, ball_reps, fn_equal
+from padic_wavelets.functions import DEFAULT_CELL_CAP, LocallyConstantFn, fn_equal
 from padic_wavelets.operators import (
     _inv_one_minus,
     Diagonal,
@@ -50,6 +51,7 @@ from oracles import (
     ScaleShift,
     Word,
     apply_operator,
+    ball_reps,
     ell_word,
     j_word,
     log_limit_residual_norm,
@@ -488,6 +490,28 @@ def _naive_kernel_apply(alpha, f, cap=DEFAULT_CELL_CAP):
 _MAX_DEPTH = {2: 7, 3: 5, 5: 3}
 
 
+def _random_cells(p, support, resolution, rng, density, exact, level=2, sqrt=False):
+    """A random table on the ball: each cell kept with probability
+    `density`, with a random complex float or an exact value, a rational
+    times a p^level-th root of unity, times p^(k/2) for a random k when
+    `sqrt`."""
+    table = {}
+    for rep in ball_reps(p, support, resolution):
+        if rng.random() >= density:
+            continue
+        if exact:
+            mag = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            if mag:
+                phase = RationalPhase(rng.randrange(p**level), p**level)
+                value = Cyc.root_of_unity(p, phase) * mag
+                if sqrt:
+                    value = value * Cyc.half_power(p, rng.choice((-1, 0, 1, 3)))
+                table[rep] = value
+        else:
+            table[rep] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    return LocallyConstantFn(p, support, resolution, table)
+
+
 @st.composite
 def kernel_cases(draw):
     p = draw(st.sampled_from((2, 3, 5)))
@@ -495,18 +519,13 @@ def kernel_cases(draw):
     depth = draw(st.sampled_from(range(_MAX_DEPTH[p] + 1)))
     density = draw(st.sampled_from((0.0, 0.1, 1.0)))
     exact = draw(st.booleans())
+    # values up to level 2, or one level above the grid's M + K; at p = 2
+    # level 3 and up holds sqrt(2) = zeta_8 + zeta_8^7, so a value with a
+    # sqrt(p) part has more than one (a, b) split there, as at p = 5
+    level = draw(st.sampled_from((2, depth + 1, 3 if p == 2 else 1)))
+    sqrt = draw(st.booleans())
     rng = random.Random(draw(st.integers(0, 2**32)))
-    table = {}
-    for rep in ball_reps(p, support, depth - support):
-        if rng.random() >= density:
-            continue
-        if exact:
-            mag = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-            if mag:
-                table[rep] = Cyc.root_of_unity(p, RationalPhase(rng.randrange(p * p), p * p)) * mag
-        else:
-            table[rep] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    f = LocallyConstantFn(p, support, depth - support, table)
+    f = _random_cells(p, support, depth - support, rng, density, exact, level, sqrt)
     alpha = draw(st.sampled_from(
         (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), 0.3, 0.7, 1.0)))
     return f, alpha
@@ -553,6 +572,34 @@ def test_kernel_products_grow_linearly(monkeypatch):
     assert set(counts) == {243, 729}
     assert counts[729] <= (p + 1) * counts[243]
     assert counts[729] <= 8 * 729
+
+
+def test_exact_kernel_normalizes_each_output_cell_once(monkeypatch):
+    # the exact sum merges integer terms: one normalization per nonzero
+    # output cell, and `Cyc` additions only for the constants
+    p = 3
+    normalize, add = exact._normalize, Cyc.__add__
+    calls = {"normalize": 0, "add": 0}
+
+    def counted_normalize(*args):
+        calls["normalize"] += 1
+        return normalize(*args)
+
+    def counted_add(self, other):
+        calls["add"] += 1
+        return add(self, other)
+
+    monkeypatch.setattr(exact, "_normalize", counted_normalize)
+    monkeypatch.setattr(Cyc, "__add__", counted_add)
+    for extra_depth in (3, 4):
+        w = materialize(p, KozyrevIndex(0, (1,), 1), extra_depth=extra_depth)
+        depth = w.support_exponent + w.resolution
+        calls.update(normalize=0, add=0)
+        out = vladimirov_kernel_apply(Fraction(1, 2), w)
+        assert p**depth in (243, 729)
+        assert len(out.table) == len(w.table)
+        assert calls["normalize"] == len(out.table)
+        assert calls["add"] <= 2 * depth + 4
 
 
 @pytest.mark.parametrize("p, extra_depth", ((3, 4), (2, 8)))
@@ -607,3 +654,52 @@ def test_translation_kernel_residual_float_random_table():
     res = translation_kernel_residual(1.0, f, Fraction(1, 2))
     worst = max((abs(complex(v)) for v in res.values()), default=0.0)
     assert worst <= 1e-12
+
+
+def _same_residual(got, want):
+    assert list(got) == list(want)
+    for r, v in want.items():
+        if isinstance(v, Cyc):
+            assert isinstance(got[r], Cyc) and got[r] == v
+        else:
+            assert repr(got[r]) == repr(v)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("exact_table", (True, False))
+def test_translation_residual_matches_the_table_oracle(p, exact_table):
+    # the index shift against translate + kernel + translate on whole
+    # tables: shifts by 1/p and -2/p inside the ball, one that widens the
+    # ball (1/p^2 on support 1), one below the resolution (p^2 at K = 2)
+    # and none
+    rng = random.Random(p * 10 + exact_table)
+    f = _random_cells(p, 1, 2, rng, 0.6, exact_table)
+    alphas = (Fraction(1, 2), Fraction(1), 0.3) if exact_table else (0.5, 1.0, 0.3)
+    for shift in (Fraction(1, p), Fraction(1, p**2), Fraction(p**2), Fraction(-2, p), 0):
+        for alpha in alphas:
+            got = translation_kernel_residual(alpha, f, shift)
+            want = oracles.translation_residual_by_tables(alpha, f, shift)
+            _same_residual(got, want)
+            if is_half_integral(alpha) and exact_table:
+                assert got == {}
+
+
+def test_translation_residual_keeps_float_rounding_cells():
+    # a float table whose residual is rounding, not zero, in many cells:
+    # the index route keeps each of those cells and its float bits
+    f = _random_cells(5, 1, 2, random.Random(52), 0.6, False)
+    for alpha in (0.5, 1.0, 0.3):
+        got = translation_kernel_residual(alpha, f, Fraction(1, 5))
+        want = oracles.translation_residual_by_tables(alpha, f, Fraction(1, 5))
+        assert len(want) >= 19
+        _same_residual(got, want)
+
+
+def test_translation_residual_checks_the_widened_ball_against_the_cap():
+    # 2 cells at K = 1, but a shift by 2^-19 widens the ball to 2^20 cells,
+    # past the default cap of 10^6, and one by 2^-30 to 2^31
+    f = LocallyConstantFn(2, 0, 1, {Fraction(0): Cyc.one(2), Fraction(1): -Cyc.one(2)})
+    for shift in (Fraction(1, 2**19), Fraction(1, 2**30)):
+        with pytest.raises(EnumerationCapError):
+            translation_kernel_residual(1, f, shift)
+    assert translation_kernel_residual(1, f, Fraction(1, 2**3)) == {}

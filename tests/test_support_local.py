@@ -23,7 +23,6 @@ from padic_wavelets.exact import Cyc, CycSum, conj
 from padic_wavelets.functions import (
     DEFAULT_CELL_CAP,
     LocallyConstantFn,
-    ball_reps,
     fn_equal,
     inner_product,
     reduce_rep,
@@ -42,7 +41,7 @@ from padic_wavelets.wavelets import (
     synthesize,
 )
 
-from oracles import add, enumerate_indices, scaled
+from oracles import add, ball_reps, enumerate_indices, scaled
 
 
 # -- the oracles ---------------------------------------------------------------
