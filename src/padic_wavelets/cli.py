@@ -59,12 +59,12 @@ from .operators import (
     translation_kernel_residual,
     witt_results,
 )
-from .padic import frac_valp, from_rational, is_prime
+from .padic import frac_valp, is_prime, monna_rational, truncate
 from .wavelets import (
     KozyrevIndex,
     Window,
     analyze as analyze_fn,
-    evaluate,
+    evaluate_at_rational,
     expansion_from_json,
     expansion_to_json,
     materialize,
@@ -235,7 +235,7 @@ def csv_lines(header, rows) -> str:
 @click.group()
 @click.option("--prime", default=2, show_default=True, help="The prime p.")
 @click.option("--precision", default=12, show_default=True,
-              help="Digits carried by p-adic inputs.")
+              help="Digits of --xi that monna-map keeps.")
 @click.option("--window", "window_spec", default="-2:2:1", show_default=True,
               help="Scale window NMIN:NMAX[:MDEPTH].")
 @click.option("--tolerance", default=1e-10, show_default=True,
@@ -323,11 +323,8 @@ def wavelet_table(config: RunConfig, indices, extra_depth, output):
 @click.option("--xi", required=True, help="Evaluation point as a rational num/den.")
 @click.pass_obj
 def wavelet_eval(config: RunConfig, index, xi):
-    """Evaluate one wavelet at a rational point carried to --precision digits."""
-    idx = parse_index(index)
-    q = parse_rational(xi)
-    point = from_rational(q.numerator, q.denominator, config.prime, config.precision)
-    value = evaluate(idx, point)
+    """Evaluate one wavelet exactly at a rational point."""
+    value = evaluate_at_rational(config.prime, parse_index(index), parse_rational(xi))
     z = complex(value)
     out = {"re": z.real, "im": z.imag}
     encoded = amp_to_json(value)
@@ -584,8 +581,7 @@ def haar_sample(config: RunConfig, points, level, translate, output):
 def monna_map(config: RunConfig, xi):
     """Monna image of a p-adic number given as a rational."""
     q = parse_rational(xi)
-    point = from_rational(q.numerator, q.denominator, config.prime, config.precision)
-    image = point.monna()
+    image = monna_rational(truncate(q, config.prime, config.precision), config.prime)
     with _digit_limit():
         payload = {
             "prime": config.prime,

@@ -32,10 +32,6 @@ class OutputRangeError(PadicError):
     """A result holds an integer too long to be written as text."""
 
 
-class InsufficientPrecisionError(PadicError):
-    """A p-adic value does not carry enough digits to decide the result."""
-
-
 class WindowClipError(PadicError):
     """An operator tried to move a coefficient outside the expansion window."""
 

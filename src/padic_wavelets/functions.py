@@ -142,17 +142,6 @@ def add_cells(table: dict, cells) -> None:
         table[r] = v
 
 
-def translate(f: LocallyConstantFn, shift) -> LocallyConstantFn:
-    """x -> f(x - b) for the rational b = `shift`."""
-    p = f.prime
-    b = Fraction(shift)
-    if b == 0:
-        return f
-    support = max(f.support_exponent, -frac_valp(b, p))
-    table = {reduce_rep(r + b, p, f.resolution): v for r, v in f.table.items()}
-    return LocallyConstantFn(p, support, f.resolution, table)
-
-
 def integrate(f: LocallyConstantFn):
     """Haar integral: sum of cell values times the cell measure p^(-K)."""
     acc = CycSum(f.prime)

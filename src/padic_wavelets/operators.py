@@ -442,7 +442,7 @@ def _kernel_cells(alpha, p: int, m_exp: int, res: int, cells: dict) -> dict:
 
 
 def translation_kernel_residual(alpha, f: LocallyConstantFn, shift) -> dict:
-    """D^alpha(translate f) - translate(D^alpha f) as a table, zero cells
+    """D^alpha(f(x - b)) - (D^alpha f)(x - b) as a table, zero cells
     dropped.
 
     Both sides lie on f's grid over the ball widened to hold the shift b,

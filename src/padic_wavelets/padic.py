@@ -5,15 +5,14 @@ chi(j p^(n-1) x) read only the base-p digits of x and its fractional part,
 so this module holds no p-adic arithmetic: it converts between rationals and
 digits, reads valuations, character phases in Q/Z and the Monna map.
 
-A finite-precision point `PAdicNumber` is a valuation N together with K
-base-p digits (d0, d1, ...), d0 != 0, standing for
+A point of Q_p is an exact rational.  `truncate` cuts one to K base-p
+digits from its valuation N, the rational
 
-    p^N * (d0 + d1*p + d2*p^2 + ... + d_{K-1}*p^{K-1}) + O(p^{N+K}).
+    p^N * (d0 + d1*p + d2*p^2 + ... + d_{K-1}*p^{K-1}),
 
-Digits beyond the stored window are unknown; digits below the valuation are
-exactly zero.  All values are immutable and all operations are pure, so they
-may be shared freely between threads.  Negative rationals are represented by
-their complement digits (15 = -1 mod 2^4 and so on), not by a sign flag.
+with the complement digits of a negative one (15 = -1 mod 2^4 and so on)
+rather than a sign flag.  All values are immutable and all operations are
+pure, so they may be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -105,73 +104,22 @@ class RationalPhase:
         )
 
 
-@dataclass(frozen=True)
-class PAdicNumber:
-    """A finite-precision point of Q_p, read by `wavelets.evaluate` and
-    the Monna map.
+def truncate(q: Fraction, p: int, precision: int) -> Fraction:
+    """q cut to K = `precision` base-p digits from its valuation v:
+    p^v * (u * w^(-1) mod p^K) for q = p^v * u / w, or 0 for q = 0.
 
-    For zero values `digits` is empty.  `exact` distinguishes a true zero
-    from an inexact one, O(p^valuation), whose digits below `valuation` are
-    known to vanish; `from_rational` makes only true zeros, but `evaluate`
-    still accepts an inexact one.
-    """
-
-    prime: int
-    valuation: int
-    digits: tuple[int, ...]
-    exact: bool = True
-
-    def __post_init__(self):
-        check_prime(self.prime)
-        if self.digits:
-            if self.digits[0] == 0:
-                raise InvalidInputError("leading digit must be nonzero")
-            if any(not (0 <= d < self.prime) for d in self.digits):
-                raise InvalidInputError("digits must lie in [0, p-1]")
-
-    @classmethod
-    def zero(cls, p: int) -> "PAdicNumber":
-        return cls(p, 0, ())
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.digits
-
-    @property
-    def precision(self) -> int:
-        return len(self.digits)
-
-    def unit_int(self) -> int:
-        return digits_to_int(self.digits, self.prime)
-
-    def to_rational(self) -> Fraction:
-        """The exact rational denoted by the stored digits."""
-        return self.unit_int() * Fraction(self.prime) ** self.valuation
-
-    def monna(self) -> Fraction:
-        """Digit-reversing Monna image: sum d_m p^m maps to sum d_m p^(-m-1)."""
-        return monna_rational(self.to_rational(), self.prime)
-
-
-def from_rational(num: int, den: int, p: int, precision: int) -> PAdicNumber:
-    """K-digit expansion of num/den; valuation = ord_p(num) - ord_p(den).
-
-    The denominator's unit part is inverted modulo p^K, so negative and
-    non-terminating rationals come out as complement digits.
+    The unit part of the denominator is inverted modulo p^K, so negative and
+    non-terminating rationals keep their complement digits.
     """
     check_prime(p)
-    if den == 0:
-        raise InvalidInputError("denominator must be nonzero")
     if precision < 1:
         raise InvalidInputError("precision must be >= 1")
-    if num == 0:
-        return PAdicNumber.zero(p)
-    vn, vd = valp(num, p), valp(den, p)
-    u = num // p**vn
-    v = den // p**vd
+    if q == 0:
+        return Fraction(0)
+    vn, vd = valp(q.numerator, p), valp(q.denominator, p)
     modulus = p**precision
-    unit = (u * pow(v, -1, modulus)) % modulus
-    return PAdicNumber(p, vn - vd, int_to_digits(unit, p, precision))
+    unit = q.numerator // p**vn * pow(q.denominator // p**vd, -1, modulus) % modulus
+    return unit * Fraction(p) ** (vn - vd)
 
 
 def rational_character_phase(q: Fraction, p: int) -> RationalPhase:

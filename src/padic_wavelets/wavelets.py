@@ -18,9 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import inf
-
-from .errors import InsufficientPrecisionError, InvalidInputError, WindowClipError
+from .errors import InvalidInputError, WindowClipError
 from .exact import Cyc, cyc_rotated
 from .functions import (
     DEFAULT_CELL_CAP,
@@ -37,14 +35,7 @@ from .functions import (
     json_int,
     term_sums,
 )
-from .padic import (
-    PAdicNumber,
-    check_prime,
-    digits_to_int,
-    frac_valp,
-    int_to_digits,
-    valp,
-)
+from .padic import check_prime, digits_to_int, int_to_digits, valp
 
 
 @dataclass(frozen=True, order=True)
@@ -125,34 +116,6 @@ class WaveletExpansion:
 
 
 # -- evaluation --------------------------------------------------------------
-
-
-def evaluate(idx: KozyrevIndex, xi: PAdicNumber) -> Cyc:
-    """Exact wavelet value at a finite-precision point.
-
-    The value reads the digits of xi up to exponent -n.  If they are all
-    stored, it is the value at the rational the digits denote; if not, it is
-    zero when the stored digits already miss the support, else undetermined.
-    """
-    p = xi.prime
-    validate_index(p, idx)
-    n = idx.n
-    # the first exponent whose digit is not stored; an exact zero has none
-    known = inf if xi.is_zero and xi.exact else xi.valuation + xi.precision
-    if known > -n:
-        return evaluate_at_rational(p, idx, xi.to_rational())
-    # the support is v_p(x - p^(-n) m) >= -n; the stored digits settle it
-    # only when they already differ from those of p^(-n) m below `known`
-    offset = xi.to_rational() - Fraction(p) ** -n * m_value(idx, p)
-    if offset != 0 and frac_valp(offset, p) < known:
-        return Cyc.zero(p)
-    if known < -n:
-        raise InsufficientPrecisionError(
-            f"digits of xi below exponent {-n} are needed to place it against m"
-        )
-    raise InsufficientPrecisionError(
-        f"the digit of xi at exponent {-n} is needed for the character"
-    )
 
 
 def evaluate_at_rational(p: int, idx: KozyrevIndex, q: Fraction) -> Cyc:

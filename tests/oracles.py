@@ -32,7 +32,8 @@ values, without that normalization; the two must agree in terms, term
 order, denominator and level.
 
 `ball_reps` lists the rational keys of every cell of a ball, in index
-order, for the tests that build or read whole tables.
+order, for the tests that build or read whole tables, and `translate`
+shifts a whole table's argument, x -> f(x - b).
 
 `translation_residual_by_tables` is the translation check of the kernel
 form as two whole tables: `translate` and `vladimirov_kernel_apply`, each
@@ -53,8 +54,8 @@ Parseval, ||f||^2 - sum |c|^2; on exact tables the two must print the same
 bytes.
 
 The `closed_form_*` constructors build the scaled and translated wavelets
-straight from their printed case tables, independently of `evaluate`,
-`materialize` and `translate`.  `scale_arg`, `indicator_fn` and
+straight from their printed case tables, independently of
+`evaluate_at_rational`, `materialize` and `translate`.  `scale_arg`, `indicator_fn` and
 `support_measure` are the small function-space helpers those comparisons
 use, and `scaled`, `add` and `subtract` the cellwise table arithmetic of
 the sums and differences the tests build.  `verify_lowering`,
@@ -90,7 +91,6 @@ from padic_wavelets.functions import (
     character_amp,
     inner_product,
     reduce_rep,
-    translate,
 )
 from padic_wavelets.haar import (
     HaarIndex,
@@ -438,6 +438,17 @@ def ball_reps(p: int, support_exponent: int, resolution: int,
     count = ball_size(p, support_exponent, resolution, cap)
     unit = Fraction(p) ** (-support_exponent)
     return [i * unit for i in range(count)]
+
+
+def translate(f: LocallyConstantFn, shift) -> LocallyConstantFn:
+    """x -> f(x - b) for the rational b = `shift`."""
+    p = f.prime
+    b = Fraction(shift)
+    if b == 0:
+        return f
+    support = max(f.support_exponent, -frac_valp(b, p))
+    table = {reduce_rep(r + b, p, f.resolution): v for r, v in f.table.items()}
+    return LocallyConstantFn(p, support, f.resolution, table)
 
 
 def translation_residual_by_tables(alpha, f: LocallyConstantFn, shift) -> dict:

@@ -19,7 +19,6 @@ from padic_wavelets.functions import (
     fourier,
     inner_product,
     inverse_fourier,
-    translate,
 )
 from padic_wavelets.haar import (
     HaarIndex,
@@ -54,6 +53,7 @@ from oracles import (
     log_limit_residual_norm,
     scale_arg,
     scaled,
+    translate,
     verify_dilatation,
     verify_lowering,
 )

@@ -108,13 +108,44 @@ def test_wavelet_eval_readme_example(capsys):
 """
 
 
-def test_wavelet_eval_missing_character_digit_is_exit_two(capsys):
-    # xi = 3 with one digit: the indicator of -2:1:1 holds, but the character
-    # needs the digit at exponent 2, which is not stored
+def test_wavelet_eval_reads_every_digit_of_xi(capsys):
+    # xi = 3: the indicator of -2:1:1 holds, and the character reads the
+    # digit at exponent 2, beyond the one digit that --precision 1 keeps
     code, out, err = run(capsys, ["--prime", "3", "--precision", "1", "wavelet", "eval",
                                   "--index", "-2:1:1", "--xi", "3"])
-    assert (code, out) == (2, "")
-    assert err == "numeric failure: the digit of xi at exponent 2 is needed for the character\n"
+    assert (code, err) == (0, "")
+    exact = json.loads(out)["exact"]
+    assert exact == {"magnitude": "3/1", "phase": "1/9"}
+
+
+@pytest.mark.parametrize("p, index, xi", [
+    (2, "0:1:1", "-5/2"),
+    (2, "-2::1", "12/7"),
+    (2, "-3:1:1", "-28/5"),
+    (3, "-2:1:1", "3/7"),
+    (3, "0:2:2", "-7/3"),
+    (3, "0::2", "2/7"),
+    (5, "0:3:4", "-2/5"),
+    (5, "-2::3", "50/7"),
+    (5, "1:4,1:2", "21/125"),
+])
+def test_wavelet_eval_ignores_precision(capsys, p, index, xi):
+    # the value is that at the exact rational, so the digits --precision
+    # keeps do not change a byte of it; each xi lies in the support
+    argv = ["wavelet", "eval", "--index", index, "--xi", xi]
+    code, default, err = run(capsys, ["--prime", str(p), *argv])
+    assert (code, err) == (0, "")
+    value = json.loads(default)
+    assert complex(value["re"], value["im"]) != 0
+    assert run(capsys, ["--prime", str(p), "--precision", "1", *argv]) == (0, default, "")
+
+
+def test_xi_with_zero_denominator_is_usage_error(capsys):
+    for argv in (["wavelet", "eval", "--index", "0::1", "--xi", "1/0"],
+                 ["monna-map", "--xi", "1/0"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: '1/0' is not a rational number")
 
 
 def test_usage_error_is_exit_one(capsys):

@@ -27,13 +27,12 @@ from padic_wavelets.functions import (
     integrate,
     inverse_fourier,
     reduce_rep,
-    translate,
 )
 from padic_wavelets.padic import RationalPhase
 from padic_wavelets.wavelets import KozyrevIndex, expansion_from_json, materialize
 
 import oracles
-from oracles import ball_reps, indicator_fn, scale_arg, support_measure
+from oracles import ball_reps, indicator_fn, scale_arg, support_measure, translate
 
 
 def random_exact_fn(p, support, resolution, rng, density=0.7, sqrt_p=False) -> LocallyConstantFn:

@@ -5,27 +5,20 @@ from fractions import Fraction
 
 import pytest
 
-from padic_wavelets.errors import (
-    InsufficientPrecisionError,
-    InvalidInputError,
-    UnsupportedCaseError,
-)
+from padic_wavelets.errors import InvalidInputError, UnsupportedCaseError
 from padic_wavelets.exact import Cyc, amp_equal, conj
 from padic_wavelets.functions import (
     character_amp,
     fn_equal,
     inner_product,
     integrate,
-    translate,
 )
-from padic_wavelets.padic import PAdicNumber, from_rational
 from padic_wavelets.wavelets import (
     KozyrevIndex,
     WaveletExpansion,
     Window,
     analyze,
     enumerate_m_digits,
-    evaluate,
     evaluate_at_rational,
     expansion_from_json,
     expansion_to_json,
@@ -44,6 +37,7 @@ from oracles import (
     scaled,
     subtract,
     support_measure,
+    translate,
 )
 
 
@@ -67,80 +61,26 @@ def test_enumerate_m_digits_counts():
 
 
 def test_evaluate_mother_at_zero():
-    assert evaluate(KozyrevIndex(0), PAdicNumber.zero(2)) == 1
+    assert evaluate_at_rational(2, KozyrevIndex(0), Fraction(0)) == 1
 
 
 def test_evaluate_outside_support():
     # |xi| > p^n lands outside
-    xi = from_rational(1, 2, 2, 6)
-    assert not evaluate(KozyrevIndex(0), xi)
-    assert not evaluate(KozyrevIndex(-1), from_rational(1, 1, 2, 6))
+    assert not evaluate_at_rational(2, KozyrevIndex(0), Fraction(1, 2))
+    assert not evaluate_at_rational(2, KozyrevIndex(-1), Fraction(1))
 
 
 def test_evaluate_on_unit_sphere_gives_root_of_unity():
     for p in (2, 3):
-        xi = from_rational(1, 1, p, 6)
-        v = evaluate(KozyrevIndex(0), xi)
+        v = evaluate_at_rational(p, KozyrevIndex(0), Fraction(1))
         assert v == character_amp(p, Fraction(1, p))
-
-
-def test_evaluate_insufficient_precision():
-    # one stored digit at valuation 1 cannot decide the character digit at
-    # exponent 2 once the indicator has passed
-    xi = PAdicNumber(3, 1, (1,))
-    with pytest.raises(InsufficientPrecisionError):
-        evaluate(KozyrevIndex(-2, (1,), 1), xi)
 
 
 def test_evaluate_rejects_bad_labels():
     with pytest.raises(InvalidInputError):
-        evaluate(KozyrevIndex(0, (), 2), PAdicNumber.zero(2))
+        evaluate_at_rational(2, KozyrevIndex(0, (), 2), Fraction(0))
     with pytest.raises(InvalidInputError):
-        evaluate(KozyrevIndex(0, (5,), 1), PAdicNumber.zero(3))
-
-
-def completions(xi: PAdicNumber, top: int) -> list:
-    """Every rational that agrees with the stored digits of xi and has any
-    digits at the unstored exponents known .. top (none above top)."""
-    p = xi.prime
-    known = xi.valuation + xi.precision
-    stored = xi.to_rational()
-    if known > top or (xi.is_zero and xi.exact):
-        return [stored]
-    width = top - known + 1
-    return [stored + Fraction(i) * Fraction(p) ** known for i in range(p**width)]
-
-
-@pytest.mark.parametrize("p", (2, 3, 5))
-def test_evaluate_agrees_with_every_completion(p):
-    # brute-force oracle: evaluate returns the value every completion of the
-    # unstored digits up to exponent -n agrees on, and raises when they differ
-    rng = random.Random(p)
-    points = [PAdicNumber.zero(p)] + [PAdicNumber(p, v, (), exact=False) for v in range(-4, 4)]
-    for v in range(-4, 3):
-        for precision in (1, 2, 3):
-            digits = (rng.randrange(1, p),) + tuple(rng.randrange(p) for _ in range(precision - 1))
-            points.append(PAdicNumber(p, v, digits))
-    checked = raised = 0
-    for n in range(-2, 3):
-        for m in enumerate_m_digits(p, 2):
-            idx = KozyrevIndex(n, m, rng.randrange(1, p))
-            for xi in points:
-                if xi.valuation + xi.precision < -n - 2:
-                    continue  # keeps the completions to at most p^3
-                values = {
-                    (v.level, v.den, tuple(sorted(v.terms.items())))
-                    for v in (evaluate_at_rational(p, idx, q) for q in completions(xi, -n))
-                }
-                if len(values) == 1:
-                    want = evaluate_at_rational(p, idx, completions(xi, -n)[0])
-                    assert evaluate(idx, xi) == want
-                else:
-                    with pytest.raises(InsufficientPrecisionError):
-                        evaluate(idx, xi)
-                    raised += 1
-                checked += 1
-    assert raised and checked - raised
+        evaluate_at_rational(3, KozyrevIndex(0, (5,), 1), Fraction(0))
 
 
 def test_label_digits_match_per_digit_sums():
@@ -148,16 +88,6 @@ def test_label_digits_match_per_digit_sums():
         for m in enumerate_m_digits(p, 3):
             assert m_value(KozyrevIndex(0, m), p) == sum(
                 (Fraction(d, p**i) for i, d in enumerate(m, start=1)), Fraction(0))
-
-
-def test_evaluate_matches_rational_path():
-    p = 3
-    idx = KozyrevIndex(1, (2,), 2)
-    for num in range(-8, 9):
-        for den in (1, 3, 9, 27):
-            q = Fraction(num, den)
-            xi = from_rational(q.numerator, q.denominator, p, 8) if num else PAdicNumber.zero(p)
-            assert amp_equal(evaluate(idx, xi), evaluate_at_rational(p, idx, q))
 
 
 # -- materialization --------------------------------------------------------------

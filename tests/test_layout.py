@@ -194,9 +194,9 @@ def test_the_walk_finds_an_unreached_method(tmp_path):
     # names, next to a dunder that no code names either
     pkg = _src_copy(tmp_path)
     text = (pkg / "padic.py").read_text()
-    anchor = "    def unit_int(self) -> int:\n"
+    anchor = '    def __add__(self, other: "RationalPhase") -> "RationalPhase":\n'
     assert text.count(anchor) == 1
-    extra = ("    def test_only_method(self):\n        return self.digits\n\n"
-             "    def __len__(self):\n        return len(self.digits)\n\n")
+    extra = ("    def test_only_method(self):\n        return self.numerator\n\n"
+             "    def __len__(self):\n        return self.denominator\n\n")
     (pkg / "padic.py").write_text(text.replace(anchor, extra + anchor))
-    assert unreached(pkg) == ["padic.PAdicNumber.test_only_method"]
+    assert unreached(pkg) == ["padic.RationalPhase.test_only_method"]

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from padic_wavelets.errors import InvalidInputError
 from padic_wavelets.padic import (
-    PAdicNumber,
     RationalPhase,
+    digits_to_int,
     frac_valp,
-    from_rational,
     monna_rational,
     rational_character_phase,
+    truncate,
 )
 
 PRIMES = (2, 3, 5)
@@ -29,37 +29,45 @@ def division_digits(value: int, p: int, count: int) -> list:
     return out
 
 
-# -- construction -------------------------------------------------------------
+def truncated_digits(q: Fraction, p: int, k: int) -> tuple:
+    """The valuation of truncate(q, p, k) and its k digits, read off its unit
+    part by the division oracle."""
+    x = truncate(q, p, k)
+    v = frac_valp(x, p)
+    unit = x / Fraction(p) ** v
+    assert unit.denominator == 1 and 0 < unit < p**k
+    return v, division_digits(unit.numerator, p, k)
+
+
+# -- truncation ---------------------------------------------------------------
 
 
 def test_one_is_identity():
-    x = from_rational(1, 1, 2, 4)
-    assert x.valuation == 0
-    assert x.digits == (1, 0, 0, 0)
+    assert truncate(Fraction(1), 2, 4) == 1
+    assert truncated_digits(Fraction(1), 2, 4) == (0, [1, 0, 0, 0])
 
 
 def test_twelve_base_two():
     # 12 = 2^2 * 3; oracle: divide out 2s, then expand the unit by division
-    x = from_rational(12, 1, 2, 4)
-    assert x.valuation == 2
-    assert list(x.digits) == division_digits(3, 2, 4) == [1, 1, 0, 0]
+    assert truncate(Fraction(12), 2, 4) == 12
+    assert truncated_digits(Fraction(12), 2, 4) == (2, division_digits(3, 2, 4)) == (2, [1, 1, 0, 0])
 
 
 def test_one_third_base_two():
     # modular-inverse oracle: 3 * 11 = 33 = 1 mod 16, and 11 = 1101_2
-    x = from_rational(1, 3, 2, 4)
-    assert x.valuation == 0
-    assert list(x.digits) == division_digits(11, 2, 4) == [1, 1, 0, 1]
+    assert truncate(Fraction(1, 3), 2, 4) == 11
+    assert truncated_digits(Fraction(1, 3), 2, 4) == (0, division_digits(11, 2, 4)) == (0, [1, 1, 0, 1])
 
 
-def test_zero_denominator_rejected():
-    with pytest.raises(InvalidInputError):
-        from_rational(1, 0, 2, 4)
+def test_precision_below_one_rejected():
+    for precision in (0, -1):
+        with pytest.raises(InvalidInputError):
+            truncate(Fraction(1), 2, precision)
 
 
 def test_non_prime_rejected():
     with pytest.raises(InvalidInputError):
-        from_rational(1, 1, 6, 4)
+        truncate(Fraction(1), 6, 4)
 
 
 @given(
@@ -68,13 +76,15 @@ def test_non_prime_rejected():
     p=st.sampled_from(PRIMES),
 )
 def test_round_trip_mod_precision(num, den, p):
-    # re-summing the digits reproduces num/den mod p^(valuation+K)
+    # the truncation agrees with num/den mod p^(valuation+K)
     k = 6
-    x = from_rational(num, den, p, k)
+    q = Fraction(num, den)
+    x = truncate(q, p, k)
     if num == 0:
-        assert x.is_zero
+        assert x == 0
         return
-    diff = x.to_rational() - Fraction(num, den)
+    assert frac_valp(x, p) == frac_valp(q, p)
+    diff = x - q
     if diff != 0:
         v = diff.numerator
         d = diff.denominator
@@ -85,7 +95,7 @@ def test_round_trip_mod_precision(num, den, p):
         while d % p == 0:
             d //= p
             count -= 1
-        assert count >= x.valuation + k
+        assert count >= frac_valp(q, p) + k
 
 
 # -- valuations and the ultrametric law ----------------------------------------
@@ -121,35 +131,30 @@ def test_norm_multiplicative(a, b, p):
 # -- fractional part and characters ---------------------------------------------
 
 
-def phase_of(x: PAdicNumber) -> RationalPhase:
-    """The character phase {x}_p of the rational that x's digits denote."""
-    return rational_character_phase(x.to_rational(), x.prime)
-
-
 def test_integer_part_has_no_fraction():
-    assert phase_of(from_rational(7, 1, 2, 6)) == RationalPhase(0)
+    assert rational_character_phase(truncate(Fraction(7), 2, 6), 2) == RationalPhase(0)
 
 
 def test_half_fraction():
-    assert phase_of(from_rational(1, 2, 2, 6)) == RationalPhase(1, 2)
+    assert rational_character_phase(truncate(Fraction(1, 2), 2, 6), 2) == RationalPhase(1, 2)
 
 
 def test_three_quarters_fraction():
     # digitwise oracle: 3/4 = 2^-2 * (1 + 2), digits (1, 1) at valuation -2
-    x = from_rational(3, 4, 2, 6)
-    assert x.valuation == -2
-    assert x.digits[:2] == (1, 1)
-    assert phase_of(x) == RationalPhase(3, 4)
+    v, digits = truncated_digits(Fraction(3, 4), 2, 6)
+    assert v == -2
+    assert digits[:2] == [1, 1]
+    assert rational_character_phase(truncate(Fraction(3, 4), 2, 6), 2) == RationalPhase(3, 4)
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_character_homomorphism_exhaustive(p):
     # all elements with two fractional digits
-    points = [from_rational(a, p**2, p, 6) for a in range(p**2)]
+    points = [truncate(Fraction(a, p**2), p, 6) for a in range(p**2)]
     for x in points:
         for y in points:
-            assert phase_of(x) + phase_of(y) == rational_character_phase(
-                x.to_rational() + y.to_rational(), p)
+            assert rational_character_phase(x, p) + rational_character_phase(y, p) == (
+                rational_character_phase(x + y, p))
 
 
 @given(
@@ -168,41 +173,45 @@ def test_rational_character_homomorphism(a, b, c, d, p):
 
 
 def sample_points(p: int) -> list:
-    """Zeros, every short digit string at valuations -4..3, and the
+    """Zero, every three-digit string at valuations -4..3, and the truncated
     complement digits of negative and non-terminating rationals."""
-    points = [PAdicNumber.zero(p), PAdicNumber(p, -2, (), exact=False)]
+    points = [Fraction(0)]
     for v in range(-4, 4):
         for lead in range(1, p):
             for tail in range(p**2):
-                points.append(PAdicNumber(p, v, (lead, tail % p, tail // p)))
+                points.append((lead + tail % p * p + tail // p * p**2) * Fraction(p) ** v)
     for num in range(-30, 31):
         for den in (1, 2, 3, 4, 5, 7, 9, 25, 27):
             if num:
-                points.append(from_rational(num, den, p, 5))
+                points.append(truncate(Fraction(num, den), p, 5))
     return points
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_digit_readers_match_per_digit_sums(p):
-    # oracle: sum d * p^e over the stored digits d at exponents e
+    # oracle: sum d * p^e over the digits d at exponents e, read off each
+    # point's unit part by repeated division
     for x in sample_points(p):
-        terms = [(d, x.valuation + i) for i, d in enumerate(x.digits)]
+        v = frac_valp(x, p) if x else 0
+        unit = x / Fraction(p) ** v
+        assert unit.denominator == 1 and unit < p**5
+        digits = division_digits(unit.numerator, p, 5)
+        terms = [(d, v + i) for i, d in enumerate(digits)]
         value = sum((Fraction(d) * Fraction(p) ** e for d, e in terms), Fraction(0))
         fraction = sum((Fraction(d) * Fraction(p) ** e for d, e in terms if e < 0), Fraction(0))
         image = sum((Fraction(d) * Fraction(p) ** (-e - 1) for d, e in terms), Fraction(0))
-        assert x.to_rational() == value
-        assert phase_of(x) == RationalPhase(fraction.numerator, fraction.denominator)
-        assert x.monna() == image
-        assert monna_rational(value, p) == image
+        assert x == value == digits_to_int(digits, p) * Fraction(p) ** v
+        assert rational_character_phase(x, p) == RationalPhase(fraction.numerator, fraction.denominator)
+        assert monna_rational(x, p) == image
 
 
 # -- Monna map -------------------------------------------------------------------
 
 
 def test_monna_zero_and_inverse_power():
-    assert PAdicNumber.zero(5).monna() == 0
+    assert monna_rational(Fraction(0), 5) == 0
     for p in PRIMES:
-        assert from_rational(1, p, p, 4).monna() == 1
+        assert monna_rational(truncate(Fraction(1, p), p, 4), p) == 1
 
 
 @pytest.mark.parametrize("p", PRIMES)
