@@ -30,7 +30,7 @@ from .errors import (
     OutputRangeError,
     PadicError,
 )
-from .exact import CycSum, is_half_integral
+from .exact import amp_sum, is_half_integral
 from .functions import (
     DEFAULT_CELL_CAP,
     LocallyConstantFn,
@@ -358,13 +358,10 @@ def analyze_cmd(config: RunConfig, input_file, output):
     write_output(to_json(expansion_to_json(expansion)) + "\n", output)
     mean = complex(integrate(fn))
     # the reader rejects repeated cells, so each value is one cell of f
-    norm2, kept = CycSum(fn.prime), CycSum(fn.prime)
-    for v in fn.table.values():
-        norm2.add_abs2(v)
-    for c in expansion.coefficients.values():
-        kept.add_abs2(c)
+    norm2 = amp_sum(fn.prime, fn.table.values(), abs2=True)
+    kept = amp_sum(fn.prime, expansion.coefficients.values(), abs2=True)
     measure = Fraction(fn.prime) ** (-fn.resolution)
-    res_norm2 = complex(norm2.result() * measure - kept.result()).real
+    res_norm2 = complex(norm2 * measure - kept).real
     _echo(f"mean component: {fmt(mean.real)}{mean.imag:+.17g}j", err=True)
     _echo(f"round-trip residual norm^2: {fmt(res_norm2)}", err=True)
 

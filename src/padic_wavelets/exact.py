@@ -34,10 +34,21 @@ so the common factor of the coefficients, and with it the lowest terms, is
 unchanged; and a root of unity times a nonzero value is nonzero, so the
 Gauss-sum zero test is skipped.
 
+Every exact sum of the package is made of one lift and one adder.  `lift`
+takes exact values to one level, the highest of theirs, over one
+denominator, the least common multiple of theirs: it gives each value the
+factors of its exponents and of its integer pairs, and `added_terms`
+applies them as it adds the terms into one dict.  The product loop of `*`
+(`_product_terms`) reads the same parts.  The general path of `+`,
+`functions.term_sums`, the kernel's constants in `operators` and
+`amp_sum` sum this way, and only the finished sum is normalized;
+`amp_sum` adds |v|^2 as the product loop's terms, not normalized.
+
 `Fraction` appears only at the edge: the rational constructors, `*` and `+`
 with a `Rational`, and the accessors that hand coefficients out.  Mixing a
-`Cyc` with a float/complex demotes the result to `complex`; code that wants
-to stay exact simply never introduces floats.
+`Cyc` with a float/complex demotes the result to `complex`, and `amp_sum`
+goes on in complex from its first float value; code that wants to stay
+exact simply never introduces floats.
 """
 
 from __future__ import annotations
@@ -216,10 +227,6 @@ class Cyc:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _lifted(self, level: int):
-        shift = self.prime ** (level - self.level)
-        return {e * shift: c for e, c in self.terms.items()}
-
     def __add__(self, other):
         if isinstance(other, Cyc):
             if other.prime != self.prime:
@@ -234,20 +241,9 @@ class Cyc:
                 if not (a or b):
                     return Cyc.zero(self.prime)
                 return Cyc(self.prime, 0, *_lowest({0: (a, b)}, den), _reduced=True)
-            level = max(self.level, other.level)
-            den = lcm(self.den, other.den)
-            mine, theirs = den // self.den, den // other.den
-            terms = self._lifted(level)
-            if mine != 1:
-                terms = {e: (a * mine, b * mine) for e, (a, b) in terms.items()}
-            get = terms.get
-            for e, (a, b) in other._lifted(level).items():
-                c = get(e)
-                if c is None:
-                    terms[e] = (a * theirs, b * theirs)
-                else:
-                    terms[e] = (c[0] + a * theirs, c[1] + b * theirs)
-            return Cyc(self.prime, level, _strip(terms), den)
+            level, den, parts = lift(self.prime, ((self.level, self.terms, self.den),
+                                                  (other.level, other.terms, other.den)))
+            return Cyc(self.prime, level, added_terms(parts), den)
         if isinstance(other, Rational):
             return self + Cyc.rational(self.prime, other)
         if isinstance(other, (float, complex)):
@@ -291,21 +287,9 @@ class Cyc:
                          for e, (a, b) in value.terms.items()}
                 return Cyc(p, value.level, *_lowest(terms, scalar.den * value.den),
                            _reduced=True)
-            level = max(self.level, other.level)
-            modulus = p**level
-            xs = self._lifted(level).items()
-            ys = other._lifted(level).items()
-            terms: dict = {}
-            get = terms.get
-            for e1, (a, b) in xs:
-                for e2, (c, d) in ys:
-                    e = e1 + e2
-                    if e >= modulus:
-                        e -= modulus
-                    ra, rb = a * c + p * b * d, a * d + b * c
-                    old = get(e)
-                    terms[e] = (ra, rb) if old is None else (old[0] + ra, old[1] + rb)
-            return Cyc(p, level, terms, self.den * other.den)
+            # the denominators multiply: the factors are lifted over 1
+            level, _, (x, y) = lift(p, ((self.level, self.terms, 1), (other.level, other.terms, 1)))
+            return Cyc(p, level, _product_terms(p, level, x, y), self.den * other.den)
         if isinstance(other, Rational):
             num, den = other.numerator, other.denominator
             if num == 0:
@@ -395,6 +379,101 @@ def _lowest(terms: dict, den: int):
 
 def _strip(terms: dict) -> dict:
     return {e: c for e, c in terms.items() if c[0] or c[1]}
+
+
+def lift(p: int, values, level: int = 0):
+    """Exact values at one level over one denominator.
+
+    `values` is a sequence of (level, terms, den), terms {e: (a, b)}
+    meaning (a + b sqrt(p)) zeta^e / den with zeta = exp(2 pi i / p^level),
+    as a `Cyc` holds them.  Returns (level, den, parts): level the highest
+    of `level` and theirs, den the least common multiple of theirs, and
+    for each value the part (items, shift, up) whose terms (e, (a, b)) are
+    (e * shift, (a * up, b * up)) there.  No term moves here: `added_terms`
+    and `_product_terms` move each one as they read it, so a long sum
+    builds one dict.  A canonical value stays canonical lifted."""
+    for lv, _, _ in values:
+        if lv > level:
+            level = lv
+    den = lcm(*[d for _, _, d in values])
+    return level, den, [(terms.items(), p ** (level - lv), den // d) for lv, terms, d in values]
+
+
+def added_terms(parts) -> dict:
+    """The sum of the parts (items, shift, up) of `lift`, or of term items
+    given as (items, 1, 1): each term (e, (a, b)) of a part adds
+    (a * up, b * up) at exponent e * shift.  Each part has distinct
+    exponents and no zero pair; a zero pair of the sum is dropped."""
+    out = {}
+    get = out.get
+    count = 0
+    for items, shift, up in parts:
+        count += 1
+        if shift != 1 or up != 1:
+            for e, (a, b) in items:
+                e *= shift
+                c = get(e)
+                out[e] = (a * up, b * up) if c is None else (c[0] + a * up, c[1] + b * up)
+        elif out:
+            for e, (a, b) in items:
+                c = get(e)
+                out[e] = (a, b) if c is None else (c[0] + a, c[1] + b)
+        else:
+            out.update(items)
+    return _strip(out) if count > 1 else out
+
+
+def _product_terms(p: int, level: int, x, y) -> dict:
+    """The terms, not normalized, at `level` of the product of the parts
+    x and y of `lift`, each with up 1 and at most one with a shift other
+    than 1: every term of x times every term of y, exponents in
+    [0, p^level).  A shift of -1 conjugates: zeta^(-e) = conj(zeta^e)."""
+    modulus = p**level
+    (xs, sx, _), (ys, _, _) = (y, x) if y[1] != 1 else (x, y)
+    terms: dict = {}
+    get = terms.get
+    for e1, (a, b) in xs:
+        e1 *= sx
+        for e2, (c, d) in ys:
+            e = e1 + e2
+            if e >= modulus:
+                e -= modulus
+            elif e < 0:
+                e += modulus
+            ra, rb = a * c + p * b * d, a * d + b * c
+            old = get(e)
+            terms[e] = (ra, rb) if old is None else (old[0] + ra, old[1] + rb)
+    return terms
+
+
+def amp_sum(p: int, values, abs2: bool = False):
+    """The sum of `values` in their order, or with `abs2` the sum of their
+    |v|^2 = conj(v) * v.
+
+    The exact values (`Cyc` or `Rational`) before the first float are
+    added as integer terms at one level over one denominator (`lift`), and
+    the sum is normalized once; |v|^2 enters as the terms of the product
+    loop of `*` at v's own level, not normalized.  From the first float on
+    the sum goes on in complex: the exact sum so far as a complex, then
+    each value, or conj(v) * v, as a complex, one at a time."""
+    values = list(values)
+    cut = next((i for i, v in enumerate(values) if not isinstance(v, (Cyc, Rational))),
+               len(values))
+    exact = [v if isinstance(v, Cyc) else Cyc.rational(p, v) for v in values[:cut]]
+    if abs2:
+        parts = [(v.level, _product_terms(p, v.level, (v.terms.items(), -1, 1),
+                                          (v.terms.items(), 1, 1)), v.den * v.den)
+                 for v in exact]
+    else:
+        parts = [(v.level, v.terms, v.den) for v in exact]
+    level, den, parts = lift(p, parts)
+    total = Cyc(p, level, added_terms(parts), den)
+    if cut == len(values):
+        return total
+    total = complex(total)
+    for v in values[cut:]:
+        total += complex(conj(v) * v if abs2 else v)
+    return total
 
 
 def _normalize(p: int, level: int, terms: dict):
@@ -491,13 +570,13 @@ def cyc_rotated(value: Cyc, shift: int, level: int) -> Cyc:
     top_level = max(level, value.level)
     modulus = p**top_level
     shift *= modulus // p**level
-    lift = modulus // p**value.level
+    stretch = modulus // p**value.level
     block = modulus // p
     top = modulus - block
     terms = {}
     folded = []
     for e, c in value.terms.items():
-        e = (e * lift + shift) % modulus
+        e = (e * stretch + shift) % modulus
         if e < top:
             terms[e] = c
         else:
@@ -546,84 +625,6 @@ def _gauss_zero(p: int, level: int, terms: dict) -> bool:
                 c = get(k)
                 out[k] = (s * b, 0) if c is None else (c[0] + s * b, 0)
     return not _canonical(p, level, out)[1]
-
-
-class CycSum:
-    """Mutable accumulator for long exact sums (integration, Fourier):
-    integer pairs by exponent over a running common denominator."""
-
-    __slots__ = ("prime", "level", "den", "terms", "fallback")
-
-    def __init__(self, p: int):
-        self.prime = p
-        self.level = 0
-        self.den = 1
-        self.terms: dict = {}
-        self.fallback: complex | None = None
-
-    def add(self, value) -> None:
-        if self.fallback is not None:
-            self.fallback += complex(value)
-            return
-        if isinstance(value, Cyc):
-            self._add_terms(value.level, value.terms, value.den)
-        elif isinstance(value, Rational):
-            self.add(Cyc.rational(self.prime, value))
-        else:
-            # switch to floating mode
-            current = complex(self._exact())
-            self.fallback = current + complex(value)
-
-    def add_abs2(self, value) -> None:
-        """Add |value|^2 = conj(value) * value.  An exact product is added as
-        its integer terms, which are brought to normal form only with the
-        sum, not one product at a time."""
-        if self.fallback is not None or not isinstance(value, Cyc):
-            self.add(conj(value) * value)
-            return
-        p = self.prime
-        modulus = p**value.level
-        items = value.terms.items()
-        terms: dict = {}
-        get = terms.get
-        for e1, (a, b) in items:
-            for e2, (c, d) in items:
-                e = (e2 - e1) % modulus
-                ra, rb = a * c + p * b * d, a * d + b * c
-                old = get(e)
-                terms[e] = (ra, rb) if old is None else (old[0] + ra, old[1] + rb)
-        self._add_terms(value.level, terms, value.den * value.den)
-
-    def _add_terms(self, level: int, more: dict, den: int) -> None:
-        """Add the integer terms `more` of level `level` over `den`."""
-        terms = self.terms
-        if level > self.level:
-            shift = self.prime ** (level - self.level)
-            terms = self.terms = {e * shift: c for e, c in terms.items()}
-            self.level = level
-        common = lcm(self.den, den)
-        if common != self.den:
-            up = common // self.den
-            terms = self.terms = {e: (a * up, b * up) for e, (a, b) in terms.items()}
-            self.den = common
-        scale = common // den
-        shift = self.prime ** (self.level - level)
-        get = terms.get
-        for e, (a, b) in more.items():
-            key = e * shift
-            c = get(key)
-            if c is None:
-                terms[key] = (a * scale, b * scale)
-            else:
-                terms[key] = (c[0] + a * scale, c[1] + b * scale)
-
-    def _exact(self) -> Cyc:
-        return Cyc(self.prime, self.level, dict(self.terms), self.den)
-
-    def result(self):
-        if self.fallback is not None:
-            return self.fallback
-        return self._exact()
 
 
 def conj(value):

@@ -17,11 +17,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from operator import add, or_
 
 from .errors import EnumerationCapError, InvalidInputError, PrimeMismatchError
-from .exact import Cyc, CycSum, amp_equal, conj, cyc_from_coefficients, cyc_rotated
+from .exact import (
+    Cyc,
+    added_terms,
+    amp_equal,
+    amp_sum,
+    conj,
+    cyc_from_coefficients,
+    cyc_rotated,
+    lift,
+)
 from .padic import (
     RationalPhase,
     check_prime,
@@ -144,10 +153,8 @@ def add_cells(table: dict, cells) -> None:
 
 def integrate(f: LocallyConstantFn):
     """Haar integral: sum of cell values times the cell measure p^(-K)."""
-    acc = CycSum(f.prime)
-    for rep in sorted(f.table):
-        acc.add(f.table[rep])
-    return acc.result() * (Fraction(f.prime) ** (-f.resolution))
+    return amp_sum(f.prime, [f.table[rep] for rep in sorted(f.table)]) * (
+        Fraction(f.prime) ** (-f.resolution))
 
 
 def inner_product(f: LocallyConstantFn, g: LocallyConstantFn):
@@ -175,12 +182,7 @@ def inner_product(f: LocallyConstantFn, g: LocallyConstantFn):
             products.append(conj(v_fine) * v_coarse)
         else:
             products.append(conj(v_coarse) * v_fine)
-    if not products:
-        return Cyc.zero(p)
-    acc = CycSum(p)
-    for term in products:
-        acc.add(term)
-    return acc.result() * (Fraction(p) ** (-fine.resolution))
+    return amp_sum(p, products) * (Fraction(p) ** (-fine.resolution))
 
 
 def cell_index(r: Fraction, p: int, support_exponent: int) -> int | None:
@@ -193,17 +195,15 @@ def cell_index(r: Fraction, p: int, support_exponent: int) -> int | None:
 def class_sums(p: int, cells: dict, depth: int) -> list[dict]:
     """Entry t maps r to the sum, in index order, of `cells` (index in
     [0, p^depth) -> value) over i = r mod p^t; zeros are absent.  O(N) additions."""
-    sums = [{i: cells[i] for i in sorted(cells) if cells[i]}]
-    for t in range(depth - 1, -1, -1):
-        size, coarse = p**t, {}
-        for i, v in sorted(sums[-1].items()):
-            r = i % size
-            if r in coarse:
-                v = coarse.pop(r) + v
-            if v:
-                coarse[r] = v
-        sums.append(coarse)
-    return sums[::-1]
+    return _class_tree(p, {i: cells[i] for i in sorted(cells) if cells[i]}, depth, _amp_total)
+
+
+def _amp_total(values):
+    # left to right; a partial sum of zero is dropped, as an empty class is
+    total = 0
+    for v in values:
+        total = total + v if total else v
+    return total
 
 
 def term_sums(p: int, cells: dict, depth: int):
@@ -211,43 +211,36 @@ def term_sums(p: int, cells: dict, depth: int):
     integer terms: (level, den, sums), entry t of sums mapping r to the sum
     of the cells i = r mod p^t as {e: (a, b)}, meaning
     (a + b sqrt(p)) zeta^e / den with zeta = exp(2 pi i / p^level).  The
-    level is the highest of the values and at least 1 for p > 2, so that
-    zeta_p is a power of zeta; every value is canonical at its own level and
-    stays so lifted to this one, so a sum of them is canonical too.  Zero
-    pairs and empty classes are absent, and a class with one child shares
-    that child's dict."""
-    values = cells.values()
-    level = max([v.level for v in values] + [1 if p > 2 else 0])
-    den = lcm(*(v.den for v in values))
-    stage = {}
-    for i, v in cells.items():
-        if v:
-            up, lift = den // v.den, p ** (level - v.level)
-            stage[i] = {e * lift: (a * up, b * up) for e, (a, b) in v.terms.items()}
-    sums = [stage]
+    cells are lifted once (`exact.lift`) to the highest of their levels,
+    and at least 1 for p > 2 so that zeta_p is a power of zeta, and the
+    classes add their children's terms (`exact.added_terms`).  Zero pairs
+    and empty classes are absent, and a class with one child shares that
+    child's dict."""
+    cells = {i: v for i, v in cells.items() if v}
+    level, den, parts = lift(p, [(v.level, v.terms, v.den) for v in cells.values()],
+                             1 if p > 2 else 0)
+    leaves = {i: added_terms([part]) for i, part in zip(cells, parts)}
+    return level, den, _class_tree(p, leaves, depth,
+                                   lambda group: added_terms((g.items(), 1, 1) for g in group))
+
+
+def _class_tree(p: int, leaves: dict, depth: int, total) -> list[dict]:
+    """The class sums over the nonzero `leaves` (index in [0, p^depth) ->
+    value), entry t for the classes mod p^t: each class of two or more
+    children is `total` of their values in index order, a class with one
+    child shares its value, and a class whose total is zero is absent."""
+    sums = [leaves]
     for t in range(depth - 1, -1, -1):
-        size, kids = p**t, {}
-        for i, terms in stage.items():
-            kids.setdefault(i % size, []).append(terms)
-        stage = {}
+        size, kids, stage = p**t, {}, sums[-1]
+        for i in sorted(stage):
+            kids.setdefault(i % size, []).append(stage[i])
+        coarse = {}
         for r, group in kids.items():
-            terms = group[0] if len(group) == 1 else added_terms(g.items() for g in group)
-            if terms:
-                stage[r] = terms
-        sums.append(stage)
-    return level, den, sums[::-1]
-
-
-def added_terms(parts) -> dict:
-    """The sum of the term dicts given by their item iterables `parts`,
-    zero pairs dropped."""
-    out = {}
-    get = out.get
-    for items in parts:
-        for e, (a, b) in items:
-            c = get(e)
-            out[e] = (a, b) if c is None else (c[0] + a, c[1] + b)
-    return {e: c for e, c in out.items() if c[0] or c[1]}
+            value = group[0] if len(group) == 1 else total(group)
+            if value:
+                coarse[r] = value
+        sums.append(coarse)
+    return sums[::-1]
 
 
 @lru_cache(maxsize=65536)
@@ -473,16 +466,16 @@ def amp_to_json(v) -> dict:
 
 
 def amp_from_json(p: int, obj: dict):
+    """A cell or coefficient value: JSON integers mag_num/mag_den and
+    phase_num/phase_den, or finite JSON numbers re and im."""
     if "mag_num" in obj:
-        if obj["mag_den"] == 0:
+        num, den = json_int(obj, "mag_num"), json_int(obj, "mag_den")
+        if den == 0:
             raise InvalidInputError("magnitude denominator is zero")
-        mag = Fraction(obj["mag_num"], obj["mag_den"])
-        num, den = obj["phase_num"], obj["phase_den"]
-        if type(num) is int and type(den) is int:
-            # one root per phase, from the bounded cache of `character_amp`
-            return _char_root(p, num, den) * mag
-        return Cyc.root_of_unity(p, RationalPhase(num, den)) * mag
-    return complex(obj["re"], obj["im"])
+        phase_num, phase_den = json_int(obj, "phase_num"), json_int(obj, "phase_den")
+        # one root per phase, from the bounded cache of `character_amp`
+        return _char_root(p, phase_num, phase_den) * Fraction(num, den)
+    return complex(json_float(obj, "re"), json_float(obj, "im"))
 
 
 def json_int(record: dict, key: str) -> int:
@@ -490,6 +483,14 @@ def json_int(record: dict, key: str) -> int:
     value = record[key]
     if type(value) is not int:
         raise InvalidInputError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def json_float(record: dict, key: str):
+    """record[key], which must be a finite JSON number; a bool is not one."""
+    value = record[key]
+    if type(value) not in (int, float) or not isfinite(value):
+        raise InvalidInputError(f"{key} must be a finite number, got {value!r}")
     return value
 
 

@@ -20,14 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import FloatRangeError, UnsupportedCaseError
-from .exact import Cyc, is_half_integral, p_power_amp
+from .exact import Cyc, added_terms, is_half_integral, lift, p_power_amp
 from .functions import (
     DEFAULT_CELL_CAP,
     LocallyConstantFn,
-    added_terms,
     ball_size,
     cell_index,
     class_sums,
@@ -351,11 +349,12 @@ def _kernel_cells(alpha, p: int, m_exp: int, res: int, cells: dict) -> dict:
 
     An exact table is summed by `functions.term_sums`, as integer terms at
     one cyclotomic level over one denominator.  The weights and C are
-    level-0 values (c + d sqrt(p))/den, brought to one common denominator,
-    so each scales a term pair (a, b) to (ac + p bd, ad + bc) and the paths
-    P only merge term dicts.  Each output cell is normalized once, as one
-    `Cyc`.  A table with a float value is summed as amplitudes by
-    `class_sums`, with the same steps in the same order."""
+    level-0 values (c + d sqrt(p))/den, brought to one common denominator
+    by `exact.lift`, so each scales a term pair (a, b) to (ac + p bd, ad + bc)
+    and the paths P only add term dicts (`exact.added_terms`).  Each output
+    cell is normalized once, as one `Cyc`.  A table with a float value is
+    summed as amplitudes by `class_sums`, with the same steps in the same
+    order."""
     depth = m_exp + res
     count = p**depth
     exact = is_half_integral(alpha) and all(isinstance(v, Cyc) for v in cells.values())
@@ -386,18 +385,17 @@ def _kernel_cells(alpha, p: int, m_exp: int, res: int, cells: dict) -> dict:
 
     if exact:
         level, den, sums = term_sums(p, cells, depth)
-        # the weights and own over one common denominator, as int pairs
-        common = lcm(*(c.den for c in weights), own.den)
-        pairs = [tuple(x * (common // c.den) for x in c.terms.get(0, (0, 0)))
-                 for c in weights + [own]]
+        # the weights and own, at level 0, as int pairs over one denominator
+        _, common, constants = lift(p, [(c.level, c.terms, c.den) for c in weights + [own]])
+        pairs = [added_terms([part]).get(0, (0, 0)) for part in constants]
         den *= common
 
         def scaled(terms, x, y):
-            return ((e, (u * x + p * v * y, u * y + v * x)) for e, (u, v) in terms.items())
+            return ((e, (u * x + p * v * y, u * y + v * x)) for e, (u, v) in terms.items()), 1, 1
 
         def move(path, c, v, t):
             x, y = pairs[t]
-            parts = [path.items()]
+            parts = [(path.items(), 1, 1)]
             if c is not None:
                 parts.append(scaled(c, x, y))
             if v is not None:
@@ -407,7 +405,7 @@ def _kernel_cells(alpha, p: int, m_exp: int, res: int, cells: dict) -> dict:
         def finish(terms, v0):
             if v0 is not None:
                 x, y = pairs[depth]
-                terms = added_terms((terms.items(), scaled(v0, -x, -y)))
+                terms = added_terms(((terms.items(), 1, 1), scaled(v0, -x, -y)))
             return Cyc(p, level, terms, den) if terms else None
 
         zero = {}

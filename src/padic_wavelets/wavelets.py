@@ -19,14 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from .errors import InvalidInputError, WindowClipError
-from .exact import Cyc, cyc_rotated
+from .exact import Cyc, added_terms, cyc_rotated
 from .functions import (
     DEFAULT_CELL_CAP,
     LocallyConstantFn,
     _char_root,
     _check_cap,
     add_cells,
-    added_terms,
     amp_from_json,
     amp_to_json,
     cell_index,
@@ -190,11 +189,11 @@ def analyze(f: LocallyConstantFn, window: Window,
     {exponent: (a, b)} of the p^L-th roots of unity over one common
     denominator, L the highest level of its values and at least 1 for
     p > 2, so that zeta_p is a power of zeta_(p^L).  The class sums and the
-    twiddled children only merge those term dicts, which hold no more
-    exponents than the cells do, and each coefficient is normalized once,
-    as one `Cyc`, then rotated by its character (`exact.cyc_rotated`) and
-    scaled.  A table with a float value is summed as amplitudes by
-    `class_sums`.
+    twiddled children only add those term dicts (`exact.added_terms`),
+    which hold no more exponents than the cells do, and each coefficient
+    is normalized once, as one `Cyc`, then rotated by its character
+    (`exact.cyc_rotated`) and scaled.  A table with a float value is
+    summed as amplitudes by `class_sums`.
     """
     p = f.prime
     m_exp, res = f.support_exponent, f.resolution
@@ -256,12 +255,12 @@ def _twiddled_sum(p: int, level: int, children: dict, j: int) -> dict:
     for d, terms in children.items():
         s = -j * d % p
         if not s:
-            parts.append(terms.items())
+            parts.append((terms.items(), 1, 1))
         elif p == 2:
-            parts.append([(e, (-a, -b)) for e, (a, b) in terms.items()])
+            parts.append((terms.items(), 1, -1))
         else:
             shift = s * modulus // p
-            parts.append([((e + shift) % modulus, c) for e, c in terms.items()])
+            parts.append(([((e + shift) % modulus, c) for e, c in terms.items()], 1, 1))
     return added_terms(parts)
 
 

@@ -431,6 +431,19 @@ def sum_by_terms(x: Cyc, y: Cyc, sign: int = 1) -> Cyc:
     return Cyc(x.prime, level, terms, den)
 
 
+def sum_in_order(p: int, values):
+    """The sum of `values` in their order: exact values by `sum_by_terms`
+    up to the first float, and from there each value added in complex to
+    the complex of the sum so far."""
+    total = Cyc.zero(p)
+    for v in values:
+        if isinstance(total, Cyc) and isinstance(v, Cyc):
+            total = sum_by_terms(total, v)
+        else:
+            total = complex(total) + complex(v)
+    return total
+
+
 def ball_reps(p: int, support_exponent: int, resolution: int,
               cap: int = DEFAULT_CELL_CAP) -> list[Fraction]:
     """Canonical representatives of the p^(M+K) cells covering |x| <= p^M,

@@ -410,6 +410,21 @@ _EXPANSION = {"prime": 2, "window": {"n_min": -1, "n_max": 1, "m_depth": 1},
     ("synthesize", dict(_EXPANSION, window={"n_min": 0.5, "n_max": 1, "m_depth": 1})),
     ("synthesize", dict(_EXPANSION, window={"n_min": -1, "n_max": 1, "m_depth": False})),
     ("synthesize", dict(_EXPANSION, prime=True)),
+    # a cell or coefficient value: a bool is not a JSON number, and a value
+    # must be finite
+    ("fourier", dict(_FN, cells=[dict(_cell([1, 0]), mag_num=True)])),
+    ("fourier", dict(_FN, cells=[dict(_cell([1, 0]), mag_den=True)])),
+    ("fourier", dict(_FN, cells=[dict(_cell([1, 0]), phase_num=True)])),
+    ("fourier", dict(_FN, cells=[dict(_cell([1, 0]), phase_den=True)])),
+    ("fourier", dict(_FN, cells=[{"digits": [1, 0], "re": True, "im": 0.0}])),
+    ("fourier", dict(_FN, cells=[{"digits": [1, 0], "re": 0.5, "im": False}])),
+    ("analyze", dict(_FN, cells=[{"digits": [1, 0], "re": math.nan, "im": 0.0}])),
+    ("fourier", dict(_FN, cells=[{"digits": [1, 0], "re": 0.5, "im": math.inf}])),
+    ("synthesize", dict(_EXPANSION, coefficients=[dict(_coefficient(0, [1], 1), mag_num=True)])),
+    ("synthesize", dict(_EXPANSION, coefficients=[
+        {"n": 0, "m_digits": [1], "j": 1, "re": -math.inf, "im": 0.0}])),
+    ("synthesize", dict(_EXPANSION, coefficients=[
+        {"n": 0, "m_digits": [1], "j": 1, "re": 1.0, "im": True}])),
 ])
 def test_non_integer_field_is_exit_one(capsys, tmp_path, command, record):
     path = tmp_path / "in.json"

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from padic_wavelets.errors import FloatRangeError, InvalidInputError
 from padic_wavelets.exact import (
     Cyc,
-    CycSum,
     _canonical,
     amp_equal,
+    amp_sum,
     conj,
     cyc_from_coefficients,
     cyc_rotated,
@@ -106,22 +106,26 @@ def test_foreign_root_rejected():
 )
 def test_accumulator_matches_pairwise_sum(p, coeffs):
     direct = Cyc.zero(p)
-    acc = CycSum(p)
+    terms = []
     for k, c in coeffs:
         term = Cyc.root_of_unity(p, RationalPhase(k, p**2)) * Fraction(c)
         direct = direct + term
-        acc.add(term)
-    assert acc.result() == direct
+        terms.append(term)
+    total = amp_sum(p, terms)
+    assert total == direct
+    assert_normal_form(total)
 
 
 def test_float_contamination_demotes():
     z = Cyc.one(2) + 0.5
     assert isinstance(z, complex)
-    acc = CycSum(2)
-    acc.add(Cyc.one(2))
-    acc.add(0.25 + 0j)
-    assert isinstance(acc.result(), complex)
-    assert acc.result() == 1.25
+    total = amp_sum(2, [Cyc.one(2), 0.25 + 0j])
+    assert isinstance(total, complex)
+    assert total == 1.25
+    # from the first float on the sum is complex, exact values after it too
+    total = amp_sum(2, [Fraction(1, 2), 0.25, Cyc.half_power(2, 2), Fraction(1, 4)])
+    assert isinstance(total, complex)
+    assert total == 3.0
 
 
 def test_complex_value_agrees():
@@ -294,18 +298,20 @@ def test_integer_normal_form(triple):
 def test_abs2_accumulator_matches_conj_times_value(pairs, with_float):
     # the products enter the sum unnormalized, and the sum is normalized once
     p = pairs[0][0].prime
-    direct, acc = CycSum(p), CycSum(p)
-    for v, _ in pairs:
-        direct.add(conj(v) * v)
-        acc.add_abs2(v)
+    values = [v for v, _ in pairs]
+    direct = Cyc.zero(p)
+    for v in values:
+        direct = direct + conj(v) * v
     if with_float:
-        direct.add(conj(0.5 - 0.25j) * (0.5 - 0.25j))
-        acc.add_abs2(0.5 - 0.25j)
-        want = direct.result()
-        assert abs(acc.result() - want) <= 1e-12 * max(1.0, abs(want))
+        z = 0.5 - 0.25j
+        total = amp_sum(p, values + [z], abs2=True)
+        want = complex(direct) + conj(z) * z
+        assert isinstance(total, complex)
+        assert abs(total - want) <= 1e-12 * max(1.0, abs(want))
     else:
-        assert acc.result() == direct.result()
-        assert_normal_form(acc.result())
+        total = amp_sum(p, values, abs2=True)
+        assert total == direct
+        assert_normal_form(total)
 
 
 # -- reduction into the canonical basis -------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from padic_wavelets import exact, functions
 from padic_wavelets.errors import EnumerationCapError, InvalidInputError, PrimeMismatchError
-from padic_wavelets.exact import Cyc, CycSum, amp_equal
+from padic_wavelets.exact import Cyc, amp_equal
 from padic_wavelets.functions import (
     LocallyConstantFn,
     amp_from_json,
@@ -129,6 +129,40 @@ def test_wavelets_have_mean_zero():
         for n in (-1, 0, 2):
             for j in range(1, p):
                 assert not integrate(materialize(p, KozyrevIndex(n, (), j)))
+
+
+@st.composite
+def tables_with_floats(draw):
+    """A table holding what a JSON table can hold: at random cells a
+    rational magnitude times a phase, and at others a float value."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    depth = draw(st.integers(0, 3 if p < 5 else 2))
+    m = draw(st.integers(-1, depth + 1))
+    table = {}
+    for rep in ball_reps(p, m, depth - m):
+        kind = draw(st.sampled_from(("empty", "exact", "float")))
+        if kind == "exact":
+            mag = draw(st.fractions(min_value=-4, max_value=4, max_denominator=6))
+            phase = RationalPhase(draw(st.integers(0, p**3 - 1)), p**3)
+            v = Cyc.rational(p, mag) * Cyc.root_of_unity(p, phase)
+        elif kind == "float":
+            v = complex(draw(st.floats(-2, 2)), draw(st.floats(-2, 2)))
+        else:
+            continue
+        if v:
+            table[rep] = v
+    return LocallyConstantFn(p, m, depth - m, table)
+
+
+@given(tables_with_floats())
+def test_integrate_sums_exactly_up_to_the_first_float(f):
+    # in sorted cell order, the exact values before the first float are
+    # summed exactly, and from that float on the sum goes on in complex
+    values = [f.table[rep] for rep in sorted(f.table)]
+    want = oracles.sum_in_order(f.prime, values) * Fraction(f.prime) ** (-f.resolution)
+    got = integrate(f)
+    assert type(got) is type(want)
+    assert repr(got) == repr(want)
 
 
 def test_integrate_linear():
@@ -405,10 +439,8 @@ def naive_fourier(f, sign):
     p = f.prime
     out = {}
     for w in ball_reps(p, f.resolution, f.support_exponent):
-        acc = CycSum(p)
-        for r in sorted(f.table):
-            acc.add(f.table[r] * character_amp(p, sign * w * r))
-        total = acc.result() * Fraction(p) ** (-f.resolution)
+        terms = [f.table[r] * character_amp(p, sign * w * r) for r in sorted(f.table)]
+        total = oracles.sum_in_order(p, terms) * Fraction(p) ** (-f.resolution)
         if total:
             out[w] = total
     return out
@@ -712,7 +744,7 @@ def _expansion_fields(e):
 def test_json_readers_load_or_reject(reader, record, fields, data):
     # any JSON value in any field (or the field left out) either loads or is
     # an InvalidInputError, which the CLI turns into exit 1; what loads has
-    # integer fields and no stored zero
+    # integer fields, no stored zero and no float that is not finite
     path = data.draw(st.sampled_from(list(_paths(record))))
     value = data.draw(json_values | st.just(_DELETE))
     if not path:
@@ -733,3 +765,4 @@ def test_json_readers_load_or_reject(reader, record, fields, data):
     ints, values = fields(loaded)
     assert all(type(i) is int for i in ints)
     assert all(values)
+    assert all(cmath.isfinite(v) for v in values if not isinstance(v, Cyc))

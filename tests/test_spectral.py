@@ -13,7 +13,6 @@ from padic_wavelets import exact
 from padic_wavelets.errors import EnumerationCapError, UnsupportedCaseError, WindowClipError
 from padic_wavelets.exact import (
     Cyc,
-    CycSum,
     amp_equal,
     is_half_integral,
     p_power_amp,
@@ -468,15 +467,15 @@ def _naive_kernel_apply(alpha, f, cap=DEFAULT_CELL_CAP):
 
     def row(i0):
         v0 = values[i0]
-        acc = CycSum(p)
+        terms = []
         for i, v in enumerate(values):
             if i == i0:
                 continue
             diff = v - v0
             if not diff:
                 continue
-            acc.add(diff * weights[valp(i - i0, p)])
-        return c_alpha * (acc.result() * measure - v0 * tail)
+            terms.append(diff * weights[valp(i - i0, p)])
+        return c_alpha * (oracles.sum_in_order(p, terms) * measure - v0 * tail)
 
     out = {}
     for i0, r0 in enumerate(reps):

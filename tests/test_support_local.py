@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from padic_wavelets import exact, functions, wavelets
 from padic_wavelets.errors import EnumerationCapError, InvalidInputError
-from padic_wavelets.exact import Cyc, CycSum, conj
+from padic_wavelets.exact import Cyc, conj
 from padic_wavelets.functions import (
     DEFAULT_CELL_CAP,
     LocallyConstantFn,
@@ -41,7 +41,7 @@ from padic_wavelets.wavelets import (
     synthesize,
 )
 
-from oracles import add, ball_reps, enumerate_indices, scaled
+from oracles import add, ball_reps, enumerate_indices, scaled, sum_in_order
 
 
 # -- the oracles ---------------------------------------------------------------
@@ -76,12 +76,7 @@ def sorted_fine_inner_product(f, g):
             products.append(conj(v_fine) * v_coarse)
         else:
             products.append(conj(v_coarse) * v_fine)
-    if not products:
-        return Cyc.zero(p)
-    acc = CycSum(p)
-    for term in products:
-        acc.add(term)
-    return acc.result() * (Fraction(p) ** (-fine.resolution))
+    return sum_in_order(p, products) * (Fraction(p) ** (-fine.resolution))
 
 
 def label_by_label_analyze(f, window, cap=DEFAULT_CELL_CAP):
