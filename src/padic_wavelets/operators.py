@@ -10,14 +10,19 @@ applied at scale n + offset, the offset being the shift made before it:
     Scalar(c)       coefficient *= c
 
 J_(+-) and ell_k apply log_p D, then shift by +-1 and k.  A @ B applies B,
-then A.  Relation checks restrict themselves to interior scales, where the
-running shift of every operator stays inside the window; there the
-`*_results` families evaluate each side as one scalar per scale, with no
-expansion built.
+then A.
+
+A relation is one row, a `Relation`: its name, its alpha, its sides (the
+first equal to the sum of the rest, all of one shift) and whether it is
+exact.  `relation_rows` yields a family's rows, and `check_relations` checks
+each row at its interior scales, where the running shift of every side
+stays inside the window, evaluating each side as one scalar per scale with
+no expansion built.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -113,24 +118,85 @@ def ell_op(k: int) -> WeightedShift:
     return WeightedShift(k, ((0, LogDiagonal()),), min(k, 0), max(k, 0))
 
 
-# -- commutators ----------------------------------------------------------------
+# -- relations ------------------------------------------------------------------
 
 
-def _commutator_sides(a: WeightedShift, b: WeightedShift,
-                      expected: WeightedShift | None) -> list:
-    """The sides of [a, b] = expected."""
-    sides = [a @ b, b @ a]
-    if expected is not None:
-        sides.append(expected)
-    return sides
+WITT_RANGE = range(-3, 4)
 
 
-def _deformed_sides(p: int, alpha, step: int) -> list:
-    """p^(s a/2) D^a J_s and p^(-s a/2) J_s D^a, each prefactor multiplied last."""
-    dal, js = vladimirov(alpha), ell_op(step)
-    # dividing by Fraction(2) keeps an integer alpha exact
-    return [scalar_op(p_power_amp(p, step * alpha / Fraction(2))) @ (dal @ js),
-            scalar_op(p_power_amp(p, -step * alpha / Fraction(2))) @ (js @ dal)]
+@dataclass(frozen=True)
+class Relation:
+    """The relation sides[0] = sum of sides[1:], for `WeightedShift` sides
+    of one shift.  `exact` follows from the inputs, not from the residual's
+    values: a float relation is judged against a tolerance."""
+
+    name: str
+    alpha: object
+    sides: tuple
+    exact: bool
+
+    def __post_init__(self):
+        if len({op.shift for op in self.sides}) > 1:
+            raise ValueError(f"{self.name}: sides of different shifts never agree")
+
+
+def _commutator(name: str, alpha, a: WeightedShift, b: WeightedShift,
+                expected: WeightedShift | None, exact: bool) -> Relation:
+    """[a, b] = expected, or [a, b] = 0 when expected is None."""
+    sides = (a @ b, b @ a) if expected is None else (a @ b, b @ a, expected)
+    return Relation(name, alpha, sides, exact)
+
+
+def relation_rows(family: str, p: int, alphas=()) -> Iterator[Relation]:
+    """The relations of `family` over p, one row at a time, in the order
+    `check algebra` reports them.
+
+    sl2: [J+, J-] = 2 log_p D and [log_p D, J_s] = -s J_s.
+    witt: [ell_a, ell_b] = (a-b) ell_(a+b) for a, b in `WITT_RANGE`.
+    deformed: for each alpha, p^(s a/2) D^a J_s = p^(-s a/2) J_s D^a and
+    [D^a, J_s] = (1-p^(s a)) D^a J_s for s = +1, -1, then [D^a, log_p D] = 0.
+    semigroup: D^a1 D^a2 = D^(a1+a2) for every ordered pair of alphas.
+
+    Rows are yielded, not listed, so that a check holds one row's
+    operators at a time: the 49 Witt rows together hold about 900
+    garbage-collected objects, which would set off a collection on every
+    `check algebra` run."""
+    if family == "sl2":
+        jp, jm, logd = ell_op(+1), ell_op(-1), ell_op(0)
+        yield _commutator("sl2:[J+,J-]-2logD", None, jp, jm, scalar_op(2) @ logd, True)
+        yield _commutator("sl2:[logD,J+]+J+", None, logd, jp, scalar_op(-1) @ jp, True)
+        yield _commutator("sl2:[logD,J-]-J-", None, logd, jm, scalar_op(1) @ jm, True)
+    elif family == "witt":
+        for a in WITT_RANGE:
+            for b in WITT_RANGE:
+                yield _commutator(f"witt:[l{a},l{b}]", None, ell_op(a), ell_op(b),
+                                  scalar_op(a - b) @ ell_op(a + b), True)
+    elif family == "semigroup":
+        for a1 in alphas:
+            for a2 in alphas:
+                yield Relation("semigroup", (a1, a2),
+                               (vladimirov(a1) @ vladimirov(a2), vladimirov(a1 + a2)),
+                               is_half_integral(a1) and is_half_integral(a2))
+    elif family == "deformed":
+        logd = ell_op(0)
+        for alpha in alphas:
+            dal = vladimirov(alpha)
+            exact = is_half_integral(alpha)
+            # the prefactors p^(+-s a/2) need a half-integral a/2; dividing
+            # by Fraction(2) keeps an integer alpha exact
+            half = alpha / Fraction(2)
+            for step in (+1, -1):
+                js = ell_op(step)
+                yield Relation(f"deformed:s={step:+d}", alpha, (
+                    scalar_op(p_power_amp(p, step * half)) @ (dal @ js),
+                    scalar_op(p_power_amp(p, -step * half)) @ (js @ dal)),
+                    is_half_integral(half))
+                expected = scalar_op(1 - p_power_amp(p, step * alpha)) @ dal @ js
+                yield _commutator(f"commutator:[D^a,J{step:+d}]", alpha, dal, js,
+                                  expected, exact)
+            yield _commutator("commutator:[D^a,logD]", alpha, dal, logd, None, exact)
+    else:
+        raise ValueError(f"no relation family {family!r}")
 
 
 def interior_scales(window: Window, *ops: WeightedShift) -> range:
@@ -165,128 +231,33 @@ class RelationResult:
         return KozyrevIndex(self.n)
 
 
-class _ScaleWalk:
-    """One `*_results` call over the interior scales.  Every side maps
-    psi_(n,m,j) to c(n) psi_(n+s,m,j), so it is one scalar per scale, and a
-    residual never depends on m or j: each relation is checked and stored
-    once per scale, and its labels are only counted, p^m_depth m-digit
-    tuples times p - 1 values of j.  Each side starts from the int 1 and
-    the residual from 0, so they stay an int or `Fraction` until a D^a
-    power or a `Cyc` prefactor enters.  Each p^(a(1-n)) is computed once
-    and kept for this call only."""
+def check_relations(p: int, window: Window, rows) -> list[RelationResult]:
+    """Each row checked at each of its interior scales, row by row.
 
-    def __init__(self, p: int, window: Window):
-        self.p, self.window = p, window
-        self.powers: dict = {}
-        self.labels = p**window.m_depth * (p - 1)
-
-    def results(self, ops, evaluate) -> list[RelationResult]:
-        """`evaluate(n)`'s results at each interior scale n of `ops`, in order."""
-        return [r for n in interior_scales(self.window, *ops) for r in evaluate(n)]
-
-    def check(self, relation, alpha, sides, n: int, exact: bool) -> RelationResult:
-        """The relation sides[0] = sum of sides[1:] on psi_n, for operator
-        sides; `exact` follows from the inputs, not from the residual's
-        values."""
-        values = []
-        for op in sides:
-            c = op.weight(self.p, n, 1, self.powers)
-            values.append(None if c is None else (n + op.shift, c))
-        # subtracted in order, from zero where the first side has no
-        # coefficient, so that float bits are those of a coefficientwise
-        # difference of expansions
-        first, *rest = values
-        residual = dict([first]) if first else {}
-        for value in rest:
-            if value is None:
-                continue
-            at, c = value
-            total = residual.get(at, 0) - c
-            if not total:
-                residual.pop(at, None)
-            else:
-                residual[at] = total
-        worst = max((abs(complex(c)) for c in residual.values()), default=0.0)
-        scale = 1.0 if exact else max(
-            1.0, *(0.0 if v is None else abs(complex(v[1])) for v in values))
-        return RelationResult(relation, n, self.labels, alpha, worst, exact, scale)
-
-
-def relation_names(family: str, k_range: int = 3) -> list[str]:
-    """The relations that `family`'s `*_results` report, whether or not the
-    window holds an instance of them."""
-    ks = range(-k_range, k_range + 1)
-    return {
-        "sl2": ["sl2:[J+,J-]-2logD", "sl2:[logD,J+]+J+", "sl2:[logD,J-]-J-"],
-        "witt": [f"witt:[l{a},l{b}]" for a in ks for b in ks],
-        "deformed": ["deformed:s=+1", "deformed:s=-1", "commutator:[D^a,J+1]",
-                     "commutator:[D^a,J-1]", "commutator:[D^a,logD]"],
-        "semigroup": ["semigroup"],
-        "translation": ["translation:kernel"],
-    }[family]
-
-
-def sl2_results(p: int, window: Window) -> list[RelationResult]:
-    """[J+, J-] = 2 log_p D and [log_p D, J_s] = -s J_s on interior vectors."""
-    walk = _ScaleWalk(p, window)
-    jp, jm, logd = ell_op(+1), ell_op(-1), ell_op(0)
-    sides = _commutator_sides(jp, jm, scalar_op(2) @ logd)
-    out = walk.results((jp, jm), lambda n: [
-        walk.check("sl2:[J+,J-]-2logD", None, sides, n, True)])
-    for step, name in ((+1, "sl2:[logD,J+]+J+"), (-1, "sl2:[logD,J-]-J-")):
-        js = ell_op(step)
-        sides = _commutator_sides(logd, js, scalar_op(-step) @ js)
-        out += walk.results((js,), lambda n: [walk.check(name, None, sides, n, True)])
-    return out
-
-
-def witt_results(p: int, window: Window, k_range: int = 3) -> list[RelationResult]:
-    """[ell_a, ell_b] = (a-b) ell_(a+b) for |a|, |b| <= k_range."""
-    walk = _ScaleWalk(p, window)
+    Every side maps psi_(n,m,j) to c(n) psi_(n+s,m,j) with the row's one
+    shift s, so a side is one scalar per scale and the residual one scalar,
+    the sides subtracted in order from the first; it never depends on m or
+    j, so the labels of a scale, p^m_depth m-digit tuples times p - 1 values
+    of j, are only counted.  Each side starts from the int 1 and the
+    residual from 0, so they stay an int or `Fraction` until a D^a power or
+    a `Cyc` prefactor enters.  Each p^(a(1-n)) is computed once per call."""
+    powers: dict = {}
+    labels = p**window.m_depth * (p - 1)
     out = []
-    for a in range(-k_range, k_range + 1):
-        for b in range(-k_range, k_range + 1):
-            la, lb, lab = ell_op(a), ell_op(b), ell_op(a + b)
-            sides = _commutator_sides(la, lb, scalar_op(a - b) @ lab)
-            out += walk.results((la, lb, lab), lambda n: [
-                walk.check(f"witt:[l{a},l{b}]", None, sides, n, True)])
-    return out
-
-
-def deformed_results(p: int, window: Window, alphas) -> list[RelationResult]:
-    """The deformed identity plus [D^a, J_s] = (1-p^(s a)) D^a J_s and
-    [D^a, log_p D] = 0."""
-    walk = _ScaleWalk(p, window)
-    out = []
-    logd = ell_op(0)
-    for alpha in alphas:
-        dal = vladimirov(alpha)
-        exact = is_half_integral(alpha)
-        # the prefactors p^(+-s a/2) need a half-integral a/2
-        exact_deformed = is_half_integral(alpha / Fraction(2))
-        for step in (+1, -1):
-            js = ell_op(step)
-            deformed = _deformed_sides(p, alpha, step)
-            expected = scalar_op(1 - p_power_amp(p, step * alpha)) @ dal @ js
-            commutator = _commutator_sides(dal, js, expected)
-            out += walk.results((js,), lambda n: [
-                walk.check(f"deformed:s={step:+d}", alpha, deformed, n, exact_deformed),
-                walk.check(f"commutator:[D^a,J{step:+d}]", alpha, commutator, n, exact)])
-        commutator = _commutator_sides(dal, logd, None)
-        out += walk.results((), lambda n: [
-            walk.check("commutator:[D^a,logD]", alpha, commutator, n, exact)])
-    return out
-
-
-def semigroup_results(p: int, window: Window, alpha_pairs) -> list[RelationResult]:
-    """D^a1 D^a2 = D^(a1+a2), checked coefficientwise."""
-    walk = _ScaleWalk(p, window)
-    out = []
-    for a1, a2 in alpha_pairs:
-        exact = is_half_integral(a1) and is_half_integral(a2)
-        sides = [vladimirov(a1) @ vladimirov(a2), vladimirov(a1 + a2)]
-        out += walk.results((), lambda n: [
-            walk.check("semigroup", (a1, a2), sides, n, exact)])
+    for row in rows:
+        for n in interior_scales(window, *row.sides):
+            values = [op.weight(p, n, 1, powers) for op in row.sides]
+            # subtracted in order, from zero where the first side has none,
+            # so that float bits are those of a coefficientwise difference
+            # of expansions
+            residual = values[0] or 0
+            for c in values[1:]:
+                if c is not None:
+                    residual = residual - c
+            scale = 1.0 if row.exact else max(
+                [1.0] + [abs(complex(c)) for c in values if c is not None])
+            out.append(RelationResult(row.name, n, labels, row.alpha,
+                                      abs(complex(residual)), row.exact, scale))
     return out
 
 

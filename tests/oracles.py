@@ -9,15 +9,15 @@ window; it is the reference for `operators.WeightedShift`, which maps
 psi_(n,m,j) to c(n) psi_(n+s,m,j) in one step.
 
 The `*_by_label` functions are the per-basis-vector relation walk of the
-four `operators.*_results` families: every relation is evaluated afresh on
-each interior basis vector psi_(n, m, j), with no use of the fact that the
-operators never read m or j.  Their sides are expansions built by
-`apply_operator` from these words and are subtracted coefficient by
-coefficient here; the relation checks evaluate each side as one scalar per
-scale instead, and report each relation once per scale.  `by_label` repeats
-each of those results for every label of its scale, in the order of this
-walk, and the two routes must agree down to the repr of every float
-residual.
+four `operators.relation_rows` families, relation by relation in the order
+of the rows: every relation is evaluated afresh on each interior basis
+vector psi_(n, m, j), with no use of the fact that the operators never read
+m or j.  Their sides are expansions built by `apply_operator` from these
+words and are subtracted coefficient by coefficient here; the relation
+checks evaluate each side as one scalar per scale instead, and report each
+relation once per scale.  `by_label` repeats each of those results for
+every label of its scale, in the order of this walk, and the two routes
+must agree down to the repr of every float residual.
 
 `canonical_by_level` is the fold of a term dict into the canonical
 cyclotomic basis one level at a time, from the level it is given: the loop
@@ -345,8 +345,10 @@ def deformed_by_label(p, window, alphas):
                 out.append(_residual(
                     f"deformed:s={step:+d}", idx, alpha, _deformed(alpha, step, e),
                     exact_deformed))
-                factor = 1 - p_power_amp(p, step * alpha)
-                expected = scalar_word(factor) @ dal @ js
+            factor = 1 - p_power_amp(p, step * alpha)
+            expected = scalar_word(factor) @ dal @ js
+            for idx in _interior_basis(p, window, js):
+                e = basis_vector(p, window, idx)
                 out.append(_residual(
                     f"commutator:[D^a,J{step:+d}]", idx, alpha,
                     _commutator(dal, js, e, expected), exact))
@@ -357,9 +359,9 @@ def deformed_by_label(p, window, alphas):
     return out
 
 
-def semigroup_by_label(p, window, alpha_pairs):
+def semigroup_by_label(p, window, alphas):
     out = []
-    for a1, a2 in alpha_pairs:
+    for a1, a2 in itertools.product(alphas, alphas):
         exact = is_half_integral(a1) and is_half_integral(a2)
         for idx in _interior_basis(p, window):
             e = basis_vector(p, window, idx)

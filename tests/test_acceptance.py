@@ -26,11 +26,10 @@ from padic_wavelets.haar import (
     monomial_coefficient_quadrature,
 )
 from padic_wavelets.operators import (
-    deformed_results,
-    sl2_results,
+    check_relations,
+    relation_rows,
     translation_kernel_residual,
     vladimirov_kernel_apply,
-    witt_results,
 )
 from padic_wavelets.padic import RationalPhase
 from padic_wavelets.wavelets import (
@@ -118,7 +117,7 @@ def test_c03_log_limit_linear():
 def test_c04_sl2_exact():
     total = 0
     for p in (2, 3):
-        results = sl2_results(p, Window(-4, 4, 1))
+        results = check_relations(p, Window(-4, 4, 1), relation_rows("sl2", p))
         assert results
         assert all(r.exact and r.residual == 0.0 for r in results)
         total += sum(r.labels for r in results)
@@ -127,7 +126,7 @@ def test_c04_sl2_exact():
 
 
 def test_c05_witt_exact():
-    results = witt_results(2, Window(-10, 10, 1), k_range=3)
+    results = check_relations(2, Window(-10, 10, 1), relation_rows("witt", 2))
     assert all(r.exact and r.residual == 0.0 for r in results)
     pairs = {r.relation for r in results}
     assert len(pairs) == 49  # every (a, b) with |a|,|b| <= 3
@@ -138,12 +137,12 @@ def test_c05_witt_exact():
 
 def test_c06_deformed_commutator():
     for p in (2, 3):
-        exact = deformed_results(p, Window(-4, 4, 1), [1, 2])
+        exact = check_relations(p, Window(-4, 4, 1), relation_rows("deformed", p, [1, 2]))
         deformed = [r for r in exact if r.relation.startswith("deformed")]
         assert deformed
         assert all(r.exact and r.residual == 0.0 for r in deformed)
         floats = [
-            r for r in deformed_results(p, Window(-4, 4, 1), [0.3])
+            r for r in check_relations(p, Window(-4, 4, 1), relation_rows("deformed", p, [0.3]))
             if r.relation.startswith("deformed")
         ]
         assert floats

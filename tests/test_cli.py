@@ -1,5 +1,6 @@
 """Exit codes, determinism and file round trips of the command line."""
 
+import collections
 import dataclasses
 import io
 import json
@@ -506,6 +507,16 @@ def test_integer_beyond_the_digit_limit_is_exit_two_on_output(capsys):
     # at n = 30000 the magnitude 2^-15000 has a float (0.0), but not its text
     code, out, err = run(capsys, ["wavelet", "eval", "--index", "30000::1", "--xi", "0"])
     assert code == (2 if _over_digit_limit(4516) else 0)
+    # 2^14300 labels per scale (4305 digits): check algebra fails on the
+    # count before it writes any relation line
+    code, out, err = run(capsys, ["--prime", "2", "--window", "-1:1:14300", "check",
+                                  "algebra", "--relation", "sl2"])
+    if _over_digit_limit(4305):
+        assert (code, out) == (2, "")
+        assert err.startswith("numeric failure: cannot write the result: ")
+    else:
+        assert code == 0
+        assert out.splitlines()[-1] == f"all {5 * 2**14300} relation instances passed"
 
 
 _JSON_LEAVES = (
@@ -731,16 +742,19 @@ def test_check_algebra_all_relations(capsys):
 
 
 def test_check_algebra_evaluates_each_side_as_a_scalar(capsys, monkeypatch):
-    # every side maps psi_(n,m,j) to c(n) psi_(n+s,m,j): the families build no
-    # expansion, and each call takes p^(a(1-n)) once per (a, n) it meets; a
-    # side stays a Python rational until a root or sqrt(p) enters, so the
-    # rational families build no Cyc at all
-    from padic_wavelets import cli, operators
+    # every side maps psi_(n,m,j) to c(n) psi_(n+s,m,j): the relation check
+    # builds no expansion, and each call takes p^(a(1-n)) once per (a, n) it
+    # meets; a side stays a Python rational until a root or sqrt(p) enters,
+    # so the rational families build no Cyc at all
     from padic_wavelets.exact import Cyc
     from padic_wavelets.wavelets import WaveletExpansion
 
-    built, powers, seen = [], [], {}
-    cycs, cycs_seen = [], {}
+    code, out, err = run(capsys, ["--prime", "3", "--window", "-3:3:1", "check", "algebra",
+                                  "--relation", "all", "--alpha", "0.5", "--alpha", "1",
+                                  "--alpha", "0.3"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "all 2091 relation instances passed"
+    built, powers, cycs, seen = [], [], [], {}
     monkeypatch.setattr(WaveletExpansion, "__post_init__", lambda self: built.append(self))
     init = Cyc.__init__
     monkeypatch.setattr(Cyc, "__init__",
@@ -748,55 +762,41 @@ def test_check_algebra_evaluates_each_side_as_a_scalar(capsys, monkeypatch):
     power = operators.p_power_amp
     monkeypatch.setattr(operators, "p_power_amp",
                         lambda p, x: powers.append(x) or power(p, x))
-    for family in ("sl2", "witt", "deformed", "semigroup"):
-        checker = getattr(cli, f"{family}_results")
-
-        def counted(*args, checker=checker, family=family, **kwargs):
-            built.clear()
-            powers.clear()
-            cycs.clear()
-            out = checker(*args, **kwargs)
-            seen[family] = (len(built), len(powers))
-            cycs_seen[family] = len(cycs)
-            return out
-
-        monkeypatch.setattr(cli, f"{family}_results", counted)
-    code, out, err = run(capsys, ["--prime", "3", "--window", "-3:3:1", "check", "algebra",
-                                  "--relation", "all", "--alpha", "0.5", "--alpha", "1",
-                                  "--alpha", "0.3"])
-    assert (code, err) == (0, "")
-    assert out.splitlines()[-1] == "all 2091 relation instances passed"
-    assert [count for count, _ in seen.values()] == [0] * 4
     alphas = [Fraction(1, 2), Fraction(1), 0.3]
+    for family in cli._ROW_FAMILIES:
+        built.clear()
+        powers.clear()
+        cycs.clear()
+        rows = operators.relation_rows(family, 3, alphas)
+        results = operators.check_relations(3, Window(-3, 3, 1), rows)
+        assert results and all(r.passed(1e-10) for r in results)
+        seen[family] = (len(built), len(powers), len(cycs))
+    assert [count for count, _, _ in seen.values()] == [0] * 4
     sums = {(type(a1 + a2), a1 + a2) for a1 in alphas for a2 in alphas}
     scales = 7
     assert seen["sl2"][1] == seen["witt"][1] == 0
     # plus p^(s a/2), p^(-s a/2) and p^(s a) once per (a, s)
     assert seen["deformed"][1] <= scales * len(alphas) + 3 * 2 * len(alphas)
     assert seen["semigroup"][1] <= scales * len(sums | {(type(a), a) for a in alphas})
-    assert cycs_seen["sl2"] == cycs_seen["witt"] == 0
+    assert seen["sl2"][2] == seen["witt"][2] == 0
     # p^(a(1-n)) at a = 1/2 is a Cyc: the count is live
-    assert cycs_seen["deformed"] > 0
+    assert seen["deformed"][2] > 0
 
 
 def test_corrupted_word_is_exit_two(capsys, monkeypatch):
-    # negative control: one sl2 instance checked against 3 log_p D instead of
-    # 2, on the weighted shifts that `check algebra` evaluates
-    from padic_wavelets import cli, operators
-    from padic_wavelets.operators import ell_op, scalar_op
+    # negative control: one sl2 row checked against 3 log_p D instead of 2,
+    # on the weighted shifts that `check algebra` evaluates
+    from padic_wavelets.operators import Relation, ell_op, scalar_op
 
-    sl2_results = cli.sl2_results
-
-    def corrupted(p, window):
-        walk = operators._ScaleWalk(p, window)
-        sides = operators._commutator_sides(
-            ell_op(+1), ell_op(-1), scalar_op(Fraction(3)) @ ell_op(0))
-        return sl2_results(p, window) + [walk.check("sl2:corrupted", None, sides, 0, True)]
-
-    monkeypatch.setattr(cli, "sl2_results", corrupted)
-    code, _, err = run(
+    jp, jm = ell_op(+1), ell_op(-1)
+    corrupted = Relation("sl2:corrupted", None,
+                         (jp @ jm, jm @ jp, scalar_op(Fraction(3)) @ ell_op(0)), True)
+    rows = cli.relation_rows
+    monkeypatch.setattr(cli, "relation_rows", lambda *args: [*rows(*args), corrupted])
+    code, out, err = run(
         capsys, ["--prime", "2", "check", "algebra", "--relation", "sl2"])
     assert code == 2
+    assert "sl2:corrupted: max residual" in out
     assert "sl2:corrupted" in err
     assert "KozyrevIndex" in err
 
@@ -804,19 +804,16 @@ def test_corrupted_word_is_exit_two(capsys, monkeypatch):
 def test_relation_results_do_not_grow_with_the_m_depth(capsys, monkeypatch):
     # a residual depends on the scale only: m-depth 3 holds p^2 times the
     # labels of m-depth 1, which `check algebra` counts, but not one more
-    # result of any family
-    from padic_wavelets import cli
+    # result of any relation
+    counts = []
+    check = cli.check_relations
 
-    lengths = {}
-    for family in ("sl2", "witt", "deformed", "semigroup"):
-        checker = getattr(cli, f"{family}_results")
+    def counted(*args):
+        out = check(*args)
+        counts.append(collections.Counter(r.relation for r in out))
+        return out
 
-        def counted(*args, checker=checker, family=family, **kwargs):
-            out = checker(*args, **kwargs)
-            lengths.setdefault(family, []).append(len(out))
-            return out
-
-        monkeypatch.setattr(cli, f"{family}_results", counted)
+    monkeypatch.setattr(cli, "check_relations", counted)
     printed = []
     for depth in (1, 3):
         code, out, err = run(capsys, [
@@ -825,8 +822,9 @@ def test_relation_results_do_not_grow_with_the_m_depth(capsys, monkeypatch):
             "--relation", "semigroup", "--alpha", "0.5", "--alpha", "1", "--alpha", "0.3"])
         assert (code, err) == (0, "")
         printed.append(int(out.splitlines()[-1].split()[1]))
-    assert sorted(lengths) == ["deformed", "semigroup", "sl2", "witt"]
-    assert all(first == deeper > 0 for first, deeper in lengths.values())
+    # 3 sl2, 49 Witt, 5 deformed and 1 semigroup relations
+    assert len(counts) == 2 and len(counts[0]) == 58
+    assert counts[0] == counts[1]
     assert printed[1] == 9 * printed[0]
 
 
@@ -834,16 +832,19 @@ def test_relation_off_at_an_interior_scale_names_its_first_label(capsys, monkeyp
     # negative control at m-depth 2, 18 labels per scale: [D^1, J-1] off by
     # 1/7 at the interior scale n = 0 only must fail at the label (0, (), 1);
     # stderr as the label-by-label walk printed it
-    from padic_wavelets import operators
+    from padic_wavelets.operators import WeightedShift
 
-    check = operators._ScaleWalk.check
+    class AtZero(WeightedShift):
+        def weight(self, p, n, c, powers):
+            return c * Fraction(1, 7) if n == 0 else None
 
-    def broken(self, relation, alpha, sides, n, exact):
-        if relation == "commutator:[D^a,J-1]" and alpha == 1 and n == 0:
-            sides = [*sides, operators.scalar_op(Fraction(1, 7))]
-        return check(self, relation, alpha, sides, n, exact)
+    def broken(family, p, alphas):
+        return [dataclasses.replace(row, sides=(*row.sides, AtZero(-1, (), 0, 0)))
+                if row.name == "commutator:[D^a,J-1]" and row.alpha == 1 else row
+                for row in rows(family, p, alphas)]
 
-    monkeypatch.setattr(operators._ScaleWalk, "check", broken)
+    rows = cli.relation_rows
+    monkeypatch.setattr(cli, "relation_rows", broken)
     code, out, err = run(capsys, ["--prime", "3", "--window", "-3:3:2", "check", "algebra",
                                   "--relation", "all", "--alpha", "0.5", "--alpha", "1"])
     assert code == 2
@@ -856,15 +857,13 @@ def test_relation_off_at_an_interior_scale_names_its_first_label(capsys, monkeyp
 def test_alpha_is_exact_only_in_half_integers(capsys, monkeypatch):
     # every finite float is a dyadic rational: only one in (1/2)Z is carried
     # exactly, however close another comes to a half-integer
-    from padic_wavelets import cli
-
     seen = []
 
-    def capture(p, window, alphas):
+    def capture(family, p, alphas):
         seen.extend(alphas)
         return []
 
-    monkeypatch.setattr(cli, "deformed_results", capture)
+    monkeypatch.setattr(cli, "relation_rows", capture)
     code, _, err = run(capsys, ["check", "algebra", "--relation", "deformed",
                                 "--alpha", "1e-13", "--alpha", "2.9999999999999",
                                 "--alpha", "0.5", "--alpha", "3", "--alpha", "-1.5"])
@@ -878,6 +877,16 @@ def test_non_finite_alpha_is_exit_one(capsys, alpha):
     code, out, err = run(capsys, ["check", "algebra", "--alpha", alpha])
     assert (code, out) == (1, "")
     assert err.startswith("input error: --alpha")
+
+
+@pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf", "-inf"])
+def test_tolerance_that_is_not_finite_and_positive_is_exit_one(capsys, tolerance):
+    # no float relation could fail under inf, and under nan every one would
+    # fail, at residual 0 too
+    code, out, err = run(capsys, ["--tolerance", tolerance, "check", "algebra",
+                                  "--alpha", "0.3"])
+    assert (code, out) == (1, "")
+    assert err.startswith("input error: --tolerance")
 
 
 def test_float_relation_large_coefficients_pass(capsys):
@@ -960,35 +969,6 @@ def test_check_algebra_names_relations_without_instances(capsys):
     assert sum(line.endswith(": 0 instances") for line in lines) == 12
     assert "witt:[l2,l3]: 0 instances" in lines
     assert sum(line.startswith("witt:") for line in lines) == 49
-
-
-def _relation_name_mismatch(capsys) -> list:
-    """The names that `check algebra` prints on a window holding an instance
-    of every relation, against the union of `relation_names` over the
-    families: each name missing on one side, and every `0 instances` line."""
-    code, out, err = run(capsys, ["--prime", "3", "--window", "-6:6:1", "check", "algebra",
-                                  "--alpha", "1"])
-    assert (code, err) == (0, "")
-    lines = out.splitlines()[:-1]
-    printed = {line.split(": ")[0] for line in lines}
-    named = {name for family in cli._RELATIONS for name in operators.relation_names(family)}
-    return sorted(printed ^ named) + [line for line in lines if line.endswith(": 0 instances")]
-
-
-def test_relation_names_are_the_names_the_families_emit(capsys):
-    assert _relation_name_mismatch(capsys) == []
-
-
-def test_a_misspelled_relation_name_is_caught(capsys, monkeypatch):
-    # negative control: the semigroup family emits a name that
-    # `relation_names` does not list
-    semigroup = cli.semigroup_results
-
-    def misspelled(*args):
-        return [dataclasses.replace(r, relation="semigrup") for r in semigroup(*args)]
-
-    monkeypatch.setattr(cli, "semigroup_results", misspelled)
-    assert _relation_name_mismatch(capsys) == ["semigrup", "semigroup: 0 instances"]
 
 
 def test_check_algebra_kernel_relation_respects_the_cap(capsys):

@@ -23,17 +23,16 @@ from padic_wavelets.operators import (
     Diagonal,
     LogDiagonal,
     Scalar,
+    Relation,
     WeightedShift,
-    deformed_results,
+    check_relations,
     ell_op,
     interior_scales,
+    relation_rows,
     scalar_op,
-    semigroup_results,
-    sl2_results,
     translation_kernel_residual,
     vladimirov,
     vladimirov_kernel_apply,
-    witt_results,
 )
 from padic_wavelets.padic import RationalPhase, valp
 from padic_wavelets.wavelets import (
@@ -70,6 +69,10 @@ def ladder(step, e):
     return apply_operator(Word((ScaleShift(step),)), e)
 
 
+def relations(family, p, window, alphas=()):
+    return check_relations(p, window, relation_rows(family, p, alphas))
+
+
 # -- spectral action -----------------------------------------------------------
 
 
@@ -90,14 +93,13 @@ def test_spectral_identity_at_zero_exponent():
 
 
 def test_spectral_semigroup_exact():
-    results = semigroup_results(
-        2, W, [(Fraction(1, 2), Fraction(3, 2)), (1, 2), (Fraction(1, 2), 1)]
-    )
-    assert results and all(r.exact and r.residual == 0 for r in results)
+    results = relations("semigroup", 2, W, [Fraction(1, 2), Fraction(3, 2), 1, 2])
+    assert len({r.alpha for r in results}) == 16
+    assert all(r.exact and r.residual == 0 for r in results)
 
 
 def test_spectral_semigroup_float():
-    results = semigroup_results(2, W, [(0.3, 0.7)])
+    results = relations("semigroup", 2, W, [0.3, 0.7])
     assert results and all(r.residual < 1e-12 for r in results)
 
 
@@ -105,10 +107,10 @@ def test_float_relation_that_cancels_is_not_exact():
     # with float alpha = 0.5 the sides 2^(0.5(1-n)) * 2^(0.5(1-n)) and 2^(1-n)
     # agree to the last bit at several n, so the residual is empty there;
     # the relation is still a float one
-    results = semigroup_results(2, W, [(0.5, 0.5)])
+    results = relations("semigroup", 2, W, [0.5])
     assert any(r.residual == 0.0 for r in results)
     assert not any(r.exact for r in results)
-    deformed = deformed_results(2, W, [0.5, Fraction(1, 3)])
+    deformed = relations("deformed", 2, W, [0.5, Fraction(1, 3)])
     assert any(r.residual == 0.0 for r in deformed)
     assert not any(r.exact for r in deformed)
 
@@ -116,8 +118,9 @@ def test_float_relation_that_cancels_is_not_exact():
 def test_float_relation_judged_relative_to_its_sides():
     # at n = -6 the semigroup sides are about 2^(2.7 * 7) = 4.9e5, so an
     # absolute 1e-10 is below their rounding; the scale is that size
-    window = Window(-6, 6, 1)
-    results = semigroup_results(2, window, [(Fraction(1), 1.7)])
+    rows = [row for row in relation_rows("semigroup", 2, [Fraction(1), 1.7])
+            if row.alpha == (Fraction(1), 1.7)]
+    results = check_relations(2, Window(-6, 6, 1), rows)
     worst = max(results, key=lambda r: r.residual)
     assert not worst.exact
     assert worst.residual > 1e-10
@@ -267,32 +270,40 @@ def test_weighted_shift_matches_the_oracle_word(case):
 
 def test_sl2_residuals_zero():
     for p in (2, 3):
-        results = sl2_results(p, W)
+        results = relations("sl2", p, W)
         assert results
         assert all(r.exact and r.residual == 0 for r in results)
 
 
 def test_witt_residuals_zero():
-    results = witt_results(2, Window(-10, 10, 1), k_range=3)
+    results = relations("witt", 2, Window(-10, 10, 1))
     assert sum(r.labels for r in results) > 1000
     assert all(r.exact and r.residual == 0 for r in results)
 
 
 def test_deformed_exact_and_float():
-    exact = deformed_results(2, W, [1, 2])
+    exact = relations("deformed", 2, W, [1, 2])
     assert exact and all(r.exact and r.residual == 0 for r in exact)
     # alpha = 1/2 needs the quarter power p^(1/4) in the scalar prefactors,
     # so the deformed identity itself falls back to floats; the plain
     # commutator subrelations stay exact
-    half = deformed_results(2, W, [Fraction(1, 2)])
+    half = relations("deformed", 2, W, [Fraction(1, 2)])
     assert all(r.residual <= 1e-12 for r in half)
     assert all(
         r.exact and r.residual == 0
         for r in half
         if r.relation.startswith("commutator")
     )
-    floats = deformed_results(2, W, [0.3])
+    floats = relations("deformed", 2, W, [0.3])
     assert floats and all(r.residual <= 1e-12 for r in floats)
+
+
+def test_relation_rejects_sides_of_different_shifts():
+    # sides that land on different scales could never agree
+    with pytest.raises(ValueError, match="different shifts"):
+        Relation("broken", None, (ell_op(+1) @ ell_op(0), ell_op(0)), True)
+    row = Relation("fine", None, (ell_op(+1) @ ell_op(0), scalar_op(2) @ ell_op(+1)), True)
+    assert row.sides[0].shift == row.sides[1].shift == 1
 
 
 def _residual(sides) -> float:
@@ -320,6 +331,10 @@ def test_check_deformed_direct():
 # -- the per-scale relation walk against the per-label oracle -------------------------
 
 ORACLE_ALPHAS = [Fraction(1, 2), Fraction(1), Fraction(-3, 2), 0.3, 1.7]
+# the ordered pairs hold exact with exact, exact with float, float with
+# float and float with exact; 0.3 + 0.2 is the float 0.5, which must not be
+# taken for Fraction(1, 2)
+SEMIGROUP_ALPHAS = [Fraction(1, 2), Fraction(-3, 2), 0.3, 0.2]
 
 
 def _fingerprint(results):
@@ -331,15 +346,17 @@ def _fingerprint(results):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_relations_per_scale_match_the_label_by_label_oracle(p, m_depth):
     window = Window(-1, 2, m_depth)
-    # exact with exact, exact with float, float with float, float with exact;
-    # 0.3 + 0.2 is the float 0.5, which must not be taken for Fraction(1, 2)
-    pairs = list(zip(ORACLE_ALPHAS, ORACLE_ALPHAS[1:] + ORACLE_ALPHAS[:1])) + [(0.3, 0.2)]
+    # the Witt pairs with |a|, |b| <= 1
+    near = {f"witt:[l{a},l{b}]" for a in (-1, 0, 1) for b in (-1, 0, 1)}
+    witt = [row for row in relation_rows("witt", p) if row.name in near]
+    assert len(witt) == 9
     families = [
-        (sl2_results(p, window), oracles.sl2_by_label(p, window)),
-        (witt_results(p, window, k_range=1), oracles.witt_by_label(p, window, k_range=1)),
-        (deformed_results(p, window, ORACLE_ALPHAS),
+        (relations("sl2", p, window), oracles.sl2_by_label(p, window)),
+        (check_relations(p, window, witt), oracles.witt_by_label(p, window, k_range=1)),
+        (relations("deformed", p, window, ORACLE_ALPHAS),
          oracles.deformed_by_label(p, window, ORACLE_ALPHAS)),
-        (semigroup_results(p, window, pairs), oracles.semigroup_by_label(p, window, pairs)),
+        (relations("semigroup", p, window, SEMIGROUP_ALPHAS),
+         oracles.semigroup_by_label(p, window, SEMIGROUP_ALPHAS)),
     ]
     for fast, slow in families:
         assert _fingerprint(oracles.by_label(p, window, fast)) == _fingerprint(slow)
@@ -348,10 +365,10 @@ def test_relations_per_scale_match_the_label_by_label_oracle(p, m_depth):
 
 def test_relations_read_the_m_depth_of_their_window():
     window = Window(-3, 3, 0)
-    results = sl2_results(3, window)
+    results = relations("sl2", 3, window)
     # m = () only: each scale holds the p - 1 labels (n, (), j)
     assert {r.labels for r in results} == {2}
-    deeper = sl2_results(3, Window(-3, 3, 2))
+    deeper = relations("sl2", 3, Window(-3, 3, 2))
     assert sum(r.labels for r in deeper) == 9 * sum(r.labels for r in results)
 
 
