@@ -423,13 +423,14 @@ _RELATIONS = _ROW_FAMILIES + ("translation",)
 @click.option("--relation", "relations", multiple=True,
               type=click.Choice(_RELATIONS + ("all",)), default=("all",))
 @click.option("--alpha", "alphas", multiple=True, type=float,
-              help="Exponents for D^alpha checks; repeatable.")
+              help="Exponents for D^alpha checks; repeatable, a repeated value is checked once.")
 @click.pass_obj
 def check_algebra(config: RunConfig, relations, alphas):
     """Run the commutation-relation suites; exit 2 on any violation."""
     p = config.prime
     window = config.window
-    alphas = list(alphas) or [0.5, 1.0, 2.0]
+    # each parsed value once, in the order of its first occurrence
+    alphas = list(dict.fromkeys(alphas)) or [0.5, 1.0, 2.0]
     exact_alphas = [_exactify(a) for a in alphas]
     wanted = set(relations)
     if "all" in wanted:

@@ -34,6 +34,19 @@ so the common factor of the coefficients, and with it the lowest terms, is
 unchanged; and a root of unity times a nonzero value is nonzero, so the
 Gauss-sum zero test is skipped.
 
+The Galois map sigma_u: zeta -> zeta^u, sqrt(p) -> sqrt(p), for a unit u
+(`cyc_galois`), needs no normalization for the same reasons.  It multiplies
+the exponents by u at the value's own level and folds a term that lands in
+the top block, as a rotation does.  sigma_u maps each field Q(zeta_{p^t})
+onto itself, so the level is kept.  It maps Z[zeta] onto itself, so it acts
+on the canonical Z-basis by an invertible integer matrix, on the rational
+and sqrt(p) parts apart, and the common factor of the coefficients is
+kept.  Where sigma_u fixes sqrt(p), as it does for u = 1 mod p (mod 8 for
+p = 2), it is an automorphism of Q(sqrt(p), zeta), so a nonzero value stays
+nonzero.  `functions.fourier` fills all but one cell of each orbit of its
+output this way: for values in Q(sqrt(p), zeta_{p^L}),
+F f(u*k) = sigma_u(F f(k)) for every unit u = 1 mod p^L.
+
 Every exact sum of the package is made of one lift and one adder.  `lift`
 takes exact values to one level, the highest of theirs, over one
 denominator, the least common multiple of theirs: it gives each value the
@@ -569,8 +582,39 @@ def cyc_rotated(value: Cyc, shift: int, level: int) -> Cyc:
         level -= 1
     top_level = max(level, value.level)
     modulus = p**top_level
-    shift *= modulus // p**level
-    stretch = modulus // p**value.level
+    terms = _moved_terms(value, modulus, modulus // p**value.level,
+                         shift * (modulus // p**level))
+    common = gcd(modulus, *terms)
+    if common > 1:
+        terms = {e // common: c for e, c in terms.items()}
+        while common > 1:
+            common //= p
+            top_level -= 1
+    return Cyc(p, top_level, terms, value.den, _reduced=True)
+
+
+def cyc_galois(value: Cyc, u: int) -> Cyc:
+    """sigma_u(value): every p-power root zeta^e goes to zeta^(u*e) and
+    sqrt(p) stays, for u prime to p, by the Galois rule of the module
+    docstring.  Where the value has a sqrt(p) part and sqrt(p) lies in its
+    field, sigma_u must fix sqrt(p): u = 1 mod p (mod 8 for p = 2) does."""
+    if not value.level:
+        return value
+    modulus = value.prime**value.level
+    u %= modulus
+    if u == 1:
+        return value
+    return Cyc(value.prime, value.level, _moved_terms(value, modulus, u, 0), value.den,
+               _reduced=True)
+
+
+def _moved_terms(value: Cyc, modulus: int, stretch: int, shift: int) -> dict:
+    """The terms at `modulus`, in the canonical basis, of the sum of
+    c * zeta^(e*stretch + shift) over the terms c * zeta^e of the canonical
+    `value`, where e -> e*stretch + shift (mod modulus) is one to one on
+    them: a term that lands in the top block is folded into the p-1 basis
+    terms below it, and no other term moves."""
+    p = value.prime
     block = modulus // p
     top = modulus - block
     terms = {}
@@ -589,13 +633,7 @@ def cyc_rotated(value: Cyc, shift: int, level: int) -> Cyc:
                 c = get(k)
                 terms[k] = (-a, -b) if c is None else (c[0] - a, c[1] - b)
         terms = _strip(terms)
-    common = gcd(modulus, *terms)
-    if common > 1:
-        terms = {e // common: c for e, c in terms.items()}
-        while common > 1:
-            common //= p
-            top_level -= 1
-    return Cyc(p, top_level, terms, value.den, _reduced=True)
+    return terms
 
 
 def _gauss_zero(p: int, level: int, terms: dict) -> bool:

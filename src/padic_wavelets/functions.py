@@ -28,6 +28,7 @@ from .exact import (
     amp_sum,
     conj,
     cyc_from_coefficients,
+    cyc_galois,
     cyc_rotated,
     lift,
 )
@@ -270,27 +271,49 @@ def inverse_fourier(f: LocallyConstantFn, cap: int = DEFAULT_CELL_CAP) -> Locall
 def _fourier_impl(f: LocallyConstantFn, sign: int, cap: int) -> LocallyConstantFn:
     # for w = iw*p^(-K) and r = ir*p^(-M) the phase of chi(w*r) is
     # (iw*ir mod N) / N over the N = p^(M+K) cells, so this is a length-N
-    # DFT, taken by `class_tree_dft`.  A table with a float value is summed
-    # in floating point.  Exact values are lifted once to a common
-    # denominator, as integer coefficient lists by exponent at their own
-    # cyclotomic level, rational and sqrt(p) parts apart.  A twiddle, a
-    # power of zeta_N, rotates a list; a node entry takes the lowest level
-    # that holds its children and twiddles.  An output cell whose lists no
-    # other cell holds is reduced once; the cells of a single-child chain
-    # share lists, each reduced once and rotated per cell by `cyc_rotated`,
-    # and a list that reduces to zero gives no cell.
+    # DFT.  A table with a float value is summed in floating point by
+    # `class_tree_dft`.  An exact table takes one of two routes, chosen by
+    # its size alone.  Let L be the highest level of its values, raised to
+    # 1 (3 for p = 2) when a value has a sqrt(p) part, so that every unit
+    # u = 1 mod p^L gives an automorphism sigma_u: zeta -> zeta^u that
+    # fixes the values and sqrt(p); then F f(u*iw) = sigma_u(F f(iw)).  The
+    # output indices fall into B orbits under these units (`_orbit_count`).
+    # When B times the T terms of the table is at most N^2, the orbit route
+    # (`_orbit_cells`) takes one character sum per orbit and fills every
+    # other cell by `exact.cyc_galois`, which needs no normalization (see
+    # the `exact` module docstring).  Otherwise, mainly for values at level
+    # M+K, where B = N, the class tree runs.  Its exact values are lifted
+    # once to a common denominator, as integer coefficient lists by
+    # exponent at their own cyclotomic level, rational and sqrt(p) parts
+    # apart.  A twiddle, a power of zeta_N, rotates a list; a node entry
+    # takes the lowest level that holds its children and twiddles.  An
+    # output cell whose lists no other cell holds is reduced once; the
+    # cells of a single-child chain share lists, each reduced once and
+    # rotated per cell by `cyc_rotated`, and a list that reduces to zero
+    # gives no cell.
     p = f.prime
     depth = f.support_exponent + f.resolution
     count = ball_size(p, f.resolution, f.support_exponent, cap)
     cells = {cell_index(r, p, f.support_exponent): v for r, v in f.table.items()}
+    unit = Fraction(p) ** (-f.resolution)
     if f.is_exact():
+        den = lcm(*(v.den for v in cells.values()))
+        scale = unit / den
+        num = scale.numerator
+        with_b = any(b for v in cells.values() for _, b in v.terms.values())
+        fixed = max([0] + [v.level for v in cells.values()])
+        if with_b:
+            fixed = max(fixed, 3 if p == 2 else 1)
+        terms = sum(len(v.terms) for v in cells.values())
+        if cells and _orbit_count(p, depth, fixed) * terms <= count * count:
+            values = _orbit_cells(p, depth, sign, cells, fixed, with_b, den, scale)
+            out = {iw * unit: values[iw] for iw in sorted(values)}
+            return LocallyConstantFn(p, f.resolution, f.support_exponent, out)
         # a value above level M+K splits, by linearity, into zeta^r times
         # values at level M+K, one class tree per residue r mod p^(level-M-K)
         level = max([depth] + [v.level for v in cells.values()])
         modulus = p**level
         lift_root = modulus // count
-        den = lcm(*(v.den for v in cells.values()))
-        with_b = any(b for v in cells.values() for _, b in v.terms.values())
         groups: dict = {}
         for ir, v in cells.items():
             up = den // v.den
@@ -350,8 +373,6 @@ def _fourier_impl(f: LocallyConstantFn, sign: int, cap: int) -> LocallyConstantF
 
         residues = list(groups)
         trees = [groups[r] for r in residues]
-        scale = Fraction(p) ** (-f.resolution) / den
-        num = scale.numerator
 
         # `outputs` holds every list until the last cell, so no id is
         # reused before then
@@ -395,7 +416,6 @@ def _fourier_impl(f: LocallyConstantFn, sign: int, cap: int) -> LocallyConstantF
 
         def finish(entries):
             return entries[0] * scale
-    unit = Fraction(p) ** (-f.resolution)
     out = {}
     outputs = [class_tree_dft(p, depth, sign, leaves, mix) for leaves in trees]
     for iw, entries in enumerate(zip(*outputs)):
@@ -403,6 +423,84 @@ def _fourier_impl(f: LocallyConstantFn, sign: int, cap: int) -> LocallyConstantF
         if total:
             out[iw * unit] = total
     return LocallyConstantFn(p, f.resolution, f.support_exponent, out)
+
+
+def _orbit_count(p: int, depth: int, level: int) -> int:
+    """B, the number of orbits of the indices [0, p^depth) under the units
+    u = 1 mod p^level: the index 0, and phi(p^min(level, depth - v)) orbits
+    of indices of valuation v < depth, with phi(1) = 1."""
+    return 1 + sum(p ** t - p ** (t - 1) if t else 1
+                   for t in (min(level, depth - v) for v in range(depth)))
+
+
+def _orbit_cells(p: int, depth: int, sign: int, cells: dict, level: int, with_b: bool,
+                 den: int, scale: Fraction) -> dict:
+    """{iw: F f(iw)} for the nonzero outputs of the exact `cells` (index ->
+    `Cyc` over a common denominator `den`, values fixed by sigma_u for every
+    unit u = 1 mod p^level), times `scale`, one orbit at a time.
+
+    The orbit of iw = p^v r, r a unit, is p^v w for the units w = r mod
+    p^min(level, n), n = depth - v, and its least index is the one whose r
+    is below p^min(level, n).  That cell is one character sum at level
+    max(level, n), zeta_N^iw being zeta_(p^n)^r, and p^v w is sigma_u of
+    it for u = w / r mod p^n.  The sum goes into integer lists, reduced
+    once by `cyc_from_coefficients`, when the T terms of the table times p
+    fill the p^max(level, n) slots of a list; a sparser sum, which would
+    spend its time on empty slots, goes into a term dict, normalized once
+    as a `Cyc`."""
+    count = p**depth
+    num, out_den = scale.numerator, scale.denominator
+    total = sum(len(c.terms) for c in cells.values())
+    values = {}
+    for v in range(depth + 1):
+        n = depth - v
+        top = max(level, n)
+        size, modulus, step = p**top, p**n, p ** min(level, n)
+        stretch = size // modulus
+        sparse = total * p < size
+        # a term dict takes num here, lists take it in their reduction
+        factor = num if sparse else 1
+        lifted = []
+        for ir, c in cells.items():
+            lift, up = size // p**c.level, den // c.den * factor
+            lifted.append((ir, [(e * lift, x * up, y * up) for e, (x, y) in c.terms.items()]))
+        for r in range(1, max(step, 2)):
+            if r % p == 0:
+                continue
+            if sparse:
+                acc = {}
+                get = acc.get
+                for ir, items in lifted:
+                    s = sign * r * ir % modulus * stretch
+                    for e, x, y in items:
+                        e = (e + s) % size
+                        old = get(e)
+                        acc[e] = (x, y) if old is None else (old[0] + x, old[1] + y)
+                base = Cyc(p, top, acc, out_den)
+            else:
+                a = [0] * size
+                b = [0] * size if with_b else None
+                for ir, items in lifted:
+                    s = sign * r * ir % modulus * stretch
+                    for e, x, y in items:
+                        e += s
+                        if e >= size:
+                            e -= size
+                        a[e] += x
+                        if with_b:
+                            b[e] += y
+                base = cyc_from_coefficients(p, top, a, b, num, out_den)
+            if not base:
+                continue
+            if step == modulus:
+                # a one-cell orbit: every orbit where level >= n, and iw = 0
+                values[p**v * r % count] = base
+                continue
+            inverse = pow(r, -1, modulus)
+            for w in range(r, modulus, step):
+                if w % p:
+                    values[p**v * w] = cyc_galois(base, w * inverse)
+    return values
 
 
 def class_tree_dft(p: int, depth: int, sign: int, leaves: dict, mix) -> list:

@@ -258,10 +258,13 @@ FOURIER_GOLDEN = json.loads((Path(__file__).parent / "fourier_cli_golden.json").
 def test_fourier_stdout_is_golden(capsys, tmp_path, case):
     # stdout recorded from the per-output-cell character sum, and for the
     # two wavelets widened to 729 and 256 cells, whose output cells are
-    # rotations of shared lists, from the radix-p pass.  An exact table is
-    # written byte for byte as then (the chirp's transform is sqrt(5) times
-    # a phase in every cell).  A sqrt(p) wavelet can only be read as floats,
-    # and a float table may differ in its last bits
+    # rotations of shared lists, and the last two dense tables, from the
+    # radix-p pass.  Of those two, the p = 3 table at level M+K (T = 2N
+    # terms, B = N orbits) still takes the radix-p pass, and the p = 2
+    # table at level 5 takes the orbit route (B = 80 of N = 256).  An exact
+    # table is written byte for byte as then (the chirp's transform is
+    # sqrt(5) times a phase in every cell).  A sqrt(p) wavelet can only be
+    # read as floats, and a float table may differ in its last bits
     path = tmp_path / "f.json"
     path.write_text(json.dumps(case["input"]))
     code, out, _ = run(capsys, case["argv"] + [str(path)])
@@ -870,6 +873,18 @@ def test_alpha_is_exact_only_in_half_integers(capsys, monkeypatch):
     assert code == 0, err
     assert seen == [1e-13, 2.9999999999999, Fraction(1, 2), Fraction(3), Fraction(-3, 2)]
     assert [type(a) for a in seen] == [float, float, Fraction, Fraction, Fraction]
+
+
+@pytest.mark.parametrize("repeats", [["1", "1"], ["1", "1.0", "1"]])
+def test_repeated_alpha_is_checked_once(capsys, repeats):
+    # 1 and 1.0 parse to the same value: the first occurrence is kept, so
+    # the lines and the count are those of --alpha 1 alone (84, not 204
+    # or 360)
+    argv = ["--prime", "3", "--window", "-1:1:1", "check", "algebra",
+            "--relation", "deformed", "--relation", "semigroup"]
+    once = run(capsys, argv + ["--alpha", "1"])
+    assert once[0] == 0 and once[1].endswith("all 84 relation instances passed\n")
+    assert run(capsys, argv + [a for r in repeats for a in ("--alpha", r)]) == once
 
 
 @pytest.mark.parametrize("alpha", ["inf", "-inf", "nan"])

@@ -17,6 +17,7 @@ from padic_wavelets.exact import (
     amp_sum,
     conj,
     cyc_from_coefficients,
+    cyc_galois,
     cyc_rotated,
     p_power_amp,
 )
@@ -468,3 +469,56 @@ def test_rotation_matches_the_general_product(case):
     want = oracles.product_by_terms(Cyc.root_of_unity(p, RationalPhase(shift, p**level)), value)
     assert_normal_form(got)
     assert (got.terms, got.level, got.den) == (want.terms, want.level, want.den)
+
+
+def galois_by_terms(value: Cyc, u: int) -> Cyc:
+    """sigma_u(value) as a sum of Cyc products: each term's coefficient
+    (a + b sqrt(p)) / den times the root exp(2 pi i u e / p^level)."""
+    p = value.prime
+    total = Cyc.zero(p)
+    for e, (a, b) in value.terms.items():
+        coefficient = Cyc.quad(p, Fraction(a, value.den), Fraction(b, value.den))
+        total = total + coefficient * Cyc.root_of_unity(p, RationalPhase(u * e, p**value.level))
+    return total
+
+
+@st.composite
+def galois_cases(draw):
+    """(x, y, u, w): values x and y of one prime drawn at levels 0 to 4, zero
+    and sqrt(p) parts among them, and two units u and w.  When x or y has a
+    sqrt(p) part, u and w are 1 mod p (mod 8 for p = 2), so that sigma_u
+    and sigma_w fix sqrt(p) as well as zeta -> zeta^u is defined."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    x, y = draw(cycs(p, st.integers(0, 4))), draw(cycs(p, st.integers(0, 4)))
+    if any(b for v in (x, y) for _, b in v.terms.values()):
+        step = 8 if p == 2 else p
+        units = st.integers(-40, 40).map(lambda t: 1 + step * t)
+    else:
+        units = st.integers(-p**5, p**5).filter(lambda t: t % p)
+    return x, y, draw(units), draw(units)
+
+
+@given(galois_cases())
+@settings(max_examples=200)
+# at p = 3, u = 7 takes zeta_9 into the top block, to zeta_9^7 =
+# -zeta_9 - zeta_9^4, and the other term onto zeta_9^28 = zeta_9
+@example((Cyc(3, 2, {1: (1, 0), 4: (2, 0)}), Cyc(3, 1, {1: (1, 0)}), 7, 4))
+# sqrt(2) parts at level 3 under u = 9 = 1 mod 8, and sqrt(5) parts, where
+# the split into a and b is not unique, under u = 6 = 1 mod 5
+@example((Cyc(2, 3, {1: (1, 1), 2: (0, 1)}, 3), Cyc(2, 2, {1: (1, -1)}), 9, -7))
+@example((Cyc(5, 1, {0: (1, 1), 3: (2, -1)}, 4), Cyc(5, 2, {7: (0, 1)}), 6, 11))
+def test_galois_matches_the_term_sum_and_is_an_automorphism(case):
+    # sigma_u by the Galois rule against the sum of its terms' images, in
+    # normal form at the value's own level; and sigma_u(x y) =
+    # sigma_u(x) sigma_u(y), sigma_u(x + y) = sigma_u(x) + sigma_u(y),
+    # sigma_u(sigma_w(x)) = sigma_(uw)(x)
+    x, y, u, w = case
+    for v in (x, y):
+        got = cyc_galois(v, u)
+        want = galois_by_terms(v, u)
+        assert_normal_form(got)
+        assert (got.terms, got.level, got.den) == (want.terms, want.level, want.den)
+        assert got.level == v.level and bool(got) == bool(v)
+    assert cyc_galois(x * y, u) == cyc_galois(x, u) * cyc_galois(y, u)
+    assert cyc_galois(x + y, u) == cyc_galois(x, u) + cyc_galois(y, u)
+    assert repr(cyc_galois(cyc_galois(x, w), u)) == repr(cyc_galois(x, u * w))

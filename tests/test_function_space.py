@@ -5,6 +5,7 @@ import copy
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -353,12 +354,29 @@ def test_dense_round_trip_and_plancherel_at_p3():
     assert inner_product(g, g) == inner_product(f, f)
 
 
-@pytest.mark.parametrize("p,m,k", [(3, 2, 3), (2, 4, 4)])
-def test_dense_fourier_reduces_each_cell_once(monkeypatch, p, m, k):
-    # counts only: each transform reduces every one of its N output cells
-    # once, from coefficient lists, with no canonical pass over a term dict,
-    # and builds no Cyc inside the radix-p pass
-    counts = {"reduced": 0, "canonical": 0, "built": 0}
+def orbits(p, depth, level):
+    """The orbits of the indices [0, p^depth) under multiplication by the
+    units u = 1 mod p^level below p^depth, each as a frozenset."""
+    n = p**depth
+    units = [u for u in range(n) if u % p and (u - 1) % p**level == 0] or [1]
+    return {frozenset(u * k % n for u in units) for k in range(n)}
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_orbit_count_matches_the_orbits(p):
+    # B = 1 + sum over v < depth of phi(p^min(level, depth - v)), against
+    # the orbits themselves
+    for depth in range(5 if p < 5 else 3):
+        for level in range(depth + 3):
+            assert functions._orbit_count(p, depth, level) == len(orbits(p, depth, level))
+
+
+def count_calls(monkeypatch):
+    """{kind: calls} of `cyc_from_coefficients` ("reduced"), `_canonical`
+    ("canonical"), `Cyc.__init__` ("built") and `class_tree_dft` ("dft"),
+    and per `class_tree_dft` call the Cyc built inside it."""
+    counts = {"reduced": 0, "canonical": 0, "built": 0, "dft": 0}
+    built_in_pass = []
 
     def counting(real, kind):
         def op(*args, **kwargs):
@@ -370,34 +388,66 @@ def test_dense_fourier_reduces_each_cell_once(monkeypatch, p, m, k):
                         counting(functions.cyc_from_coefficients, "reduced"))
     monkeypatch.setattr(exact, "_canonical", counting(exact._canonical, "canonical"))
     monkeypatch.setattr(Cyc, "__init__", counting(Cyc.__init__, "built"))
-    built_in_pass = []
     real_dft = functions.class_tree_dft
 
     def dft(*args):
+        counts["dft"] += 1
         before = counts["built"]
         stage = real_dft(*args)
         built_in_pass.append(counts["built"] - before)
         return stage
 
     monkeypatch.setattr(functions, "class_tree_dft", dft)
-    f = random_exact_fn(p, m, k, random.Random(p), density=1.0)
+    return counts, built_in_pass
+
+
+@pytest.mark.parametrize("p,m,k", [(3, 2, 3), (2, 4, 4)])
+def test_dense_fourier_reduces_each_cell_once(monkeypatch, p, m, k):
+    # counts only, on the transform g of a dense table: g's values lie at
+    # level M+K, where every orbit is one cell and B*T > N^2, so the class
+    # tree runs.  Each transform of g reduces every one of its N output
+    # cells once, from coefficient lists, with no canonical pass over a
+    # term dict, and builds no Cyc inside the radix-p pass
+    g = fourier(random_exact_fn(p, m, k, random.Random(p), density=1.0))
+    counts, built_in_pass = count_calls(monkeypatch)
     cells = p ** (m + k)
     for transform in (fourier, inverse_fourier):
-        counts.update(reduced=0, canonical=0, built=0)
+        counts.update(reduced=0, canonical=0, built=0, dft=0)
         built_in_pass.clear()
-        g = transform(f)
-        assert counts == {"reduced": cells, "canonical": 0, "built": cells}
+        transform(g)
+        assert counts == {"reduced": cells, "canonical": 0, "built": cells, "dft": 1}
         assert built_in_pass == [0]
-        f = g
+
+
+@pytest.mark.parametrize("p,m,k", [(3, 2, 3), (2, 4, 4), (3, 2, 2)])
+def test_orbit_route_reduces_each_orbit_once(monkeypatch, p, m, k):
+    # a dense table at level 2 takes the orbit route: one reduction from
+    # coefficient lists per orbit of the output indices under the units
+    # u = 1 mod p^2, no canonical pass and no radix-p pass; every other
+    # cell is sigma_u of its orbit's first, and the output is the tree's
+    f = random_exact_fn(p, m, k, random.Random(p), density=1.0)
+    assert max(v.level for v in f.table.values()) == 2
+    want = {sign: oracles.fourier_by_cell(f, sign).table for sign in (-1, 1)}
+    counts, _ = count_calls(monkeypatch)
+    for sign, transform in ((-1, fourier), (+1, inverse_fourier)):
+        counts.update(reduced=0, canonical=0, built=0, dft=0)
+        got = transform(f).table
+        assert counts["reduced"] == len(orbits(p, m + k, 2))
+        assert (counts["canonical"], counts["dft"]) == (0, 0)
+        assert list(got) == list(want[sign])
+        assert all(repr(got[w]) == repr(v) for w, v in want[sign].items())
 
 
 @pytest.mark.parametrize("idx", [KozyrevIndex(0, (1,), 1), KozyrevIndex(-2, (2, 1), 2)])
 def test_sparse_fourier_reduces_each_shared_list_once(monkeypatch, idx):
-    # a p = 3 wavelet of 3 cells in the ball of N = 729 cells: most output
-    # cells sit on single-child chains and share their coefficient lists.
-    # Each distinct list of the root is reduced once, with no canonical pass
-    # over a term dict, and every Cyc built is such a reduction or a nonzero
-    # output value: a zero cell costs at most the reduction of its list
+    # the 3 cells of a p = 3 wavelet in the ball of N = 729 cells, each
+    # value times one dense element at level 6, so that the table has
+    # T > N terms, B*T > N^2 and the class tree runs: most output cells
+    # sit on single-child chains and share their coefficient lists.  Each
+    # distinct list of the root is reduced once, with no canonical pass
+    # over a term dict, and every Cyc built is such a reduction or a
+    # nonzero output value: a zero cell costs at most the reduction of its
+    # list
     reduced, built, canonical, roots = [], [], [], []
 
     def logging(real, log, entry):
@@ -407,6 +457,12 @@ def test_sparse_fourier_reduces_each_shared_list_once(monkeypatch, idx):
             return result
         return op
 
+    w = materialize(3, idx)
+    w = w.with_support(6 - w.resolution)
+    dense = Cyc(3, 6, {e: (e % 5 - 2, 0) for e in range(486)})
+    f = LocallyConstantFn(3, w.support_exponent, w.resolution,
+                          {r: v * dense for r, v in w.table.items()})
+    assert len(f.table) == 3 and sum(len(v.terms) for v in f.table.values()) > 729
     monkeypatch.setattr(functions, "cyc_from_coefficients", logging(
         functions.cyc_from_coefficients, reduced, lambda args, v: (args[2], v)))
     monkeypatch.setattr(exact, "_canonical", logging(
@@ -415,9 +471,6 @@ def test_sparse_fourier_reduces_each_shared_list_once(monkeypatch, idx):
         Cyc.__init__, built, lambda args, _: args[0]))
     monkeypatch.setattr(functions, "class_tree_dft", logging(
         functions.class_tree_dft, roots, lambda _, stage: stage))
-    f = materialize(3, idx)
-    f = f.with_support(6 - f.resolution)
-    assert len(f.table) == 3
     for transform in (fourier, inverse_fourier):
         for log in (reduced, built, canonical, roots):
             log.clear()
@@ -428,7 +481,6 @@ def test_sparse_fourier_reduces_each_shared_list_once(monkeypatch, idx):
         assert sorted(id(a) for a, _ in reduced) == sorted(lists)
         made = {id(v) for _, v in reduced} | {id(v) for v in g.table.values()}
         assert all(id(v) in made for v in built)
-        f = g
 
 
 # -- Fourier against the naive character sum -----------------------------------------
@@ -604,12 +656,31 @@ def oracle_table(p, kind, rng):
 @example(p=5, kind="wavelet", seed=0)
 @example(p=3, kind="class", seed=4)
 @example(p=2, kind="sparse", seed=18)
+# the orbit route with sqrt(p) parts: sqrt(2) values at level 2, so that L
+# is raised to 3 and B = 12 of N = 16; sqrt(5) values at level 1, B = 13 of
+# N = 125; and a dense p = 3 table above level M+K at B*T = N^2 = 81
+@example(p=2, kind="wavelet", seed=0)
+@example(p=5, kind="wavelet", seed=3)
+@example(p=3, kind="dense", seed=133)
 def test_fourier_matches_the_per_cell_oracle(p, kind, seed):
-    # the radix-p pass against one character sum per output cell: the same
-    # keys in the same order, and every value == with the same repr
+    # both routes against one character sum per output cell: the same keys
+    # in the same order, and every value == with the same repr.  The orbit
+    # route runs exactly when the table has a cell and B*T <= N^2, and the
+    # radix-p pass runs on every other table with a cell
     f = oracle_table(p, kind, random.Random(seed))
+    n = p ** (f.support_exponent + f.resolution)
+    values = list(f.table.values())
+    level = max([0] + [v.level for v in values])
+    if any(b for v in values for _, b in v.terms.values()):
+        level = max(level, 3 if p == 2 else 1)
+    terms = sum(len(v.terms) for v in values)
+    orbit = bool(values) and functions._orbit_count(
+        p, f.support_exponent + f.resolution, level) * terms <= n * n
     for sign, transform in ((-1, fourier), (+1, inverse_fourier)):
-        got = transform(f).table
+        with mock.patch.object(functions, "class_tree_dft",
+                               wraps=functions.class_tree_dft) as dft:
+            got = transform(f).table
+        assert (dft.call_count == 0) == (orbit or not values)
         want = oracles.fourier_by_cell(f, sign).table
         assert list(got) == list(want)
         for w, v in want.items():
@@ -629,6 +700,32 @@ def test_fourier_drops_a_cell_only_the_gauss_sum_zeroes():
     for sign, transform in ((-1, fourier), (+1, inverse_fourier)):
         got = transform(f).table
         assert Fraction(0) not in got
+        want = oracles.fourier_by_cell(f, sign).table
+        assert list(got) == list(want)
+        assert all(repr(got[w]) == repr(v) for w, v in want.items())
+
+
+@pytest.mark.parametrize("p,k,at,value", [
+    # sqrt(5) - 1 - 2 (zeta_5^w + zeta_5^-w): zero at w = +-1, 2 sqrt(5) / 5
+    # at w = +-2, where sigma_2 has taken sqrt(5) to -sqrt(5)
+    (5, 1, 2, Cyc.half_power(5, 1) * Fraction(2, 5)),
+    # sqrt(2) - zeta_8^w - zeta_8^-w: zero at w = +-1, sqrt(2) / 4 at w = +-3,
+    # where sigma_5 = sigma_(1 mod 4) has taken sqrt(2) to -sqrt(2)
+    (2, 3, 3, Cyc.half_power(2, 1) * Fraction(1, 4)),
+])
+def test_fourier_zero_by_the_gauss_sum_leaves_its_galois_images(p, k, at, value):
+    # every value lies in Q(sqrt p) and the transform is zero at the unit
+    # indices +-1 by the Gauss sum alone, but not at every unit index: L is
+    # raised from 0 to 1 (p = 5) and from 0 to 3 (p = 2), so that no unit u
+    # whose sigma_u moves sqrt(p) shares an orbit with +-1
+    n = p**k
+    c = Cyc.rational(p, -1 if p == 2 else -2)
+    root = Cyc.half_power(p, 1) - (0 if p == 2 else 1)
+    f = LocallyConstantFn(p, 0, k, {Fraction(0): root, Fraction(1): c, Fraction(n - 1): c})
+    for sign, transform in ((-1, fourier), (+1, inverse_fourier)):
+        got = transform(f).table
+        assert sorted(got) == [Fraction(i, n) for i in range(n) if i not in (1, n - 1)]
+        assert got[Fraction(at, n)] == value and got[Fraction(n - at, n)] == value
         want = oracles.fourier_by_cell(f, sign).table
         assert list(got) == list(want)
         assert all(repr(got[w]) == repr(v) for w, v in want.items())
