@@ -47,6 +47,17 @@ nonzero.  `functions.fourier` fills all but one cell of each orbit of its
 output this way: for values in Q(sqrt(p), zeta_{p^L}),
 F f(u*k) = sigma_u(F f(k)) for every unit u = 1 mod p^L.
 
+Dually, the transform of an equivariant table, g(u*k) = sigma_u(g(k)) for
+every unit u = 1 mod p^L, has its values in Q(sqrt(p), zeta_{p^L}).  The
+cells of one orbit of g add to each output the sigma_u images of one
+value z, and the sum of sigma_u(z) over the units u = 1 mod p^L below
+p^top is the trace of z from level top down to L.  On a term zeta^e at
+level top that trace is p^(top-L) zeta^e when p^(top-L) divides e, and 0
+otherwise, as the roots zeta^(e*u) then sum to zero.  So an output keeps
+only the terms of each orbit whose exponent the filter lets through, on
+the rational and sqrt(p) parts apart, and `functions.fourier` uses this
+once an exact check has shown the table equivariant.
+
 Every exact sum of the package is made of one lift and one adder.  `lift`
 takes exact values to one level, the highest of theirs, over one
 denominator, the least common multiple of theirs: it gives each value the

@@ -272,8 +272,9 @@ def _fourier_impl(f: LocallyConstantFn, sign: int, cap: int) -> LocallyConstantF
     # for w = iw*p^(-K) and r = ir*p^(-M) the phase of chi(w*r) is
     # (iw*ir mod N) / N over the N = p^(M+K) cells, so this is a length-N
     # DFT.  A table with a float value is summed in floating point by
-    # `class_tree_dft`.  An exact table takes one of two routes, chosen by
-    # its size alone.  Let L be the highest level of its values, raised to
+    # `class_tree_dft`.  An exact table takes one of three routes, each
+    # chosen by one rule computed from the table, with the same output, the
+    # same repr, on all.  Let L be the highest level of its values, raised to
     # 1 (3 for p = 2) when a value has a sqrt(p) part, so that every unit
     # u = 1 mod p^L gives an automorphism sigma_u: zeta -> zeta^u that
     # fixes the values and sqrt(p); then F f(u*iw) = sigma_u(F f(iw)).  The
@@ -282,12 +283,25 @@ def _fourier_impl(f: LocallyConstantFn, sign: int, cap: int) -> LocallyConstantF
     # (`_orbit_cells`) takes one character sum per orbit and fills every
     # other cell by `exact.cyc_galois`, which needs no normalization (see
     # the `exact` module docstring).  Otherwise, mainly for values at level
-    # M+K, where B = N, the class tree runs.  Its exact values are lifted
-    # once to a common denominator, as integer coefficient lists by
-    # exponent at their own cyclotomic level, rational and sqrt(p) parts
-    # apart.  A twiddle, a power of zeta_N, rotates a list; a node entry
-    # takes the lowest level that holds its children and twiddles.  An
-    # output cell whose lists no other cell holds is reduced once; the
+    # M+K, where B = N, a table g may still be equivariant,
+    # g(u*iw) = sigma_u(g(iw)) for the units u = 1 mod p^L at a lower L, as
+    # the transform of a table at level L is.  Its transform then lies at
+    # level L, each output a sum over the orbits of g's indices of traces
+    # down to L (`exact` module docstring), and the trace route
+    # (`_trace_cells`) builds each output from the terms those traces keep.
+    # `_trace_levels` yields the levels L, ascending, at which its cost
+    # rule expects it to beat the tree, and the first at which
+    # `_equivariant` holds is taken.  That check compares sigma_u0 of every
+    # cell, u0 = 1 + p^L, with the cell at u0*iw in level, den and terms,
+    # not by value, so that the rational and sqrt(p) parts the route reads
+    # on an orbit's first cell are those the tree reads on the others, and
+    # the outputs keep the tree's repr.  Every other exact table takes the
+    # class tree.  Its exact values are lifted once to a common
+    # denominator, as integer coefficient lists by exponent at their own
+    # cyclotomic level, rational and sqrt(p) parts apart.  A twiddle, a
+    # power of zeta_N, rotates a list; a node entry takes the lowest level
+    # that holds its children and twiddles.  An output cell whose lists no
+    # other cell holds is reduced once; the
     # cells of a single-child chain share lists, each reduced once and
     # rotated per cell by `cyc_rotated`, and a list that reduces to zero
     # gives no cell.
@@ -295,10 +309,9 @@ def _fourier_impl(f: LocallyConstantFn, sign: int, cap: int) -> LocallyConstantF
     depth = f.support_exponent + f.resolution
     count = ball_size(p, f.resolution, f.support_exponent, cap)
     cells = {cell_index(r, p, f.support_exponent): v for r, v in f.table.items()}
-    unit = Fraction(p) ** (-f.resolution)
     if f.is_exact():
         den = lcm(*(v.den for v in cells.values()))
-        scale = unit / den
+        scale = Fraction(p) ** (-f.resolution) / den
         num = scale.numerator
         with_b = any(b for v in cells.values() for _, b in v.terms.values())
         fixed = max([0] + [v.level for v in cells.values()])
@@ -306,9 +319,10 @@ def _fourier_impl(f: LocallyConstantFn, sign: int, cap: int) -> LocallyConstantF
             fixed = max(fixed, 3 if p == 2 else 1)
         terms = sum(len(v.terms) for v in cells.values())
         if cells and _orbit_count(p, depth, fixed) * terms <= count * count:
-            values = _orbit_cells(p, depth, sign, cells, fixed, with_b, den, scale)
-            out = {iw * unit: values[iw] for iw in sorted(values)}
-            return LocallyConstantFn(p, f.resolution, f.support_exponent, out)
+            return _output(f, _orbit_cells(p, depth, sign, cells, fixed, with_b, den, scale))
+        for trace in _trace_levels(p, depth, cells, with_b) if cells else ():
+            if _equivariant(p, depth, cells, trace):
+                return _output(f, _trace_cells(p, depth, sign, cells, trace, with_b, den, scale))
         # a value above level M+K splits, by linearity, into zeta^r times
         # values at level M+K, one class tree per residue r mod p^(level-M-K)
         level = max([depth] + [v.level for v in cells.values()])
@@ -416,13 +430,67 @@ def _fourier_impl(f: LocallyConstantFn, sign: int, cap: int) -> LocallyConstantF
 
         def finish(entries):
             return entries[0] * scale
-    out = {}
+    values = {}
     outputs = [class_tree_dft(p, depth, sign, leaves, mix) for leaves in trees]
     for iw, entries in enumerate(zip(*outputs)):
         total = finish(entries)
         if total:
-            out[iw * unit] = total
-    return LocallyConstantFn(p, f.resolution, f.support_exponent, out)
+            values[iw] = total
+    return _output(f, values)
+
+
+def _output(f: LocallyConstantFn, values: dict) -> LocallyConstantFn:
+    """The transform of `f` whose output index iw holds values[iw]: the
+    cell iw * p^(-K), keyed in index order."""
+    p, k = f.prime, f.resolution
+    if k >= 0:
+        den = p**k
+        out = {Fraction(iw, den): values[iw] for iw in sorted(values)}
+    else:
+        factor = p**-k
+        out = {Fraction(iw * factor): values[iw] for iw in sorted(values)}
+    return LocallyConstantFn(p, k, f.support_exponent, out)
+
+
+def _trace_levels(p: int, depth: int, cells: dict, with_b: bool):
+    """The levels L, ascending, at which the trace route is expected to
+    beat the class tree on the nonzero exact `cells`.
+
+    L starts at the smallest level the values allow: at least 1, and for
+    p = 2 at least 2 (so that 1 + p^L generates the units = 1 mod p^L), or
+    3 with sqrt(2) parts; and at least the level of every value g(k) above
+    n = M+K - v_p(k), since the units = 1 mod p^max(L, n) fix k and so
+    must fix g(k).  By timings of both routes on dense, sparse and sqrt(p)
+    tables (the shape table kept with the benchmark results), in steps of
+    about 0.1 microsecond, the tree takes about 5 N p^l, l the highest
+    level of the values up to M+K, and the route 4 per input term for the
+    check, 1 per term an output reads, 5 per output that reads an orbit
+    and 40 per output.  The route pays
+    while its work is at most the tree's.  The work grows with L, so the
+    levels stop at the first that does not pay, and below M+K, where
+    every orbit has one cell."""
+    lowest = 3 if p == 2 and with_b else 2 if p == 2 else 1
+    for k, c in cells.items():
+        if c.level > lowest and c.level > depth - (valp(k, p) if k else depth):
+            lowest = c.level
+    count = p**depth
+    tree = 5 * count * p ** min(depth, max(c.level for c in cells.values()))
+    check = 4 * sum(len(c.terms) for c in cells.values())
+    for level in range(lowest, depth):
+        work = check + 40 * count
+        for v, _, units in _orbit_reps(p, depth, level):
+            n = depth - v
+            for r in units:
+                c = cells.get(p**v * r % count)
+                if c is not None:
+                    # the orbit is read by the outputs mod p^n, and its
+                    # terms survive the trace for p^min(n, L) of them, or
+                    # a share of those for values above level max(n, L)
+                    work += 5 * p**n + (len(c.terms) * p ** (n + level)
+                                        // p ** max(n, level, c.level))
+        if work > tree:
+            return
+        yield level
 
 
 def _orbit_count(p: int, depth: int, level: int) -> int:
@@ -431,6 +499,16 @@ def _orbit_count(p: int, depth: int, level: int) -> int:
     of indices of valuation v < depth, with phi(1) = 1."""
     return 1 + sum(p ** t - p ** (t - 1) if t else 1
                    for t in (min(level, depth - v) for v in range(depth)))
+
+
+def _orbit_reps(p: int, depth: int, level: int):
+    """(v, step, units) for v = 0 .. depth: the orbits of the indices of
+    valuation v (the index 0 for v = depth) under the units u = 1 mod
+    p^level have the least indices p^v r, r in `units`, the units below
+    step = p^min(level, depth - v), and p^(depth - v) / step cells each."""
+    for v in range(depth + 1):
+        step = p ** min(level, depth - v)
+        yield v, step, [r for r in range(1, max(step, 2)) if r % p]
 
 
 def _orbit_cells(p: int, depth: int, sign: int, cells: dict, level: int, with_b: bool,
@@ -452,10 +530,10 @@ def _orbit_cells(p: int, depth: int, sign: int, cells: dict, level: int, with_b:
     num, out_den = scale.numerator, scale.denominator
     total = sum(len(c.terms) for c in cells.values())
     values = {}
-    for v in range(depth + 1):
+    for v, step, units in _orbit_reps(p, depth, level):
         n = depth - v
         top = max(level, n)
-        size, modulus, step = p**top, p**n, p ** min(level, n)
+        size, modulus = p**top, p**n
         stretch = size // modulus
         sparse = total * p < size
         # a term dict takes num here, lists take it in their reduction
@@ -464,9 +542,7 @@ def _orbit_cells(p: int, depth: int, sign: int, cells: dict, level: int, with_b:
         for ir, c in cells.items():
             lift, up = size // p**c.level, den // c.den * factor
             lifted.append((ir, [(e * lift, x * up, y * up) for e, (x, y) in c.terms.items()]))
-        for r in range(1, max(step, 2)):
-            if r % p == 0:
-                continue
+        for r in units:
             if sparse:
                 acc = {}
                 get = acc.get
@@ -500,6 +576,97 @@ def _orbit_cells(p: int, depth: int, sign: int, cells: dict, level: int, with_b:
             for w in range(r, modulus, step):
                 if w % p:
                     values[p**v * w] = cyc_galois(base, w * inverse)
+    return values
+
+
+def _equivariant(p: int, depth: int, cells: dict, level: int) -> bool:
+    """Whether g(u0*k) = sigma_u0(g(k)) for every nonzero cell k of the
+    exact `cells`, u0 = 1 + p^level, with the same level, den and terms:
+    as u0 generates the units = 1 mod p^level, the table is then
+    equivariant under all of them."""
+    count, u0 = p**depth, 1 + p**level
+    for k, c in cells.items():
+        image = cells.get(u0 * k % count)
+        if image is None:
+            return False
+        moved = cyc_galois(c, u0)
+        if (image.level, image.den, image.terms) != (moved.level, moved.den, moved.terms):
+            return False
+    return True
+
+
+def _trace_cells(p: int, depth: int, sign: int, cells: dict, level: int, with_b: bool,
+                 den: int, scale: Fraction) -> dict:
+    """{iw: F g(iw)} for the nonzero outputs of the exact `cells` g (index
+    -> `Cyc` over a common denominator `den`, equivariant under the units
+    u = 1 mod p^level), times `scale`.
+
+    The orbit of k0 adds to F g(iw) the sum of sigma_u(g(k0) zeta_N^(iw*k0))
+    over its cells, which is |orbit| / p^(top - level) times the trace from
+    level top down to `level`: a term zeta^e, e lifted to the level top of
+    every value and of zeta_N, keeps p^(top - level) zeta^e when p^(top -
+    level) divides e, and traces to 0 otherwise.  Each orbit's terms are
+    bucketed by e mod p^(top - level), so that an output reads only the
+    bucket that survives its shift, into integer lists of length p^level.
+    An orbit of valuation v depends on iw mod p^(M+K-v) alone, so the
+    orbits are added one valuation at a time, from the index 0 down to the
+    units, into lists by iw mod p^(M+K-v) that start from those of v + 1;
+    the lists of v = 0 are the outputs, each reduced once by
+    `cyc_from_coefficients`."""
+    count = p**depth
+    top = max([depth, level] + [c.level for c in cells.values()])
+    size, modulus = p**level, p**top
+    block, stretch = modulus // size, modulus // count
+    # slot q + j of a list of twice the length holds zeta^((q + j) mod
+    # p^level), so that no shift wraps; the sqrt(p) part follows
+    sums = [[0] * size * (4 if with_b else 2)]
+    for v, step, units in reversed(list(_orbit_reps(p, depth, level))):
+        orbit = p ** (depth - v) // step
+        reps = []
+        for r in units:
+            c = cells.get(p**v * r % count)
+            if c is None:
+                continue
+            lift, up = modulus // p**c.level, den // c.den * orbit
+            buckets: dict = {}
+            for e, (x, y) in c.terms.items():
+                q, rest = divmod(e * lift, block)
+                # keyed by the shift mod block that makes e a multiple of it
+                items = buckets.setdefault(-rest % block, [])
+                items.append((q, x * up))
+                if y:
+                    items.append((q + 2 * size, y * up))
+            reps.append((sign * p**v * r * stretch, buckets))
+        inner = len(sums)
+        layer = []
+        for y in range(p ** (depth - v)):
+            acc = sums[y % inner]
+            copied = False
+            for shift, buckets in reps:
+                s = y * shift % modulus
+                items = buckets.get(s % block)
+                if items is None:
+                    continue
+                if not copied:
+                    acc, copied = acc[:], True
+                # e + s = (q + j) * block for every e = q * block + rest
+                j = (s + block - 1) // block
+                for q, x in items:
+                    acc[q + j] += x
+            layer.append(acc)
+        sums = layer
+    # a list no valuation added to is shared, and reduced once
+    num, out_den = scale.numerator, scale.denominator
+    reduced: dict = {}
+    values = {}
+    for iw, acc in enumerate(sums):
+        value = reduced.get(id(acc))
+        if value is None:
+            a = list(map(add, acc[:size], acc[size:2 * size]))
+            b = list(map(add, acc[2 * size:3 * size], acc[3 * size:])) if with_b else None
+            value = reduced[id(acc)] = cyc_from_coefficients(p, level, a, b, num, out_den)
+        if value:
+            values[iw] = value
     return values
 
 

@@ -261,7 +261,9 @@ def test_fourier_stdout_is_golden(capsys, tmp_path, case):
     # rotations of shared lists, and the last two dense tables, from the
     # radix-p pass.  Of those two, the p = 3 table at level M+K (T = 2N
     # terms, B = N orbits) still takes the radix-p pass, and the p = 2
-    # table at level 5 takes the orbit route (B = 80 of N = 256).  An exact
+    # table at level 5 takes the orbit route (B = 80 of N = 256).  The
+    # inverse of r(v_3(k)) zeta_81^(2k), one phase per cell and equivariant
+    # under every unit = 1 mod 3, takes the trace route at L = 1.  An exact
     # table is written byte for byte as then (the chirp's transform is
     # sqrt(5) times a phase in every cell).  A sqrt(p) wavelet can only be
     # read as floats, and a float table may differ in its last bits

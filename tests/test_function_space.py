@@ -403,12 +403,17 @@ def count_calls(monkeypatch):
 
 @pytest.mark.parametrize("p,m,k", [(3, 2, 3), (2, 4, 4)])
 def test_dense_fourier_reduces_each_cell_once(monkeypatch, p, m, k):
-    # counts only, on the transform g of a dense table: g's values lie at
-    # level M+K, where every orbit is one cell and B*T > N^2, so the class
-    # tree runs.  Each transform of g reduces every one of its N output
-    # cells once, from coefficient lists, with no canonical pass over a
-    # term dict, and builds no Cyc inside the radix-p pass
-    g = fourier(random_exact_fn(p, m, k, random.Random(p), density=1.0))
+    # counts only, on zeta_N times the transform of a dense table: g's
+    # values lie at level M+K, where every orbit is one cell and B*T > N^2,
+    # and g(0) does too, so that g is equivariant under no unit other than
+    # 1 mod p^(M+K) and the trace route does not apply: the class tree
+    # runs.  Each transform of g reduces every one of its N output cells
+    # once, from coefficient lists, with no canonical pass over a term
+    # dict, and builds no Cyc inside the radix-p pass
+    zeta = Cyc.root_of_unity(p, RationalPhase(1, p ** (m + k)))
+    f = fourier(random_exact_fn(p, m, k, random.Random(p), density=1.0))
+    g = LocallyConstantFn(p, k, m, {w: v * zeta for w, v in f.table.items()})
+    assert max(v.level for v in g.table.values()) == g.table[Fraction(0)].level == m + k
     counts, built_in_pass = count_calls(monkeypatch)
     cells = p ** (m + k)
     for transform in (fourier, inverse_fourier):
@@ -436,6 +441,44 @@ def test_orbit_route_reduces_each_orbit_once(monkeypatch, p, m, k):
         assert (counts["canonical"], counts["dft"]) == (0, 0)
         assert list(got) == list(want[sign])
         assert all(repr(got[w]) == repr(v) for w, v in want[sign].items())
+
+
+@pytest.mark.parametrize("level,route", [(2, "trace"), (3, "tree")])
+def test_trace_route_checks_each_cell_once_and_reduces_each_output_once(
+        monkeypatch, level, route):
+    # the inverse transform of the benchmark's round trip: g = fourier(f)
+    # for a dense p = 3 table f on N = 81 cells, whose values lie at level
+    # M+K, so that B*T > N^2, and are equivariant under the units u = 1 mod
+    # p^level.  At level 2 the trace route takes one cyc_galois per cell
+    # for the check, all by u0 = 1 + 3^2, and reduces each of the N output
+    # cells once from coefficient lists, with no canonical pass and no
+    # radix-p pass.  At level 3 = M+K-1 the rule keeps the tree, and
+    # nothing is checked
+    rng = random.Random(level)
+    f = LocallyConstantFn(3, 2, 2, {
+        rep: Cyc.root_of_unity(3, RationalPhase(rng.randrange(3**level), 3**level))
+        * Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4))
+        for rep in ball_reps(3, 2, 2)})
+    g = fourier(f)
+    assert max(v.level for v in g.table.values()) == 4
+    want = oracles.fourier_by_cell(g, +1).table
+    counts, _ = count_calls(monkeypatch)
+    galois = []
+
+    def cyc_galois(value, u):
+        galois.append(u)
+        return exact.cyc_galois(value, u)
+
+    monkeypatch.setattr(functions, "cyc_galois", cyc_galois)
+    got = inverse_fourier(g).table
+    if route == "trace":
+        assert galois == [10] * len(g.table) and len(g.table) == 81
+        assert counts["reduced"] == 81
+        assert (counts["canonical"], counts["dft"]) == (0, 0)
+    else:
+        assert (galois, counts["dft"]) == ([], 1)
+    assert list(got) == list(want) == list(f.table)
+    assert all(repr(got[w]) == repr(v) for w, v in want.items())
 
 
 @pytest.mark.parametrize("idx", [KozyrevIndex(0, (1,), 1), KozyrevIndex(-2, (2, 1), 2)])
@@ -606,11 +649,38 @@ def oracle_table(p, kind, rng):
     """An exact table of one kind: dense; confined to one residue class mod
     p^t, so that the tree skips the other branches; sparse, at most p cells
     of one class mod p^(M+K-1) in a ball p^2 to p^3 times larger, the shape
-    of a widened wavelet; an odd-n wavelet, whose values carry sqrt(p); or
-    empty.  The first two hold values at levels up to M+K+3, above the grid
-    of w*r; the sparse values stay at or below the level M+K of the widened
-    ball, where the output cells of a single-child chain are rotations of
-    the lists they share."""
+    of a widened wavelet; an odd-n wavelet, whose values carry sqrt(p);
+    equivariant, the transform g of a table whose values lie at levels up
+    to L < M+K, so that g(u*k) = sigma_u(g(k)) for every unit u = 1 mod
+    p^L, on up to 125 cells; or empty.  The first two hold values at
+    levels up to M+K+3, above the grid of w*r; the sparse values stay at
+    or below the level M+K of the widened ball, where the output cells of
+    a single-child chain are rotations of the lists they share.  One in
+    four equivariant tables has its cell 1 changed: plus 1, or for p = 5
+    the same value with another split into rational and sqrt(5) parts,
+    which sigma_u does not map to its neighbour's split."""
+    if kind == "equivariant":
+        depth = rng.randint(2, max(d for d in range(2, 8) if p**d <= 125))
+        m = rng.randint(0, depth)
+        level = rng.randint(1, depth - 1)
+        table = {}
+        for rep in ball_reps(p, m, depth - m):
+            v = random_value(p, rng, level)
+            if v:
+                table[rep] = v
+        g = fourier(LocallyConstantFn(p, m, depth - m, table))
+        one = Fraction(p) ** -g.support_exponent
+        if one in g.table and rng.random() < 0.25:
+            v = g.table[one]
+            if p == 5:
+                # plus sqrt(5) - (1 + 2 zeta_5 + 2 zeta_5^4), which is zero,
+                # term by term: no Cyc holds it
+                top, den, parts = exact.lift(5, [
+                    (v.level, v.terms, v.den), (1, {0: (-1, 1), 1: (-2, 0), 4: (-2, 0)}, 1)])
+                g.table[one] = Cyc(5, top, exact.added_terms(parts), den)
+            elif v + 1:
+                g.table[one] = v + 1
+        return g
     if kind == "sparse":
         m, k = rng.choice([s for s in FOURIER_SHAPES if sum(s) >= 1])
         widen = rng.randint(2, 3) if p ** (m + k + 3) <= 3125 else 2
@@ -646,7 +716,7 @@ def oracle_table(p, kind, rng):
 
 @given(
     p=st.sampled_from((2, 3, 5, 7)),
-    kind=st.sampled_from(("dense", "class", "sparse", "wavelet", "empty")),
+    kind=st.sampled_from(("dense", "class", "sparse", "wavelet", "equivariant", "empty")),
     seed=st.integers(0, 10**6),
 )
 # sqrt(2) values at level 3 and sqrt(5) values, where the (a, b) split is
@@ -662,25 +732,43 @@ def oracle_table(p, kind, rng):
 @example(p=2, kind="wavelet", seed=0)
 @example(p=5, kind="wavelet", seed=3)
 @example(p=3, kind="dense", seed=133)
+# the trace route: sqrt(2) parts at levels up to 1, so that L is raised to
+# 3, N = 32; at p = 5, cell 1 with another sqrt(5) split than sigma_u's
+# image of its neighbour, and at p = 3 cell 1 plus 1, which both fall to
+# the tree; and values at level L = M+K-1 = 3, where the rule keeps it
+@example(p=2, kind="equivariant", seed=0)
+@example(p=5, kind="equivariant", seed=0)
+@example(p=3, kind="equivariant", seed=6)
+@example(p=3, kind="equivariant", seed=5)
 def test_fourier_matches_the_per_cell_oracle(p, kind, seed):
-    # both routes against one character sum per output cell: the same keys
+    # every route against one character sum per output cell: the same keys
     # in the same order, and every value == with the same repr.  The orbit
-    # route runs exactly when the table has a cell and B*T <= N^2, and the
-    # radix-p pass runs on every other table with a cell
+    # route runs exactly when the table has a cell and B*T <= N^2; else the
+    # trace route runs exactly when the table is equivariant, same level,
+    # den and terms, at a level L its rule yields; and the radix-p pass
+    # runs on every other table with a cell
     f = oracle_table(p, kind, random.Random(seed))
-    n = p ** (f.support_exponent + f.resolution)
+    depth = f.support_exponent + f.resolution
+    n = p**depth
     values = list(f.table.values())
+    with_b = any(b for v in values for _, b in v.terms.values())
     level = max([0] + [v.level for v in values])
-    if any(b for v in values for _, b in v.terms.values()):
+    if with_b:
         level = max(level, 3 if p == 2 else 1)
     terms = sum(len(v.terms) for v in values)
-    orbit = bool(values) and functions._orbit_count(
-        p, f.support_exponent + f.resolution, level) * terms <= n * n
+    orbit = bool(values) and functions._orbit_count(p, depth, level) * terms <= n * n
+    cells = {cell_index(r, p, f.support_exponent): v for r, v in f.table.items()}
+    trace = bool(values) and not orbit and any(
+        functions._equivariant(p, depth, cells, at)
+        for at in functions._trace_levels(p, depth, cells, with_b))
     for sign, transform in ((-1, fourier), (+1, inverse_fourier)):
         with mock.patch.object(functions, "class_tree_dft",
-                               wraps=functions.class_tree_dft) as dft:
+                               wraps=functions.class_tree_dft) as dft, \
+                mock.patch.object(functions, "_trace_cells",
+                                  wraps=functions._trace_cells) as traced:
             got = transform(f).table
-        assert (dft.call_count == 0) == (orbit or not values)
+        assert (dft.call_count == 0) == (orbit or trace or not values)
+        assert traced.call_count == trace
         want = oracles.fourier_by_cell(f, sign).table
         assert list(got) == list(want)
         for w, v in want.items():
