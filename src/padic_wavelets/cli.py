@@ -36,12 +36,12 @@ from .functions import (
     LocallyConstantFn,
     _check_cap,
     amp_to_json,
+    cell_digits,
     fn_from_json,
     fn_to_json,
     fourier as fourier_fn,
     integrate,
     inverse_fourier,
-    rep_digits,
 )
 from .haar import (
     HaarIndex,
@@ -56,7 +56,7 @@ from .operators import (
     relation_rows,
     translation_kernel_residual,
 )
-from .padic import frac_valp, is_prime, monna_rational, truncate
+from .padic import is_prime, monna_rational, truncate, valp
 from .wavelets import (
     KozyrevIndex,
     Window,
@@ -286,11 +286,10 @@ def wavelet_table(config: RunConfig, indices, extra_depth, output):
         rows = []
         for idx in parsed:
             fn = materialize(config.prime, idx, extra_depth, cap=config.cap)
-            for rep in sorted(fn.table):
-                value = fn.table[rep]
-                digits = rep_digits(rep, fn.prime, fn.support_exponent, fn.resolution)
-                label = "".join(str(d) for d in digits) or "0"
-                norm_exp = "-inf" if rep == 0 else -frac_valp(rep, fn.prime)
+            for i, digits, value in cell_digits(fn):
+                label = "".join(map(str, digits)) or "0"
+                # |i p^(-M)|_p = p^(M - v_p(i))
+                norm_exp = "-inf" if i == 0 else fn.support_exponent - valp(i, fn.prime)
                 polar = value.polar_exact()
                 if polar is not None:
                     phase_num, phase_den = polar[2].numerator, polar[2].denominator

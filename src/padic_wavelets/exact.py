@@ -385,10 +385,16 @@ class Cyc:
         parts = []
         n = self.prime**self.level
         for e in sorted(self.terms):
-            a, b = (Fraction(c, self.den) for c in self.terms[e])
-            coeff = f"{a}" if b == 0 else (f"{b}*sqrt{self.prime}" if a == 0 else f"({a}+{b}*sqrt{self.prime})")
+            a, b = (_fraction_text(c, self.den) for c in self.terms[e])
+            coeff = a if b == "0" else (f"{b}*sqrt{self.prime}" if a == "0" else f"({a}+{b}*sqrt{self.prime})")
             parts.append(coeff if e == 0 else f"{coeff}*z({e}/{n})")
         return f"Cyc(p={self.prime}, " + " + ".join(parts) + ")"
+
+
+def _fraction_text(c: int, den: int) -> str:
+    """str(Fraction(c, den)), without building the Fraction."""
+    g = gcd(c, den) if den > 0 else -gcd(c, den)
+    return f"{c // g}" if den == g else f"{c // g}/{den // g}"
 
 
 def _lowest(terms: dict, den: int):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isfinite, lcm
-from operator import add, or_
+from operator import add, itemgetter, or_
 
 from .errors import EnumerationCapError, InvalidInputError, PrimeMismatchError
 from .exact import (
@@ -55,18 +55,6 @@ def reduce_rep(q: Fraction, p: int, resolution: int) -> Fraction:
     if span <= 0:
         return Fraction(0)
     return Fraction(q.numerator % p**span, p**s)
-
-
-def rep_digits(q: Fraction, p: int, support_exponent: int, resolution: int) -> list[int]:
-    """Digits of the representative at exponents -M .. K-1."""
-    scaled = q * Fraction(p) ** support_exponent
-    count = support_exponent + resolution
-    if scaled.denominator != 1 or count < 0:
-        raise InvalidInputError("representative does not fit the support ball")
-    n = scaled.numerator
-    if not 0 <= n < p**count:
-        raise InvalidInputError("representative does not fit the support ball")
-    return list(int_to_digits(n, p, count))
 
 
 def _check_cap(p: int, exponent: int, cap: int, cells: int = 1) -> None:
@@ -153,9 +141,10 @@ def add_cells(table: dict, cells) -> None:
 
 
 def integrate(f: LocallyConstantFn):
-    """Haar integral: sum of cell values times the cell measure p^(-K)."""
-    return amp_sum(f.prime, [f.table[rep] for rep in sorted(f.table)]) * (
-        Fraction(f.prime) ** (-f.resolution))
+    """Haar integral: the cell values summed in index order, times p^(-K)."""
+    p, m = f.prime, f.support_exponent
+    cells = sorted(((cell_index(r, p, m), v) for r, v in f.table.items()), key=itemgetter(0))
+    return amp_sum(p, [v for _, v in cells]) * (Fraction(p) ** (-f.resolution))
 
 
 def inner_product(f: LocallyConstantFn, g: LocallyConstantFn):
@@ -191,6 +180,28 @@ def cell_index(r: Fraction, p: int, support_exponent: int) -> int | None:
     m = support_exponent
     i, rest = divmod(r.numerator * p ** max(m, 0), r.denominator * p ** max(-m, 0))
     return None if rest else i
+
+
+def cell_table(p: int, support_exponent: int, cells) -> dict:
+    """The table {i p^(-M): v} of the (index i, value v) pairs `cells`, in
+    their order; each key is built once, as Fraction(i, p^M), or as the
+    integer i p^|M| when M < 0."""
+    m = support_exponent
+    den, factor = (p**m, 1) if m >= 0 else (1, p**-m)
+    return {Fraction(i * factor, den): v for i, v in cells}
+
+
+def cell_digits(f: LocallyConstantFn) -> list:
+    """(i, digits, value) for the cells r = i p^(-M) of f by increasing i,
+    the order of the keys; r has the base-p digits of i, least significant
+    first, at exponents -M .. K-1.  A key off the ball is rejected."""
+    p, depth = f.prime, f.support_exponent + f.resolution
+    count = p**depth if depth >= 0 else 0
+    cells = [(cell_index(r, p, f.support_exponent), v) for r, v in f.table.items()]
+    if any(i is None or not 0 <= i < count for i, _ in cells):
+        raise InvalidInputError("representative does not fit the support ball")
+    cells.sort(key=itemgetter(0))
+    return [(i, list(int_to_digits(i, p, depth)), v) for i, v in cells]
 
 
 def class_sums(p: int, cells: dict, depth: int) -> list[dict]:
@@ -443,13 +454,7 @@ def _output(f: LocallyConstantFn, values: dict) -> LocallyConstantFn:
     """The transform of `f` whose output index iw holds values[iw]: the
     cell iw * p^(-K), keyed in index order."""
     p, k = f.prime, f.resolution
-    if k >= 0:
-        den = p**k
-        out = {Fraction(iw, den): values[iw] for iw in sorted(values)}
-    else:
-        factor = p**-k
-        out = {Fraction(iw * factor): values[iw] for iw in sorted(values)}
-    return LocallyConstantFn(p, k, f.support_exponent, out)
+    return LocallyConstantFn(p, k, f.support_exponent, cell_table(p, k, sorted(values.items())))
 
 
 def _trace_levels(p: int, depth: int, cells: dict, with_b: bool):
@@ -760,11 +765,10 @@ def json_float(record: dict, key: str):
 
 
 def fn_to_json(f: LocallyConstantFn) -> dict:
-    cells = []
-    for rep in sorted(f.table):
-        entry = {"digits": rep_digits(rep, f.prime, f.support_exponent, f.resolution)}
-        entry.update(amp_to_json(f.table[rep]))
-        cells.append(entry)
+    """The JSON record of f: cells listed by increasing index i, the cell
+    r = i p^(-M), each with the digits of i, least significant first
+    (`cell_digits`), and its value (`amp_to_json`)."""
+    cells = [{"digits": digits, **amp_to_json(v)} for _, digits, v in cell_digits(f)]
     return {
         "prime": f.prime,
         "support_exponent": f.support_exponent,
@@ -782,11 +786,8 @@ def fn_from_json(data: dict) -> LocallyConstantFn:
         cells = list(data["cells"])
     except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"malformed function record: missing {exc}") from exc
-    table = {}
-    seen = set()
-    # one power per file, none for a file without cells
-    unit = Fraction(p) ** -m if cells else None
-    for i, entry in enumerate(cells):
+    indexed = {}
+    for n, entry in enumerate(cells):
         try:
             digits = entry["digits"]
             if type(digits) is not list:
@@ -795,13 +796,10 @@ def fn_from_json(data: dict) -> LocallyConstantFn:
                 raise InvalidInputError(f"digits {digits} are not all in [0, {p})")
             if any(digits[max(m + k, 0):]):
                 raise InvalidInputError(f"digits {digits} lie outside the ball")
-            rep = digits_to_int(digits, p) * unit
-            if rep in seen:
+            i = digits_to_int(digits, p)
+            if i in indexed:
                 raise InvalidInputError(f"digits {digits} repeat an earlier cell")
-            seen.add(rep)
-            value = amp_from_json(p, entry)
+            indexed[i] = amp_from_json(p, entry)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InvalidInputError(f"malformed cell record at index {i}: {exc}") from exc
-        if value:
-            table[rep] = value
-    return LocallyConstantFn(p, m, k, table)
+            raise InvalidInputError(f"malformed cell record at index {n}: {exc}") from exc
+    return LocallyConstantFn(p, m, k, cell_table(p, m, ((i, v) for i, v in indexed.items() if v)))

@@ -29,6 +29,7 @@ from .functions import (
     amp_from_json,
     amp_to_json,
     cell_index,
+    cell_table,
     character_amp,
     class_sums,
     json_int,
@@ -56,6 +57,12 @@ class KozyrevIndex:
     @property
     def m_depth(self) -> int:
         return len(self.m_digits)
+
+
+def sorted_labels(coefficients: dict) -> list:
+    """The (label, value) pairs of `coefficients` by label (n, m_digits, j),
+    the order of `KozyrevIndex`, compared as tuples."""
+    return sorted(coefficients.items(), key=lambda item: (item[0].n, item[0].m_digits, item[0].j))
 
 
 def m_value(idx: KozyrevIndex, p: int) -> Fraction:
@@ -289,29 +296,24 @@ def synthesize(expansion: WaveletExpansion, resolution: int | None = None,
         raise InvalidInputError(
             f"resolution {resolution} is coarser than the window's finest {finest}"
         )
-    labels = sorted(expansion.coefficients)
-    support = max(
-        [natural_support_exponent(i) for i in labels],
-        default=max(0, -resolution),
-    )
-    support = max(support, -resolution)
-    for idx in labels:
+    labels = sorted_labels(expansion.coefficients)
+    support = max([-resolution] + ([natural_support_exponent(idx) for idx, _ in labels] or [0]))
+    # level L -> the (class mod p^L, value) pairs its labels add
+    adds = {}
+    half_powers = {}
+    for idx, coeff in labels:
         validate_index(p, idx)
         _check_cap(p, idx.m_depth + 1, cap)
         extra = resolution - natural_resolution(idx)
         if extra:
             _check_cap(p, extra, cap, p)
-    # level L -> the (class mod p^L, value) pairs its labels add
-    adds = {}
-    half_powers = {}
-    for idx in labels:
         n, k, j = idx.n, idx.m_depth, idx.j
         mu = digits_to_int(idx.m_digits[::-1], p)
         half = half_powers.get(n)
         if half is None:
             half = half_powers[n] = Cyc.half_power(p, -n)
         den = p ** (k + 1)
-        v = half * _char_root(p, j * mu % den, den) * expansion.coefficients[idx]
+        v = half * _char_root(p, j * mu % den, den) * coeff
         first, child = mu * p ** (support - n - k), p ** (support - n)
         adds.setdefault(support - n + 1, []).extend(
             (first + t * child, _twiddle(p, v, j * t)) for t in range(p))
@@ -321,8 +323,7 @@ def synthesize(expansion: WaveletExpansion, resolution: int | None = None,
         add_cells(nodes, adds[below])
         level = below
     nodes = _spread(p, nodes, level, support + resolution)
-    unit = Fraction(p) ** -support
-    return LocallyConstantFn(p, support, resolution, {i * unit: v for i, v in nodes.items()})
+    return LocallyConstantFn(p, support, resolution, cell_table(p, support, nodes.items()))
 
 
 def _spread(p: int, nodes: dict, level: int, below: int) -> dict:
@@ -335,11 +336,10 @@ def _spread(p: int, nodes: dict, level: int, below: int) -> dict:
 
 
 def expansion_to_json(e: WaveletExpansion) -> dict:
-    coeffs = []
-    for idx in sorted(e.coefficients):
-        entry = {"n": idx.n, "m_digits": list(idx.m_digits), "j": idx.j}
-        entry.update(amp_to_json(e.coefficients[idx]))
-        coeffs.append(entry)
+    """The JSON record of e: coefficients listed by label (n, m_digits, j)
+    (`sorted_labels`), each with its value (`amp_to_json`)."""
+    coeffs = [{"n": idx.n, "m_digits": list(idx.m_digits), "j": idx.j, **amp_to_json(c)}
+              for idx, c in sorted_labels(e.coefficients)]
     w = e.window
     return {
         "prime": e.prime,
@@ -354,8 +354,7 @@ def expansion_from_json(data: dict) -> WaveletExpansion:
         p = check_prime(json_int(data, "prime"))
         w = data["window"]
         window = Window(json_int(w, "n_min"), json_int(w, "n_max"), json_int(w, "m_depth"))
-        coeffs = {}
-        seen = set()
+        labels = {}
         for entry in data["coefficients"]:
             digits = entry["m_digits"]
             if not all(type(d) is int for d in digits):
@@ -364,12 +363,10 @@ def expansion_from_json(data: dict) -> WaveletExpansion:
             validate_index(p, idx)
             if not window.contains(idx):
                 raise InvalidInputError(f"label {idx} lies outside the window {window}")
-            if idx in seen:
+            key = (idx.n, idx.m_digits, idx.j)
+            if key in labels:
                 raise InvalidInputError(f"label {idx} repeats an earlier label")
-            seen.add(idx)
-            value = amp_from_json(p, entry)
-            if value:
-                coeffs[idx] = value
+            labels[key] = idx, amp_from_json(p, entry)
     except (KeyError, TypeError, OverflowError) as exc:
         raise InvalidInputError(f"malformed expansion record: {exc}") from exc
-    return WaveletExpansion(p, window, coeffs)
+    return WaveletExpansion(p, window, {idx: v for idx, v in labels.values() if v})

@@ -42,10 +42,10 @@ keyed by rationals, and a cellwise difference.
 shifts them; the two must agree in keys, key order, exact values and the
 repr of every float.
 
-`fourier_by_cell` is the transform as one character sum per output cell,
-Theta(N^2): the route `functions.fourier` took before the radix-p pass up
-the class tree.  On exact tables the two must agree in keys, key order and
-the repr of every value.
+`fourier_by_cell` is the transform and its inverse as one character sum
+per output cell, Theta(N^2): the route `functions.fourier` took before the
+radix-p pass up the class tree.  On exact tables the two must agree in
+keys, key order and the repr of every value.
 
 `residual_by_synthesis` is the round-trip residual of `analyze` as the
 command once computed it: rebuild f from its coefficients with
@@ -482,16 +482,18 @@ def translation_residual_by_tables(alpha, f: LocallyConstantFn, shift) -> dict:
     return {r: v for r, v in diff if v}
 
 
-def fourier_by_cell(f: LocallyConstantFn, sign: int, cap: int = DEFAULT_CELL_CAP):
-    """`fourier` (sign -1) or `inverse_fourier` (sign +1), one output cell at
-    a time.
+def fourier_by_cell(f: LocallyConstantFn, cap: int = DEFAULT_CELL_CAP) -> dict:
+    """{-1: `fourier`(f), +1: `inverse_fourier`(f)}, one output cell at a
+    time.
 
     For w = iw*p^(-K) and r = ir*p^(-M) the phase of chi(w*r) is
-    (iw*ir mod N) / N over the N = p^(M+K) cells.  Exact values are lifted
-    once to integers over a common cyclotomic level and denominator,
-    rational and sqrt(p) parts apart; a float value is one rational term at
-    exponent 0.  Each output cell sums its terms by phase, then normalizes
-    once (exact) or weights each phase by its root of unity (float).
+    (sign*iw*ir mod N) / N over the N = p^(M+K) cells, so the inverse at iw
+    is the forward sum at -iw mod N, and each sum is taken once.  Exact
+    values are lifted once to integers over a common cyclotomic level and
+    denominator, rational and sqrt(p) parts apart; a float value is one
+    rational term at exponent 0.  Each output cell sums its terms by phase,
+    then normalizes once (exact) or weights each phase by its root of
+    unity (float).
     """
     p = f.prime
     out_reps = ball_reps(p, f.resolution, f.support_exponent, cap)
@@ -511,6 +513,7 @@ def fourier_by_cell(f: LocallyConstantFn, sign: int, cap: int = DEFAULT_CELL_CAP
                 [(e * lift, b * up) for e, (_, b) in v.terms.items() if b],
             ))
         scale = Fraction(p) ** (-f.resolution) / den
+        num = scale.numerator
     else:
         level = f.support_exponent + f.resolution
         lifted = [(ir, [(0, complex(v))], []) for ir, v in cells]
@@ -518,12 +521,12 @@ def fourier_by_cell(f: LocallyConstantFn, sign: int, cap: int = DEFAULT_CELL_CAP
         scale = float(p) ** (-f.resolution)
     modulus = p**level
     lift_root = modulus // count
-    out = {}
-    for iw, w in enumerate(out_reps):
+    totals = []
+    for iw in range(count):
         acc_a, acc_b = {}, {}
         get_a, get_b = acc_a.get, acc_b.get
         for ir, terms_a, terms_b in lifted:
-            shift = (sign * iw * ir % count) * lift_root
+            shift = (-iw * ir % count) * lift_root
             for e, c in terms_a:
                 e += shift
                 if e >= modulus:
@@ -537,15 +540,20 @@ def fourier_by_cell(f: LocallyConstantFn, sign: int, cap: int = DEFAULT_CELL_CAP
         if exact:
             phases = set(acc_a.keys())
             phases.update(acc_b.keys())
-            num = scale.numerator
             terms = {e: (get_a(e, 0) * num, get_b(e, 0) * num)
                      for e in phases if get_a(e) or get_b(e)}
-            total = Cyc(p, level, terms, scale.denominator)
+            totals.append(Cyc(p, level, terms, scale.denominator))
         else:
-            total = sum(roots[e] * c for e, c in acc_a.items()) * scale
-        if total:
-            out[w] = total
-    return LocallyConstantFn(p, f.resolution, f.support_exponent, out)
+            totals.append(sum(roots[e] * c for e, c in acc_a.items()) * scale)
+    tables = {}
+    for sign in (-1, 1):
+        out = {}
+        for iw, w in enumerate(out_reps):
+            total = totals[-sign * iw % count]
+            if total:
+                out[w] = total
+        tables[sign] = LocallyConstantFn(p, f.resolution, f.support_exponent, out)
+    return tables
 
 
 def residual_by_synthesis(f: LocallyConstantFn, expansion: WaveletExpansion,

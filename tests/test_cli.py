@@ -263,10 +263,13 @@ def test_fourier_stdout_is_golden(capsys, tmp_path, case):
     # terms, B = N orbits) still takes the radix-p pass, and the p = 2
     # table at level 5 takes the orbit route (B = 80 of N = 256).  The
     # inverse of r(v_3(k)) zeta_81^(2k), one phase per cell and equivariant
-    # under every unit = 1 mod 3, takes the trace route at L = 1.  An exact
-    # table is written byte for byte as then (the chirp's transform is
-    # sqrt(5) times a phase in every cell).  A sqrt(p) wavelet can only be
-    # read as floats, and a float table may differ in its last bits
+    # under every unit = 1 mod 3, takes the trace route at L = 1.  The last
+    # six cases, recorded before the writer took digits from cell indices,
+    # have M < 0 or K < 0, so that a table keyed i * p^|M| is read or
+    # written.  An exact table is written byte for byte as then (the
+    # chirp's transform is sqrt(5) times a phase in every cell).  A sqrt(p)
+    # wavelet can only be read as floats, and a float table may differ in
+    # its last bits
     path = tmp_path / "f.json"
     path.write_text(json.dumps(case["input"]))
     code, out, _ = run(capsys, case["argv"] + [str(path)])
@@ -288,7 +291,9 @@ ANALYZE_GOLDEN = json.loads((Path(__file__).parent / "analyze_cli_golden.json").
 def test_analyze_and_synthesize_output_is_golden(capsys, tmp_path, case):
     # stdout, stderr and exit code of `analyze` on the case's table, and of
     # `synthesize` on that stdout, recorded when `analyze` still summed the
-    # children of a label as `Cyc`s; byte for byte, floats included
+    # children of a label as `Cyc`s, and the last two, whose synthesized
+    # tables have M < 0, when the codec still keyed cells by rationals;
+    # byte for byte, floats included
     f, e = tmp_path / "f.json", tmp_path / "e.json"
     f.write_text(json.dumps(case["input"]))
     code, out, err = run(capsys, case["argv"] + [str(f)])

@@ -30,7 +30,14 @@ from padic_wavelets.functions import (
     reduce_rep,
 )
 from padic_wavelets.padic import RationalPhase
-from padic_wavelets.wavelets import KozyrevIndex, expansion_from_json, materialize
+from padic_wavelets.wavelets import (
+    KozyrevIndex,
+    WaveletExpansion,
+    Window,
+    expansion_from_json,
+    expansion_to_json,
+    materialize,
+)
 
 import oracles
 from oracles import ball_reps, indicator_fn, scale_arg, support_measure, translate
@@ -432,7 +439,7 @@ def test_orbit_route_reduces_each_orbit_once(monkeypatch, p, m, k):
     # cell is sigma_u of its orbit's first, and the output is the tree's
     f = random_exact_fn(p, m, k, random.Random(p), density=1.0)
     assert max(v.level for v in f.table.values()) == 2
-    want = {sign: oracles.fourier_by_cell(f, sign).table for sign in (-1, 1)}
+    want = {sign: t.table for sign, t in oracles.fourier_by_cell(f).items()}
     counts, _ = count_calls(monkeypatch)
     for sign, transform in ((-1, fourier), (+1, inverse_fourier)):
         counts.update(reduced=0, canonical=0, built=0, dft=0)
@@ -461,7 +468,7 @@ def test_trace_route_checks_each_cell_once_and_reduces_each_output_once(
         for rep in ball_reps(3, 2, 2)})
     g = fourier(f)
     assert max(v.level for v in g.table.values()) == 4
-    want = oracles.fourier_by_cell(g, +1).table
+    want = oracles.fourier_by_cell(g)[+1].table
     counts, _ = count_calls(monkeypatch)
     galois = []
 
@@ -761,6 +768,7 @@ def test_fourier_matches_the_per_cell_oracle(p, kind, seed):
     trace = bool(values) and not orbit and any(
         functions._equivariant(p, depth, cells, at)
         for at in functions._trace_levels(p, depth, cells, with_b))
+    wants = oracles.fourier_by_cell(f)
     for sign, transform in ((-1, fourier), (+1, inverse_fourier)):
         with mock.patch.object(functions, "class_tree_dft",
                                wraps=functions.class_tree_dft) as dft, \
@@ -769,7 +777,7 @@ def test_fourier_matches_the_per_cell_oracle(p, kind, seed):
             got = transform(f).table
         assert (dft.call_count == 0) == (orbit or trace or not values)
         assert traced.call_count == trace
-        want = oracles.fourier_by_cell(f, sign).table
+        want = wants[sign].table
         assert list(got) == list(want)
         for w, v in want.items():
             assert got[w] == v
@@ -785,10 +793,11 @@ def test_fourier_drops_a_cell_only_the_gauss_sum_zeroes():
         Fraction(1): zeta * -2,
         Fraction(4): zeta.conj() * -2,
     })
+    wants = oracles.fourier_by_cell(f)
     for sign, transform in ((-1, fourier), (+1, inverse_fourier)):
         got = transform(f).table
         assert Fraction(0) not in got
-        want = oracles.fourier_by_cell(f, sign).table
+        want = wants[sign].table
         assert list(got) == list(want)
         assert all(repr(got[w]) == repr(v) for w, v in want.items())
 
@@ -810,11 +819,12 @@ def test_fourier_zero_by_the_gauss_sum_leaves_its_galois_images(p, k, at, value)
     c = Cyc.rational(p, -1 if p == 2 else -2)
     root = Cyc.half_power(p, 1) - (0 if p == 2 else 1)
     f = LocallyConstantFn(p, 0, k, {Fraction(0): root, Fraction(1): c, Fraction(n - 1): c})
+    wants = oracles.fourier_by_cell(f)
     for sign, transform in ((-1, fourier), (+1, inverse_fourier)):
         got = transform(f).table
         assert sorted(got) == [Fraction(i, n) for i in range(n) if i not in (1, n - 1)]
         assert got[Fraction(at, n)] == value and got[Fraction(n - at, n)] == value
-        want = oracles.fourier_by_cell(f, sign).table
+        want = wants[sign].table
         assert list(got) == list(want)
         assert all(repr(got[w]) == repr(v) for w, v in want.items())
 
@@ -881,6 +891,75 @@ def test_expansion_from_json_drops_zero_values():
         {"n": -1, "m_digits": [], "j": 1, "re": 0.0, "im": 2.0},
     ]}
     assert expansion_from_json(data).coefficients == {KozyrevIndex(-1): 2j}
+
+
+def _cell_values(p):
+    """Exact magnitudes times p^2-th roots of unity, as the JSON records
+    hold them, or nonzero floats."""
+    exact_values = st.builds(
+        lambda num, den, k: Cyc.rational(p, Fraction(num, den))
+        * Cyc.root_of_unity(p, RationalPhase(k, p * p)),
+        st.integers(1, 5), st.integers(1, 4), st.integers(0, p * p - 1))
+    floats = st.floats(-1, 1, allow_subnormal=False)
+    return exact_values | st.builds(complex, floats, floats).filter(bool)
+
+
+@st.composite
+def sparse_tables(draw):
+    """A sparse table over p in {2, 3, 5}, M and K of either sign, its keys
+    i p^(-M) inserted in drawn order, not in index order."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    depth = draw(st.integers(0, {2: 6, 3: 4, 5: 3}[p]))
+    m = draw(st.integers(-3, depth + 3))
+    indices = draw(st.lists(st.integers(0, p**depth - 1), unique=True, max_size=12))
+    values = draw(st.lists(_cell_values(p), min_size=len(indices), max_size=len(indices)))
+    unit = Fraction(p) ** -m
+    return LocallyConstantFn(p, m, depth - m, {i * unit: v for i, v in zip(indices, values)})
+
+
+@given(f=sparse_tables(), data=st.data())
+@example(f=LocallyConstantFn(3, -2, 3, {Fraction(18): 1j, Fraction(0): 2.0, Fraction(9): -1j}),
+         data=None)
+def test_codec_lists_cells_by_index_and_labels_by_tuple(f, data):
+    # the order the writers rely on: cell keys i p^(-M) sort as their
+    # indices i, and labels sort as (n, m_digits, j)
+    p, m, depth = f.prime, f.support_exponent, f.support_exponent + f.resolution
+    record = fn_to_json(f)
+    indices = [sum(d * p**e for e, d in enumerate(c["digits"])) for c in record["cells"]]
+    assert all(len(c["digits"]) == depth for c in record["cells"])
+    assert indices == sorted(indices)
+    assert [i * Fraction(p) ** -m for i in indices] == sorted(f.table)
+    back = fn_from_json(record)
+    assert back.table == f.table
+    assert list(back.table) == sorted(f.table)
+    assert (back.support_exponent, back.resolution) == (m, f.resolution)
+    if record["cells"]:
+        # the same cell again, as written or with a zero digit past the ball
+        first = copy.deepcopy(record["cells"][0])
+        for again in (first, dict(first, digits=first["digits"] + [0])):
+            with pytest.raises(InvalidInputError, match="repeat an earlier cell"):
+                fn_from_json(dict(record, cells=record["cells"] + [again]))
+    # a key past the last cell, and one between two cells
+    for off in (p**depth * Fraction(p) ** -m, Fraction(p) ** -(m + 1)):
+        table = dict(f.table)
+        table[off] = 1.0
+        with pytest.raises(InvalidInputError, match="does not fit the support ball"):
+            fn_to_json(LocallyConstantFn(p, m, f.resolution, table))
+    if data is None:
+        return
+    digits = st.lists(st.integers(0, p - 1), max_size=3).map(
+        lambda ds: tuple(ds[:-1]) + (ds[-1] or 1,) if ds else ())
+    labels = data.draw(st.lists(st.builds(KozyrevIndex, st.integers(-2, 2), digits,
+                                          st.integers(1, p - 1)), unique=True, max_size=12))
+    coefficients = {idx: 1j * (n + 1) for n, idx in enumerate(labels)}
+    written = expansion_to_json(WaveletExpansion(p, Window(-2, 2, 3), coefficients))
+    assert [(c["n"], tuple(c["m_digits"]), c["j"]) for c in written["coefficients"]] == \
+        [(idx.n, idx.m_digits, idx.j) for idx in sorted(labels)]
+    assert expansion_from_json(written).coefficients == coefficients
+    if labels:
+        again = dict(written["coefficients"][-1], m_digits=written["coefficients"][-1]["m_digits"] + [0])
+        with pytest.raises(InvalidInputError, match="repeats an earlier label"):
+            expansion_from_json(dict(written, coefficients=written["coefficients"] + [again]))
 
 
 # a valid record of each kind, and every place a fuzzed value can go
