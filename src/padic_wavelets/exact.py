@@ -696,7 +696,17 @@ def amp_equal(x, y, tol: float = 0.0) -> bool:
 
 
 def is_half_integral(x) -> bool:
-    """Whether x is a `Rational` in (1/2)Z, so that p**x is an exact `Cyc`."""
+    """Whether x is a `Rational` in (1/2)Z, so that p**x is an exact `Cyc`.
+    An int or `Fraction` is read directly (a `Fraction` is in lowest terms,
+    so it is half-integral when its denominator is 1 or 2), and a float is
+    never one, before the slower `Rational` check of any other type."""
+    kind = type(x)
+    if kind is int:
+        return True
+    if kind is Fraction:
+        return x.denominator <= 2
+    if kind is float:
+        return False
     return isinstance(x, Rational) and (2 * Fraction(x)).denominator == 1
 
 
@@ -709,7 +719,13 @@ def p_power_amp(p: int, exponent):
     """p**exponent: exact `Cyc` for half-integer exponents, float otherwise.
     An exact power is shared by every caller that asks for it: a `Cyc` is
     immutable."""
-    if is_half_integral(exponent):
+    kind = type(exponent)
+    if kind is int:
+        return _half_power(p, 2 * exponent)
+    if kind is Fraction:
+        if exponent.denominator <= 2:
+            return _half_power(p, exponent.numerator * (2 // exponent.denominator))
+    elif kind is not float and is_half_integral(exponent):
         return _half_power(p, int(2 * Fraction(exponent)))
     try:
         if isinstance(exponent, complex):

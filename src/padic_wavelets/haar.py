@@ -152,10 +152,9 @@ def monomial_coefficient(p: int, degree: int, idx: HaarIndex):
         raise InvalidInputError("degree must be >= 0")
     n = degree + 1
     base = idx.translate * p
-    acc = Cyc.zero(p)
-    for ell in range(p):
-        weight = character_amp(p, Fraction(-ell, p))
-        acc = acc + weight * Fraction((base + ell + 1) ** n - (base + ell) ** n)
+    # zeta_p^(-l) D_l as one term each at level 1, normalized once
+    acc = Cyc(p, 1, {-ell % p: ((base + ell + 1) ** n - (base + ell) ** n, 0)
+                     for ell in range(p)})
     prefactor = Fraction(1, n * p ** ((idx.level + 1) * n))
     result = Cyc.half_power(p, idx.level) * prefactor * acc
     if idx.convention == "paper":

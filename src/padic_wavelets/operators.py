@@ -12,12 +12,26 @@ applied at scale n + offset, the offset being the shift made before it:
 J_(+-) and ell_k apply log_p D, then shift by +-1 and k.  A @ B applies B,
 then A.
 
+So c(n) has a closed form (Kozyrev, Izv. Math. 66, 2002):
+
+    c(n) = C * P(n) * p^(-A*n),
+
+A the sum of the Diagonal alphas, C the Scalar factors times
+p^(sum a_i (1 - o_i)) over the Diagonals at offsets o_i, and P the integer
+polynomial, the product of the LogDiagonal factors (1 - o - n).
+
 A relation is one row, a `Relation`: its name, its alpha, its sides (the
 first equal to the sum of the rest, all of one shift) and whether it is
 exact.  `relation_rows` yields a family's rows, and `check_relations` checks
 each row at its interior scales, where the running shift of every side
-stays inside the window, evaluating each side as one scalar per scale with
-no expansion built.
+stays inside the window.  An exact row is checked once in closed form: with
+its sides grouped by A, each group's residual polynomial, the sum of the
+signed C * P, must be exactly zero in exact arithmetic, and then every
+interior scale has the residual 0 with no side evaluated.  A row that fails
+that test, and every float row, is evaluated side by side as one scalar per
+scale, with no expansion built, so a violated relation reports its first
+failing scale and residual and a float row keeps the bits of applying the
+factors one by one.
 """
 
 from __future__ import annotations
@@ -85,15 +99,7 @@ class WeightedShift:
         for offset, prim in self.steps:
             at = n + offset
             if isinstance(prim, Diagonal):
-                alpha = prim.alpha
-                # a Fraction keys by its numerator and denominator, which
-                # hash fast; any other alpha by its type, since
-                # Fraction(1, 2) == 0.5 but only the Fraction is exact
-                key = ((alpha.numerator, alpha.denominator, at) if type(alpha) is Fraction
-                       else (type(alpha), alpha, at))
-                factor = powers.get(key)
-                if factor is None:
-                    factor = powers[key] = p_power_amp(p, alpha * (1 - at))
+                factor = _diagonal_power(p, prim.alpha, at, powers)
             elif isinstance(prim, LogDiagonal):
                 factor = 1 - at
             else:
@@ -102,6 +108,46 @@ class WeightedShift:
             if not c:
                 return None
         return c
+
+    def closed_form(self, p: int, powers: dict):
+        """(A, C, P) with c(n) = C * P(n) * p^(-A*n) at every scale n.  A is
+        the sum of the Diagonal alphas; C the Scalar factors times each
+        Diagonal's p^(a(1-o)), whose product is p^(sum a_i (1 - o_i)); P the
+        tuple of integer coefficients, lowest degree first, of the product
+        of the LogDiagonal factors (1 - o - n).  A Diagonal at offset o
+        reads the power that `weight` reads at scale o, from the same
+        `powers`.  C is the int 1 for a side with no Diagonal or Scalar."""
+        a = 0
+        c = None
+        poly = [1]
+        for offset, prim in self.steps:
+            if isinstance(prim, LogDiagonal):
+                # poly times (1 - offset - n), in place
+                root, below = 1 - offset, 0
+                for d, x in enumerate(poly):
+                    poly[d] = root * x - below
+                    below = x
+                poly.append(-below)
+                continue
+            if isinstance(prim, Diagonal):
+                a = a + prim.alpha if a else prim.alpha
+                factor = _diagonal_power(p, prim.alpha, offset, powers)
+            else:
+                factor = prim.factor
+            c = factor if c is None else c * factor
+        return a, 1 if c is None else c, tuple(poly)
+
+
+def _diagonal_power(p: int, alpha, at: int, powers: dict):
+    """p^(alpha(1-at)), taken once per `powers`: a Fraction alpha keys by its
+    numerator and denominator, which hash fast; any other alpha by its type,
+    since Fraction(1, 2) == 0.5 but only the Fraction is exact."""
+    key = ((alpha.numerator, alpha.denominator, at) if type(alpha) is Fraction
+           else (type(alpha), alpha, at))
+    factor = powers.get(key)
+    if factor is None:
+        factor = powers[key] = p_power_amp(p, alpha * (1 - at))
+    return factor
 
 
 def scalar_op(c) -> WeightedShift:
@@ -138,6 +184,35 @@ class Relation:
     def __post_init__(self):
         if len({op.shift for op in self.sides}) > 1:
             raise ValueError(f"{self.name}: sides of different shifts never agree")
+
+    def vanishes(self, p: int, powers: dict) -> bool:
+        """Whether sides[0] - sum(sides[1:]) is exactly zero at every scale
+        n, read from the sides' closed forms (`WeightedShift.closed_form`):
+        the signed C * P of the sides that share an A must sum to the zero
+        polynomial, since the p^(-A*n) of distinct A are independent.  Sides
+        with the same A and P first add their C's, so a row whose sides
+        differ only in C needs no product; what is left is added
+        coefficient by coefficient.  This is sufficient, not necessary: a
+        residual may still vanish on the scales of one window.  Exact sides
+        keep the test exact."""
+        first, *rest = self.sides
+        a, c, poly = first.closed_form(p, powers)
+        sums = {(a, poly): c}
+        for op in rest:
+            a, c, poly = op.closed_form(p, powers)
+            old = sums.get((a, poly))
+            sums[a, poly] = -c if old is None else old - c
+        totals: dict = {}
+        for (a, poly), c in sums.items():
+            if c:
+                total = totals.get(a)
+                if total is None:
+                    totals[a] = [c * x for x in poly]
+                    continue
+                total.extend([0] * (len(poly) - len(total)))
+                for d, x in enumerate(poly):
+                    total[d] = total[d] + c * x
+        return not any(any(total) for total in totals.values())
 
 
 def _commutator(name: str, alpha, a: WeightedShift, b: WeightedShift,
@@ -238,14 +313,28 @@ def check_relations(p: int, window: Window, rows) -> list[RelationResult]:
     shift s, so a side is one scalar per scale and the residual one scalar,
     the sides subtracted in order from the first; it never depends on m or
     j, so the labels of a scale, p^m_depth m-digit tuples times p - 1 values
-    of j, are only counted.  Each side starts from the int 1 and the
-    residual from 0, so they stay an int or `Fraction` until a D^a power or
-    a `Cyc` prefactor enters.  Each p^(a(1-n)) is computed once per call."""
+    of j, are only counted.
+
+    An exact row is first checked once in closed form, c(n) = C * P(n) *
+    p^(-A*n) for each side (`Relation.vanishes`): when the residual
+    polynomial of every A is exactly zero, each interior scale gets the
+    residual 0 with no side evaluated.  Otherwise, and for every float row,
+    each side is evaluated at each scale (`WeightedShift.weight`): it starts
+    from the int 1 and the residual from 0, so they stay an int or
+    `Fraction` until a D^a power or a `Cyc` prefactor enters.  So a
+    violated exact relation reports the same first scale and residual as
+    the per-scale walk alone, and a float row the same bits.  Each
+    p^(a(1-n)) is computed once per call, for both ways."""
     powers: dict = {}
     labels = p**window.m_depth * (p - 1)
     out = []
     for row in rows:
-        for n in interior_scales(window, *row.sides):
+        scales = interior_scales(window, *row.sides)
+        if row.exact and scales and row.vanishes(p, powers):
+            out.extend(RelationResult(row.name, n, labels, row.alpha, 0.0, True)
+                       for n in scales)
+            continue
+        for n in scales:
             values = [op.weight(p, n, 1, powers) for op in row.sides]
             # subtracted in order, from zero where the first side has none,
             # so that float bits are those of a coefficientwise difference

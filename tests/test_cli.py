@@ -811,6 +811,47 @@ def test_corrupted_word_is_exit_two(capsys, monkeypatch):
     assert "KozyrevIndex" in err
 
 
+@pytest.mark.parametrize("name, alpha, wrong, message", [
+    # (a - b + 1) l_(a+b) for (a - b) l_(a+b): the residual is n - 1
+    ("witt:[l2,l1]", None, lambda: operators.scalar_op(2) @ operators.ell_op(3),
+     "check failed: witt:[l2,l1] violated at index KozyrevIndex(n=-3, m_digits=(), j=1), "
+     "alpha=None: residual 4\n"),
+    # D^a J+ for (1 - p^a) D^a J+: the residual is -J+ D^a, (n - 1) p^(a(1-n)),
+    # 36 at n = -3 for a = 1/2
+    ("commutator:[D^a,J+1]", Fraction(1, 2),
+     lambda: operators.vladimirov(Fraction(1, 2)) @ operators.ell_op(+1),
+     "check failed: commutator:[D^a,J+1] violated at index KozyrevIndex(n=-3, m_digits=(), "
+     "j=1), alpha=1/2: residual 36\n"),
+], ids=["witt", "commutator"])
+def test_exact_relation_with_a_factor_dropped_fails_as_the_per_scale_walk(
+        capsys, monkeypatch, name, alpha, wrong, message):
+    # negative control for the closed form: one exact row with a factor
+    # dropped must not vanish, and then fails at the first scale and with
+    # the residual of the per-scale walk, which the same row marked float
+    # takes
+    rows = cli.relation_rows
+    vanished = []
+
+    def broken(exact):
+        def patched(family, p, alphas):
+            for row in rows(family, p, alphas):
+                if row.name == name and row.alpha == alpha:
+                    assert row.exact and row.vanishes(p, {})
+                    row = operators.Relation(name, alpha, (*row.sides[:2], wrong()), exact)
+                    vanished.append(row.vanishes(p, {}))
+                yield row
+        return patched
+
+    argv = ["--prime", "3", "--window", "-3:3:1", "check", "algebra", "--relation", "all",
+            "--alpha", "0.5", "--alpha", "1"]
+    monkeypatch.setattr(cli, "relation_rows", broken(True))
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (2, message)
+    monkeypatch.setattr(cli, "relation_rows", broken(False))
+    assert run(capsys, argv) == (code, out, err)
+    assert vanished == [False, False]
+
+
 def test_relation_results_do_not_grow_with_the_m_depth(capsys, monkeypatch):
     # a residual depends on the scale only: m-depth 3 holds p^2 times the
     # labels of m-depth 1, which `check algebra` counts, but not one more

@@ -1,6 +1,7 @@
 """The exact amplitude engine: p-power roots of unity with sqrt(p) adjoined."""
 
 import cmath
+import numbers
 from fractions import Fraction
 from itertools import chain
 from math import gcd
@@ -19,6 +20,7 @@ from padic_wavelets.exact import (
     cyc_from_coefficients,
     cyc_galois,
     cyc_rotated,
+    is_half_integral,
     p_power_amp,
 )
 from padic_wavelets.padic import RationalPhase
@@ -175,6 +177,43 @@ def test_p_power_amp_half_integer_vs_float():
     assert isinstance(p_power_amp(2, Fraction(3, 2)), Cyc)
     assert isinstance(p_power_amp(2, 0.3), float)
     assert abs(p_power_amp(2, 0.3) - 2**0.3) < 1e-15
+
+
+class _Ratio:
+    """A `Rational` that is not a `Fraction`: registered, not derived."""
+
+    def __init__(self, numerator, denominator):
+        self.numerator, self.denominator = numerator, denominator
+
+    def __float__(self):
+        return self.numerator / self.denominator
+
+    def __repr__(self):
+        return f"_Ratio({self.numerator}, {self.denominator})"
+
+
+numbers.Rational.register(_Ratio)
+
+
+def _generic_half_integral(x):
+    return isinstance(x, numbers.Rational) and (2 * Fraction(x)).denominator == 1
+
+
+@pytest.mark.parametrize("x", [
+    0, 3, -4, True, False, Fraction(1, 2), Fraction(-3, 2), Fraction(5), Fraction(-7),
+    Fraction(1, 3), Fraction(-5, 4), 0.5, 2.0, -1.5, 0.3, _Ratio(3, 2), _Ratio(-1, 3),
+], ids=repr)
+def test_half_integral_fast_paths_match_the_generic_rule(x):
+    # the int, Fraction and float shortcuts of is_half_integral and
+    # p_power_amp give what the Rational rule gives: a float is never exact,
+    # however close to a half-integer
+    exact = _generic_half_integral(x)
+    assert is_half_integral(x) is exact
+    power = p_power_amp(3, x)
+    if exact:
+        assert isinstance(power, Cyc) and power == Cyc.half_power(3, int(2 * Fraction(x)))
+    else:
+        assert power == 3.0 ** float(x)
 
 
 def test_conj_helper_on_floats():

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from padic_wavelets import exact
@@ -330,11 +330,14 @@ def test_check_deformed_direct():
 
 # -- the per-scale relation walk against the per-label oracle -------------------------
 
-ORACLE_ALPHAS = [Fraction(1, 2), Fraction(1), Fraction(-3, 2), 0.3, 1.7]
+# half-integral alphas of either sign and at least 2, whose exact rows the
+# closed form proves, and floats, whose rows are walked scale by scale
+ORACLE_ALPHAS = [Fraction(1, 2), Fraction(1), Fraction(-3, 2), Fraction(5, 2), Fraction(-2),
+                 0.3, 1.7]
 # the ordered pairs hold exact with exact, exact with float, float with
 # float and float with exact; 0.3 + 0.2 is the float 0.5, which must not be
 # taken for Fraction(1, 2)
-SEMIGROUP_ALPHAS = [Fraction(1, 2), Fraction(-3, 2), 0.3, 0.2]
+SEMIGROUP_ALPHAS = [Fraction(1, 2), Fraction(-3, 2), Fraction(5, 2), 0.3, 0.2]
 
 
 def _fingerprint(results):
@@ -361,6 +364,28 @@ def test_relations_per_scale_match_the_label_by_label_oracle(p, m_depth):
     for fast, slow in families:
         assert _fingerprint(oracles.by_label(p, window, fast)) == _fingerprint(slow)
     assert all(slow for _, slow in families)
+
+
+@given(p=st.sampled_from([2, 3, 5]), lo=st.integers(-5, 3), width=st.integers(0, 7),
+       alphas=st.lists(st.integers(-8, 8).map(lambda k: Fraction(k, 2)),
+                       min_size=1, max_size=3, unique=True))
+@example(p=2, lo=-4, width=8, alphas=[Fraction(-3, 2), Fraction(5, 2), Fraction(4)])
+def test_exact_rows_vanish_in_closed_form_and_at_every_scale(p, lo, width, alphas):
+    # every exact row of every family vanishes in closed form, so
+    # check_relations evaluates none of them scale by scale; the per-scale
+    # weights agree, each residual exactly 0
+    window = Window(lo, lo + width, 0)
+    powers = {}
+    for family in ("sl2", "witt", "deformed", "semigroup"):
+        rows = [row for row in relation_rows(family, p, alphas) if row.exact]
+        assert rows
+        for row in rows:
+            assert row.vanishes(p, powers), (row.name, row.alpha)
+            for n in interior_scales(window, *row.sides):
+                first, *rest = (op.weight(p, n, 1, powers) for op in row.sides)
+                residual = (first or 0) - sum(c for c in rest if c is not None)
+                assert residual == 0, (row.name, row.alpha, n)
+        assert all(r.exact and r.residual == 0.0 for r in check_relations(p, window, rows))
 
 
 def test_relations_read_the_m_depth_of_their_window():
