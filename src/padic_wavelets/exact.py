@@ -37,15 +37,23 @@ Gauss-sum zero test is skipped.
 The Galois map sigma_u: zeta -> zeta^u, sqrt(p) -> sqrt(p), for a unit u
 (`cyc_galois`), needs no normalization for the same reasons.  It multiplies
 the exponents by u at the value's own level and folds a term that lands in
-the top block, as a rotation does.  sigma_u maps each field Q(zeta_{p^t})
-onto itself, so the level is kept.  It maps Z[zeta] onto itself, so it acts
-on the canonical Z-basis by an invertible integer matrix, on the rational
-and sqrt(p) parts apart, and the common factor of the coefficients is
-kept.  Where sigma_u fixes sqrt(p), as it does for u = 1 mod p (mod 8 for
-p = 2), it is an automorphism of Q(sqrt(p), zeta), so a nonzero value stays
-nonzero.  `functions.fourier` fills all but one cell of each orbit of its
-output this way: for values in Q(sqrt(p), zeta_{p^L}),
-F f(u*k) = sigma_u(F f(k)) for every unit u = 1 mod p^L.
+the top block, as a rotation does; both fold through `_fold`, and so
+does `moved_terms`, which the equivariance check of `functions.fourier`
+calls.  The terms that stay below the top block are placed first.  Each folded term then subtracts
+its pair in place from the p-1 basis terms below it, and a pair that
+cancels to (0, 0) is deleted on the spot, because a value in normal form
+holds no zero pair and callers compare term dicts.  Two folded terms
+never share a target, as their exponents differ mod p^(level-1), so
+nothing refills a deleted exponent and the dict needs no second pass.
+sigma_u maps each field Q(zeta_{p^t}) onto itself, so the level is kept.
+It maps Z[zeta] onto itself, so it acts on the canonical Z-basis by an
+invertible integer matrix, on the rational and sqrt(p) parts apart, and
+the common factor of the coefficients is kept.  Where sigma_u fixes
+sqrt(p), as it does for u = 1 mod p (mod 8 for p = 2), it is an
+automorphism of Q(sqrt(p), zeta), so a nonzero value stays nonzero.
+`functions.fourier` fills all but one cell of each orbit of its output
+this way: for values in Q(sqrt(p), zeta_{p^L}), F f(u*k) = sigma_u(F f(k))
+for every unit u = 1 mod p^L.
 
 Dually, the transform of an equivariant table, g(u*k) = sigma_u(g(k)) for
 every unit u = 1 mod p^L, has its values in Q(sqrt(p), zeta_{p^L}).  The
@@ -79,10 +87,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, lcm
 from numbers import Rational
-from operator import sub
+from operator import or_, sub
 
 from .errors import FloatRangeError, InvalidInputError
 from .padic import RationalPhase, check_prime
@@ -563,25 +571,33 @@ def cyc_from_coefficients(p: int, level: int, a: list, b, num: int, den: int) ->
     part.  The lists are left unchanged.
 
     One slice subtraction folds the top block, exponents (p-1)*p^(level-1)
-    and up, into the canonical basis; the level is then lowered while no
-    exponent is prime to p, as `_canonical` does for a term dict.  The
-    lowest terms and the Gauss-sum zero test follow, as in `Cyc`."""
-    parts = [a] if b is None else [a, b]
+    and up, into the canonical basis.  The nonzero exponents are then
+    taken once, and the level drops in one step by the p-power of their
+    gcd, as `_canonical` lowers it for a term dict.  The lowest terms and,
+    with a sqrt(p) part, the Gauss-sum zero test follow, as in `Cyc`."""
+    modulus = len(a)
     if level:
-        top = len(a) - len(a) // p
-        parts = [list(map(sub, v[:top], v[top:] * (p - 1))) for v in parts]
-    if not any(map(any, parts)):
+        top = modulus - modulus // p
+        a = list(map(sub, a[:top], a[top:] * (p - 1)))
+        if b is not None:
+            b = list(map(sub, b[:top], b[top:] * (p - 1)))
+    keys = list(compress(range(len(a)), a if b is None else map(or_, a, b)))
+    if not keys:
         return Cyc.zero(p)
-    while level and not any(any(v[i::p]) for v in parts for i in range(1, p)):
-        parts = [v[::p] for v in parts]
-        level -= 1
-    g = gcd(den, num * gcd(*chain.from_iterable(parts)))
+    step = gcd(modulus, *keys)
     if b is None:
-        terms = {e: (x * num // g, 0) for e, x in enumerate(parts[0]) if x}
+        values = list(map(a.__getitem__, keys))
+        g = gcd(den, num * gcd(*values))
+        terms = {e: (x * num // g, 0) for e, x in zip(keys, values)}
     else:
-        terms = {e: (x * num // g, y * num // g)
-                 for e, (x, y) in enumerate(zip(*parts)) if x or y}
-    if _gauss_zero(p, level, terms):
+        g = gcd(den, num * gcd(*a, *b))
+        terms = {e: (a[e] * num // g, b[e] * num // g) for e in keys}
+    if step > 1:
+        terms = {e // step: c for e, c in terms.items()}
+        while step > 1:
+            step //= p
+            level -= 1
+    if b is not None and _gauss_zero(p, level, terms):
         return Cyc.zero(p)
     return Cyc(p, level, terms, den // g, _reduced=True)
 
@@ -629,11 +645,10 @@ def _moved_terms(value: Cyc, modulus: int, stretch: int, shift: int) -> dict:
     """The terms at `modulus`, in the canonical basis, of the sum of
     c * zeta^(e*stretch + shift) over the terms c * zeta^e of the canonical
     `value`, where e -> e*stretch + shift (mod modulus) is one to one on
-    them: a term that lands in the top block is folded into the p-1 basis
-    terms below it, and no other term moves."""
-    p = value.prime
-    block = modulus // p
-    top = modulus - block
+    them: `moved_terms` with the exponents computed in its own loop, so
+    that a value of one or two terms, as `analyze` rotates, builds no
+    exponent list."""
+    top = modulus - modulus // value.prime
     terms = {}
     folded = []
     for e, c in value.terms.items():
@@ -642,14 +657,45 @@ def _moved_terms(value: Cyc, modulus: int, stretch: int, shift: int) -> dict:
             terms[e] = c
         else:
             folded.append((e, c))
-    if folded:
-        get = terms.get
-        for e, (a, b) in folded:
-            # zeta^((p-1)*block + r) = -sum_{i<p-1} zeta^(i*block + r)
-            for k in range(e - top, top, block):
-                c = get(k)
-                terms[k] = (-a, -b) if c is None else (c[0] - a, c[1] - b)
-        terms = _strip(terms)
+    return _fold(value.prime, modulus, terms, folded) if folded else terms
+
+
+def moved_terms(p: int, modulus: int, exponents, pairs) -> dict:
+    """The terms at `modulus`, in the canonical basis, of the sum of
+    (a + b sqrt(p)) zeta^e over the distinct `exponents` e in [0, modulus)
+    and the nonzero `pairs` (a, b) beside them: a term that lands in the
+    top block is folded into the p-1 basis terms below it (`_fold`), and
+    no other term moves."""
+    top = modulus - modulus // p
+    terms = {}
+    folded = []
+    for e, c in zip(exponents, pairs):
+        if e < top:
+            terms[e] = c
+        else:
+            folded.append((e, c))
+    return _fold(p, modulus, terms, folded) if folded else terms
+
+
+def _fold(p: int, modulus: int, terms: dict, folded: list) -> dict:
+    """`terms`, at exponents below the top block of `modulus`, with each
+    term (e, (a, b)) of `folded`, e in the top block, folded in place into
+    the p-1 basis terms below it.  A pair that cancels to (0, 0) is
+    deleted on the spot, so that the dict holds no zero pair and needs no
+    second pass."""
+    block = modulus // p
+    top = modulus - block
+    get = terms.get
+    for e, (a, b) in folded:
+        # zeta^((p-1)*block + r) = -sum_{i<p-1} zeta^(i*block + r)
+        for k in range(e - top, top, block):
+            c = get(k)
+            if c is None:
+                terms[k] = (-a, -b)
+            elif c[0] != a or c[1] != b:
+                terms[k] = (c[0] - a, c[1] - b)
+            else:
+                del terms[k]
     return terms
 
 

@@ -47,6 +47,12 @@ per output cell, Theta(N^2): the route `functions.fourier` took before the
 radix-p pass up the class tree.  On exact tables the two must agree in
 keys, key order and the repr of every value.
 
+`equivariant_by_galois` is the equivariance check of the trace route by
+its definition: `exact.cyc_galois(g(k), u0)`, a whole `Cyc`, against the
+cell at u0*k in level, den and terms.  `functions._equivariant` moves only
+the terms of the values above the check's level, and compares term dicts;
+the two must give the same verdict.
+
 `residual_by_synthesis` is the round-trip residual of `analyze` as the
 command once computed it: rebuild f from its coefficients with
 `synthesize`, subtract, and take the inner product.  The command now uses
@@ -81,7 +87,7 @@ from padic_wavelets.errors import (
     UnsupportedCaseError,
     WindowClipError,
 )
-from padic_wavelets.exact import Cyc, amp_equal, is_half_integral, p_power_amp
+from padic_wavelets.exact import Cyc, amp_equal, cyc_galois, is_half_integral, p_power_amp
 from padic_wavelets.functions import (
     DEFAULT_CELL_CAP,
     LocallyConstantFn,
@@ -554,6 +560,20 @@ def fourier_by_cell(f: LocallyConstantFn, cap: int = DEFAULT_CELL_CAP) -> dict:
                 out[w] = total
         tables[sign] = LocallyConstantFn(p, f.resolution, f.support_exponent, out)
     return tables
+
+
+def equivariant_by_galois(p: int, depth: int, cells: dict, level: int) -> bool:
+    """Whether every cell k of `cells` (index -> `Cyc` on the p^depth
+    indices) has a cell at u0*k, u0 = 1 + p^level, that is sigma_u0(g(k))
+    by `cyc_galois` in level, den and terms."""
+    count, u0 = p**depth, 1 + p**level
+    for k, c in cells.items():
+        image = cells.get(u0 * k % count)
+        moved = cyc_galois(c, u0)
+        if image is None or (image.level, image.den, image.terms) != (
+                moved.level, moved.den, moved.terms):
+            return False
+    return True
 
 
 def residual_by_synthesis(f: LocallyConstantFn, expansion: WaveletExpansion,

@@ -393,21 +393,52 @@ def test_canonical_matches_the_fold_by_level(case):
 
 @st.composite
 def coefficient_lists(draw):
+    """(p, level, a, b, num, den): integer lists a and b (b None or a
+    list) of length p^level, both of one shape: random small entries; all
+    zero; only index 0 nonzero; every nonzero index a multiple of p^k;
+    only the top block nonzero; or entries of up to 100 bits."""
     p = draw(st.sampled_from((2, 3, 5, 7)))
-    level = draw(st.integers(0, 4 if p == 2 else 2))
+    level = draw(st.integers(0, {2: 5, 3: 3}.get(p, 2)))
     size = p**level
-    coeff = st.integers(-4, 4)
-    a = draw(st.lists(coeff, min_size=size, max_size=size))
-    b = draw(st.none() | st.lists(coeff, min_size=size, max_size=size))
-    return p, level, a, b, draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(("random", "zero", "index 0", "multiples", "top", "big")))
+    coeff = st.integers(-2**100, 2**100) if kind == "big" else st.integers(-4, 4)
+    if kind == "zero":
+        slots = []
+    elif kind == "index 0":
+        slots = [0]
+    elif kind == "multiples":
+        slots = range(0, size, p ** draw(st.integers(0, level)))
+    elif kind == "top":
+        slots = range(size - size // p if level else 0, size)
+    else:
+        slots = range(size)
+
+    def one():
+        v = [0] * size
+        for e in slots:
+            v[e] = draw(coeff)
+        return v
+
+    a = one()
+    b = one() if draw(st.booleans()) else None
+    return p, level, a, b, draw(st.integers(1, 6) | st.integers(1, 2**70)), draw(st.integers(1, 12))
 
 
 @given(coefficient_lists())
+@settings(max_examples=150)
 # sqrt(5) - (1 + 2 zeta_5 + 2 zeta_5^4) and sqrt(2) - (zeta_8 + zeta_8^7):
 # zeros only the Gauss-sum test finds
 @example((5, 1, [-1, -2, 0, 0, -2], [1, 0, 0, 0, 0], 1, 1))
 @example((2, 3, [0, -3, 0, 0, 0, 0, 0, -3], [3, 0, 0, 0, 0, 0, 0, 0], 2, 4))
+# the level drops from 3 to 1 in one step (every index a multiple of 9
+# after the fold), and from 2 to 0 (only index 0); the top block alone
+# folds onto every basis slot below it
+@example((3, 3, [0] * 9 + [5] + [0] * 8 + [-5] + [0] * 8, None, 1, 1))
+@example((5, 2, [7] + [0] * 24, None, 3, 12))
+@example((2, 3, [0] * 4 + [1, -2, 3, 2**90], None, 2**65, 4))
 def test_cyc_from_coefficients_matches_the_term_dict(case):
+    # the lists' reduction, with and without a sqrt(p) part, against the
+    # general normalization of the same terms by `Cyc`
     p, level, a, b, num, den = case
     copies = (list(a), b and list(b))
     got = cyc_from_coefficients(p, level, a, b, num, den)
@@ -499,6 +530,9 @@ def rotation_cases(draw):
 @example((Cyc(2, 3, {1: (1, 1), 2: (0, 1)}, 3), 5, 3))
 @example((Cyc(2, 0, {0: (3, -1)}, 2), 7, 5))
 @example((Cyc(5, 1, {0: (1, 1), 3: (2, -1)}, 4), 1, 1))
+# zeta_5 * (1 + sqrt 5)(zeta_5^2 + zeta_5^3): zeta_5^4 folds onto the
+# term moved to zeta_5^3 and cancels it to (0, 0)
+@example((Cyc(5, 1, {2: (1, 1), 3: (1, 1)}), 1, 1))
 def test_rotation_matches_the_general_product(case):
     # zeta^shift * value by the rotation rule against every term of the root
     # times every term of the value, then one normalization
@@ -546,6 +580,12 @@ def galois_cases(draw):
 # the split into a and b is not unique, under u = 6 = 1 mod 5
 @example((Cyc(2, 3, {1: (1, 1), 2: (0, 1)}, 3), Cyc(2, 2, {1: (1, -1)}), 9, -7))
 @example((Cyc(5, 1, {0: (1, 1), 3: (2, -1)}, 4), Cyc(5, 2, {7: (0, 1)}), 6, 11))
+# a folded term cancels a moved one to (0, 0): at p = 3, u = 7 takes
+# zeta_9^4 to zeta_9 and zeta_9 to zeta_9^7 = -zeta_9 - zeta_9^4; at p = 5,
+# u = 6 takes zeta_25^14 to zeta_25^9 and zeta_25^4 to zeta_25^24, which
+# folds onto 4, 9, 14 and 19, sqrt(5) parts alike
+@example((Cyc(3, 2, {1: (1, 0), 4: (1, 0)}), Cyc(3, 2, {2: (1, 0)}), 7, 4))
+@example((Cyc(5, 2, {4: (1, 1), 14: (1, 1)}), Cyc(5, 2, {7: (0, 1)}), 6, 11))
 def test_galois_matches_the_term_sum_and_is_an_automorphism(case):
     # sigma_u by the Galois rule against the sum of its terms' images, in
     # normal form at the value's own level; and sigma_u(x y) =

@@ -4,6 +4,7 @@ import cmath
 import copy
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -456,11 +457,12 @@ def test_trace_route_checks_each_cell_once_and_reduces_each_output_once(
     # the inverse transform of the benchmark's round trip: g = fourier(f)
     # for a dense p = 3 table f on N = 81 cells, whose values lie at level
     # M+K, so that B*T > N^2, and are equivariant under the units u = 1 mod
-    # p^level.  At level 2 the trace route takes one cyc_galois per cell
-    # for the check, all by u0 = 1 + 3^2, and reduces each of the N output
-    # cells once from coefficient lists, with no canonical pass and no
-    # radix-p pass.  At level 3 = M+K-1 the rule keeps the tree, and
-    # nothing is checked
+    # p^level.  At level 2 the trace route checks each cell once, against
+    # its image at u0*k for u0 = 1 + 3^2, and moves the terms of exactly
+    # the cells above level 2 (those at or below it are fixed by sigma_u0)
+    # by e -> u0*e, then reduces each of the N output cells once from
+    # coefficient lists, with no canonical pass and no radix-p pass.  At
+    # level 3 = M+K-1 the rule keeps the tree, and nothing is checked
     rng = random.Random(level)
     f = LocallyConstantFn(3, 2, 2, {
         rep: Cyc.root_of_unity(3, RationalPhase(rng.randrange(3**level), 3**level))
@@ -470,22 +472,97 @@ def test_trace_route_checks_each_cell_once_and_reduces_each_output_once(
     assert max(v.level for v in g.table.values()) == 4
     want = oracles.fourier_by_cell(g)[+1].table
     counts, _ = count_calls(monkeypatch)
-    galois = []
+    looked_up, moved = [], []
+    real_check, real_moved = functions._equivariant, functions.moved_terms
 
-    def cyc_galois(value, u):
-        galois.append(u)
-        return exact.cyc_galois(value, u)
+    class Lookups(dict):
+        def get(self, k, default=None):
+            looked_up.append(k)
+            return super().get(k, default)
 
-    monkeypatch.setattr(functions, "cyc_galois", cyc_galois)
+    def equivariant(p, depth, cells, at):
+        return real_check(p, depth, Lookups(cells), at)
+
+    def moved_terms(p, modulus, exponents, pairs):
+        terms = tuple(zip(exponents, pairs))
+        moved.append((modulus, terms))
+        return real_moved(p, modulus, *zip(*terms))
+
+    monkeypatch.setattr(functions, "_equivariant", equivariant)
+    monkeypatch.setattr(functions, "moved_terms", moved_terms)
     got = inverse_fourier(g).table
     if route == "trace":
-        assert galois == [10] * len(g.table) and len(g.table) == 81
+        assert len(g.table) == 81
+        assert sorted(looked_up) == sorted(10 * cell_index(r, 3, 2) % 81 for r in g.table)
+        above = [v for v in g.table.values() if v.level > 2]
+        assert 0 < len(above) < 81
+        assert Counter(moved) == Counter(
+            (3**v.level, tuple((10 * e % 3**v.level, c) for e, c in v.terms.items()))
+            for v in above)
         assert counts["reduced"] == 81
         assert (counts["canonical"], counts["dft"]) == (0, 0)
     else:
-        assert (galois, counts["dft"]) == ([], 1)
+        assert (looked_up, moved, counts["dft"]) == ([], [], 1)
     assert list(got) == list(want) == list(f.table)
     assert all(repr(got[w]) == repr(v) for w, v in want.items())
+
+
+@given(
+    p=st.sampled_from((2, 3, 5)),
+    sqrt_p=st.booleans(),
+    change=st.sampled_from(("none", "term", "drop", "den", "split")),
+    seed=st.integers(0, 10**6),
+)
+# cell 1 of a p = 5 transform with another split into rational and sqrt(5)
+# parts, which sigma_u does not map to its neighbour's split
+@example(p=5, sqrt_p=False, change="split", seed=0)
+@example(p=5, sqrt_p=True, change="split", seed=1)
+@example(p=2, sqrt_p=True, change="none", seed=2)
+def test_equivariance_check_matches_the_galois_definition(p, sqrt_p, change, seed):
+    # g = fourier(f) for a table f at level L < M+K on up to 125 cells,
+    # half of f's cells times sqrt(p) with `sqrt_p`, so that g(u*k) =
+    # sigma_u(g(k)) for the units u = 1 mod p^L; or a copy of g with one
+    # term changed, one cell dropped, one den scaled, or at p = 5 cell 1
+    # with another sqrt(5) split.  At every level the trace route may
+    # check, _equivariant gives the verdict of cyc_galois on every cell
+    rng = random.Random(seed)
+    depth = rng.randint(2, max(d for d in range(2, 8) if p**d <= 125))
+    m, level = rng.randint(0, depth), rng.randint(1, depth - 1)
+    table = {}
+    for rep in ball_reps(p, m, depth - m):
+        v = Cyc.root_of_unity(p, RationalPhase(rng.randrange(p**level), p**level))
+        v = v * Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        if sqrt_p and rng.random() < 0.5:
+            v = v * Cyc.half_power(p, 1)
+        if v:
+            table[rep] = v
+    g = fourier(LocallyConstantFn(p, m, depth - m, table))
+    cells = {cell_index(r, p, g.support_exponent): v for r, v in g.table.items()}
+    if change == "split" and p != 5:
+        change = "term"
+    k = 1 if change == "split" else rng.choice(sorted(cells)) if cells else None
+    if k in cells and change != "none":
+        v = cells.pop(k)
+        if change == "term":
+            terms = dict(v.terms)
+            e = rng.choice(sorted(terms))
+            terms[e] = (terms[e][0] + 1, terms[e][1])
+            v = Cyc(p, v.level, terms, v.den)
+        elif change == "den":
+            v = Cyc(p, v.level, dict(v.terms), v.den * rng.randint(2, 3))
+        elif change == "split":
+            # plus sqrt(5) - (1 + 2 zeta_5 + 2 zeta_5^4), which is zero,
+            # term by term
+            top, den, parts = exact.lift(5, [
+                (v.level, v.terms, v.den), (1, {0: (-1, 1), 1: (-2, 0), 4: (-2, 0)}, 1)])
+            v = Cyc(5, top, exact.added_terms(parts), den)
+        if change != "drop" and v:
+            cells[k] = v
+    for at in range(2 if p == 2 else 1, depth):
+        want = oracles.equivariant_by_galois(p, depth, cells, at)
+        assert functions._equivariant(p, depth, cells, at) == want
+        if change == "none" and at >= level and not (p == 2 and sqrt_p and at < 3):
+            assert want
 
 
 @pytest.mark.parametrize("idx", [KozyrevIndex(0, (1,), 1), KozyrevIndex(-2, (2, 1), 2)])
