@@ -29,7 +29,6 @@ from .exact import (
     conj,
     cyc_from_coefficients,
     cyc_galois,
-    cyc_rotated,
     lift,
     moved_terms,
 )
@@ -313,13 +312,13 @@ def _fourier_impl(f: LocallyConstantFn, sign: int, cap: int) -> LocallyConstantF
     # coefficient lists by exponent at their own cyclotomic level,
     # rational and sqrt(p) parts apart.  A twiddle, a power of zeta_N,
     # rotates a list; a node entry takes the lowest level that holds its
-    # children and twiddles.  An output cell whose lists no other cell
-    # holds is reduced once; the cells of a single-child chain share
-    # lists, each reduced once and rotated per cell by `cyc_rotated`, and
-    # a list that reduces to zero gives no cell.
+    # children and twiddles.  Each output cell is reduced once, and a cell
+    # that reduces to zero is left out.
     p = f.prime
     depth = f.support_exponent + f.resolution
     count = ball_size(p, f.resolution, f.support_exponent, cap)
+    if not f.table:
+        return _output(f, {})
     cells = {cell_index(r, p, f.support_exponent): v for r, v in f.table.items()}
     if f.is_exact():
         # the common den, whether a value has a sqrt(p) part, the top
@@ -337,16 +336,14 @@ def _fourier_impl(f: LocallyConstantFn, sign: int, cap: int) -> LocallyConstantF
         scale = Fraction(p) ** (-f.resolution) / den
         num = scale.numerator
         fixed = max(top, 3 if p == 2 else 1) if with_b else top
-        if cells and _orbit_count(p, depth, fixed) * terms <= count * count:
+        if _orbit_count(p, depth, fixed) * terms <= count * count:
             return _output(f, _orbit_cells(p, depth, sign, cells, fixed, with_b, den, scale))
-        for trace in _trace_levels(p, depth, cells, with_b) if cells else ():
+        for trace in _trace_levels(p, depth, cells, with_b):
             if _equivariant(p, depth, cells, trace):
                 return _output(f, _trace_cells(p, depth, sign, cells, trace, with_b, den, scale))
         # a value above level M+K splits, by linearity, into zeta^r times
         # values at level M+K, one class tree per residue r mod p^(level-M-K)
         level = max(depth, top)
-        modulus = p**level
-        lift_root = modulus // count
         groups: dict = {}
         for ir, v in cells.items():
             up = den // v.den
@@ -365,19 +362,16 @@ def _fourier_impl(f: LocallyConstantFn, sign: int, cap: int) -> LocallyConstantF
                     a[e] = x * up
                     if with_b:
                         b[e] = y * up
-                groups.setdefault(r * p ** (level - v.level), {})[ir] = (node_level, a, b, None)
+                groups.setdefault(r * p ** (level - v.level), {})[ir] = (node_level, a, b)
         # zeta_N^s lies at level depth - v_p(s)
         levels = {p**v: depth - v for v in range(depth + 1)}
 
         def mix(pairs):
-            # entries are (level, a list, b list or None, pending shift of
-            # zeta_N); one child is passed on with its lists and its shift
-            # moved, so the shift is None only on a list no other entry holds
-            if len(pairs) == 1:
-                (node_level, a, b, shift), j = pairs[0]
-                return node_level, a, b, ((shift or 0) + j) % count
-            shifts = [((entry[3] or 0) + j) % count for entry, j in pairs]
-            node_level = levels[gcd(count, *shifts)]
+            # entries are (level, a list, b list or None); a lone child
+            # with twiddle 1 is passed on as it is
+            if len(pairs) == 1 and not pairs[0][1]:
+                return pairs[0][0]
+            node_level = levels[gcd(count, *(j for _, j in pairs))]
             for entry, _ in pairs:
                 if entry[0] > node_level:
                     node_level = entry[0]
@@ -386,7 +380,7 @@ def _fourier_impl(f: LocallyConstantFn, sign: int, cap: int) -> LocallyConstantF
             acc_a = acc_b = None
             # each child is rotated by u slots, lifted to node_level into
             # every step-th slot from q, and added in
-            for ((_, a, b, _), _), shift in zip(pairs, shifts):
+            for (_, a, b), shift in pairs:
                 step = size // len(a)
                 u, q = divmod(shift // drop, step)
                 if u:
@@ -402,41 +396,20 @@ def _fourier_impl(f: LocallyConstantFn, sign: int, cap: int) -> LocallyConstantF
                         b, lifted = [0] * size, b
                         b[q::step] = lifted
                     acc_b = b if acc_b is None else map(add, acc_b, b)
-            return node_level, list(acc_a), list(acc_b) if with_b else None, None
+            return node_level, list(acc_a), list(acc_b) if with_b else None
 
         residues = list(groups)
         trees = [groups[r] for r in residues]
 
-        # `outputs` holds every list until the last cell, so no id is
-        # reused before then
-        bases: dict = {}
-        nonzero: dict = {}
-
         def finish(entries):
-            node_level, a, b, shift = entries[0]
             if residues == [0]:
-                if shift is None:
-                    return cyc_from_coefficients(p, node_level, a, b, num, scale.denominator)
-                # a cell on a single-child chain is zeta_N^shift times the
-                # lists it shares with the other cells of that chain
-                base = bases.get(id(a))
-                if base is None:
-                    base = bases[id(a)] = cyc_from_coefficients(
-                        p, node_level, a, b, num, scale.denominator)
-                return cyc_rotated(base, shift, depth) if base else None
-            # one of several residues: the nonzero terms, found once per
-            # list, at the top level
+                return cyc_from_coefficients(p, *entries[0], num, scale.denominator)
+            # one of several residues: the nonzero terms at the top level
             terms = {}
-            for r, (node_level, a, b, shift) in zip(residues, entries):
-                keys = nonzero.get(id(a))
-                if keys is None:
-                    keys = nonzero[id(a)] = list(compress(
-                        range(len(a)), a if b is None else map(or_, a, b)))
+            for r, (node_level, a, b) in zip(residues, entries):
                 lift = p ** (level - node_level)
-                start = r + (shift or 0) * lift_root
-                for e in keys:
-                    terms[(start + e * lift) % modulus] = (
-                        a[e] * num, b[e] * num if b is not None else 0)
+                for e in compress(range(len(a)), a if b is None else map(or_, a, b)):
+                    terms[r + e * lift] = (a[e] * num, b[e] * num if b is not None else 0)
             return Cyc(p, level, terms, scale.denominator) if terms else Cyc.zero(p)
     else:
         trees = [{ir: complex(v) for ir, v in cells.items()}]

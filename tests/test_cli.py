@@ -257,16 +257,19 @@ FOURIER_GOLDEN = json.loads((Path(__file__).parent / "fourier_cli_golden.json").
                          ids=lambda case: f"{case['name']} {' '.join(case['argv'])}")
 def test_fourier_stdout_is_golden(capsys, tmp_path, case):
     # stdout recorded from the per-output-cell character sum, and for the
-    # two wavelets widened to 729 and 256 cells, whose output cells are
-    # rotations of shared lists, and the last two dense tables, from the
-    # radix-p pass.  Of those two, the p = 3 table at level M+K (T = 2N
-    # terms, B = N orbits) still takes the radix-p pass, and the p = 2
-    # table at level 5 takes the orbit route (B = 80 of N = 256).  The
-    # inverse of r(v_3(k)) zeta_81^(2k), one phase per cell and equivariant
-    # under every unit = 1 mod 3, takes the trace route at L = 1.  The last
-    # six cases, recorded before the writer took digits from cell indices,
-    # have M < 0 or K < 0, so that a table keyed i * p^|M| is read or
-    # written.  An exact table is written byte for byte as then (the
+    # two wavelets widened to 729 and 256 cells, which now take the orbit
+    # route, and the two dense tables, from the radix-p pass.  Of those
+    # two, the p = 3 table at level M+K (T = 2N terms, B = N orbits) still
+    # takes the radix-p pass, and the p = 2 table at level 5 takes the
+    # orbit route (B = 80 of N = 256).  The inverse of r(v_3(k))
+    # zeta_81^(2k), one phase per cell and equivariant under every unit
+    # = 1 mod 3, takes the trace route at L = 1.  The six cases with M < 0
+    # or K < 0, recorded before the writer took digits from cell indices,
+    # read or write a table keyed i * p^|M|.  The last two, a rational
+    # times a top-block phase k/3^4 in each of N = 27 cells, fold to
+    # T = 2N terms above level M+K and take the radix-p pass, one tree per
+    # residue mod 3 (two here); their stdout is also the per-cell sum's.
+    # An exact table is written byte for byte as then (the
     # chirp's transform is sqrt(5) times a phase in every cell).  A sqrt(p)
     # wavelet can only be read as floats, and a float table may differ in
     # its last bits

@@ -409,27 +409,61 @@ def count_calls(monkeypatch):
     return counts, built_in_pass
 
 
-@pytest.mark.parametrize("p,m,k", [(3, 2, 3), (2, 4, 4)])
-def test_dense_fourier_reduces_each_cell_once(monkeypatch, p, m, k):
-    # counts only, on zeta_N times the transform of a dense table: g's
-    # values lie at level M+K, where every orbit is one cell and B*T > N^2,
-    # and g(0) does too, so that g is equivariant under no unit other than
-    # 1 mod p^(M+K) and the trace route does not apply: the class tree
-    # runs.  Each transform of g reduces every one of its N output cells
-    # once, from coefficient lists, with no canonical pass over a term
-    # dict, and builds no Cyc inside the radix-p pass
+def zeta_times_a_transform(p, m, k):
+    """zeta_N times the transform of a dense table: its values lie at level
+    M+K, where every orbit is one cell and B*T > N^2, and its value at 0
+    does too, so that it is equivariant under no unit other than 1 mod
+    p^(M+K) and the trace route does not apply."""
     zeta = Cyc.root_of_unity(p, RationalPhase(1, p ** (m + k)))
     f = fourier(random_exact_fn(p, m, k, random.Random(p), density=1.0))
     g = LocallyConstantFn(p, k, m, {w: v * zeta for w, v in f.table.items()})
     assert max(v.level for v in g.table.values()) == g.table[Fraction(0)].level == m + k
+    return g
+
+
+def wavelet_times_a_dense_element(idx):
+    """The 3 cells of a p = 3 wavelet in the ball of N = 729 cells, each
+    value times one dense element at level 6, so that the table has T > N
+    terms and B*T > N^2: most classes of its tree have a single child."""
+    w = materialize(3, idx)
+    w = w.with_support(6 - w.resolution)
+    dense = Cyc(3, 6, {e: (e % 5 - 2, 0) for e in range(486)})
+    f = LocallyConstantFn(3, w.support_exponent, w.resolution,
+                          {r: v * dense for r, v in w.table.items()})
+    assert len(f.table) == 3 and sum(len(v.terms) for v in f.table.values()) > 729
+    return f
+
+
+@pytest.mark.parametrize("make,against_oracle", [
+    pytest.param(lambda: zeta_times_a_transform(3, 2, 3), False, id="3-2-3"),
+    pytest.param(lambda: zeta_times_a_transform(2, 4, 4), False, id="2-4-4"),
+    pytest.param(lambda: wavelet_times_a_dense_element(KozyrevIndex(0, (1,), 1)), True,
+                 id="wavelet 0:1:1"),
+    pytest.param(lambda: wavelet_times_a_dense_element(KozyrevIndex(-2, (2, 1), 2)), True,
+                 id="wavelet -2:2,1:2"),
+])
+def test_dense_fourier_reduces_each_cell_once(monkeypatch, make, against_oracle):
+    # tables on which the class tree runs.  Each transform reduces every
+    # one of its N output cells once, from coefficient lists, with no
+    # canonical pass over a term dict, and builds no Cyc inside the
+    # radix-p pass; a cell that reduces to zero is built as Cyc.zero and
+    # left out.  The wavelet tables are also compared with the per-cell
+    # oracle by key order and repr; on the dense tables, where it takes
+    # about 1 s each, the counts alone are checked
+    g = make()
+    wants = oracles.fourier_by_cell(g) if against_oracle else None
     counts, built_in_pass = count_calls(monkeypatch)
-    cells = p ** (m + k)
-    for transform in (fourier, inverse_fourier):
+    cells = g.prime ** (g.support_exponent + g.resolution)
+    for sign, transform in ((-1, fourier), (+1, inverse_fourier)):
         counts.update(reduced=0, canonical=0, built=0, dft=0)
         built_in_pass.clear()
-        transform(g)
+        got = transform(g).table
         assert counts == {"reduced": cells, "canonical": 0, "built": cells, "dft": 1}
         assert built_in_pass == [0]
+        if against_oracle:
+            want = wants[sign].table
+            assert list(got) == list(want)
+            assert all(repr(got[w]) == repr(v) for w, v in want.items())
 
 
 @pytest.mark.parametrize("p,m,k", [(3, 2, 3), (2, 4, 4), (3, 2, 2)])
@@ -565,51 +599,6 @@ def test_equivariance_check_matches_the_galois_definition(p, sqrt_p, change, see
             assert want
 
 
-@pytest.mark.parametrize("idx", [KozyrevIndex(0, (1,), 1), KozyrevIndex(-2, (2, 1), 2)])
-def test_sparse_fourier_reduces_each_shared_list_once(monkeypatch, idx):
-    # the 3 cells of a p = 3 wavelet in the ball of N = 729 cells, each
-    # value times one dense element at level 6, so that the table has
-    # T > N terms, B*T > N^2 and the class tree runs: most output cells
-    # sit on single-child chains and share their coefficient lists.  Each
-    # distinct list of the root is reduced once, with no canonical pass
-    # over a term dict, and every Cyc built is such a reduction or a
-    # nonzero output value: a zero cell costs at most the reduction of its
-    # list
-    reduced, built, canonical, roots = [], [], [], []
-
-    def logging(real, log, entry):
-        def op(*args, **kwargs):
-            result = real(*args, **kwargs)
-            log.append(entry(args, result))
-            return result
-        return op
-
-    w = materialize(3, idx)
-    w = w.with_support(6 - w.resolution)
-    dense = Cyc(3, 6, {e: (e % 5 - 2, 0) for e in range(486)})
-    f = LocallyConstantFn(3, w.support_exponent, w.resolution,
-                          {r: v * dense for r, v in w.table.items()})
-    assert len(f.table) == 3 and sum(len(v.terms) for v in f.table.values()) > 729
-    monkeypatch.setattr(functions, "cyc_from_coefficients", logging(
-        functions.cyc_from_coefficients, reduced, lambda args, v: (args[2], v)))
-    monkeypatch.setattr(exact, "_canonical", logging(
-        exact._canonical, canonical, lambda args, _: args))
-    monkeypatch.setattr(Cyc, "__init__", logging(
-        Cyc.__init__, built, lambda args, _: args[0]))
-    monkeypatch.setattr(functions, "class_tree_dft", logging(
-        functions.class_tree_dft, roots, lambda _, stage: stage))
-    for transform in (fourier, inverse_fourier):
-        for log in (reduced, built, canonical, roots):
-            log.clear()
-        g = transform(f)
-        [root] = roots
-        lists = {id(a) for _, a, _, _ in root}
-        assert len(root) == 729 and canonical == []
-        assert sorted(id(a) for a, _ in reduced) == sorted(lists)
-        made = {id(v) for _, v in reduced} | {id(v) for v in g.table.values()}
-        assert all(id(v) in made for v in built)
-
-
 # -- Fourier against the naive character sum -----------------------------------------
 
 
@@ -738,11 +727,12 @@ def oracle_table(p, kind, rng):
     to L < M+K, so that g(u*k) = sigma_u(g(k)) for every unit u = 1 mod
     p^L, on up to 125 cells; or empty.  The first two hold values at
     levels up to M+K+3, above the grid of w*r; the sparse values stay at
-    or below the level M+K of the widened ball, where the output cells of
-    a single-child chain are rotations of the lists they share.  One in
-    four equivariant tables has its cell 1 changed: plus 1, or for p = 5
-    the same value with another split into rational and sqrt(5) parts,
-    which sigma_u does not map to its neighbour's split."""
+    or below the level M+K of the widened ball, and take the orbit route
+    (none of seeds 0 to 79 reaches the class tree, for each of p = 2, 3,
+    5 and 7).  One in four equivariant tables has its cell 1 changed:
+    plus 1, or for p = 5 the same value with another split into rational
+    and sqrt(5) parts, which sigma_u does not map to its neighbour's
+    split."""
     if kind == "equivariant":
         depth = rng.randint(2, max(d for d in range(2, 8) if p**d <= 125))
         m = rng.randint(0, depth)
@@ -824,6 +814,13 @@ def oracle_table(p, kind, rng):
 @example(p=5, kind="equivariant", seed=0)
 @example(p=3, kind="equivariant", seed=6)
 @example(p=3, kind="equivariant", seed=5)
+# the class tree with values above level M+K, one tree per residue: 3 at
+# p = 2 with no sqrt(p) part, 3 at p = 3 with sqrt(3) parts, 5 at p = 5;
+# and one residue at p = 2, N = 4, where one class mod 2 has one cell
+@example(p=2, kind="dense", seed=1)
+@example(p=3, kind="dense", seed=0)
+@example(p=5, kind="class", seed=29)
+@example(p=2, kind="dense", seed=0)
 def test_fourier_matches_the_per_cell_oracle(p, kind, seed):
     # every route against one character sum per output cell: the same keys
     # in the same order, and every value == with the same repr.  The orbit
